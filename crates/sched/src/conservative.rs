@@ -16,7 +16,7 @@
 
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
-use crate::queue::sort_keyed_with;
+use crate::queue::{repair_order, OrderScratch};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -67,6 +67,12 @@ pub struct ConservativeScheduler {
     policy: Policy,
     profile: Profile,
     queue: Vec<Reservation>,
+    /// The earliest reservation start in `queue` (`None` when it is
+    /// empty). Starts only fall between scans — an arrival's anchor, a
+    /// compression move — so both lower it with `min`; `collect()`
+    /// recomputes it in the scan that removes jobs. While it lies after
+    /// `now`, nothing is due and `collect()` skips that scan.
+    next_start: Option<SimTime>,
     running: HashMap<JobId, Running>,
     /// Processors actually free *right now*. The profile alone is not
     /// enough: at an instant with several simultaneous completions, the
@@ -84,8 +90,8 @@ pub struct ConservativeScheduler {
     /// (handed back by the driver via [`Scheduler::recycle`]); its capacity
     /// serves the next collect pass.
     starts_scratch: Vec<JobId>,
-    /// Reusable keyed-sort buffer for XFactor compression passes.
-    sort_scratch: Vec<(f64, Reservation)>,
+    /// Reusable buffers for the compression pass's order repair.
+    order_scratch: OrderScratch<Reservation>,
 }
 
 impl ConservativeScheduler {
@@ -101,13 +107,14 @@ impl ConservativeScheduler {
             policy,
             profile: Profile::new(capacity),
             queue: Vec::new(),
+            next_start: None,
             running: HashMap::new(),
             free: capacity,
             mode,
             recorder: None,
             phases: None,
             starts_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
+            order_scratch: OrderScratch::default(),
         }
     }
 
@@ -161,48 +168,73 @@ impl ConservativeScheduler {
     /// processors, so a job skipped earlier in the pass can never become
     /// startable later in the same pass — rescanning from the front would
     /// find exactly the same starts in the same order.
+    ///
+    /// When `next_start` lies after `now`, no reservation is due: the pass
+    /// would start nothing and defer nothing, and the wake-up is
+    /// `next_start` itself, so the scan is skipped.
     fn collect(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
         let mut starts = std::mem::take(&mut self.starts_scratch);
         debug_assert!(starts.is_empty());
         if starts.capacity() > 0 {
             self.profile.note_scratch_reuse();
         }
-        let mut deferred = false;
-        let mut i = 0;
-        while i < self.queue.len() {
-            if self.queue[i].start <= now && self.queue[i].meta.width <= self.free {
-                let res = self.queue.remove(i);
-                starts.push(res.meta.id);
-                self.start_job(res, now);
-                // `remove` shifted the next candidate into slot `i`.
-            } else {
-                if self.queue[i].start <= now {
-                    deferred = true;
-                }
-                i += 1;
-            }
-        }
-        let wakeup = if deferred && retry_same_instant {
-            Some(now)
-        } else if deferred {
-            // Deferred at a wake-up: nothing else frees processors at
-            // `now`. Fall back to the next strictly future reservation;
-            // completions and arrivals re-trigger collection on their own.
-            self.queue
-                .iter()
-                .map(|r| r.start)
-                .filter(|&s| s > now)
-                .min()
-        } else {
-            // Not deferred: every due job started, so all remaining
-            // reservations are strictly in the future.
-            self.queue.iter().map(|r| r.start).min()
+        debug_assert_eq!(
+            self.next_start,
+            self.queue.iter().map(|r| r.start).min(),
+            "next_start out of step with the queue"
+        );
+        let wakeup = match self.next_start {
+            Some(next) if next <= now => self.start_due(now, retry_same_instant, &mut starts),
+            // Nothing due: every reservation starts after `now`.
+            next => next,
         };
         self.profile.trim_before(now);
         Decisions {
             preempts: Vec::new(),
             starts,
             wakeup,
+        }
+    }
+
+    /// `collect()`'s scan: start the due jobs that fit, recompute
+    /// `next_start` from the rest, and return the wake-up.
+    fn start_due(
+        &mut self,
+        now: SimTime,
+        retry_same_instant: bool,
+        starts: &mut Vec<JobId>,
+    ) -> Option<SimTime> {
+        let mut deferred = false;
+        let mut next_start: Option<SimTime> = None;
+        let mut next_future: Option<SimTime> = None;
+        let mut i = 0;
+        while i < self.queue.len() {
+            let res = self.queue[i];
+            if res.start <= now {
+                if res.meta.width <= self.free {
+                    self.queue.remove(i);
+                    starts.push(res.meta.id);
+                    self.start_job(res, now);
+                    // `remove` shifted the next candidate into slot `i`.
+                    continue;
+                }
+                deferred = true;
+            } else {
+                next_future = earliest(next_future, res.start);
+            }
+            next_start = earliest(next_start, res.start);
+            i += 1;
+        }
+        self.next_start = next_start;
+        if deferred && retry_same_instant {
+            Some(now)
+        } else {
+            // Not deferred: every due job started, so all remaining
+            // reservations are strictly in the future. Deferred at a
+            // wake-up: nothing else frees processors at `now`, so fall
+            // back to the next strictly future reservation; completions
+            // and arrivals re-trigger collection on their own.
+            next_future
         }
     }
 
@@ -230,15 +262,34 @@ impl ConservativeScheduler {
     ///
     /// Each branch is decision-for-decision identical to the round-trip
     /// (the differential and compression property tests check this).
+    ///
+    /// Two things keep a pass proportional to the jobs that can move
+    /// rather than to the queue:
+    ///
+    /// * the queue is brought into priority order by [`repair_order`],
+    ///   one linear pass when it is nearly in order already — between
+    ///   passes it changes only by order-keeping removals, appended
+    ///   arrivals and (XFactor) the few ranks that cross as jobs age;
+    /// * in the start-now modes, a job wider than `cap` — the free level
+    ///   at `now` — is rejected in O(1): every probe window opens at
+    ///   `now`, where the job's own rectangle (starting after `now`) is
+    ///   not, so `fits` would fail on the level at `now` alone. `cap` only
+    ///   falls during the pass, as moved jobs take their rectangles.
     fn compress(&mut self, now: SimTime) {
         self.profile.note_compress_pass();
-        self.profile.note_queue_ops(0, 1, 0);
-        if self.policy == Policy::XFactor && self.sort_scratch.capacity() > 0 {
+        if self.order_scratch.is_warm() {
             self.profile.note_scratch_reuse();
         }
-        let mut scratch = std::mem::take(&mut self.sort_scratch);
-        sort_keyed_with(&mut self.queue, self.policy, now, &mut scratch, |r| r.meta);
-        self.sort_scratch = scratch;
+        let reordered = repair_order(
+            &mut self.queue,
+            self.policy,
+            now,
+            &mut self.order_scratch,
+            |r| r.meta,
+        );
+        self.profile
+            .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
+        let mut cap = self.profile.free_at(now);
         for i in 0..self.queue.len() {
             let res = self.queue[i];
             if res.start <= now {
@@ -274,12 +325,16 @@ impl ConservativeScheduler {
                     } else {
                         res.meta.estimate
                     };
-                    let moved = self.profile.fits(now, window, res.meta.width);
+                    // A zero-length window always fits, whatever `cap`.
+                    let moved = (res.meta.width <= cap || window.is_zero())
+                        && self.profile.fits(now, window, res.meta.width);
                     if moved {
                         self.profile
                             .release(res.start, res.meta.estimate, res.meta.width);
                         self.profile.reserve(now, res.meta.estimate, res.meta.width);
                         self.queue[i].start = now;
+                        self.next_start = earliest(self.next_start, now);
+                        cap = self.profile.free_at(now);
                         self.record(
                             now,
                             res.meta.id,
@@ -305,6 +360,7 @@ impl ConservativeScheduler {
                             .release(res.start, res.meta.estimate, res.meta.width);
                         self.profile.reserve(now, res.meta.estimate, res.meta.width);
                         self.queue[i].start = now;
+                        self.next_start = earliest(self.next_start, now);
                         self.record(
                             now,
                             res.meta.id,
@@ -329,6 +385,7 @@ impl ConservativeScheduler {
                     self.profile
                         .reserve(anchor, res.meta.estimate, res.meta.width);
                     self.queue[i].start = anchor;
+                    self.next_start = earliest(self.next_start, anchor);
                     if anchor < res.start {
                         self.record(
                             now,
@@ -346,6 +403,11 @@ impl ConservativeScheduler {
     }
 }
 
+/// `current` lowered to `start` (the earliest of the two).
+fn earliest(current: Option<SimTime>, start: SimTime) -> Option<SimTime> {
+    Some(current.map_or(start, |t| t.min(start)))
+}
+
 impl Scheduler for ConservativeScheduler {
     fn name(&self) -> String {
         format!("Conservative/{}", self.policy)
@@ -359,6 +421,7 @@ impl Scheduler for ConservativeScheduler {
         );
         let anchor = self.profile.find_anchor(now, job.estimate, job.width);
         self.profile.reserve(anchor, job.estimate, job.width);
+        self.next_start = earliest(self.next_start, anchor);
         self.record(
             now,
             job.id,

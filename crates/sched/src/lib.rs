@@ -44,7 +44,7 @@ pub use fcfs::FcfsScheduler;
 pub use policy::Policy;
 pub use preemptive::PreemptiveScheduler;
 pub use profile::{Profile, ProfileStats, Segment};
-pub use queue::{sort_keyed, QueueCounters, SchedQueue};
+pub use queue::{QueueCounters, SchedQueue};
 pub use scheduler::{Decisions, JobMeta, Scheduler};
 pub use selective::SelectiveScheduler;
 pub use slack::{SlackPolicy, SlackScheduler};

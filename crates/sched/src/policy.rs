@@ -76,10 +76,29 @@ impl Policy {
     /// Compare two queued jobs at time `now`; `Less` means `a` has higher
     /// priority (comes first). Total order for any fixed `now`.
     pub fn compare(self, a: &JobMeta, b: &JobMeta, now: SimTime) -> Ordering {
+        self.compare_keyed(a, self.key(a, now), b, self.key(b, now))
+    }
+
+    /// The time-dependent part of a job's priority at `now`, computed once
+    /// per job by callers that compare many pairs: its expansion factor
+    /// under XFactor, and 0 under the static-key policies (whose order
+    /// ignores `now`).
+    pub fn key(self, job: &JobMeta, now: SimTime) -> f64 {
+        if self == Policy::XFactor {
+            Self::xfactor(job, now)
+        } else {
+            0.0
+        }
+    }
+
+    /// [`compare`](Policy::compare) with each job's [`key`](Policy::key)
+    /// already computed: the same total order, without recomputing the
+    /// expansion factor per comparison.
+    pub fn compare_keyed(self, a: &JobMeta, ka: f64, b: &JobMeta, kb: f64) -> Ordering {
         let primary = match self {
             Policy::Fcfs => Ordering::Equal, // arrival tie-break decides
             Policy::Sjf => a.estimate.cmp(&b.estimate),
-            Policy::XFactor => Self::xfactor(b, now).total_cmp(&Self::xfactor(a, now)),
+            Policy::XFactor => kb.total_cmp(&ka),
             Policy::Ljf => b.estimate.cmp(&a.estimate),
             Policy::WidestFirst => b.width.cmp(&a.width),
         };

@@ -18,10 +18,13 @@
 //! * **XFactor** is time-dependent (jobs age at different rates), so a
 //!   sort per distinct event instant is unavoidable — but the key is a
 //!   pure function of `(job, now)`, so it is computed **once per job**
-//!   into a cache and the queue is sorted with `sort_unstable_by` over the
-//!   cached keys (the total order makes unstable sorting safe). Repeat
+//!   into a cache and [`repair_order`] restores the order in place over
+//!   the cached keys (the total order makes any correct sort safe). Repeat
 //!   events at the same instant reuse the existing order when nothing was
 //!   inserted in between.
+//!
+//! [`repair_order`] is also how the conservative and selective schedulers
+//! re-order their reservation lists on each compression pass.
 //!
 //! Dequeues come off a `VecDeque`: the schedulers' phase-1 "start from the
 //! head while it fits" loop pops in O(1) where `Vec::remove(0)` shifted
@@ -75,13 +78,10 @@ impl QueueCounters {
 pub struct SchedQueue {
     policy: Policy,
     items: VecDeque<JobMeta>,
-    /// Scratch for the XFactor cached-key fallback sort, reused across
+    /// Key and fallback-sort buffers for [`repair_order`], reused across
     /// events so the per-event allocation disappears once the queue stops
     /// growing.
-    scratch: Vec<(f64, JobMeta)>,
-    /// Per-instant XFactor keys, index-aligned with `items` (the in-place
-    /// repair swaps both in lockstep).
-    keys: Vec<f64>,
+    scratch: OrderScratch<JobMeta>,
     /// The instant the queue was last sorted for (XFactor only): a repeat
     /// `prepare` at the same instant with no interleaved insertion reuses
     /// the order (keys are a pure function of `(job, now)`).
@@ -95,8 +95,7 @@ impl SchedQueue {
         SchedQueue {
             policy,
             items: VecDeque::new(),
-            scratch: Vec::new(),
-            keys: Vec::new(),
+            scratch: OrderScratch::default(),
             sorted_at: None,
             counters: QueueCounters::default(),
         }
@@ -156,61 +155,18 @@ impl SchedQueue {
             debug_assert!(self.is_sorted(now), "maintained queue order diverged");
             return;
         }
-        // Fresh keys for the current instant, aligned with `items` and kept
-        // aligned through every swap below.
-        self.keys.clear();
-        self.keys
-            .extend(self.items.iter().map(|j| Policy::xfactor(j, now)));
-
         // A pair of waiting jobs swaps XFactor rank at most once (their
         // keys are lines in `now`, crossing at one instant), and a fresh
         // arrival's key is the global minimum 1.0, so it is appended
-        // already in place. The order from the previous event is therefore
-        // almost sorted, and an in-place insertion sort repairs it in
-        // O(n + inversions) — no scratch copy, no writeback — instead of
-        // the full O(n log n) cached-key sort. Exactly `Policy::compare`'s
-        // XFactor branch (key looked up, not recomputed per comparison);
-        // the order is total, so any correct sort yields the same unique
-        // sequence as the stable `Policy::sort`.
-        let n = self.items.len();
-        let budget = 8 * n + 64;
-        let mut swaps = 0usize;
-        let mut repaired = true;
-        'repair: for i in 1..n {
-            let mut j = i;
-            while j > 0 {
-                let o = self.keys[j]
-                    .total_cmp(&self.keys[j - 1])
-                    .then_with(|| self.items[j - 1].arrival.cmp(&self.items[j].arrival))
-                    .then_with(|| self.items[j - 1].id.cmp(&self.items[j].id));
-                if o != Ordering::Greater {
-                    break;
-                }
-                self.items.swap(j - 1, j);
-                self.keys.swap(j - 1, j);
-                swaps += 1;
-                if swaps > budget {
-                    repaired = false;
-                    break 'repair;
-                }
-                j -= 1;
-            }
-        }
-        if !repaired {
-            // Heavy churn: fall back to the full cached-key sort. `keys`
-            // stayed aligned with `items` through the partial repair.
-            self.scratch.clear();
-            self.scratch
-                .extend(self.keys.iter().copied().zip(self.items.iter().copied()));
-            self.scratch.sort_unstable_by(|a, b| {
-                b.0.total_cmp(&a.0)
-                    .then_with(|| a.1.arrival.cmp(&b.1.arrival))
-                    .then_with(|| a.1.id.cmp(&b.1.id))
-            });
-            for (slot, &(_, job)) in self.items.iter_mut().zip(&self.scratch) {
-                *slot = job;
-            }
-        }
+        // already in place: the order from the previous event is almost
+        // sorted, which is the case `repair_order` is built for.
+        repair_order(
+            self.items.make_contiguous(),
+            self.policy,
+            now,
+            &mut self.scratch,
+            |j| *j,
+        );
         self.sorted_at = Some(now);
         self.counters.sorts += 1;
     }
@@ -253,48 +209,84 @@ impl std::ops::Index<usize> for SchedQueue {
     }
 }
 
-/// Sort reservation-like entries into `Policy` priority order at `now`,
-/// computing each XFactor key **once per entry** instead of once per
-/// comparison (the conservative and selective schedulers sort their
-/// reservation queues only on compression passes, where appended arrivals
-/// rule out incremental maintenance). Exactly equivalent to
-/// `sort_by(Policy::compare)`: the cached keys equal the recomputed ones,
-/// and the total order makes the unstable sort's result unique.
-pub fn sort_keyed<T: Copy>(
-    items: &mut [T],
-    policy: Policy,
-    now: SimTime,
-    meta: impl Fn(&T) -> JobMeta,
-) {
-    sort_keyed_with(items, policy, now, &mut Vec::new(), meta);
+/// Reusable buffers for [`repair_order`]: the per-entry keys and the
+/// fallback sort's keyed copy. Their contents never affect the order.
+#[derive(Debug, Clone)]
+pub struct OrderScratch<T> {
+    keys: Vec<f64>,
+    sorted: Vec<(f64, T)>,
 }
 
-/// [`sort_keyed`] with a caller-owned scratch buffer for the keyed copy,
-/// so a scheduler that compresses on every early completion pays the
-/// key-buffer allocation once instead of per pass. The scratch is cleared
-/// on entry; its contents never affect the order.
-pub fn sort_keyed_with<T: Copy>(
+impl<T> Default for OrderScratch<T> {
+    fn default() -> Self {
+        OrderScratch {
+            keys: Vec::new(),
+            sorted: Vec::new(),
+        }
+    }
+}
+
+impl<T> OrderScratch<T> {
+    /// True once a call has sized the buffers, so the next call reuses
+    /// them instead of allocating.
+    pub fn is_warm(&self) -> bool {
+        self.keys.capacity() > 0
+    }
+}
+
+/// Bring `items` into `policy` order at `now`, in place, and report
+/// whether any entry moved.
+///
+/// Each entry's [`Policy::key`] is computed once into `scratch`, so the
+/// XFactor order costs one expansion factor per entry, not two per
+/// comparison. An insertion sort over the cached keys then repairs the
+/// order in O(n + inversions): the callers' sequences are almost sorted
+/// already (a few appended arrivals, or XFactor ranks that cross between
+/// two instants), so this is usually one linear pass with no copy. Past a
+/// swap budget of `8n + 64` — heavy churn — it falls back to one
+/// `sort_unstable_by` over a keyed copy. The order is total (ties break by
+/// arrival, then id), so either path yields the unique sequence
+/// `sort_by(Policy::compare)` would.
+pub fn repair_order<T: Copy>(
     items: &mut [T],
     policy: Policy,
     now: SimTime,
-    scratch: &mut Vec<(f64, T)>,
+    scratch: &mut OrderScratch<T>,
     meta: impl Fn(&T) -> JobMeta,
-) {
-    if policy != Policy::XFactor {
-        items.sort_by(|a, b| policy.compare(&meta(a), &meta(b), now));
-        return;
+) -> bool {
+    let keys = &mut scratch.keys;
+    keys.clear();
+    keys.extend(items.iter().map(|t| policy.key(&meta(t), now)));
+    let n = items.len();
+    let budget = 8 * n + 64;
+    let mut swaps = 0usize;
+    for i in 1..n {
+        let mut j = i;
+        while j > 0
+            && policy.compare_keyed(&meta(&items[j]), keys[j], &meta(&items[j - 1]), keys[j - 1])
+                == Ordering::Less
+        {
+            items.swap(j - 1, j);
+            keys.swap(j - 1, j);
+            swaps += 1;
+            if swaps > budget {
+                // `keys` stayed aligned with `items` through the partial
+                // repair, so the fallback sorts the same (key, entry) pairs.
+                let sorted = &mut scratch.sorted;
+                sorted.clear();
+                sorted.extend(keys.iter().copied().zip(items.iter().copied()));
+                sorted.sort_unstable_by(|a, b| {
+                    policy.compare_keyed(&meta(&a.1), a.0, &meta(&b.1), b.0)
+                });
+                for (slot, &(_, t)) in items.iter_mut().zip(sorted.iter()) {
+                    *slot = t;
+                }
+                return true;
+            }
+            j -= 1;
+        }
     }
-    scratch.clear();
-    scratch.extend(items.iter().map(|t| (Policy::xfactor(&meta(t), now), *t)));
-    scratch.sort_unstable_by(|a, b| {
-        let (ma, mb) = (meta(&a.1), meta(&b.1));
-        b.0.total_cmp(&a.0)
-            .then_with(|| ma.arrival.cmp(&mb.arrival))
-            .then_with(|| ma.id.cmp(&mb.id))
-    });
-    for (slot, &(_, t)) in items.iter_mut().zip(scratch.iter()) {
-        *slot = t;
-    }
+    swaps > 0
 }
 
 #[cfg(test)]
@@ -420,26 +412,49 @@ mod tests {
     }
 
     #[test]
-    fn sort_keyed_matches_policy_compare_sort() {
+    fn repair_order_matches_policy_compare_sort() {
         #[derive(Debug, Clone, Copy, PartialEq)]
         struct Entry {
             meta: JobMeta,
             payload: u64,
         }
+        // Many jobs, so the reversed start overruns the swap budget and
+        // takes the fallback sort; the others stay within the repair.
+        let many: Vec<JobMeta> = (0..40u32)
+            .map(|i| {
+                meta(
+                    i,
+                    (i as u64 * 7) % 23,
+                    (i as u64 * 131) % 900 + 1,
+                    i % 9 + 1,
+                )
+            })
+            .collect();
         for policy in ALL {
             for now_s in [0u64, 40, 5_000] {
                 let now = SimTime::new(now_s);
-                let mut entries: Vec<Entry> = jobs()
-                    .into_iter()
-                    .map(|m| Entry {
-                        meta: m,
-                        payload: m.id.0 as u64 * 31,
-                    })
-                    .collect();
-                let mut reference = entries.clone();
-                sort_keyed(&mut entries, policy, now, |e| e.meta);
-                reference.sort_by(|a, b| policy.compare(&a.meta, &b.meta, now));
-                assert_eq!(entries, reference, "{policy} diverged at now={now_s}");
+                for (base, rotate) in [(jobs(), 0), (jobs(), 3), (many.clone(), 0)] {
+                    let mut entries: Vec<Entry> = base
+                        .into_iter()
+                        .map(|m| Entry {
+                            meta: m,
+                            payload: m.id.0 as u64 * 31,
+                        })
+                        .collect();
+                    entries.rotate_left(rotate);
+                    let mut reference = entries.clone();
+                    reference.sort_by(|a, b| policy.compare(&a.meta, &b.meta, now));
+                    for start in [entries.clone(), reference.iter().rev().copied().collect()] {
+                        let mut got = start.clone();
+                        let mut scratch = OrderScratch::default();
+                        let moved = repair_order(&mut got, policy, now, &mut scratch, |e| e.meta);
+                        assert_eq!(got, reference, "{policy} diverged at now={now_s}");
+                        assert_eq!(moved, start != reference, "{policy}: moved flag wrong");
+                        // Already in order: a second repair moves nothing.
+                        assert!(!repair_order(&mut got, policy, now, &mut scratch, |e| e.meta));
+                        assert!(scratch.is_warm() || got.is_empty());
+                    }
+                }
             }
         }
     }

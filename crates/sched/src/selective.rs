@@ -23,7 +23,7 @@
 
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
-use crate::queue::{sort_keyed_with, SchedQueue};
+use crate::queue::{repair_order, OrderScratch, SchedQueue};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use simcore::{JobId, SimSpan, SimTime};
 use std::collections::HashMap;
@@ -47,7 +47,7 @@ pub struct SelectiveScheduler {
     threshold: f64,
     profile: Profile,
     /// Protected jobs. Deliberately a plain `Vec`: between compression
-    /// passes its order (last sort + promotion appends) is event-visible
+    /// passes its order (last repair + promotion appends) is event-visible
     /// through the due-start scan, so it must not be kept eagerly sorted.
     reserved: Vec<Reservation>,
     unreserved: SchedQueue,
@@ -58,8 +58,8 @@ pub struct SelectiveScheduler {
     free: u32,
     /// Recycled `starts` buffer from the previous event's [`Decisions`].
     starts_scratch: Vec<JobId>,
-    /// Reusable keyed-sort buffer for XFactor compression passes.
-    sort_scratch: Vec<(f64, Reservation)>,
+    /// Reusable buffers for the compression pass's order repair.
+    order_scratch: OrderScratch<Reservation>,
 }
 
 impl SelectiveScheduler {
@@ -80,7 +80,7 @@ impl SelectiveScheduler {
             running: HashMap::new(),
             free: capacity,
             starts_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
+            order_scratch: OrderScratch::default(),
         }
     }
 
@@ -116,15 +116,18 @@ impl SelectiveScheduler {
     /// Re-anchor reservations after a hole opened (early completion).
     fn compress(&mut self, now: SimTime) {
         self.profile.note_compress_pass();
-        self.profile.note_queue_ops(0, 1, 0);
-        if self.policy == Policy::XFactor && self.sort_scratch.capacity() > 0 {
+        if self.order_scratch.is_warm() {
             self.profile.note_scratch_reuse();
         }
-        let mut scratch = std::mem::take(&mut self.sort_scratch);
-        sort_keyed_with(&mut self.reserved, self.policy, now, &mut scratch, |r| {
-            r.meta
-        });
-        self.sort_scratch = scratch;
+        let reordered = repair_order(
+            &mut self.reserved,
+            self.policy,
+            now,
+            &mut self.order_scratch,
+            |r| r.meta,
+        );
+        self.profile
+            .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
         for i in 0..self.reserved.len() {
             let res = self.reserved[i];
             // If the rectangle fits at `now` with the job's own
