@@ -2,7 +2,7 @@
 //!
 //! The allocation-free event path (DESIGN.md §16) claims the simulator's
 //! steady state stops allocating per event: the ladder event queue reuses
-//! buckets, the profile's slab recycles slots, and schedulers reuse their
+//! buckets, the profile edits its segment chunks in place, and schedulers reuse their
 //! `starts`/sort scratch buffers across events. This harness pins that
 //! claim with a counting `#[global_allocator]`: a deep-queue Conservative
 //! cell (the allocation-heaviest configuration — per-arrival reservations
@@ -67,7 +67,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 /// Per-event budgets, enforced in release builds. The steady-state event
-/// path allocates only for amortized container growth (slab/order/queue/
+/// path allocates only for amortized container growth (chunk/queue/
 /// ladder-bucket Vecs): measured 0.03 allocs/event and about 80 B/event
 /// on each of these cells. The bounds leave headroom for allocator-pattern
 /// drift without letting a per-event regression (a clone, a collect, a

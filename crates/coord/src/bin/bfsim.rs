@@ -750,11 +750,7 @@ fn cmd_simulate(cli: &Cli) {
             p.compress_passes,
             p.peak_segments
         );
-        println!(
-            "alloc path:  {} order bytes shifted | {} slab slot reuses | \
-             {} scratch reuses",
-            p.order_bytes_shifted, p.slab_slot_reuses, p.scratch_reuses
-        );
+        println!("alloc path:  {} scratch reuses", p.scratch_reuses);
     }
     if cli.fairness {
         let f = fairness(&schedule.outcomes);

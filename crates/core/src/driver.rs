@@ -292,12 +292,6 @@ pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
         .counter("sim.queue.sorts_avoided")
         .add(stats.queue_sorts_avoided);
     registry
-        .counter("sim.profile.order_bytes_shifted")
-        .add(stats.order_bytes_shifted);
-    registry
-        .counter("sim.profile.slab_slot_reuses")
-        .add(stats.slab_slot_reuses);
-    registry
         .counter("sim.scratch_reuses")
         .add(stats.scratch_reuses);
     let peak = registry.gauge("sim.profile.peak_segments");

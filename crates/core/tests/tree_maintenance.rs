@@ -1,12 +1,12 @@
-//! Differential test of incremental segment-tree maintenance under full
+//! Differential test of incremental chunk-index maintenance under full
 //! simulations.
 //!
-//! The availability profile keeps its min/max segment tree synchronized
-//! incrementally (leaf + ancestor-path updates for value-only mutations,
-//! suffix re-derivation for structural ones). In debug builds every
-//! mutation ends in `debug_assert!(invariants_ok())`, and `invariants_ok`
-//! compares the tree's **per-node aggregates against a from-scratch
-//! rebuild** — so simply driving whole simulations here exercises that
+//! The availability profile keeps its per-chunk min/max summaries and the
+//! tree over them synchronized incrementally (ancestor-path updates when
+//! summaries change, a rebuild when the chunk count does). In debug
+//! builds every mutation ends in `debug_assert!(invariants_ok())`, and
+//! `invariants_ok` compares **every chunk summary and tree node against a
+//! from-scratch build** — so simply driving whole simulations here exercises that
 //! comparison after every reserve/release/trim of every event, for every
 //! scheduler kind and policy. The explicit `invariants_ok` spot-checks
 //! below keep the test meaningful even if debug assertions are off.
@@ -95,8 +95,8 @@ proptest! {
         }
     }
 
-    /// The same maintenance story at the profile level, past the plain-scan
-    /// cutoff: replay a long anchored-reservation history and spot-check
+    /// The same maintenance story at the profile level, across several
+    /// chunks: replay a long anchored-reservation history and spot-check
     /// the tree-vs-rebuild comparison explicitly (not only via the
     /// per-mutation debug asserts).
     #[test]

@@ -15,72 +15,63 @@
 //! * [`Profile::release`] — put capacity back (cancelled reservation, or
 //!   the unused tail of an over-estimated job that finished early).
 //!
-//! # The segment-tree index
+//! # The chunked layout
 //!
-//! `find_anchor` and `fits` dominate every backfilling decision, and a
-//! naive scan walks the profile one segment at a time — on a congested
-//! profile with a thousand live segments, most queries walk most of it.
-//! The profile therefore maintains an augmented segment tree (`SegTree`)
-//! over the segment vector: an implicit binary tree whose leaves are the
-//! segments and whose every node stores the **minimum and maximum free
-//! level** of its span. Three O(log n) descents answer everything the
-//! anchor search needs:
+//! Segments are stored by value, in time order, in fixed-capacity
+//! **chunks** of [`Profile::CHUNK_SEGMENTS`] segments held in one flat
+//! `Vec<Chunk>`. Each chunk also carries the minimum and maximum free
+//! level of its segments, and a small augmented segment tree (`SegTree`)
+//! indexes those per-chunk summaries. A profile is therefore two levels:
+//! a handful of chunks, each a short sorted run of segments.
 //!
-//! * *first feasible* — the first segment at or after an index with
-//!   `free >= width` (descend where `max >= width`), used to establish
-//!   anchor candidates and to leap whole infeasible runs at once;
-//! * *first infeasible* — the first segment at or after an index with
-//!   `free < width` (descend where `min < width`), used to verify a
-//!   candidate window in one probe instead of a segment-by-segment walk;
-//! * *range minimum* — the minimum free level over a window, which is the
-//!   entire `fits` question.
+//! Queries descend to a chunk and scan inside it. The anchor search
+//! needs two primitives, both "scan the rest of this chunk, then leap":
 //!
-//! Mutations keep the tree synchronized incrementally: a reserve/release
-//! that moves no segment boundary refreshes only the touched leaves and
-//! their O(log n) ancestor path (`SegTree::update_range`); one that
-//! inserts or removes a boundary re-derives the shifted suffix
-//! (`SegTree::resync_from`) — bounded by the O(n) index shift the order
-//! chain itself already paid for, and far cheaper than the old
-//! per-mutation rebuild of per-threshold run lists. Profiles at or below
-//! `SMALL` segments answer `find_anchor` with a plain scan (fewer
-//! instructions than the descents for a handful of segments); the tree is
-//! maintained at every size so `fits` and the invariant checks can always
-//! use it.
+//! * *next feasible* — the first segment at or after a position with
+//!   `free >= width`: after the current chunk, chunks whose `max < width`
+//!   are skipped whole (one tree descent when the next chunk is no good);
+//! * *next blocker* — the first segment at or after a position with
+//!   `free < width` that opens before a window's end: chunks whose
+//!   `min >= width` are skipped whole, and the search stops as soon as a
+//!   chunk opens at or past the window's end.
 //!
-//! # The slab arena and the order chain
+//! `find_anchor` alternates them (establish a candidate, look for the
+//! blocker inside its window, restart past the blocker), `fits` is one
+//! blocker probe, and `free_at` and the `FitsCache` rebuild are a binary
+//! search over chunk starts plus one inside the chunk. A profile that fits
+//! in one chunk never touches the tree: its in-chunk scan *is* the
+//! small-profile path.
 //!
-//! Segments do not live in a shifting `Vec<Segment>`. They live in a
-//! **slab arena** (`slab: Vec<Segment>`) at stable slots, and a separate
-//! **order chain** (`order: Vec<u32>`) lists the live slots in time
-//! order. A structural mutation — `split_at` inserting a boundary,
-//! coalescing removing one — shifts 4-byte slot indices in the chain
-//! instead of memmoving 16-byte `Segment`s, and the `Segment` values
-//! themselves never move: slots freed by coalescing or trimming are
-//! recycled through a free list (`free_slots`), so a steady-state
-//! simulation stops allocating for segment churn entirely. The segment
-//! tree stays positional over the chain (leaf `i` aggregates
-//! `slab[order[i]]`), so its suffix re-derivation walks indices, and
-//! `order_bytes_shifted` in [`ProfileStats`] records the index traffic
-//! that replaced whole-segment memmoves.
+//! A mutation edits at most a few chunks in place: a boundary insert or
+//! a coalescing removal shifts the segments of one chunk (≤ one chunk's
+//! worth of 16-byte moves), a reserve/release rewrites the levels of the
+//! chunks it spans, and `trim_before` shifts the surviving segments of
+//! its first chunk down. The touched chunks' summaries are refreshed and
+//! their O(log C) tree paths re-derived (C = chunk count). Only a change
+//! in the chunk count — a full chunk split in two, or a chunk emptied by
+//! coalescing or trimming and dropped — rebuilds the O(C) tree. Chunks
+//! are plain `Copy` arrays, so cloning a profile is a memcpy of the
+//! chunk vector.
 //!
-//! [`Profile::find_anchor_linear`] preserves the pre-index plain scan;
-//! differential property tests (`tests/profile_differential.rs`) assert
-//! the two agree decision-for-decision (against a naive quadratic
+//! [`Profile::find_anchor_linear`] preserves the plain segment-by-segment
+//! scan; differential property tests (`tests/profile_differential.rs`)
+//! assert the two agree decision-for-decision (against a naive quadratic
 //! reference as well), and the `profile_ops` bench compares their cost.
 //!
 //! # Instrumentation
 //!
 //! Every profile keeps cheap operation counters ([`ProfileStats`]): anchor
-//! probes, segments visited by plain scans, tree descents and nodes
-//! touched, incremental-vs-rebuild tree updates, reserve/release counts,
+//! probes, segments visited by in-chunk scans, tree descents and nodes
+//! touched, chunk-tree path updates and rebuilds, reserve/release counts,
 //! compression passes, and the peak segment count. Schedulers expose them
 //! via [`crate::Scheduler::profile_stats`] and the driver threads them into
 //! the final [`Schedule`](../core) for reports and benches.
 //!
 //! Invariants (checked by `debug_assert` internally and by property tests):
 //! segments are strictly ordered in time, free counts stay within
-//! `[0, capacity]`, adjacent segments always differ (coalesced), and the
-//! tree's per-node aggregates equal a from-scratch rebuild.
+//! `[0, capacity]`, adjacent segments always differ (coalesced), no chunk
+//! is empty, and every chunk summary and tree node equals a from-scratch
+//! build.
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimSpan, SimTime};
@@ -97,11 +88,8 @@ pub struct Segment {
     pub free: u32,
 }
 
-/// At or below this many segments `find_anchor` uses the plain scan: a
-/// typical query resolves in a handful of segment visits, fewer
-/// instructions than two tree descents. (`fits` and the structural
-/// invariants use the tree at every size — it is always maintained.)
-const SMALL: usize = 64;
+/// Segments per chunk (see [`Profile::CHUNK_SEGMENTS`]).
+const CHUNK: usize = 32;
 
 /// Process-wide generation counter for silhouette tokens. Every profile
 /// mutation — on any profile, including clones — draws a fresh value, so
@@ -114,15 +102,130 @@ fn next_generation() -> u64 {
     GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One segment-tree node: the minimum and maximum free level over the
-/// leaves of its span.
+/// A run of up to [`CHUNK`] consecutive segments, stored by value, plus
+/// the minimum and maximum free level over them.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    /// Live segments: `segs[..len]`; the rest is unused padding.
+    len: u32,
+    min: u32,
+    max: u32,
+    segs: [Segment; CHUNK],
+}
+
+impl Chunk {
+    const EMPTY: Chunk = Chunk {
+        len: 0,
+        min: u32::MAX,
+        max: 0,
+        segs: [Segment {
+            start: SimTime::ZERO,
+            free: 0,
+        }; CHUNK],
+    };
+
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    fn live(&self) -> &[Segment] {
+        &self.segs[..self.len()]
+    }
+
+    #[inline]
+    fn first_start(&self) -> SimTime {
+        self.segs[0].start
+    }
+
+    /// Recompute the summary from the live segments; true if it changed.
+    fn refresh(&mut self) -> bool {
+        let (min, max) = self.live().iter().fold((u32::MAX, 0), |(lo, hi), s| {
+            (lo.min(s.free), hi.max(s.free))
+        });
+        let changed = (min, max) != (self.min, self.max);
+        self.min = min;
+        self.max = max;
+        changed
+    }
+
+    /// Insert `seg` at `i` (room required); true if the summary changed.
+    fn insert(&mut self, i: usize, seg: Segment) -> bool {
+        let len = self.len();
+        debug_assert!(len < CHUNK && i <= len);
+        self.segs.copy_within(i..len, i + 1);
+        self.segs[i] = seg;
+        self.len += 1;
+        let changed = seg.free < self.min || seg.free > self.max;
+        self.min = self.min.min(seg.free);
+        self.max = self.max.max(seg.free);
+        changed
+    }
+
+    /// Remove the segment at `i`; true if the summary changed.
+    fn remove(&mut self, i: usize) -> bool {
+        let (gone, len) = (self.segs[i].free, self.len());
+        self.segs.copy_within(i + 1..len, i);
+        self.len -= 1;
+        (gone == self.min || gone == self.max) && self.refresh()
+    }
+}
+
+/// A segment's place in the chunked layout: chunk `c`, slot `i`. A
+/// position one past the final segment has `c == chunks.len()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pos {
+    c: usize,
+    i: usize,
+}
+
+const ORIGIN: Pos = Pos { c: 0, i: 0 };
+
+/// The chunks a mutation touched: the summary-changed range to path-update,
+/// or `structural` when the chunk count changed and the tree must be
+/// rebuilt.
+struct Touched {
+    lo: usize,
+    hi: usize,
+    structural: bool,
+}
+
+impl Touched {
+    fn new() -> Self {
+        Touched {
+            lo: usize::MAX,
+            hi: 0,
+            structural: false,
+        }
+    }
+
+    fn chunk(&mut self, c: usize, changed: bool) {
+        if changed {
+            self.lo = self.lo.min(c);
+            self.hi = self.hi.max(c + 1);
+        }
+    }
+}
+
+/// Work done by one query, flushed into the `Cell` counters once per call
+/// so the interior-mutability bookkeeping stays off the scan loops.
+#[derive(Default)]
+struct Work {
+    visited: u64,
+    descents: u64,
+    nodes: u64,
+}
+
+/// One chunk-tree node: the minimum and maximum free level over the
+/// chunks of its span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Node {
     min: u32,
     max: u32,
 }
 
-/// Padding value for leaves beyond the real segment count: matches no
+/// Padding value for leaves beyond the real chunk count: matches no
 /// feasibility predicate (`max >= width` needs `width >= 1`; `min < width`
 /// needs `width <= capacity < u32::MAX`), so queries never step off the
 /// real profile.
@@ -131,29 +234,28 @@ const PAD: Node = Node {
     max: 0,
 };
 
-/// The augmented segment tree behind [`Profile::find_anchor`] and
-/// [`Profile::fits`].
+/// The augmented segment tree over the per-chunk summaries.
 ///
 /// Implicit array layout: the root is node 1, node `v`'s children are
-/// `2v` and `2v + 1`, and leaf `i` (segment `i`) lives at `size + i`
-/// where `size` is the smallest power of two ≥ the segment count. Each
-/// node aggregates the min/max free level of its leaves; unoccupied
-/// leaves hold [`PAD`].
+/// `2v` and `2v + 1`, and leaf `c` (chunk `c`) lives at `size + c` where
+/// `size` is the smallest power of two ≥ the chunk count. Each node
+/// aggregates the min/max free level of its leaves; unoccupied leaves
+/// hold [`PAD`]. A one-chunk profile keeps the tree empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct SegTree {
-    /// Number of leaves backed by real segments.
+    /// Number of leaves backed by real chunks (0 for one chunk).
     len: usize,
-    /// Leaf capacity: smallest power of two ≥ `len` (0 only when empty).
+    /// Leaf capacity: smallest power of two ≥ `len` (0 when empty).
     size: usize,
     /// `2 * size` nodes; index 0 is unused.
     nodes: Vec<Node>,
 }
 
 impl SegTree {
-    fn leaf(seg: &Segment) -> Node {
+    fn leaf(chunk: &Chunk) -> Node {
         Node {
-            min: seg.free,
-            max: seg.free,
+            min: chunk.min,
+            max: chunk.max,
         }
     }
 
@@ -164,27 +266,33 @@ impl SegTree {
         }
     }
 
-    /// Rebuild from scratch: O(size). Leaf `i` aggregates
-    /// `slab[order[i]]` — the tree is positional over the order chain.
-    fn rebuild(&mut self, slab: &[Segment], order: &[u32]) {
-        self.len = order.len();
-        self.size = order.len().next_power_of_two();
+    /// Rebuild from the chunk summaries: O(C). Empty for one chunk, where
+    /// no query ever leaves the chunk.
+    fn rebuild(&mut self, chunks: &[Chunk]) {
         self.nodes.clear();
+        if chunks.len() <= 1 {
+            self.len = 0;
+            self.size = 0;
+            return;
+        }
+        self.len = chunks.len();
+        self.size = chunks.len().next_power_of_two();
         self.nodes.resize(2 * self.size, PAD);
-        for (i, &ix) in order.iter().enumerate() {
-            self.nodes[self.size + i] = Self::leaf(&slab[ix as usize]);
+        for (c, chunk) in chunks.iter().enumerate() {
+            self.nodes[self.size + c] = Self::leaf(chunk);
         }
         for v in (1..self.size).rev() {
             self.nodes[v] = Self::merge(self.nodes[2 * v], self.nodes[2 * v + 1]);
         }
     }
 
-    /// Refresh leaves `[first, last)` after a value-only mutation (no
-    /// boundary moved), then re-derive their O(log n) ancestor paths.
-    fn update_range(&mut self, slab: &[Segment], order: &[u32], first: usize, last: usize) {
+    /// Refresh leaves `[first, last)` after their chunks' summaries
+    /// changed (chunk count unchanged), then re-derive their O(log C)
+    /// ancestor paths.
+    fn update_range(&mut self, chunks: &[Chunk], first: usize, last: usize) {
         debug_assert!(first < last && last <= self.len);
-        for (i, &ix) in order[first..last].iter().enumerate() {
-            self.nodes[self.size + first + i] = Self::leaf(&slab[ix as usize]);
+        for (c, chunk) in chunks[first..last].iter().enumerate() {
+            self.nodes[self.size + first + c] = Self::leaf(chunk);
         }
         let mut l = self.size + first;
         let mut r = self.size + last - 1;
@@ -197,46 +305,17 @@ impl SegTree {
         }
     }
 
-    /// Re-derive leaves `from..` and every ancestor above them, after an
-    /// insertion or removal shifted the suffix of the order chain.
-    /// Falls back to a full rebuild when the leaf capacity changed.
-    fn resync_from(&mut self, slab: &[Segment], order: &[u32], from: usize) {
-        let size = order.len().next_power_of_two();
-        if size != self.size {
-            self.rebuild(slab, order);
-            return;
-        }
-        self.len = order.len();
-        for i in from..self.size {
-            self.nodes[self.size + i] = match order.get(i) {
-                Some(&ix) => Self::leaf(&slab[ix as usize]),
-                None => PAD,
-            };
-        }
-        let mut l = self.size + from;
-        let mut r = 2 * self.size - 1;
-        while l > 1 {
-            l >>= 1;
-            r >>= 1;
-            for v in l..=r {
-                self.nodes[v] = Self::merge(self.nodes[2 * v], self.nodes[2 * v + 1]);
-            }
-        }
-    }
-
-    /// First leaf `>= from` with `free >= width` — the next segment a
-    /// `width`-wide rectangle could anchor in.
+    /// First chunk `>= from` holding a segment with `free >= width`.
     fn first_at_least(&self, from: usize, width: u32, nodes: &mut u64) -> Option<usize> {
         self.first_leaf(from, |n| n.max >= width, nodes)
     }
 
-    /// First leaf `>= from` with `free < width` — the next segment that
-    /// blocks a `width`-wide rectangle.
+    /// First chunk `>= from` holding a segment with `free < width`.
     fn first_below(&self, from: usize, width: u32, nodes: &mut u64) -> Option<usize> {
         self.first_leaf(from, |n| n.min < width, nodes)
     }
 
-    /// One O(log n) descent: the first leaf at or after `from` whose
+    /// One O(log C) descent: the first leaf at or after `from` whose
     /// aggregate satisfies `pred`. Climbs right from the starting leaf,
     /// probing each next-subtree-to-the-right until one can contain a
     /// match, then descends to its leftmost matching leaf.
@@ -280,28 +359,6 @@ impl SegTree {
             return Some(v - self.size);
         }
     }
-
-    /// Minimum free level over leaves `[l, r)` (MAX when empty).
-    fn range_min(&self, l: usize, r: usize, count: &mut u64) -> u32 {
-        let mut min = u32::MAX;
-        let mut l = self.size + l;
-        let mut r = self.size + r.min(self.len);
-        while l < r {
-            if l & 1 == 1 {
-                *count += 1;
-                min = min.min(self.nodes[l].min);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                *count += 1;
-                min = min.min(self.nodes[r].min);
-            }
-            l >>= 1;
-            r >>= 1;
-        }
-        min
-    }
 }
 
 /// Memoized prefix minima for left-edge-pinned fit queries.
@@ -318,9 +375,9 @@ impl SegTree {
 /// * across mutations (a compression pass that moves a job and re-probes)
 ///   every memoized answer is dead on arrival, so rebuilding the O(n)
 ///   prefix table per probe is pure waste — those probes are answered by
-///   one O(log n) tree descent instead, and the table is rebuilt only
-///   once a second probe arrives against the *same* generation and left
-///   edge (proof the profile has gone quiet).
+///   one blocker probe (an in-chunk scan plus chunk leaps) instead, and
+///   the table is rebuilt only once a second probe arrives against the
+///   *same* generation and left edge (proof the profile has gone quiet).
 ///
 /// Validity is keyed on the profile's process-globally-unique generation
 /// token, so a cache carried along by [`Profile::clone`] can never be
@@ -336,7 +393,7 @@ struct FitsCache {
     /// asserted on every hit: a stale cache must be impossible, not just
     /// unlikely.
     checksum: u64,
-    /// Generation/left-edge of the last tree-answered miss; a repeat
+    /// Generation/left-edge of the last probe-answered miss; a repeat
     /// triggers the memoizing rebuild.
     miss_generation: u64,
     miss_from: SimTime,
@@ -359,17 +416,14 @@ impl FitsCache {
         };
         self.ends.clear();
         self.min_free.clear();
-        // First segment starting strictly after `from`; the region before
-        // it (a real segment or the implicit fully-free prefix) is where
-        // the query window opens.
-        let i0 = profile.upper_bound(from);
-        let mut min = if i0 == 0 {
-            profile.capacity
-        } else {
-            profile.seg(i0 - 1).free
+        // The query window opens in the segment hosting `from` (or the
+        // implicit fully-free prefix before the first boundary); every
+        // later segment closes one prefix window.
+        let (mut min, next) = match profile.locate(from) {
+            None => (profile.capacity, ORIGIN),
+            Some(host) => (profile.at(host).free, profile.succ(host)),
         };
-        for pos in i0..profile.seg_count() {
-            let seg = profile.seg(pos);
+        for seg in profile.segs_from(next) {
             self.ends.push(seg.start);
             self.min_free.push(min);
             min = min.min(seg.free);
@@ -409,25 +463,26 @@ impl FitsCache {
 ///
 /// `serde(default)` keeps old serialized reports (e.g. `--baseline`
 /// files written before a counter existed) readable: missing counters
-/// deserialize as zero.
+/// deserialize as zero, and counters a report carries that this struct
+/// no longer has are ignored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ProfileStats {
     /// Calls to [`Profile::find_anchor`] (including via `fits`).
     pub find_anchor_calls: u64,
-    /// Segments examined one-by-one by plain (small-profile) scans.
+    /// Segments examined one-by-one by in-chunk scans.
     pub segments_visited: u64,
-    /// O(log n) segment-tree descents (anchor establishment, window
-    /// verification, `fits` range probes).
+    /// O(log C) chunk-tree descents: leaps over runs of chunks that hold
+    /// no feasible segment, or no blocking one.
     pub tree_descents: u64,
     /// Tree nodes touched across all descents; divided by
     /// `tree_descents` this is the realized descent depth.
     pub tree_nodes_visited: u64,
-    /// Mutations absorbed by leaf + ancestor-path updates (no segment
-    /// boundary moved).
+    /// Mutations that changed some chunk summaries and re-derived only
+    /// their ancestor paths (chunk count unchanged).
     pub tree_incremental_updates: u64,
-    /// Mutations that re-derived a suffix of the tree (or all of it):
-    /// boundary inserted/removed, or the past trimmed away.
+    /// Mutations that changed the chunk count (a chunk split, or an
+    /// emptied chunk dropped) and rebuilt the chunk tree.
     pub tree_rebuilds: u64,
     /// Calls to [`Profile::reserve`] that changed the profile.
     pub reserves: u64,
@@ -455,16 +510,9 @@ pub struct ProfileStats {
     /// `fits` queries answered from the memoized prefix minima.
     pub fits_cache_hits: u64,
     /// `fits` queries the memo could not answer (profile mutated or the
-    /// query's left edge moved); answered by a tree descent, or by the
+    /// query's left edge moved); answered by a blocker probe, or by the
     /// memoizing rebuild on a repeat.
     pub fits_cache_misses: u64,
-    /// Bytes of order-chain index traffic from structural mutations
-    /// (boundary inserts/removes, trims) — the 4-byte-per-segment shifts
-    /// that replaced whole-`Segment` memmoves in the slab layout.
-    pub order_bytes_shifted: u64,
-    /// Segment slots recycled from the slab free list instead of growing
-    /// the arena (steady state allocates nothing for segment churn).
-    pub slab_slot_reuses: u64,
     /// Scheduler scratch buffers reused across events instead of being
     /// freshly allocated (see [`Profile::note_scratch_reuse`]).
     pub scratch_reuses: u64,
@@ -491,14 +539,12 @@ impl ProfileStats {
         self.profile_rebuilds_avoided += other.profile_rebuilds_avoided;
         self.fits_cache_hits += other.fits_cache_hits;
         self.fits_cache_misses += other.fits_cache_misses;
-        self.order_bytes_shifted += other.order_bytes_shifted;
-        self.slab_slot_reuses += other.slab_slot_reuses;
         self.scratch_reuses += other.scratch_reuses;
     }
 
-    /// Mean segments examined per anchor search (0 if none ran). Counts
-    /// only plain-scan visits: past the cutoff the tree answers in
-    /// node touches, tracked by [`ProfileStats::nodes_per_descent`].
+    /// Mean segments examined per anchor search (0 if none ran): the
+    /// in-chunk scan work; chunk leaps are tracked by
+    /// [`ProfileStats::nodes_per_descent`].
     pub fn segments_per_anchor(&self) -> f64 {
         if self.find_anchor_calls == 0 {
             0.0
@@ -508,7 +554,7 @@ impl ProfileStats {
     }
 
     /// Mean tree nodes touched per descent (0 if none ran) — the
-    /// realized O(log n).
+    /// realized O(log C).
     pub fn nodes_per_descent(&self) -> f64 {
         if self.tree_descents == 0 {
             0.0
@@ -538,8 +584,6 @@ struct Counters {
     queue_sorts_avoided: Cell<u64>,
     fits_cache_hits: Cell<u64>,
     fits_cache_misses: Cell<u64>,
-    order_bytes_shifted: Cell<u64>,
-    slab_slot_reuses: Cell<u64>,
     scratch_reuses: Cell<u64>,
 }
 
@@ -565,20 +609,14 @@ fn bump(cell: &Cell<u64>, by: u64) {
 #[derive(Debug, Clone)]
 pub struct Profile {
     capacity: u32,
-    /// Segment arena: stable slots that are never shifted. Which slots
-    /// are live, and in what time order, is `order`'s business; dead
-    /// slots wait in `free_slots` for reuse.
-    slab: Vec<Segment>,
-    /// Recyclable slab slots (indices of segments removed by coalescing
-    /// or trimming).
-    free_slots: Vec<u32>,
-    /// The order chain: live slab slots sorted by segment start, strictly
-    /// increasing, values coalesced. Non-empty: the last segment extends
-    /// to infinity. Structural mutations shift these 4-byte indices, not
-    /// the 16-byte segments.
-    order: Vec<u32>,
-    /// Min/max-augmented segment tree, positional over `order`, kept
-    /// synchronized by every mutation.
+    /// The segments in time order, strictly increasing, values coalesced,
+    /// split into non-empty chunks. Never empty: the last segment extends
+    /// to infinity.
+    chunks: Vec<Chunk>,
+    /// Total live segments over all chunks.
+    len: usize,
+    /// Min/max tree over the chunk summaries, kept synchronized by every
+    /// mutation (empty while the profile is one chunk).
     tree: SegTree,
     /// Process-globally-unique silhouette token, refreshed from
     /// [`GENERATION`] on every mutation; validates `fits_cache`.
@@ -590,33 +628,38 @@ pub struct Profile {
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
         // The tree is a pure function of the segments, and the counters
-        // (plus the slab's slot assignment and free list) are
+        // (plus how the segments happen to fall into chunks) are
         // representation: the silhouette alone defines identity.
         self.capacity == other.capacity
-            && self.order.len() == other.order.len()
-            && (0..self.order.len()).all(|i| self.seg(i) == other.seg(i))
+            && self.len == other.len
+            && self.segs_from(ORIGIN).eq(other.segs_from(ORIGIN))
     }
 }
 
 impl Eq for Profile {}
 
 impl Profile {
+    /// Segments per chunk: the only size parameter of the layout. Queries
+    /// scan at most this many segments per chunk they enter, and a
+    /// boundary insert or removal moves at most this many.
+    pub const CHUNK_SEGMENTS: usize = CHUNK;
+
     /// A fully free machine with `capacity` processors. Panics if zero.
     pub fn new(capacity: u32) -> Self {
         assert!(capacity > 0, "profile needs positive capacity");
-        let slab = vec![Segment {
-            start: SimTime::ZERO,
-            free: capacity,
-        }];
-        let order = vec![0u32];
-        let mut tree = SegTree::default();
-        tree.rebuild(&slab, &order);
+        let mut chunk = Chunk::EMPTY;
+        chunk.insert(
+            0,
+            Segment {
+                start: SimTime::ZERO,
+                free: capacity,
+            },
+        );
         let p = Profile {
             capacity,
-            slab,
-            free_slots: Vec::new(),
-            order,
-            tree,
+            chunks: vec![chunk],
+            len: 1,
+            tree: SegTree::default(),
             generation: next_generation(),
             fits_cache: RefCell::new(FitsCache::default()),
             stats: Counters::default(),
@@ -631,41 +674,129 @@ impl Profile {
     }
 
     /// The segments in time order (for inspection and tests; assembled
-    /// from the slab on each call — the hot paths never build this).
+    /// from the chunks on each call — the hot paths never build this).
     pub fn segments(&self) -> Vec<Segment> {
-        self.order
-            .iter()
-            .map(|&ix| self.slab[ix as usize])
-            .collect()
+        self.segs_from(ORIGIN).copied().collect()
     }
 
-    /// The ordered segment at position `pos` (copied out of the slab).
+    /// The segment at `p`.
     #[inline]
-    fn seg(&self, pos: usize) -> Segment {
-        self.slab[self.order[pos] as usize]
+    fn at(&self, p: Pos) -> Segment {
+        self.chunks[p.c].segs[p.i]
     }
 
-    /// Number of live segments.
+    /// The position after `p` in time order (one past the final segment
+    /// is `Pos { c: chunks.len(), i: 0 }`).
     #[inline]
-    fn seg_count(&self) -> usize {
-        self.order.len()
+    fn succ(&self, p: Pos) -> Pos {
+        if p.i + 1 < self.chunks[p.c].len() {
+            Pos { c: p.c, i: p.i + 1 }
+        } else {
+            Pos { c: p.c + 1, i: 0 }
+        }
     }
 
-    /// Position of the first ordered segment with `start > t` (the
-    /// `partition_point(start <= t)` of the old contiguous layout).
+    /// The position before `p`, if any.
     #[inline]
-    fn upper_bound(&self, t: SimTime) -> usize {
-        let slab = &self.slab;
-        self.order
-            .partition_point(|&ix| slab[ix as usize].start <= t)
+    fn pred(&self, p: Pos) -> Option<Pos> {
+        if p.i > 0 {
+            Some(Pos { c: p.c, i: p.i - 1 })
+        } else if p.c > 0 {
+            Some(Pos {
+                c: p.c - 1,
+                i: self.chunks[p.c - 1].len() - 1,
+            })
+        } else {
+            None
+        }
     }
 
-    /// Position of the first ordered segment with `start >= t`.
+    /// The segments from `p` on, in time order.
+    fn segs_from(&self, p: Pos) -> impl Iterator<Item = &Segment> + '_ {
+        let (head, tail) = match self.chunks.get(p.c..) {
+            Some([first, rest @ ..]) => (&first.live()[p.i..], rest),
+            _ => (&[][..], &[][..]),
+        };
+        head.iter().chain(tail.iter().flat_map(Chunk::live))
+    }
+
+    /// Position of the last segment with `start <= t`: a binary search
+    /// over chunk starts, then one inside the chunk. `None` when `t`
+    /// precedes the whole profile (the implicit fully-free prefix).
     #[inline]
-    fn lower_bound(&self, t: SimTime) -> usize {
-        let slab = &self.slab;
-        self.order
-            .partition_point(|&ix| slab[ix as usize].start < t)
+    fn locate(&self, t: SimTime) -> Option<Pos> {
+        let c = self.chunks.partition_point(|ch| ch.first_start() <= t);
+        let chunk = self.chunks.get(c.checked_sub(1)?)?;
+        let i = chunk.live().partition_point(|s| s.start <= t);
+        Some(Pos { c: c - 1, i: i - 1 })
+    }
+
+    /// The first segment at or after `from` with `free < width` that
+    /// opens before `until`. Scans the rest of `from`'s chunk, then leaps
+    /// chunks whose minimum admits `width` (one tree descent unless the
+    /// very next chunk holds a blocker), stopping at the first chunk that
+    /// opens at or past `until`.
+    fn next_below(&self, from: Pos, width: u32, until: SimTime, w: &mut Work) -> Option<Pos> {
+        let Pos { mut c, mut i } = from;
+        loop {
+            let chunk = self.chunks.get(c)?;
+            // A chunk whose minimum admits `width` holds no blocker.
+            if chunk.min < width {
+                let live = &chunk.live()[i..];
+                match live.iter().position(|s| s.start >= until || s.free < width) {
+                    Some(k) => {
+                        w.visited += k as u64 + 1;
+                        return (live[k].start < until).then_some(Pos { c, i: i + k });
+                    }
+                    None => w.visited += live.len() as u64,
+                }
+            }
+            let next = self.chunks.get(c + 1)?;
+            if next.first_start() >= until {
+                return None;
+            }
+            c = if next.min < width {
+                c + 1
+            } else {
+                w.descents += 1;
+                self.tree.first_below(c + 2, width, &mut w.nodes)?
+            };
+            i = 0;
+        }
+    }
+
+    /// The first segment at or after `from` with `free >= width`. The
+    /// final segment is asserted wide enough, so one always exists.
+    fn next_at_least(&self, from: Pos, width: u32, w: &mut Work) -> Pos {
+        let Pos { mut c, mut i } = from;
+        loop {
+            let chunk = &self.chunks[c];
+            // A chunk whose maximum is below `width` holds no candidate.
+            if chunk.max >= width {
+                let live = &chunk.live()[i..];
+                if let Some(k) = live.iter().position(|s| s.free >= width) {
+                    w.visited += k as u64 + 1;
+                    return Pos { c, i: i + k };
+                }
+                w.visited += live.len() as u64;
+            }
+            c = if self.chunks[c + 1].max >= width {
+                c + 1
+            } else {
+                w.descents += 1;
+                self.tree
+                    .first_at_least(c + 2, width, &mut w.nodes)
+                    .expect("final segment narrower than asserted")
+            };
+            i = 0;
+        }
+    }
+
+    /// Flush one query's work into the counters.
+    fn charge(&self, w: &Work) {
+        bump(&self.stats.segments_visited, w.visited);
+        bump(&self.stats.tree_descents, w.descents);
+        bump(&self.stats.tree_nodes_visited, w.nodes);
     }
 
     /// Snapshot of the operation counters.
@@ -688,8 +819,6 @@ impl Profile {
             profile_rebuilds_avoided: 0,
             fits_cache_hits: self.stats.fits_cache_hits.get(),
             fits_cache_misses: self.stats.fits_cache_misses.get(),
-            order_bytes_shifted: self.stats.order_bytes_shifted.get(),
-            slab_slot_reuses: self.stats.slab_slot_reuses.get(),
             scratch_reuses: self.stats.scratch_reuses.get(),
         }
     }
@@ -705,14 +834,12 @@ impl Profile {
         self.stats.reserves.set(0);
         self.stats.releases.set(0);
         self.stats.compress_passes.set(0);
-        self.stats.peak_segments.set(self.order.len() as u64);
+        self.stats.peak_segments.set(self.len as u64);
         self.stats.queue_inserts.set(0);
         self.stats.queue_sorts.set(0);
         self.stats.queue_sorts_avoided.set(0);
         self.stats.fits_cache_hits.set(0);
         self.stats.fits_cache_misses.set(0);
-        self.stats.order_bytes_shifted.set(0);
-        self.stats.slab_slot_reuses.set(0);
         self.stats.scratch_reuses.set(0);
     }
 
@@ -756,8 +883,7 @@ impl Profile {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
         mix(self.capacity as u64);
-        for &ix in &self.order {
-            let s = self.slab[ix as usize];
+        for s in self.segs_from(ORIGIN) {
             mix(s.start.as_secs());
             mix(s.free as u64);
         }
@@ -766,14 +892,8 @@ impl Profile {
 
     /// Free processors at instant `t`.
     pub fn free_at(&self, t: SimTime) -> u32 {
-        // Position of the last segment with start <= t.
-        let idx = self.upper_bound(t);
-        if idx == 0 {
-            // Before all segments: the profile began fully free.
-            self.capacity
-        } else {
-            self.seg(idx - 1).free
-        }
+        // Before all segments the profile began fully free.
+        self.locate(t).map_or(self.capacity, |p| self.at(p).free)
     }
 
     /// True if a `width × duration` rectangle fits with its left edge
@@ -782,10 +902,10 @@ impl Profile {
     ///
     /// Between mutations, answers come from the `FitsCache` prefix
     /// minima: one binary search per query. Immediately after a mutation
-    /// the memo is dead, and the first probe is answered by one O(log n)
-    /// tree descent instead of an O(n) rebuild — a compression pass that
-    /// mutates between probes never rebuilds the memo at all, while a
-    /// stable backfill scan re-memoizes on its second probe.
+    /// the memo is dead, and the first probe is answered by one blocker
+    /// probe instead of an O(n) rebuild — a compression pass that mutates
+    /// between probes never rebuilds the memo at all, while a stable
+    /// backfill scan re-memoizes on its second probe.
     pub fn fits(&self, start: SimTime, duration: SimSpan, width: u32) -> bool {
         self.assert_possible(width);
         if duration.is_zero() || width == 0 {
@@ -812,30 +932,22 @@ impl Profile {
         }
         cache.miss_generation = self.generation;
         cache.miss_from = start;
-        let mut nodes = 0u64;
-        let ok = self.fits_by_tree(start, end, width, &mut nodes);
-        bump(&self.stats.tree_descents, 1);
-        bump(&self.stats.tree_nodes_visited, nodes);
+        let mut w = Work::default();
+        let ok = self.fits_by_probe(start, end, width, &mut w);
+        self.charge(&w);
         ok
     }
 
-    /// The `fits` question answered directly from the tree: the segment
-    /// hosting `start` (or the implicit free prefix) must be feasible, and
-    /// the minimum free level over the segments opening inside
-    /// `(start, end)` must be at least `width`. Two binary searches plus
-    /// one range-min descent.
-    fn fits_by_tree(&self, start: SimTime, end: SimTime, width: u32, nodes: &mut u64) -> bool {
-        let i0 = self.upper_bound(start);
-        let host_free = if i0 == 0 {
-            self.capacity
-        } else {
-            self.seg(i0 - 1).free
+    /// The `fits` question answered directly: the segment hosting `start`
+    /// (or the implicit free prefix) must be feasible, and no segment
+    /// opening inside `(start, end)` may block — one blocker probe.
+    fn fits_by_probe(&self, start: SimTime, end: SimTime, width: u32, w: &mut Work) -> bool {
+        let from = match self.locate(start) {
+            None => ORIGIN,
+            Some(host) if self.at(host).free >= width => self.succ(host),
+            Some(_) => return false,
         };
-        if host_free < width {
-            return false;
-        }
-        let j = self.lower_bound(end);
-        i0 >= j || self.tree.range_min(i0, j, nodes) >= width
+        self.next_below(from, width, end, w).is_none()
     }
 
     fn assert_possible(&self, width: u32) {
@@ -844,7 +956,8 @@ impl Profile {
             "width {width} exceeds capacity {}",
             self.capacity
         );
-        let last_free = self.seg(self.seg_count() - 1).free;
+        let last = self.chunks.last().expect("profile is never empty");
+        let last_free = last.segs[last.len() - 1].free;
         assert!(
             width <= last_free,
             "width {width} never fits: final free level is {last_free}"
@@ -855,10 +968,13 @@ impl Profile {
     /// rectangle fits. Always terminates because the profile eventually
     /// returns to an (infinitely long) final segment.
     ///
-    /// Past the `SMALL` cutoff the search runs on the segment tree:
-    /// one descent finds the next feasible anchor host, one descent
-    /// verifies the whole candidate window (or names the segment that
-    /// blocks it), so each candidate costs O(log n) instead of a walk.
+    /// Invariant maintained throughout: `anchor` is feasible up to (not
+    /// including) position `check` — the host segment holding `anchor`
+    /// has `free >= width`, as does everything between it and `check`.
+    /// Each iteration asks "which segment blocks the window first?" with
+    /// one blocker probe; a blockage moves the anchor to the start of the
+    /// first feasible segment past the whole infeasible run, which is
+    /// exactly where the linear scan would next settle.
     ///
     /// Panics if `width > capacity` or the final segment has fewer than
     /// `width` free processors (a rectangle that could never fit).
@@ -867,138 +983,43 @@ impl Profile {
         if duration.is_zero() || width == 0 {
             return earliest;
         }
-
-        // Probe counts accumulate in locals and hit the `Cell`s once per
-        // call: the interior-mutability bookkeeping must stay off the scan
-        // itself, which is the hottest loop in the simulator.
-        let anchor = if self.seg_count() <= SMALL {
-            let mut visited = 0u64;
-            let anchor = self.scan_plain(earliest, duration, width, &mut visited);
-            bump(&self.stats.segments_visited, visited);
-            anchor
-        } else {
-            let mut descents = 0u64;
-            let mut nodes = 0u64;
-            let anchor =
-                self.find_anchor_tree(earliest, duration, width, &mut descents, &mut nodes);
-            bump(&self.stats.tree_descents, descents);
-            bump(&self.stats.tree_nodes_visited, nodes);
-            anchor
-        };
         bump(&self.stats.find_anchor_calls, 1);
+        let mut w = Work::default();
+        let mut anchor = earliest;
+        let mut check = match self.locate(anchor) {
+            // The region before the first boundary is implicitly fully
+            // free (it only exists after trim_before); a rectangle fitting
+            // entirely inside it anchors immediately. One that spills into
+            // the first segment starts its verification there: the
+            // implicit region itself never blocks.
+            None if anchor + duration <= self.chunks[0].first_start() => return anchor,
+            None => ORIGIN,
+            Some(host) if self.at(host).free >= width => self.succ(host),
+            // The requested instant is blocked: the earliest possible
+            // anchor is the next feasible segment's start.
+            Some(host) => {
+                let p = self.next_at_least(self.succ(host), width, &mut w);
+                anchor = self.at(p).start;
+                self.succ(p)
+            }
+        };
+        // A blocker opening inside the candidate window kills every
+        // instant in [anchor, end-of-blockage): restart at the first
+        // feasible segment past the infeasible run.
+        while let Some(k) = self.next_below(check, width, anchor + duration, &mut w) {
+            let p = self.next_at_least(self.succ(k), width, &mut w);
+            anchor = self.at(p).start;
+            check = self.succ(p);
+        }
+        self.charge(&w);
         anchor
     }
 
-    /// The tree-indexed search behind [`find_anchor`](Profile::find_anchor).
-    ///
-    /// Invariant maintained throughout: `anchor` is feasible up to (not
-    /// including) segment `check` — the host segment holding `anchor` has
-    /// `free >= width`, as does everything between it and `check`. Each
-    /// loop iteration answers "which segment blocks the window first?"
-    /// with a single descent; a blockage moves the anchor to the start of
-    /// the first feasible segment past the whole infeasible run (a second
-    /// descent), which is exactly where the linear scan would next settle.
-    fn find_anchor_tree(
-        &self,
-        earliest: SimTime,
-        duration: SimSpan,
-        width: u32,
-        descents: &mut u64,
-        nodes: &mut u64,
-    ) -> SimTime {
-        let first_start = self.seg(0).start;
-        let mut anchor = earliest;
-        // The region before the first boundary is implicitly fully free
-        // (it only exists after trim_before); a rectangle fitting entirely
-        // inside it anchors immediately. One that spills into the first
-        // segment starts its verification at segment 0: the implicit
-        // region itself never blocks.
-        if anchor < first_start && anchor + duration <= first_start {
-            return anchor;
-        }
-        let mut check = if anchor < first_start {
-            0
-        } else {
-            let host = self.upper_bound(anchor) - 1;
-            if self.seg(host).free >= width {
-                host + 1
-            } else {
-                // The requested instant is blocked: the earliest possible
-                // anchor is the next feasible segment's start.
-                *descents += 1;
-                let idx = self
-                    .tree
-                    .first_at_least(host + 1, width, nodes)
-                    .expect("final segment narrower than asserted");
-                anchor = self.seg(idx).start;
-                idx + 1
-            }
-        };
-        loop {
-            *descents += 1;
-            match self.tree.first_below(check, width, nodes) {
-                // The first blocking segment opens inside the candidate
-                // window: every instant in [anchor, end-of-blockage) dies
-                // on it, so restart at the first feasible segment past
-                // the infeasible run.
-                Some(k) if self.seg(k).start < anchor + duration => {
-                    *descents += 1;
-                    let idx = self
-                        .tree
-                        .first_at_least(k + 1, width, nodes)
-                        .expect("final segment narrower than asserted");
-                    anchor = self.seg(idx).start;
-                    check = idx + 1;
-                }
-                // No blockage before the window closes: the rectangle fits.
-                _ => return anchor,
-            }
-        }
-    }
-
-    /// The small-profile scan: the plain linear algorithm plus visit
-    /// counting, with no tree arithmetic on the hot path.
-    fn scan_plain(
-        &self,
-        earliest: SimTime,
-        duration: SimSpan,
-        width: u32,
-        visited: &mut u64,
-    ) -> SimTime {
-        let mut anchor = earliest;
-        let first_start = self.seg(0).start;
-        if anchor < first_start && anchor + duration <= first_start {
-            return anchor;
-        }
-        let mut idx = self.upper_bound(anchor).saturating_sub(1);
-        loop {
-            *visited += 1;
-            let seg = self.seg(idx);
-            let seg_end = if idx + 1 < self.seg_count() {
-                self.seg(idx + 1).start
-            } else {
-                // The final segment is infinite; asserted wide enough.
-                if seg.free >= width {
-                    return anchor;
-                }
-                unreachable!("final segment narrower than asserted");
-            };
-            if seg.free >= width {
-                if seg_end >= anchor + duration {
-                    return anchor;
-                }
-            } else {
-                anchor = seg_end;
-            }
-            idx += 1;
-        }
-    }
-
-    /// The pre-index linear anchor scan, kept verbatim as a reference:
-    /// the differential property test asserts it agrees with
+    /// The plain linear anchor scan, kept as a reference: the
+    /// differential property test asserts it agrees with
     /// [`find_anchor`](Profile::find_anchor) decision-for-decision, and the
-    /// `profile_ops` bench measures what the tree buys. Maintains the same
-    /// panics; does not update the probe counters.
+    /// `profile_ops` bench measures what the chunk index buys. Maintains
+    /// the same panics; does not update the probe counters.
     pub fn find_anchor_linear(&self, earliest: SimTime, duration: SimSpan, width: u32) -> SimTime {
         self.assert_possible(width);
         if duration.is_zero() || width == 0 {
@@ -1006,7 +1027,7 @@ impl Profile {
         }
 
         let mut anchor = earliest;
-        let first_start = self.seg(0).start;
+        let first_start = self.chunks[0].first_start();
         if anchor < first_start && anchor + duration <= first_start {
             return anchor;
         }
@@ -1015,99 +1036,116 @@ impl Profile {
         // Invariant on entry to each iteration: free >= width over
         // [anchor, seg.start) — either empty, the implicit free region, or
         // previously verified segments.
-        let mut idx = self.upper_bound(anchor).saturating_sub(1);
-        loop {
-            let seg = self.seg(idx);
-            let seg_end = if idx + 1 < self.seg_count() {
-                self.seg(idx + 1).start
-            } else {
-                // The final segment is infinite; asserted wide enough above.
-                if seg.free >= width {
-                    return anchor;
-                }
-                unreachable!("final segment narrower than asserted");
-            };
+        let mut segs = self.segs_from(self.locate(anchor).unwrap_or(ORIGIN));
+        let mut seg = *segs.next().expect("profile is never empty");
+        for &next in segs {
             if seg.free >= width {
-                if seg_end >= anchor + duration {
+                if next.start >= anchor + duration {
                     return anchor;
                 }
             } else {
                 // Blocked: restart the anchor at the end of this segment.
-                anchor = seg_end;
+                anchor = next.start;
             }
-            idx += 1;
+            seg = next;
+        }
+        // The final segment is infinite; asserted wide enough above.
+        anchor
+    }
+
+    /// Insert `seg` at `p` (`p.i` may equal the chunk's length: append),
+    /// first splitting a full chunk into two halves. Returns where the
+    /// segment landed.
+    fn insert_at(&mut self, p: Pos, seg: Segment, touched: &mut Touched) -> Pos {
+        let mut p = p;
+        if self.chunks[p.c].len() == CHUNK {
+            let half = CHUNK / 2;
+            let lower = &mut self.chunks[p.c];
+            let mut upper = Chunk::EMPTY;
+            upper.segs[..CHUNK - half].copy_from_slice(&lower.segs[half..]);
+            upper.len = (CHUNK - half) as u32;
+            lower.len = half as u32;
+            lower.refresh();
+            upper.refresh();
+            self.chunks.insert(p.c + 1, upper);
+            touched.structural = true;
+            if p.i > half {
+                p = Pos {
+                    c: p.c + 1,
+                    i: p.i - half,
+                };
+            }
+        }
+        let changed = self.chunks[p.c].insert(p.i, seg);
+        touched.chunk(p.c, changed);
+        self.len += 1;
+        p
+    }
+
+    /// Remove the segment at `p`, dropping its chunk if that empties it.
+    fn remove_at(&mut self, p: Pos, touched: &mut Touched) {
+        let changed = self.chunks[p.c].remove(p.i);
+        self.len -= 1;
+        if self.chunks[p.c].len == 0 {
+            self.chunks.remove(p.c);
+            touched.structural = true;
+        } else {
+            touched.chunk(p.c, changed);
         }
     }
 
-    /// Place `seg` in a slab slot — a recycled one when the free list has
-    /// any — and return its index. The segment values themselves never
-    /// move after this.
-    fn alloc_slot(&mut self, seg: Segment) -> u32 {
-        match self.free_slots.pop() {
-            Some(ix) => {
-                self.slab[ix as usize] = seg;
-                bump(&self.stats.slab_slot_reuses, 1);
-                ix
-            }
-            None => {
-                self.slab.push(seg);
-                (self.slab.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Insert slot `ix` at order position `pos`, charging the 4-byte
-    /// suffix shift to the bytes-moved gauge.
-    fn order_insert(&mut self, pos: usize, ix: u32) {
-        let shifted = (self.order.len() - pos) * std::mem::size_of::<u32>();
-        bump(&self.stats.order_bytes_shifted, shifted as u64);
-        self.order.insert(pos, ix);
-    }
-
-    /// Remove the segment at order position `pos`, recycling its slot.
-    fn order_remove(&mut self, pos: usize) {
-        let shifted = (self.order.len() - pos - 1) * std::mem::size_of::<u32>();
-        bump(&self.stats.order_bytes_shifted, shifted as u64);
-        let ix = self.order.remove(pos);
-        self.free_slots.push(ix);
-    }
-
-    /// Order position of the segment containing `t`, splitting a segment
-    /// at `t` if needed so a boundary exists exactly at `t`. The flag
-    /// reports whether a boundary was inserted (a structural change the
-    /// tree cannot absorb with a value-only update).
-    fn split_at(&mut self, t: SimTime) -> (usize, bool) {
-        let pos = self.upper_bound(t);
-        if pos == 0 {
+    /// Position of the segment starting exactly at `t`, splitting the
+    /// segment containing `t` if needed so such a boundary exists.
+    fn split_at(&mut self, t: SimTime, touched: &mut Touched) -> Pos {
+        match self.locate(t) {
             // t precedes the whole profile (possible after trim_before):
             // the region before the first segment is implicitly fully free.
-            let first = self.order[0] as usize;
-            if self.slab[first].free == self.capacity {
-                // A fully-free segment already opens the profile: moving
-                // its boundary left to `t` is the same silhouette, and
-                // inserting instead would create an adjacent-equal pair
-                // in the middle of the mutation range, where boundary
-                // coalescing would never look.
-                self.slab[first].start = t;
-                return (0, false);
+            None => {
+                let first = &mut self.chunks[0].segs[0];
+                if first.free == self.capacity {
+                    // A fully-free segment already opens the profile:
+                    // moving its boundary left to `t` is the same
+                    // silhouette, and inserting instead would create an
+                    // adjacent-equal pair in the middle of the mutation
+                    // range, where boundary coalescing would never look.
+                    first.start = t;
+                    return ORIGIN;
+                }
+                let seg = Segment {
+                    start: t,
+                    free: self.capacity,
+                };
+                self.insert_at(ORIGIN, seg, touched)
             }
-            let ix = self.alloc_slot(Segment {
-                start: t,
-                free: self.capacity,
-            });
-            self.order_insert(0, ix);
-            return (0, true);
+            Some(p) if self.at(p).start == t => p,
+            Some(p) => {
+                let seg = Segment {
+                    start: t,
+                    free: self.at(p).free,
+                };
+                self.insert_at(Pos { c: p.c, i: p.i + 1 }, seg, touched)
+            }
         }
-        let prev = self.seg(pos - 1);
-        if prev.start == t {
-            (pos - 1, false)
-        } else {
-            let ix = self.alloc_slot(Segment {
-                start: t,
-                free: prev.free,
-            });
-            self.order_insert(pos, ix);
-            (pos, true)
+    }
+
+    /// Apply `f` to every segment in `[first, last)` and refresh the
+    /// summaries of the chunks that span.
+    fn update_span(
+        &mut self,
+        first: Pos,
+        last: Pos,
+        touched: &mut Touched,
+        mut f: impl FnMut(&mut Segment),
+    ) {
+        for c in first.c..=last.c {
+            let chunk = &mut self.chunks[c];
+            let lo = if c == first.c { first.i } else { 0 };
+            let hi = if c == last.c { last.i } else { chunk.len() };
+            if lo < hi {
+                chunk.segs[lo..hi].iter_mut().for_each(&mut f);
+                let changed = chunk.refresh();
+                touched.chunk(c, changed);
+            }
         }
     }
 
@@ -1116,37 +1154,52 @@ impl Profile {
     /// distinct: only the two boundary pairs — `(first - 1, first)` and
     /// `(last - 1, last)` — can newly coincide. Checks exactly those,
     /// removing the later segment of an equal pair (keeping the earlier
-    /// start, as a full `dedup` would). Returns true when anything was
-    /// removed (a structural change for the tree).
-    fn coalesce_boundaries(&mut self, first: usize, last: usize) -> bool {
-        let mut removed = false;
-        if last < self.order.len() && self.seg(last - 1).free == self.seg(last).free {
-            self.order_remove(last);
-            removed = true;
+    /// start, as a full `dedup` would). `last` goes first: removing it
+    /// never moves `first`, which lies in an earlier slot.
+    fn coalesce_boundaries(&mut self, first: Pos, last: Pos, touched: &mut Touched) {
+        for p in [last, first] {
+            if let Some(q) = self.pred(p) {
+                if self.at(q).free == self.at(p).free {
+                    self.remove_at(p, touched);
+                }
+            }
         }
-        if first > 0 && self.seg(first - 1).free == self.seg(first).free {
-            self.order_remove(first);
-            removed = true;
-        }
-        removed
     }
 
     /// Post-mutation bookkeeping: fresh generation token (invalidating
-    /// the fits memo), tree synchronization — incremental when no segment
-    /// boundary moved, suffix re-derivation otherwise — and the peak
-    /// gauge.
-    fn after_mutation(&mut self, first: usize, last: usize, structural: bool) {
+    /// the fits memo), tree synchronization — path updates for the chunks
+    /// whose summaries changed, a rebuild when the chunk count changed —
+    /// and the peak gauge.
+    fn after_mutation(&mut self, touched: Touched) {
         self.generation = next_generation();
-        if structural {
-            self.tree.resync_from(&self.slab, &self.order, first);
+        if touched.structural {
+            self.tree.rebuild(&self.chunks);
             bump(&self.stats.tree_rebuilds, 1);
-        } else {
-            self.tree.update_range(&self.slab, &self.order, first, last);
+        } else if touched.lo < touched.hi && self.tree.len > 0 {
+            self.tree.update_range(&self.chunks, touched.lo, touched.hi);
             bump(&self.stats.tree_incremental_updates, 1);
         }
-        let peak = self.stats.peak_segments.get().max(self.order.len() as u64);
+        let peak = self.stats.peak_segments.get().max(self.len as u64);
         self.stats.peak_segments.set(peak);
         debug_assert!(self.invariants_ok());
+    }
+
+    /// Apply `f` to the level of every segment over `[start, end)`: split
+    /// both boundaries, rewrite the levels between them, re-coalesce.
+    fn apply(&mut self, start: SimTime, end: SimTime, f: impl FnMut(&mut Segment)) {
+        let mut touched = Touched::new();
+        let first = self.split_at(start, &mut touched);
+        let last = self.split_at(end, &mut touched); // affected: first..last
+                                                     // A split of `first`'s chunk may have moved it; nothing else can
+                                                     // (the second boundary lies after it).
+        let first = if touched.structural {
+            self.locate(start).expect("boundary just inserted")
+        } else {
+            first
+        };
+        self.update_span(first, last, &mut touched, f);
+        self.coalesce_boundaries(first, last, &mut touched);
+        self.after_mutation(touched);
     }
 
     /// Subtract `width` processors over `[start, start + duration)`.
@@ -1162,12 +1215,7 @@ impl Profile {
             return;
         }
         bump(&self.stats.reserves, 1);
-        let end = start + duration;
-        let (first, ins_a) = self.split_at(start);
-        let (last, ins_b) = self.split_at(end); // affected segs are first..last
-        for pos in first..last {
-            let ix = self.order[pos] as usize;
-            let seg = &mut self.slab[ix];
+        self.apply(start, start + duration, |seg| {
             assert!(
                 seg.free >= width,
                 "reservation of {width} at {} underflows segment at {} (free {})",
@@ -1176,9 +1224,7 @@ impl Profile {
                 seg.free
             );
             seg.free -= width;
-        }
-        let removed = self.coalesce_boundaries(first, last);
-        self.after_mutation(first, last, ins_a || ins_b || removed);
+        });
     }
 
     /// Add `width` processors back over `[start, start + duration)` —
@@ -1191,24 +1237,18 @@ impl Profile {
             return;
         }
         bump(&self.stats.releases, 1);
-        let end = start + duration;
-        let (first, ins_a) = self.split_at(start);
-        let (last, ins_b) = self.split_at(end);
-        for pos in first..last {
-            let ix = self.order[pos] as usize;
-            let seg = &mut self.slab[ix];
+        let capacity = self.capacity;
+        self.apply(start, start + duration, |seg| {
             assert!(
-                seg.free + width <= self.capacity,
+                seg.free + width <= capacity,
                 "release of {width} at {} overflows segment at {} (free {}, capacity {})",
                 start,
                 seg.start,
                 seg.free,
-                self.capacity
+                capacity
             );
             seg.free += width;
-        }
-        let removed = self.coalesce_boundaries(first, last);
-        self.after_mutation(first, last, ins_a || ins_b || removed);
+        });
     }
 
     /// True iff `self` and `other` describe the same free-capacity step
@@ -1227,10 +1267,9 @@ impl Profile {
         // Two step functions are equal over [from, ∞) iff they agree at
         // `from` and at every boundary of either that lies beyond it.
         let boundaries = self
-            .order
-            .iter()
-            .map(|&ix| self.slab[ix as usize].start)
-            .chain(other.order.iter().map(|&ix| other.slab[ix as usize].start))
+            .segs_from(ORIGIN)
+            .chain(other.segs_from(ORIGIN))
+            .map(|s| s.start)
             .filter(|&s| s > from);
         std::iter::once(from)
             .chain(boundaries)
@@ -1238,59 +1277,61 @@ impl Profile {
     }
 
     /// Drop segment boundaries strictly before `now` (they can never matter
-    /// again), keeping the level at `now` intact. Bounds memory on long runs.
+    /// again), keeping the level at `now` intact — the segment hosting
+    /// `now` keeps its own start, which may lie before `now`. Whole chunks
+    /// before the host are dropped; the host's chunk shifts its survivors
+    /// down. Bounds memory on long runs.
     pub fn trim_before(&mut self, now: SimTime) {
-        let idx = self.upper_bound(now);
-        if idx > 1 {
-            self.free_slots.extend_from_slice(&self.order[..idx - 1]);
-            let shifted = (self.order.len() - (idx - 1)) * std::mem::size_of::<u32>();
-            bump(&self.stats.order_bytes_shifted, shifted as u64);
-            self.order.drain(..idx - 1);
-            self.generation = next_generation();
-            self.tree.rebuild(&self.slab, &self.order);
-            bump(&self.stats.tree_rebuilds, 1);
+        match self.locate(now) {
+            Some(host) if host != ORIGIN => {
+                let mut touched = Touched::new();
+                if host.c > 0 {
+                    self.len -= self.chunks[..host.c].iter().map(Chunk::len).sum::<usize>();
+                    self.chunks.drain(..host.c);
+                    touched.structural = true;
+                }
+                let chunk = &mut self.chunks[0];
+                if host.i > 0 {
+                    let len = chunk.len();
+                    chunk.segs.copy_within(host.i..len, 0);
+                    chunk.len -= host.i as u32;
+                    self.len -= host.i;
+                    let changed = chunk.refresh();
+                    touched.chunk(0, changed);
+                }
+                self.after_mutation(touched);
+            }
+            _ => debug_assert!(self.invariants_ok()),
         }
-        debug_assert!(self.invariants_ok());
     }
 
     /// Check structural invariants (used by tests; internal operations
-    /// `debug_assert` it): segment ordering/coalescing/bounds, and the
-    /// tree's per-node aggregates against a from-scratch rebuild.
+    /// `debug_assert` it): segment ordering/coalescing/bounds, non-empty
+    /// chunks, and every chunk summary and tree node against a
+    /// from-scratch build.
     pub fn invariants_ok(&self) -> bool {
-        if self.order.is_empty() {
-            return false;
-        }
-        // Order indices must be in-bounds, unique, and disjoint from the
-        // free list (a slot cannot be both live and recyclable).
-        let mut live = vec![false; self.slab.len()];
-        for &ix in &self.order {
-            let Some(slot) = live.get_mut(ix as usize) else {
-                return false;
-            };
-            if std::mem::replace(slot, true) {
-                return false;
-            }
-        }
-        if self
-            .free_slots
-            .iter()
-            .any(|&ix| self.slab.get(ix as usize).is_none() || live[ix as usize])
+        if self.chunks.is_empty()
+            || self.chunks.iter().any(|ch| ch.len == 0 || ch.len() > CHUNK)
+            || self.chunks.iter().map(Chunk::len).sum::<usize>() != self.len
         {
             return false;
         }
-        for pos in 1..self.order.len() {
-            let (a, b) = (self.seg(pos - 1), self.seg(pos));
-            if a.start >= b.start || a.free == b.free {
-                return false;
-            }
-        }
-        if !(0..self.order.len()).all(|pos| self.seg(pos).free <= self.capacity) {
+        let segs = self.segments();
+        if segs
+            .windows(2)
+            .any(|w| w[0].start >= w[1].start || w[0].free == w[1].free)
+            || segs.iter().any(|s| s.free > self.capacity)
+        {
             return false;
         }
-        // Every node aggregate must equal what a rebuild would compute —
-        // the incremental update paths may take no shortcuts.
+        // Every summary and node aggregate must equal what a rebuild would
+        // compute — the incremental update paths may take no shortcuts.
+        let mut chunks = self.chunks.clone();
+        if chunks.iter_mut().any(|ch| ch.refresh()) {
+            return false;
+        }
         let mut expect = SegTree::default();
-        expect.rebuild(&self.slab, &self.order);
+        expect.rebuild(&chunks);
         self.tree == expect
     }
 }
@@ -1495,12 +1536,12 @@ mod tests {
 
     #[test]
     fn indexed_and_linear_anchors_agree_on_dense_profile() {
-        // A profile long enough to bypass the small-profile cutoff and
-        // exercise the tree descents: mixed widths force both the
-        // first-feasible establishment and the first-infeasible window
+        // A profile spanning many chunks, so the search leaps between
+        // chunks as well as scanning inside them: mixed widths force both
+        // the first-feasible establishment and the first-blocker window
         // verification over many candidates.
         let mut p = Profile::new(64);
-        for i in 0..(8 * SMALL as u64) {
+        for i in 0..(8 * CHUNK as u64) {
             let width = 1 + ((i * 7 + 3) % 60) as u32;
             p.reserve(
                 t(i * 10),
@@ -1508,11 +1549,8 @@ mod tests {
                 width.min(p.free_at(t(i * 10))),
             );
         }
-        assert!(
-            p.segments().len() > SMALL,
-            "want a profile past the tree cutoff"
-        );
-        for earliest in (0..8 * SMALL as u64 * 10).step_by(53) {
+        assert!(p.chunks.len() > 4, "want a profile spanning many chunks");
+        for earliest in (0..8 * CHUNK as u64 * 10).step_by(53) {
             for &width in &[1u32, 7, 23, 40, 64] {
                 for &dur in &[1u64, 50, 400, 5_000] {
                     assert_eq!(
@@ -1527,11 +1565,12 @@ mod tests {
 
     #[test]
     fn fits_cache_matches_anchor_scan_on_large_profiles() {
-        // Past the SMALL cutoff `fits` answers come from tree descents and
-        // the prefix-minima memo; every answer must equal the anchor-scan
-        // definition, for shifting left edges and across mutations.
+        // On a many-chunk profile `fits` answers come from blocker probes
+        // and the prefix-minima memo; every answer must equal the
+        // anchor-scan definition, for shifting left edges and across
+        // mutations.
         let mut p = Profile::new(64);
-        for i in 0..(8 * SMALL as u64) {
+        for i in 0..(8 * CHUNK as u64) {
             let width = 1 + ((i * 7 + 3) % 60) as u32;
             p.reserve(
                 t(i * 10),
@@ -1539,9 +1578,9 @@ mod tests {
                 width.min(p.free_at(t(i * 10))),
             );
         }
-        assert!(p.segments().len() > SMALL);
+        assert!(p.chunks.len() > 4);
         let check = |p: &Profile| {
-            for start in (0..8 * SMALL as u64 * 10).step_by(97) {
+            for start in (0..8 * CHUNK as u64 * 10).step_by(97) {
                 for &width in &[1u32, 7, 23, 40, 64] {
                     for &dur in &[1u64, 50, 400, 5_000, 200_000] {
                         let expect = p.find_anchor(t(start), d(dur), width) == t(start);
@@ -1585,28 +1624,70 @@ mod tests {
     #[test]
     fn incremental_updates_and_rebuilds_are_both_exercised() {
         let mut p = Profile::new(16);
-        // Fresh boundaries: structural (suffix resync).
-        p.reserve(t(100), d(50), 4);
+        // Disjoint 1-wide rectangles: two boundaries each, past one chunk.
+        for i in 0..CHUNK as u64 {
+            p.reserve(t(i * 100), d(50), 1);
+        }
+        assert!(p.chunks.len() > 1);
+        p.reset_stats();
+        // Both boundaries exist and the level drops below the first
+        // chunk's minimum: a summary change, absorbed by a path update.
+        p.reserve(t(0), d(50), 4);
         let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 1);
-        assert_eq!(s.tree_incremental_updates, 0);
-        // Same rectangle again: both boundaries exist, no coalescing
-        // (levels on each side differ) — value-only incremental update.
-        p.reserve(t(100), d(50), 4);
-        let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 1);
+        assert_eq!(s.tree_rebuilds, 0);
         assert_eq!(s.tree_incremental_updates, 1);
-        assert!(p.invariants_ok());
-        // Releasing one layer back: still value-only.
-        p.release(t(100), d(50), 4);
+        // Releasing it restores the old minimum: another path update.
+        p.release(t(0), d(50), 4);
         assert_eq!(p.stats().tree_incremental_updates, 2);
-        // Releasing the last layer coalesces both boundaries away:
-        // structural again.
-        p.release(t(100), d(50), 4);
+        // A new boundary inside a chunk with room, at a level the chunk
+        // already holds, changes no summary: no tree work at all.
+        p.reserve(t(60), d(10), 1);
         let s = p.stats();
-        assert_eq!(s.tree_rebuilds, 2);
-        assert_eq!(p.segments().len(), 1);
+        assert_eq!((s.tree_rebuilds, s.tree_incremental_updates), (0, 2));
         assert!(p.invariants_ok());
+        // New boundaries in one chunk eventually split it: the chunk
+        // count changes and the tree is rebuilt.
+        let chunks = p.chunks.len();
+        let mut i = 0;
+        while p.chunks.len() == chunks {
+            p.reserve(t(2 + 4 * i), d(2), 1);
+            i += 1;
+            assert!(i <= CHUNK as u64, "a full chunk must split");
+        }
+        assert!(p.stats().tree_rebuilds >= 1);
+        assert!(p.invariants_ok());
+    }
+
+    #[test]
+    fn single_chunk_profile_does_no_tree_work() {
+        // Reserve/release/trim churn and queries that never grow the
+        // profile past one chunk: the in-chunk scan answers everything
+        // and the chunk tree is never built, updated or descended.
+        let mut p = Profile::new(64);
+        for i in 0..500u64 {
+            let w = 1 + (i % 5) as u32;
+            p.reserve(t(i * 10), d(30), w);
+            p.release(t(i * 10 + 20), d(10), w);
+            p.trim_before(t(i * 10));
+            p.find_anchor(t(i * 10), d(100), 64);
+            p.fits(t(i * 10), d(5), 60);
+            p.fits(t(i * 10), d(5), 60);
+            assert_eq!(p.chunks.len(), 1);
+        }
+        let s = p.stats();
+        assert!(s.peak_segments <= CHUNK as u64);
+        assert!(s.segments_visited > 0, "the in-chunk scan did the work");
+        assert_eq!(
+            (
+                s.tree_rebuilds,
+                s.tree_incremental_updates,
+                s.tree_descents,
+                s.tree_nodes_visited
+            ),
+            (0, 0, 0, 0),
+            "a one-chunk profile must not touch the chunk tree"
+        );
+        assert!(p.tree.nodes.is_empty());
     }
 
     #[test]
@@ -1626,9 +1707,10 @@ mod tests {
         assert!(s.segments_visited >= 2, "anchor scans examine segments");
         assert!(s.peak_segments >= 3);
         assert!(s.segments_per_anchor() > 0.0);
-        assert!(
-            s.tree_incremental_updates + s.tree_rebuilds >= 3,
-            "every mutation synchronizes the tree"
+        assert_eq!(
+            s.tree_incremental_updates + s.tree_rebuilds,
+            0,
+            "a one-chunk profile keeps no tree"
         );
         p.reset_stats();
         let s = p.stats();
@@ -1640,21 +1722,27 @@ mod tests {
 
     #[test]
     fn tree_descents_are_counted_past_the_cutoff() {
+        // Contiguous rectangles leaving 1 or 2 processors free, then a
+        // free tail: every chunk of the congested stretch blocks a 3-wide
+        // request and admits a 1-wide one, so both searches leap whole
+        // chunks through the tree once the profile is past one chunk.
         let mut p = Profile::new(8);
-        for i in 0..(4 * SMALL as u64) {
-            p.reserve(t(i * 100), d(50), 1 + (i % 7) as u32);
+        for i in 0..(8 * CHUNK as u64) {
+            p.reserve(t(i * 100), d(100), 6 + (i % 2) as u32);
         }
-        assert!(p.segments().len() > SMALL);
+        assert!(p.chunks.len() > 4);
         p.reset_stats();
-        p.find_anchor(t(0), d(10_000), 8);
+        let end = t(8 * CHUNK as u64 * 100);
+        assert_eq!(p.find_anchor(t(0), d(10), 3), end);
+        assert_eq!(p.find_anchor(t(0), d(1_000_000), 1), t(0));
         let s = p.stats();
-        assert!(s.tree_descents > 0, "tree path must count descents");
-        // Every descent touches at least its starting leaf, except a
-        // probe past the final segment (which answers from bounds alone).
-        assert!(s.tree_nodes_visited + 1 >= s.tree_descents);
-        assert!(s.tree_nodes_visited > 0);
+        assert!(s.tree_descents >= 2, "both searches must leap chunks");
+        assert!(s.tree_nodes_visited >= s.tree_descents);
         assert!(s.nodes_per_descent() > 0.0);
-        assert_eq!(s.segments_visited, 0, "no plain scan past the cutoff");
+        assert!(
+            s.segments_visited < 4 * CHUNK as u64,
+            "leaps, not a scan of every chunk: {s:?}"
+        );
     }
 
     #[test]

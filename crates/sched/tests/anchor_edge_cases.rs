@@ -1,7 +1,8 @@
 //! Pinned edge cases of the anchor search and the fits memo.
 //!
-//! Each unit test nails one boundary the segment-tree path, the plain
-//! small-profile scan, and the linear oracle must agree on: zero-width
+//! Each unit test nails one boundary the many-chunk path (chunk leaps
+//! through the tree), the one-chunk scan, and the linear oracle must
+//! agree on: zero-width
 //! requests, zero-duration rectangles, and anchors exactly at the
 //! past-cutoff boundary `trim_before` leaves behind (the implicit
 //! fully-free region before the first segment). The property test at the
@@ -21,15 +22,18 @@ fn d(s: u64) -> SimSpan {
     SimSpan::new(s)
 }
 
-/// A congested profile with > 64 segments (past the plain-scan cutoff,
-/// so `find_anchor` runs on the tree) and a trimmed past, leaving the
+/// A congested profile of many chunks (so `find_anchor` leaps chunks
+/// through the tree) and a trimmed past, leaving the
 /// implicit fully-free region before the first real segment.
 fn large_trimmed() -> Profile {
     let mut p = Profile::new(16);
     for i in 0..600u64 {
         p.reserve(t(1_000 + i * 20), d(15), 1 + (i % 11) as u32);
     }
-    assert!(p.segments().len() > 64, "profile must exercise the tree");
+    assert!(
+        p.segments().len() > 4 * Profile::CHUNK_SEGMENTS,
+        "profile must span many chunks"
+    );
     p.trim_before(t(1_000));
     assert!(
         p.segments()[0].start == t(1_000),
@@ -38,7 +42,7 @@ fn large_trimmed() -> Profile {
     p
 }
 
-/// A small profile (plain-scan path) with the same trimmed shape.
+/// A small profile (one chunk, no tree) with the same trimmed shape.
 fn small_trimmed() -> Profile {
     let mut p = Profile::new(16);
     p.reserve(t(1_000), d(500), 12);

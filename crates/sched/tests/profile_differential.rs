@@ -1,13 +1,17 @@
-//! Differential tests of the tree-accelerated anchor search.
+//! Differential tests of the chunk-indexed anchor search.
 //!
-//! `Profile::find_anchor` descends an incrementally maintained min/max
-//! segment tree (plain-scanning small profiles);
-//! `Profile::find_anchor_linear` is the plain scan it replaced. These
-//! properties drive both — plus a third, deliberately naive reference
-//! implemented here over `Profile::segments()` — through random
+//! `Profile::find_anchor` scans inside a chunk of segments and leaps
+//! whole chunks through a min/max tree over the chunk summaries;
+//! `Profile::find_anchor_linear` is the plain segment-by-segment scan.
+//! These properties drive both — plus a third, deliberately naive
+//! reference implemented here over `Profile::segments()` — through random
 //! reserve/partial-release/trim histories and assert all three agree on
-//! every query: the tree must be a pure accelerator, never a decision
-//! change.
+//! every query: the chunked layout must be a pure accelerator, never a
+//! decision change. The chunk-boundary tests at the bottom force every
+//! change to the chunk layout — splits, chunks emptied by coalescing,
+//! reservations spanning three or more chunks, trims that drop whole
+//! chunks — and check anchors, `fits` and `free_at` after every single
+//! operation.
 
 use proptest::prelude::*;
 use sched::{Profile, Segment};
@@ -173,18 +177,17 @@ proptest! {
     // Few cases: each one builds a ~1000-reservation profile.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The same agreement on profiles large enough to leave the indexed
-    /// search's small-profile cutoff behind, so the run-index walk and the
-    /// block-accelerated in-run scan are the code under test. (The naive
-    /// reference is quadratic, so these big cases check indexed against
-    /// linear, which the cases above tie to the reference.)
+    /// The same agreement on profiles of many chunks, so chunk leaps
+    /// through the tree and in-chunk scans are both the code under test.
+    /// (The naive reference is quadratic, so these big cases check indexed
+    /// against linear, which the cases above tie to the reference.)
     #[test]
-    fn indexed_agrees_with_linear_past_the_small_cutoff(
+    fn indexed_agrees_with_linear_across_many_chunks(
         seed_ops in proptest::collection::vec(op(), 900..1_000),
         queries in proptest::collection::vec((0u64..40_000, 1u64..6_000, 1u32..=24), 1..40),
     ) {
-        // Reserves only: every op grows the segment list, pushing the
-        // profile well past the 512-segment cutoff.
+        // Reserves only: every op grows the segment list, to well over
+        // sixteen chunks.
         let cap = 24;
         let mut p = Profile::new(cap);
         for op in &seed_ops {
@@ -193,7 +196,10 @@ proptest! {
             p.reserve(anchor, dur, op.w);
         }
         prop_assert!(p.invariants_ok(), "bad profile");
-        prop_assert!(p.segments().len() > 512, "profile too small to exercise the index");
+        prop_assert!(
+            p.segments().len() > 16 * Profile::CHUNK_SEGMENTS,
+            "profile too small to span many chunks"
+        );
         for (earliest, dur, width) in queries {
             let earliest = SimTime::new(earliest);
             let dur = SimSpan::new(dur);
@@ -203,6 +209,284 @@ proptest! {
                 "indexed vs linear diverged at ({}, {}, {})",
                 earliest, dur, width
             );
+        }
+    }
+}
+
+// ---- chunk boundaries -----------------------------------------------------
+
+/// Segments per chunk.
+const B: usize = Profile::CHUNK_SEGMENTS;
+
+/// Free processors at `t` by a walk over the raw segments.
+fn reference_free_at(segs: &[Segment], cap: u32, t: SimTime) -> u32 {
+    segs.iter()
+        .take_while(|s| s.start <= t)
+        .last()
+        .map_or(cap, |s| s.free)
+}
+
+/// Case count for the chunk-boundary properties: `PROPTEST_CASES` can
+/// raise it (CI runs this file in release with more cases), never lower it.
+fn chunk_cases(default: u32) -> ProptestConfig {
+    let raised = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    ProptestConfig::with_cases(default.max(raised))
+}
+
+/// Check `p` against the references after one operation: its invariants
+/// (every chunk summary and the chunk tree against a from-scratch build),
+/// then anchors, `fits` and `free_at` at instants on, just before and
+/// just after a spread of segment boundaries — wherever the chunk edges
+/// fall — with narrow to full widths and short to horizon-long windows.
+fn check(p: &Profile, step: usize) -> Result<(), TestCaseError> {
+    prop_assert!(
+        p.invariants_ok(),
+        "step {}: bad profile {:?}",
+        step,
+        p.segments()
+    );
+    let cap = p.capacity();
+    let segs = p.segments();
+    let widths = [1, cap.div_ceil(2), cap];
+    let durs = [1u64, 90, 2_000, 60_000];
+    let stride = (segs.len() / 10).max(1);
+    for (n, j) in (step % stride..segs.len()).step_by(stride).enumerate() {
+        let at = segs[j].start.as_secs();
+        for (m, e) in [at.saturating_sub(1), at, at + 1].into_iter().enumerate() {
+            let e = SimTime::new(e);
+            let width = widths[(n + m) % widths.len()];
+            let dur = SimSpan::new(durs[(n + 2 * m + step) % durs.len()]);
+            prop_assert_eq!(
+                p.free_at(e),
+                reference_free_at(&segs, cap, e),
+                "step {}: free_at({})",
+                step,
+                e
+            );
+            if width > segs[segs.len() - 1].free {
+                continue; // could never fit: the searches assert on it
+            }
+            let indexed = p.find_anchor(e, dur, width);
+            let reference = reference_anchor(&segs, cap, e, dur, width);
+            prop_assert_eq!(
+                indexed,
+                p.find_anchor_linear(e, dur, width),
+                "step {}: indexed vs linear at ({}, {}, {})",
+                step,
+                e,
+                dur,
+                width
+            );
+            prop_assert_eq!(
+                indexed,
+                reference,
+                "step {}: indexed vs reference at ({}, {}, {})",
+                step,
+                e,
+                dur,
+                width
+            );
+            // Twice: the first probe is answered by the blocker probe, the
+            // repeat by the memoizing rebuild.
+            for _ in 0..2 {
+                prop_assert_eq!(p.fits(e, dur, width), reference == e, "step {}: fits", step);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Panic with the failing check's message (for the scripted tests).
+fn check_or_panic(p: &Profile, step: usize) {
+    if let Err(e) = check(p, step) {
+        panic!("{e}");
+    }
+}
+
+/// `k` disjoint one-wide rectangles, 100 s apart from `origin`, each
+/// 50 s long: `2k` segments on a fresh profile.
+fn comb(cap: u32, k: u64) -> Profile {
+    let mut p = Profile::new(cap);
+    for i in 0..k {
+        p.reserve(SimTime::new(i * 100), SimSpan::new(50), 1);
+    }
+    p
+}
+
+#[test]
+fn exactly_one_full_chunk_and_one_more_segment() {
+    // B segments fill one chunk exactly: no split yet, no tree.
+    let mut p = comb(8, B as u64 / 2);
+    assert_eq!(p.segments().len(), B);
+    assert_eq!(p.stats().tree_rebuilds, 0, "B segments must fit one chunk");
+    check_or_panic(&p, 0);
+    // One more boundary (a rectangle ending inside an existing segment)
+    // makes B + 1 segments: the full chunk splits once.
+    p.reserve(SimTime::new(0), SimSpan::new(20), 1);
+    assert_eq!(p.segments().len(), B + 1);
+    assert_eq!(p.stats().tree_rebuilds, 1, "B + 1 segments split the chunk");
+    check_or_panic(&p, 1);
+    // Removing that boundary again leaves B segments in two chunks.
+    p.release(SimTime::new(0), SimSpan::new(20), 1);
+    assert_eq!(p.segments().len(), B);
+    check_or_panic(&p, 2);
+}
+
+#[test]
+fn scripted_splits_spans_coalescing_and_whole_chunk_trims() {
+    let cap = 8;
+    let mut p = Profile::new(cap);
+    let mut step = 0;
+    let mut checked = |p: &Profile| {
+        step += 1;
+        check_or_panic(p, step);
+    };
+
+    // Splits: 2 boundaries per rectangle, to 4B segments.
+    for i in 0..2 * B as u64 {
+        p.reserve(SimTime::new(i * 100), SimSpan::new(50), 1 + (i % 3) as u32);
+        checked(&p);
+    }
+    assert_eq!(p.segments().len(), 4 * B);
+    let splits = p.stats().tree_rebuilds;
+    assert!(splits >= 3, "{splits} chunk splits, want at least 3");
+
+    // A one-wide reservation spanning more than 2B segments, hence at
+    // least three chunks; then released again.
+    let horizon = SimSpan::new(2 * B as u64 * 100);
+    let span = p.segments()[1..]
+        .iter()
+        .filter(|s| s.start.as_secs() < 10 + horizon.as_secs())
+        .count();
+    assert!(span > 2 * B, "the span covers {span} segments");
+    assert!(p.fits(SimTime::new(10), horizon, 1));
+    p.reserve(SimTime::new(10), horizon, 1);
+    checked(&p);
+    p.release(SimTime::new(10), horizon, 1);
+    checked(&p);
+
+    // Trims that drop whole chunks: past B segments at a time.
+    let before = p.segments().len();
+    let rebuilds = p.stats().tree_rebuilds;
+    p.trim_before(SimTime::new(B as u64 / 2 * 100 + 25));
+    checked(&p);
+    assert!(p.segments().len() < before - B + 2);
+    assert!(
+        p.stats().tree_rebuilds > rebuilds,
+        "a whole chunk was dropped"
+    );
+
+    // Chunks emptied by coalescing: release every remaining rectangle
+    // but the last, newest first; each release merges its rectangle into
+    // the free level around it, until one chunk is left.
+    let first = B as u64 / 2;
+    for i in (first..2 * B as u64 - 1).rev() {
+        p.release(SimTime::new(i * 100), SimSpan::new(50), 1 + (i % 3) as u32);
+        checked(&p);
+    }
+    assert!(p.segments().len() <= 4, "{:?}", p.segments());
+    let s = p.stats();
+    assert!(
+        s.tree_rebuilds > rebuilds + 1,
+        "emptied chunks were dropped"
+    );
+}
+
+/// A mutation history biased toward chunk-layout changes. The first half
+/// of a history grows the profile: short, dense rectangles fill chunks
+/// until they split, and long thin reservations span many of them. The
+/// second half shrinks it: releasing whole rectangles (the earliest
+/// first, so trims can cut deep) coalesces chunks empty, and trims drop
+/// whole chunks.
+#[derive(Debug, Clone, Copy)]
+struct ChunkOp {
+    kind: u8,
+    a: u64,
+    b: u64,
+    w: u32,
+}
+
+fn chunk_op() -> impl Strategy<Value = ChunkOp> {
+    (0u8..10, 0u64..3_000, 1u64..120, 1u32..=6).prop_map(|(kind, a, b, w)| ChunkOp {
+        kind,
+        a,
+        b,
+        w,
+    })
+}
+
+proptest! {
+    #![proptest_config(chunk_cases(48))]
+
+    /// Anchors, `fits` and `free_at` agree with the linear scan and the
+    /// naive reference after every operation of histories that split,
+    /// empty and trim chunks and reserve across many of them.
+    #[test]
+    fn chunk_boundary_histories_agree_after_every_op(
+        cap in 2u32..=6,
+        ops in proptest::collection::vec(chunk_op(), 80..300),
+    ) {
+        let mut p = Profile::new(cap);
+        let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
+        for (step, op) in ops.iter().enumerate() {
+            let growing = step < ops.len() / 2;
+            let width = op.w.min(cap);
+            match (growing, op.kind) {
+                // Short dense rectangles: the segment count climbs.
+                (true, 0..=5) => {
+                    let dur = SimSpan::new(op.b);
+                    let anchor = p.find_anchor(SimTime::new(op.a), dur, width);
+                    p.reserve(anchor, dur, width);
+                    live.push((anchor, dur, width));
+                }
+                // A long one-wide reservation across many segments.
+                (true, 6) => {
+                    let dur = SimSpan::new(op.b * 40);
+                    let anchor = p.find_anchor(SimTime::new(op.a), dur, 1);
+                    p.reserve(anchor, dur, 1);
+                    live.push((anchor, dur, 1));
+                }
+                // Release a tail (early completion).
+                (_, 7) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (start, dur, w) = live.remove(op.a as usize % live.len());
+                    let keep = SimSpan::new(op.b % dur.as_secs().max(1));
+                    p.release(start + keep, dur - keep, w);
+                    if !keep.is_zero() {
+                        live.push((start, keep, w));
+                    }
+                }
+                // Trim up to (never past) the earliest live reservation.
+                (_, 9) => {
+                    let horizon = live
+                        .iter()
+                        .map(|&(start, _, _)| start)
+                        .min()
+                        .unwrap_or(SimTime::new(u64::MAX));
+                    p.trim_before(SimTime::new(op.a).min(horizon));
+                }
+                // Release a whole rectangle, its boundaries coalescing
+                // away: a random one, or while shrinking mostly the
+                // earliest.
+                (_, kind) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let ix = if !growing && kind <= 4 {
+                        (0..live.len()).min_by_key(|&i| live[i].0).expect("non-empty")
+                    } else {
+                        op.a as usize % live.len()
+                    };
+                    let (start, dur, w) = live.remove(ix);
+                    p.release(start, dur, w);
+                }
+            }
+            check(&p, step)?;
         }
     }
 }
