@@ -6,7 +6,8 @@
 //! `starts`/sort scratch buffers across events. This harness pins that
 //! claim with a counting `#[global_allocator]`: a deep-queue Conservative
 //! cell (the allocation-heaviest configuration — per-arrival reservations
-//! plus compression passes) must stay under fixed allocations-per-event
+//! plus compression passes) and the EASY family (EASY, Depth(4),
+//! Preempt(5)) on a paper cell must stay under fixed allocations-per-event
 //! and bytes-per-event budgets under each of the paper's three policies.
 //!
 //! The budget is enforced in **release** builds only: debug builds run
@@ -15,24 +16,36 @@
 //! and would swamp the measurement. CI runs this test with `--release` in
 //! the perf-smoke job.
 
+use backfill_sim::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Wraps the system allocator, counting allocations and allocated bytes
-/// while enabled. Deallocations are not counted — the budget is about
-/// allocator traffic on the hot path, and every alloc has its dealloc.
+/// made by a thread while that thread has counting enabled. Deallocations
+/// are not counted — the budget is about allocator traffic on the hot
+/// path, and every alloc has its dealloc. The state is per thread because
+/// the test harness runs tests on parallel threads: one test's setup must
+/// not land in another's count.
 struct CountingAlloc;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes if this thread is counting.
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    if ENABLED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + size as u64));
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
+        note(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -41,10 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ENABLED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
+        note(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -52,18 +62,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Count `(allocations, bytes)` during `f`.
+/// Count `(allocations, bytes)` this thread makes during `f`.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
-    ALLOCS.store(0, Ordering::Relaxed);
-    BYTES.store(0, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    BYTES.with(|n| n.set(0));
+    ENABLED.with(|on| on.set(true));
     let out = f();
-    ENABLED.store(false, Ordering::Relaxed);
-    (
-        out,
-        ALLOCS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    )
+    ENABLED.with(|on| on.set(false));
+    (out, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
 /// Per-event budgets, enforced in release builds. The steady-state event
@@ -76,10 +82,48 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 const ALLOCS_PER_EVENT: f64 = 4.0;
 const BYTES_PER_EVENT: f64 = 512.0;
 
+/// Simulate one cell under the counting allocator and hold it to the
+/// per-event budgets (release builds only).
+fn assert_within_budget(trace: &Trace, kind: SchedulerKind, policy: Policy) {
+    let ((schedule, fingerprint), allocs, bytes) = counted(|| {
+        let s = simulate(trace, kind, policy);
+        let fp = s.fingerprint();
+        (s, fp)
+    });
+    let label = format!("{}/{policy}", kind.label());
+    let events = schedule.events.max(1);
+    let per_event = allocs as f64 / events as f64;
+    let bytes_per_event = bytes as f64 / events as f64;
+    eprintln!(
+        "alloc budget {label}: {allocs} allocations / {events} events = \
+         {per_event:.2} allocs/event ({bytes_per_event:.0} B/event), \
+         fingerprint {fingerprint:#018x}"
+    );
+
+    // Sanity in every build: the run did real work and the counter saw it.
+    assert!(schedule.outcomes.len() == trace.len());
+    assert!(allocs > 0, "counting allocator observed nothing");
+
+    if cfg!(debug_assertions) {
+        // Debug builds allocate inside debug_assert-guarded differential
+        // checks; the pinned budget would measure those, not the hot
+        // path. The release CI run enforces it.
+        return;
+    }
+    assert!(
+        per_event <= ALLOCS_PER_EVENT,
+        "{label}: allocation budget blown: {per_event:.2} allocs/event > \
+         {ALLOCS_PER_EVENT} ({allocs} allocs over {events} events)"
+    );
+    assert!(
+        bytes_per_event <= BYTES_PER_EVENT,
+        "{label}: byte budget blown: {bytes_per_event:.0} B/event > \
+         {BYTES_PER_EVENT} ({bytes} bytes over {events} events)"
+    );
+}
+
 #[test]
 fn deep_queue_conservative_stays_under_allocation_budget() {
-    use backfill_sim::prelude::*;
-
     // The BENCH deep-queue scenario at reduced size: queue depth still
     // climbs into the hundreds, so compression passes and reservation
     // churn dominate exactly as in the full cell.
@@ -93,41 +137,30 @@ fn deep_queue_conservative_stays_under_allocation_budget() {
         load: Some(2.2),
     };
     let trace = scenario.materialize();
-
     for policy in Policy::PAPER {
-        let ((schedule, fingerprint), allocs, bytes) = counted(|| {
-            let s = simulate(&trace, SchedulerKind::Conservative, policy);
-            let fp = s.fingerprint();
-            (s, fp)
-        });
-        let events = schedule.events.max(1);
-        let per_event = allocs as f64 / events as f64;
-        let bytes_per_event = bytes as f64 / events as f64;
-        eprintln!(
-            "alloc budget {policy}: {allocs} allocations / {events} events = \
-             {per_event:.2} allocs/event ({bytes_per_event:.0} B/event), \
-             fingerprint {fingerprint:#018x}"
-        );
+        assert_within_budget(&trace, SchedulerKind::Conservative, policy);
+    }
+}
 
-        // Sanity in every build: the run did real work and the counter saw it.
-        assert!(schedule.outcomes.len() == 3_000);
-        assert!(allocs > 0, "counting allocator observed nothing");
-
-        if cfg!(debug_assertions) {
-            // Debug builds allocate inside debug_assert-guarded
-            // differential checks; the pinned budget would measure those,
-            // not the hot path. The release CI run enforces it.
-            continue;
+/// The EASY family — EASY, deeper reservation depths and EASY with
+/// preemption — runs one backfill pass per event whose reservations live
+/// in the scheduler's running profile for the length of the pass, so no
+/// event clones a profile. The BENCH paper cell: 3,000 CTC jobs at
+/// ρ = 0.9 with exact estimates.
+#[test]
+fn easy_family_stays_under_allocation_budget() {
+    let trace = Scenario::high_load(TraceSource::Ctc {
+        jobs: 3_000,
+        seed: 7,
+    })
+    .materialize();
+    for kind in [
+        SchedulerKind::Easy,
+        SchedulerKind::Depth { depth: 4 },
+        SchedulerKind::Preemptive { threshold: 5.0 },
+    ] {
+        for policy in Policy::PAPER {
+            assert_within_budget(&trace, kind, policy);
         }
-        assert!(
-            per_event <= ALLOCS_PER_EVENT,
-            "{policy}: allocation budget blown: {per_event:.2} allocs/event > \
-             {ALLOCS_PER_EVENT} ({allocs} allocs over {events} events)"
-        );
-        assert!(
-            bytes_per_event <= BYTES_PER_EVENT,
-            "{policy}: byte budget blown: {bytes_per_event:.0} B/event > \
-             {BYTES_PER_EVENT} ({bytes} bytes over {events} events)"
-        );
     }
 }

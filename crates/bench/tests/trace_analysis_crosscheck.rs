@@ -104,3 +104,34 @@ fn analyzer_matches_aggregate_conservative_noisy() {
         },
     );
 }
+
+/// Depth(4) runs the same backfill pass as EASY with four reservations,
+/// so its trace carries `Reserve`/`Backfill` events between the job
+/// lifecycle events; the analyzer must read past them.
+#[test]
+fn analyzer_matches_aggregate_depth_noisy() {
+    crosscheck(
+        SchedulerKind::Depth { depth: 4 },
+        Policy::Fcfs,
+        Scenario {
+            source: TraceSource::Ctc { jobs: 200, seed: 5 },
+            estimate: EstimateModel::User(UserModelParams::capped(SimSpan::from_hours(18))),
+            estimate_seed: 3,
+            load: Some(1.05),
+        },
+    );
+}
+
+/// Preempt(5) adds `Preempt` events and resumed jobs to the EASY pass's
+/// `Reserve`/`Backfill` events.
+#[test]
+fn analyzer_matches_aggregate_preemptive_exact() {
+    crosscheck(
+        SchedulerKind::Preemptive { threshold: 5.0 },
+        Policy::XFactor,
+        Scenario::high_load(TraceSource::Ctc {
+            jobs: 200,
+            seed: 11,
+        }),
+    );
+}

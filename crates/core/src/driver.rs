@@ -18,8 +18,8 @@ use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
 use sched::slack::SlackPolicy;
 use sched::{
-    ConservativeScheduler, DepthScheduler, EasyScheduler, FcfsScheduler, PreemptiveScheduler,
-    SelectiveScheduler, SlackScheduler,
+    ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler, SelectiveScheduler,
+    SlackScheduler,
 };
 use sched::{Decisions, JobMeta, Policy, ProfileStats, Scheduler};
 use serde::{Deserialize, Serialize};
@@ -46,7 +46,8 @@ pub enum SchedulerKind {
     /// holes from early completions benefit only later arrivals
     /// (ablation variant).
     ConservativeNoCompress,
-    /// Aggressive (EASY) backfilling: one pivot reservation.
+    /// Aggressive (EASY) backfilling: one pivot reservation. Runs the
+    /// reservation-depth scheduler at depth 1.
     Easy,
     /// Selective backfilling: reservation once the expansion factor
     /// crosses the threshold.
@@ -92,7 +93,7 @@ impl SchedulerKind {
             SchedulerKind::ConservativeNoCompress => Box::new(
                 ConservativeScheduler::with_compression(capacity, policy, Compression::None),
             ),
-            SchedulerKind::Easy => Box::new(EasyScheduler::new(capacity, policy)),
+            SchedulerKind::Easy => Box::new(DepthScheduler::new(capacity, policy, 1)),
             SchedulerKind::Selective { threshold } => {
                 Box::new(SelectiveScheduler::new(capacity, policy, threshold))
             }

@@ -154,17 +154,6 @@ proptest! {
         prop_assert!(pre.outcomes.iter().all(|o| !o.was_preempted()));
     }
 
-    /// Depth-1 reservation backfilling is EASY, on any workload (not just
-    /// exact estimates — the semantics coincide event for event).
-    #[test]
-    fn depth_one_equals_easy(trace in arb_trace()) {
-        for policy in [Policy::Fcfs, Policy::Sjf] {
-            let easy = simulate(&trace, SchedulerKind::Easy, policy);
-            let depth = simulate(&trace, SchedulerKind::Depth { depth: 1 }, policy);
-            prop_assert_eq!(easy.fingerprint(), depth.fingerprint());
-        }
-    }
-
     /// Zero-slack slack-based backfilling degenerates to conservative
     /// backfilling exactly when estimates are accurate (promises equal
     /// anchors and no holes ever open).

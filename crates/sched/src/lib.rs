@@ -10,16 +10,16 @@
 //! * [`fcfs`] — the no-backfill baseline;
 //! * [`conservative`] — reservation-per-job backfilling with priority-
 //!   ordered compression on early completions;
-//! * [`easy`] — aggressive (EASY) backfilling with a single pivot
-//!   reservation;
 //! * [`selective`] — the paper's proposed middle ground: reservations only
 //!   for jobs whose expansion factor crosses a threshold;
 //! * [`slack`] — slack-based backfilling (Talby & Feitelson), the paper's
 //!   reference \[13\]: every job holds a promise with built-in slack;
 //! * [`depth`] — reservation-depth backfilling: protect the top *k* queued
-//!   jobs, the EASY↔conservative continuum of Chiang et al.;
-//! * [`preemptive`] — EASY with selective preemption of running jobs (the
-//!   authors' companion strategy, their reference \[6\]);
+//!   jobs, the EASY↔conservative continuum of Chiang et al. Depth 1 is
+//!   aggressive (EASY) backfilling with a single pivot reservation;
+//! * [`preemptive`] — EASY (a depth-1 [`DepthScheduler`]) with selective
+//!   preemption of running jobs (the authors' companion strategy, their
+//!   reference \[6\]);
 //! * [`queue`] — incrementally maintained priority queues shared by the
 //!   schedulers' event-loop hot paths.
 
@@ -27,7 +27,6 @@
 
 pub mod conservative;
 pub mod depth;
-pub mod easy;
 pub mod fcfs;
 pub mod policy;
 pub mod preemptive;
@@ -39,7 +38,6 @@ pub mod slack;
 
 pub use conservative::{Compression, ConservativeScheduler};
 pub use depth::DepthScheduler;
-pub use easy::EasyScheduler;
 pub use fcfs::FcfsScheduler;
 pub use policy::Policy;
 pub use preemptive::PreemptiveScheduler;

@@ -14,40 +14,26 @@
 //! * a job is suspended at most `max_preemptions` times, guaranteeing
 //!   global progress.
 //!
-//! Between preemption episodes the scheduler behaves exactly like EASY
-//! (pivot reservation + backfilling), so with an infinite threshold it
-//! degenerates to EASY — tested below.
+//! Around the preemption episodes the scheduler *is* EASY: it embeds a
+//! depth-1 [`DepthScheduler`] and runs its start-heads step and backfill
+//! pass, so with an infinite threshold it degenerates to EASY — tested
+//! below.
 
+use crate::depth::DepthScheduler;
 use crate::policy::Policy;
-use crate::profile::{Profile, ProfileStats};
-use crate::queue::SchedQueue;
+use crate::profile::ProfileStats;
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
+use obs::trace::SharedRecorder;
 use simcore::{JobId, SimSpan, SimTime};
 use std::collections::HashMap;
-
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    meta: JobMeta,
-    /// Estimated end of the current run segment.
-    est_end: SimTime,
-    /// Start of the current run segment.
-    started_at: SimTime,
-    preemptions: u32,
-}
 
 /// EASY backfilling with selective preemption of running jobs.
 #[derive(Debug, Clone)]
 pub struct PreemptiveScheduler {
-    policy: Policy,
-    capacity: u32,
-    free: u32,
-    /// Waiting jobs; `estimate` fields hold *remaining* estimates for
+    /// The EASY (depth-1) scheduler underneath: queue, running set and
+    /// backfill pass. Its queued `estimate`s are *remaining* estimates for
     /// previously preempted jobs.
-    queue: SchedQueue,
-    running: HashMap<JobId, Running>,
-    /// Mirror of the running set's remaining estimated occupancy, updated
-    /// on starts, completions and preemptions instead of rebuilt per event.
-    cached: Profile,
+    easy: DepthScheduler,
     /// Times a job has been suspended so far (sticky across resumes).
     suspended_count: HashMap<JobId, u32>,
     /// Every job's original meta, as first submitted — needed to rebuild
@@ -59,8 +45,6 @@ pub struct PreemptiveScheduler {
     min_run: SimSpan,
     /// Per-job suspension cap.
     max_preemptions: u32,
-    /// Accumulated counters from the throwaway per-event profiles.
-    stats: ProfileStats,
 }
 
 impl PreemptiveScheduler {
@@ -73,18 +57,12 @@ impl PreemptiveScheduler {
             "preemption threshold must be >= 1, got {threshold}"
         );
         PreemptiveScheduler {
-            policy,
-            capacity,
-            free: capacity,
-            queue: SchedQueue::new(policy),
-            running: HashMap::new(),
-            cached: Profile::new(capacity),
+            easy: DepthScheduler::new(capacity, policy, 1),
             suspended_count: HashMap::new(),
             original: HashMap::new(),
             threshold,
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
-            stats: ProfileStats::default(),
         }
     }
 
@@ -95,150 +73,69 @@ impl PreemptiveScheduler {
         self
     }
 
-    fn start(&mut self, job: JobMeta, now: SimTime, starts: &mut Vec<JobId>) {
-        debug_assert!(job.width <= self.free);
-        self.free -= job.width;
-        self.cached.reserve(now, job.estimate, job.width);
-        let preemptions = self.suspended_count.get(&job.id).copied().unwrap_or(0);
-        self.running.insert(
-            job.id,
-            Running {
-                meta: job,
-                est_end: now + job.estimate,
-                started_at: now,
-                preemptions,
-            },
-        );
-        starts.push(job.id);
-    }
-
-    /// From-scratch rebuild: the differential reference for `cached`.
-    #[cfg(debug_assertions)]
-    fn rebuilt_running_profile(&self, now: SimTime) -> Profile {
-        let mut p = Profile::new(self.capacity);
-        for run in self.running.values() {
-            if run.est_end > now {
-                p.reserve(now, run.est_end.since(now), run.meta.width);
-            }
-        }
-        p
-    }
-
-    /// Remove `run`'s not-yet-elapsed estimated occupancy from the cached
-    /// profile (completion or suspension).
-    fn release_cached(&mut self, run: &Running, now: SimTime) {
-        if run.est_end > now {
-            self.cached
-                .release(now, run.est_end.since(now), run.meta.width);
-        }
-    }
-
     /// Pick victims (lowest priority first) freeing enough processors for
     /// `needed`, honouring the safeguards. Returns `None` if impossible.
     fn pick_victims(&self, needed: u32, now: SimTime) -> Option<Vec<JobId>> {
-        let mut candidates: Vec<&Running> = self
+        let suspensions = |id: &JobId| self.suspended_count.get(id).copied().unwrap_or(0);
+        let mut candidates: Vec<&JobMeta> = self
+            .easy
             .running
             .values()
             .filter(|r| {
-                now.since(r.started_at) >= self.min_run && r.preemptions < self.max_preemptions
+                now.since(r.started_at) >= self.min_run
+                    && suspensions(&r.meta.id) < self.max_preemptions
             })
+            .map(|r| &r.meta)
             .collect();
         // Lowest priority last in `compare` order; victimize from the back.
-        candidates.sort_by(|a, b| self.policy.compare(&a.meta, &b.meta, now));
+        let policy = self.easy.queue.policy();
+        candidates.sort_by(|a, b| policy.compare(a, b, now));
         let mut victims = Vec::new();
-        let mut freed = self.free;
-        for r in candidates.iter().rev() {
+        let mut freed = self.easy.free;
+        for job in candidates.iter().rev() {
             if freed >= needed {
                 break;
             }
-            victims.push(r.meta.id);
-            freed += r.meta.width;
+            victims.push(job.id);
+            freed += job.width;
         }
         (freed >= needed).then_some(victims)
     }
 
     fn reschedule(&mut self, now: SimTime) -> Decisions {
-        let mut starts = Vec::new();
+        let mut starts = self.easy.start_heads(now);
         let mut preempts = Vec::new();
-        self.cached.trim_before(now);
-        self.queue.prepare(now);
-
-        // EASY phase 1: start from the head while it fits.
-        while let Some(head) = self.queue.front() {
-            if head.width > self.free {
-                break;
-            }
-            let head = self.queue.pop_front().expect("front() was Some");
-            self.start(head, now, &mut starts);
-        }
 
         // Preemption episode: if the blocked head is starving, displace the
         // least deserving runners and start it right away.
-        if let Some(&head) = self.queue.front() {
+        if let Some(&head) = self.easy.queue.front() {
             if self.threshold.is_finite() && Policy::xfactor(&head, now) >= self.threshold {
                 if let Some(victims) = self.pick_victims(head.width, now) {
                     for id in victims {
-                        let run = self.running.remove(&id).expect("victim runs");
-                        self.free += run.meta.width;
-                        self.release_cached(&run, now);
+                        self.easy.finish(id, now);
                         *self.suspended_count.entry(id).or_insert(0) += 1;
                         preempts.push(id);
                         // The driver answers with on_preempted, where the
                         // job re-enters the queue with remaining estimate.
                     }
-                    let head = self.queue.pop_front().expect("front() was Some");
-                    self.start(head, now, &mut starts);
+                    let head = self.easy.queue.pop_front().expect("front() was Some");
+                    self.easy.start(head, now, &mut starts);
                 }
             }
         }
 
-        if self.queue.is_empty() {
-            return Decisions {
-                preempts,
-                starts,
-                wakeup: None,
-            };
-        }
-
-        // EASY phases 2–3: pivot reservation and backfilling.
-        let pivot = self.queue[0];
-        #[cfg(debug_assertions)]
-        {
-            self.stats.profile_rebuilds += 1;
-            debug_assert!(
-                self.cached
-                    .same_future(&self.rebuilt_running_profile(now), now),
-                "cached running profile diverged from rebuild at {now}"
-            );
-        }
-        self.stats.profile_rebuilds_avoided += 1;
-        let mut profile = self.cached.clone();
-        profile.reset_stats();
-        let anchor = profile.find_anchor(now, pivot.estimate, pivot.width);
-        profile.reserve(anchor, pivot.estimate, pivot.width);
-        let mut i = 1;
-        while i < self.queue.len() {
-            let cand = self.queue[i];
-            if cand.width <= self.free && profile.fits(now, cand.estimate, cand.width) {
-                profile.reserve(now, cand.estimate, cand.width);
-                self.queue.remove(i);
-                self.start(cand, now, &mut starts);
-            } else {
-                i += 1;
-            }
-        }
-        self.stats.compress_passes += 1; // one replanning pass per event
-        self.stats.absorb(&profile.stats());
+        self.easy.backfill(now, &mut starts);
 
         // Wake when the head crosses the starvation threshold (so a quiet
         // machine still triggers the episode).
-        let wakeup = if self.threshold.is_finite() {
-            let head = self.queue[0];
-            let est = head.estimate.as_secs().max(1) as f64;
-            let cross = head.arrival + SimSpan::new(((self.threshold - 1.0) * est).ceil() as u64);
-            (cross > now).then_some(cross)
-        } else {
-            None
+        let wakeup = match self.easy.queue.front() {
+            Some(head) if self.threshold.is_finite() => {
+                let est = head.estimate.as_secs().max(1) as f64;
+                let cross =
+                    head.arrival + SimSpan::new(((self.threshold - 1.0) * est).ceil() as u64);
+                (cross > now).then_some(cross)
+            }
+            _ => None,
         };
         Decisions {
             preempts,
@@ -251,26 +148,20 @@ impl PreemptiveScheduler {
 impl Scheduler for PreemptiveScheduler {
     fn name(&self) -> String {
         if self.threshold.is_finite() {
-            format!("Preempt({})/{}", self.threshold, self.policy)
+            format!("Preempt({})/{}", self.threshold, self.easy.queue.policy())
         } else {
-            format!("Preempt(∞)/{}", self.policy)
+            format!("Preempt(∞)/{}", self.easy.queue.policy())
         }
     }
 
     fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
-        assert!(job.width <= self.capacity, "{} wider than machine", job.id);
         self.original.insert(job.id, job);
-        self.queue.push(job);
+        self.easy.enqueue(job);
         self.reschedule(now)
     }
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
-        self.free += run.meta.width;
-        self.release_cached(&run, now);
+        self.easy.finish(id, now);
         self.reschedule(now)
     }
 
@@ -287,18 +178,27 @@ impl Scheduler for PreemptiveScheduler {
             .get(&id)
             .expect("preempted job must have been seen before");
         meta.estimate = (meta.estimate - ran).max(SimSpan::SECOND);
-        self.queue.push(meta);
+        self.easy.enqueue(meta);
     }
 
     fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.easy.queue_len()
     }
 
     fn profile_stats(&self) -> Option<ProfileStats> {
-        let mut stats = self.stats;
-        stats.absorb(&self.cached.stats());
-        self.queue.counters().merge_into(&mut stats);
-        Some(stats)
+        self.easy.profile_stats()
+    }
+
+    fn set_recorder(&mut self, recorder: SharedRecorder) {
+        self.easy.set_recorder(recorder);
+    }
+
+    fn set_phases(&mut self, phases: obs::SharedPhases) {
+        self.easy.set_phases(phases);
+    }
+
+    fn recycle(&mut self, spent: Decisions) {
+        self.easy.recycle(spent);
     }
 }
 

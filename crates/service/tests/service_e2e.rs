@@ -222,6 +222,74 @@ fn malformed_request_line_is_rejected_not_fatal() {
 }
 
 #[test]
+fn deeply_nested_frame_is_rejected_and_the_connection_keeps_serving() {
+    use service::Request;
+    use std::io::{BufRead, BufReader, Write};
+    let handle = Server::start(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("start daemon");
+    let addr = handle.addr();
+
+    let stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |frame: &str| -> Response {
+        writer.write_all(frame.as_bytes()).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("daemon must answer within the deadline");
+        serde_json::from_str(line.trim_end()).expect("a well-formed response")
+    };
+
+    // 100,000 nested arrays: about 100 KB, inside the 1 MiB frame limit.
+    // A parser that recursed per bracket overflowed the handler thread's
+    // stack and aborted the whole daemon.
+    match exchange(&"[".repeat(100_000)) {
+        Response::Error {
+            message,
+            config_hash,
+            retryable,
+        } => {
+            assert!(message.contains("malformed request"), "{message}");
+            assert!(message.contains("nesting"), "{message}");
+            assert_eq!(config_hash, 0);
+            assert!(!retryable);
+        }
+        other => panic!("expected Error, got {other:?}"),
+    }
+
+    // The same connection then gets an ordinary Submit answered.
+    let config = batch()[0];
+    let submit = Request::Submit {
+        config,
+        trace: None,
+    };
+    match exchange(&serde_json::to_string(&submit).unwrap()) {
+        Response::Run(reply) => {
+            assert_eq!(reply.config_hash, config.content_hash());
+            assert_eq!(reply.report.jobs, 140);
+        }
+        other => panic!("expected Run, got {other:?}"),
+    }
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_without_losing_responses() {
     // 1 worker + tiny queue: most of the batch is queued (or shed as
     // Busy, now that the queue refuses instead of blocking) when the
