@@ -16,7 +16,7 @@
 
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
-use crate::queue::{repair_order, OrderScratch};
+use crate::queue::{insertion_index, repair_order, OrderScratch};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -67,6 +67,11 @@ pub struct ConservativeScheduler {
     policy: Policy,
     profile: Profile,
     queue: Vec<Reservation>,
+    /// Static-key policies: the length of `queue`'s prefix that is in
+    /// priority order. Entries past it are the arrivals appended since the
+    /// last compression pass, which merges them in; order-keeping
+    /// removals inside the prefix shrink it. Unused under XFactor.
+    sorted: usize,
     /// The earliest reservation start in `queue` (`None` when it is
     /// empty). Starts only fall between scans — an arrival's anchor, a
     /// compression move — so both lower it with `min`; `collect()`
@@ -90,7 +95,7 @@ pub struct ConservativeScheduler {
     /// (handed back by the driver via [`Scheduler::recycle`]); its capacity
     /// serves the next collect pass.
     starts_scratch: Vec<JobId>,
-    /// Reusable buffers for the compression pass's order repair.
+    /// Reusable buffers for the XFactor order repair.
     order_scratch: OrderScratch<Reservation>,
 }
 
@@ -107,6 +112,7 @@ impl ConservativeScheduler {
             policy,
             profile: Profile::new(capacity),
             queue: Vec::new(),
+            sorted: 0,
             next_start: None,
             running: HashMap::new(),
             free: capacity,
@@ -213,6 +219,9 @@ impl ConservativeScheduler {
             if res.start <= now {
                 if res.meta.width <= self.free {
                     self.queue.remove(i);
+                    if i < self.sorted {
+                        self.sorted -= 1;
+                    }
                     starts.push(res.meta.id);
                     self.start_job(res, now);
                     // `remove` shifted the next candidate into slot `i`.
@@ -236,6 +245,47 @@ impl ConservativeScheduler {
             // and arrivals re-trigger collection on their own.
             next_future
         }
+    }
+
+    /// Bring the reservation list into priority order for a compression
+    /// pass. Between passes the list changes only by order-keeping
+    /// removals, appended arrivals and, under XFactor, the few ranks that
+    /// cross as jobs age:
+    ///
+    /// * static-key policies merge just the appended arrivals into the
+    ///   sorted prefix, one `insertion_index` search and one rotate
+    ///   each — the prefix is untouched otherwise;
+    /// * XFactor re-keys every entry, so [`repair_order`] restores the
+    ///   order in place, one linear pass when it is nearly in order.
+    ///
+    /// Either way the result is the unique sequence a full sort by
+    /// `Policy::compare` would produce.
+    fn order_queue(&mut self, now: SimTime) {
+        let reordered = if self.policy == Policy::XFactor {
+            if self.order_scratch.is_warm() {
+                self.profile.note_scratch_reuse();
+            }
+            repair_order(
+                &mut self.queue,
+                self.policy,
+                now,
+                &mut self.order_scratch,
+                |r| r.meta,
+            )
+        } else {
+            let mut moved = false;
+            while self.sorted < self.queue.len() {
+                let n = self.sorted;
+                let job = self.queue[n].meta;
+                let idx = insertion_index(self.policy, &job, n, |k| self.queue[k].meta);
+                self.queue[idx..=n].rotate_right(1);
+                moved |= idx < n;
+                self.sorted += 1;
+            }
+            moved
+        };
+        self.profile
+            .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
     }
 
     /// Consider queued jobs for the hole that just opened, in priority
@@ -263,32 +313,14 @@ impl ConservativeScheduler {
     /// Each branch is decision-for-decision identical to the round-trip
     /// (the differential and compression property tests check this).
     ///
-    /// Two things keep a pass proportional to the jobs that can move
-    /// rather than to the queue:
-    ///
-    /// * the queue is brought into priority order by [`repair_order`],
-    ///   one linear pass when it is nearly in order already — between
-    ///   passes it changes only by order-keeping removals, appended
-    ///   arrivals and (XFactor) the few ranks that cross as jobs age;
-    /// * in the start-now modes, a job wider than `cap` — the free level
-    ///   at `now` — is rejected in O(1): every probe window opens at
-    ///   `now`, where the job's own rectangle (starting after `now`) is
-    ///   not, so `fits` would fail on the level at `now` alone. `cap` only
-    ///   falls during the pass, as moved jobs take their rectangles.
+    /// The queue is in priority order on entry ([`Self::order_queue`]).
+    /// In the start-now modes, a job wider than `cap` — the free level at
+    /// `now` — is rejected in O(1): every probe window opens at `now`,
+    /// where the job's own rectangle (starting after `now`) is not, so
+    /// `fits` would fail on the level at `now` alone. `cap` only falls
+    /// during the pass, as moved jobs take their rectangles.
     fn compress(&mut self, now: SimTime) {
         self.profile.note_compress_pass();
-        if self.order_scratch.is_warm() {
-            self.profile.note_scratch_reuse();
-        }
-        let reordered = repair_order(
-            &mut self.queue,
-            self.policy,
-            now,
-            &mut self.order_scratch,
-            |r| r.meta,
-        );
-        self.profile
-            .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
         let mut cap = self.profile.free_at(now);
         for i in 0..self.queue.len() {
             let res = self.queue[i];
@@ -449,6 +481,9 @@ impl Scheduler for ConservativeScheduler {
             // let queued jobs compress into the hole.
             self.profile.release(now, run.est_end.since(now), run.width);
             if self.mode != Compression::None {
+                let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
+                self.order_queue(now);
+                obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
                 let t0 = obs::span::start_nested(&self.phases, obs::Phase::Compress);
                 self.compress(now);
                 obs::span::finish_nested(&self.phases, obs::Phase::Compress, t0);

@@ -173,7 +173,9 @@ impl DepthScheduler {
             self.stats.scratch_reuses += 1;
         }
         self.cached.trim_before(now);
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
         self.queue.prepare(now);
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         while let Some(head) = self.queue.front() {
             if head.width > self.free {
                 break;

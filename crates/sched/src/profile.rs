@@ -36,11 +36,17 @@
 //!   chunk opens at or past the window's end.
 //!
 //! `find_anchor` alternates them (establish a candidate, look for the
-//! blocker inside its window, restart past the blocker), `fits` is one
-//! blocker probe, and `free_at` and the `FitsCache` rebuild are a binary
-//! search over chunk starts plus one inside the chunk. A profile that fits
-//! in one chunk never touches the tree: its in-chunk scan *is* the
-//! small-profile path.
+//! blocker inside its window, restart past the blocker), and `free_at` is
+//! a binary search over chunk starts plus one inside the chunk. A profile
+//! that fits in one chunk never touches the tree: its in-chunk scan *is*
+//! the small-profile path.
+//!
+//! `fits` asks a narrower question — does a window opening at `from`
+//! stay at or above `width`? — and answers it from a memo of the prefix
+//! minimum from `from`, a staircase of a few drops that is read lazily,
+//! segment by segment, only as far as the queries against it reach (see
+//! `FitsCache`). A mutation or a new left edge resets the memo with one
+//! `locate`; nothing is rebuilt eagerly.
 //!
 //! A mutation edits at most a few chunks in place: a boundary insert or
 //! a coalescing removal shifts the segments of one chunk (≤ one chunk's
@@ -61,9 +67,10 @@
 //! # Instrumentation
 //!
 //! Every profile keeps cheap operation counters ([`ProfileStats`]): anchor
-//! probes, segments visited by in-chunk scans, tree descents and nodes
-//! touched, chunk-tree path updates and rebuilds, reserve/release counts,
-//! compression passes, and the peak segment count. Schedulers expose them
+//! probes, segments visited by in-chunk scans and by the `fits` memo's
+//! reads, tree descents and nodes touched, chunk-tree path updates and
+//! rebuilds, reserve/release counts, compression passes, fits-memo hits
+//! and resets, and the peak segment count. Schedulers expose them
 //! via [`crate::Scheduler::profile_stats`] and the driver threads them into
 //! the final [`Schedule`](../core) for reports and benches.
 //!
@@ -174,13 +181,18 @@ impl Chunk {
 
 /// A segment's place in the chunked layout: chunk `c`, slot `i`. A
 /// position one past the final segment has `c == chunks.len()`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Pos {
     c: usize,
     i: usize,
 }
 
 const ORIGIN: Pos = Pos { c: 0, i: 0 };
+
+/// Where the position one past the final segment "opens": later than any
+/// window end (`SimTime` addition saturates at `u64::MAX`), so a fully
+/// read `FitsCache` never reads on.
+const READ_ALL: SimTime = SimTime::new(u64::MAX);
 
 /// The chunks a mutation touched: the summary-changed range to path-update,
 /// or `structural` when the chunk count changed and the tree must be
@@ -361,52 +373,59 @@ impl SegTree {
     }
 }
 
-/// Memoized prefix minima for left-edge-pinned fit queries.
+/// The prefix-minimum staircase of one left edge, read lazily: the memo
+/// behind [`Profile::fits`].
 ///
-/// Backfill and compression passes ask [`Profile::fits`] the same-shaped
-/// question hundreds of times per event — "does a rectangle starting at
-/// `now` fit?". Two regimes matter:
+/// Backfill and compression passes ask `fits` the same-shaped question
+/// hundreds of times per event — "does a rectangle starting at `now`
+/// fit?" — and the answer is "is the minimum free level over
+/// `[from, from + duration)` at least `width`?". That prefix minimum only
+/// falls as the window grows, so it is a staircase: a handful of *drops*
+/// (the segments that set a new minimum), each recorded here as the
+/// segment itself. In a saturated system it reaches level 0 within a
+/// few dozen segments of `from`, however long the profile is.
 ///
-/// * between mutations (a backfill scan rejecting candidate after
-///   candidate) the profile is frozen, so for one `(silhouette, from)`
-///   pair the answer is a pure lookup: `min_free[j]` is the minimum free
-///   capacity over `[from, ends[j])`, and a rectangle fits iff the prefix
-///   minimum covering `from + duration` is at least `width`;
-/// * across mutations (a compression pass that moves a job and re-probes)
-///   every memoized answer is dead on arrival, so rebuilding the O(n)
-///   prefix table per probe is pure waste — those probes are answered by
-///   one blocker probe (an in-chunk scan plus chunk leaps) instead, and
-///   the table is rebuilt only once a second probe arrives against the
-///   *same* generation and left edge (proof the profile has gone quiet).
+/// The memo reads segments only as far as a query needs. It keeps its
+/// read position `next` (the first unread segment), the `horizon` where
+/// that segment opens ([`READ_ALL`] once every segment is read), and the
+/// minimum `min` over `[from, horizon)` — the level of the last drop. A
+/// query ending at or before the horizon is a lookup among the drops; a
+/// query no wider than `min` there is `true` in O(1). A query ending past
+/// the horizon reads on, and stops at its end or at the first level below
+/// its width. A reset (new generation or left edge) costs one `locate`.
 ///
 /// Validity is keyed on the profile's process-globally-unique generation
-/// token, so a cache carried along by [`Profile::clone`] can never be
-/// mistaken for current after either copy mutates; debug builds
-/// additionally pin a silhouette checksum and assert it on every hit.
+/// token, which also guards the read position: `next` indexes the
+/// chunks, so it is only meaningful against the silhouette it was read
+/// from. A memo carried along by [`Profile::clone`] can never be mistaken
+/// for current after either copy mutates; debug builds additionally pin a
+/// silhouette checksum and assert it on every hit.
 #[derive(Debug, Clone, Default)]
 struct FitsCache {
-    /// Generation the entries were computed against.
+    /// Generation the staircase was read against.
     generation: u64,
-    /// Query left edge the prefix minima are anchored at.
+    /// Query left edge the staircase is anchored at.
     from: SimTime,
-    /// Silhouette checksum at rebuild (debug builds only; 0 in release),
-    /// asserted on every hit: a stale cache must be impossible, not just
+    /// Silhouette checksum at reset (debug builds only; 0 in release),
+    /// asserted on every hit: a stale memo must be impossible, not just
     /// unlikely.
     checksum: u64,
-    /// Generation/left-edge of the last probe-answered miss; a repeat
-    /// triggers the memoizing rebuild.
-    miss_generation: u64,
-    miss_from: SimTime,
-    /// Exclusive end of each prefix window, strictly increasing; the last
-    /// entry is `SimTime::FAR_FUTURE` (the final segment never ends).
-    ends: Vec<SimTime>,
-    /// `min_free[j]` = minimum free capacity over `[from, ends[j])`.
-    min_free: Vec<u32>,
+    /// The drops, in time order with strictly falling levels. The first
+    /// is the level at `from` (its `start` is `from` itself); each later
+    /// one is the segment that set a new minimum.
+    drops: Vec<Segment>,
+    /// First unread segment.
+    next: Pos,
+    /// Where `next` opens: everything before it is read.
+    horizon: SimTime,
+    /// Minimum free level over `[from, horizon)`: the last drop's level.
+    min: u32,
 }
 
 impl FitsCache {
-    /// Recompute the prefix minima for `profile` anchored at `from`.
-    fn rebuild(&mut self, profile: &Profile, from: SimTime) {
+    /// Re-anchor the staircase at `from` against `profile`'s current
+    /// silhouette, with nothing past the host segment read yet.
+    fn reset(&mut self, profile: &Profile, from: SimTime) {
         self.generation = profile.generation;
         self.from = from;
         self.checksum = if cfg!(debug_assertions) {
@@ -414,46 +433,69 @@ impl FitsCache {
         } else {
             0
         };
-        self.ends.clear();
-        self.min_free.clear();
-        // The query window opens in the segment hosting `from` (or the
-        // implicit fully-free prefix before the first boundary); every
-        // later segment closes one prefix window.
-        let (mut min, next) = match profile.locate(from) {
+        // The window opens in the segment hosting `from`, or in the
+        // implicit fully-free prefix before the first boundary.
+        let (level, next) = match profile.locate(from) {
             None => (profile.capacity, ORIGIN),
             Some(host) => (profile.at(host).free, profile.succ(host)),
         };
-        for seg in profile.segs_from(next) {
-            self.ends.push(seg.start);
-            self.min_free.push(min);
-            min = min.min(seg.free);
-        }
-        self.ends.push(SimTime::FAR_FUTURE);
-        self.min_free.push(min);
+        self.drops.clear();
+        self.drops.push(Segment {
+            start: from,
+            free: level,
+        });
+        self.min = level;
+        self.next = next;
+        self.horizon = profile.start_of(next);
     }
 
-    /// Minimum free capacity over `[from, end)`.
-    fn min_free_until(&self, end: SimTime) -> u32 {
-        let j = self.ends.partition_point(|&e| e < end);
-        self.min_free[j.min(self.min_free.len() - 1)]
-    }
-
-    /// Whether a `width`-wide rectangle over `[from, end)` fits. The
-    /// prefix minima are non-increasing, so the extreme entries bound
-    /// every answer: a probe wider than the first window's minimum fails
-    /// for *any* end, one no wider than the full-horizon minimum fits for
-    /// any end. Both are O(1), and in a saturated system (free capacity
-    /// at `from` near zero) almost every compression probe dies on the
-    /// first compare — the binary search runs only for the sliver of
-    /// probes whose answer actually depends on `end`.
-    fn admits(&self, end: SimTime, width: u32) -> bool {
-        if self.min_free[0] < width {
-            return false;
+    /// Whether a `width`-wide rectangle over `[from, end)` fits, reading
+    /// segments past the horizon only while the answer is still open.
+    /// Segments read are added to `visited`.
+    fn admits(&mut self, profile: &Profile, end: SimTime, width: u32, visited: &mut u64) -> bool {
+        if self.min < width {
+            // A drop below `width` has been read: the window fits iff it
+            // closes by the first such drop.
+            let k = self.drops.partition_point(|d| d.free >= width);
+            return end <= self.drops[k].start;
         }
-        if self.min_free[self.min_free.len() - 1] >= width {
-            return true;
+        // Everything read so far admits `width`; read on to `end`.
+        while end > self.horizon {
+            let chunk = &profile.chunks[self.next.c];
+            let live = &chunk.live()[self.next.i..];
+            let mut read = live.len();
+            for (k, seg) in live.iter().enumerate() {
+                if seg.start >= end {
+                    read = k;
+                    break;
+                }
+                if seg.free < self.min {
+                    self.min = seg.free;
+                    self.drops.push(*seg);
+                    if seg.free < width {
+                        read = k + 1;
+                        break;
+                    }
+                }
+            }
+            *visited += read as u64;
+            self.next = if self.next.i + read < chunk.len() {
+                Pos {
+                    c: self.next.c,
+                    i: self.next.i + read,
+                }
+            } else {
+                Pos {
+                    c: self.next.c + 1,
+                    i: 0,
+                }
+            };
+            self.horizon = profile.start_of(self.next);
+            if self.min < width {
+                return false;
+            }
         }
-        self.min_free_until(end) >= width
+        true
     }
 }
 
@@ -470,7 +512,12 @@ impl FitsCache {
 pub struct ProfileStats {
     /// Calls to [`Profile::find_anchor`] (including via `fits`).
     pub find_anchor_calls: u64,
-    /// Segments examined one-by-one by in-chunk scans.
+    /// Segments examined one by one: by the in-chunk scans of
+    /// `find_anchor`, and by the `fits` memo as it reads past its horizon.
+    /// (Before the memo read lazily it rebuilt its whole prefix table,
+    /// every segment from the left edge to the end of the profile, on each
+    /// reset without counting any of them; the two figures are not
+    /// comparable across that change.)
     pub segments_visited: u64,
     /// O(log C) chunk-tree descents: leaps over runs of chunks that hold
     /// no feasible segment, or no blocking one.
@@ -507,11 +554,12 @@ pub struct ProfileStats {
     /// Running-set profile rebuilds served from the incrementally
     /// maintained cache instead of being rebuilt.
     pub profile_rebuilds_avoided: u64,
-    /// `fits` queries answered from the memoized prefix minima.
+    /// `fits` queries that found the memo valid for their silhouette and
+    /// left edge (answered by a lookup, or by reading on from where the
+    /// memo stopped).
     pub fits_cache_hits: u64,
-    /// `fits` queries the memo could not answer (profile mutated or the
-    /// query's left edge moved); answered by a blocker probe, or by the
-    /// memoizing rebuild on a repeat.
+    /// Memo resets: `fits` queries that found the profile mutated or the
+    /// left edge moved, and re-anchored the memo before answering.
     pub fits_cache_misses: u64,
     /// Scheduler scratch buffers reused across events instead of being
     /// freshly allocated (see [`Profile::note_scratch_reuse`]).
@@ -711,6 +759,15 @@ impl Profile {
         }
     }
 
+    /// Where the segment at `p` opens; [`READ_ALL`] one past the final
+    /// segment.
+    #[inline]
+    fn start_of(&self, p: Pos) -> SimTime {
+        self.chunks
+            .get(p.c)
+            .map_or(READ_ALL, |ch| ch.segs[p.i].start)
+    }
+
     /// The segments from `p` on, in time order.
     fn segs_from(&self, p: Pos) -> impl Iterator<Item = &Segment> + '_ {
         let (head, tail) = match self.chunks.get(p.c..) {
@@ -900,19 +957,18 @@ impl Profile {
     /// exactly at `start` — equivalently, whether the minimum free
     /// capacity over `[start, start + duration)` is at least `width`.
     ///
-    /// Between mutations, answers come from the `FitsCache` prefix
-    /// minima: one binary search per query. Immediately after a mutation
-    /// the memo is dead, and the first probe is answered by one blocker
-    /// probe instead of an O(n) rebuild — a compression pass that mutates
-    /// between probes never rebuilds the memo at all, while a stable
-    /// backfill scan re-memoizes on its second probe.
+    /// Every answer comes from the `FitsCache` staircase for `start`,
+    /// reset when the profile has mutated or the left edge moved. A reset
+    /// reads nothing past the segment hosting `start`; each query reads
+    /// on only as far as its own window needs, so a compression pass that
+    /// mutates between probes pays for the few segments each probe reads,
+    /// and a backfill scan over a frozen profile mostly pays a lookup.
     pub fn fits(&self, start: SimTime, duration: SimSpan, width: u32) -> bool {
         self.assert_possible(width);
         if duration.is_zero() || width == 0 {
             return true;
         }
         bump(&self.stats.find_anchor_calls, 1);
-        let end = start + duration;
         let mut cache = self.fits_cache.borrow_mut();
         if cache.generation == self.generation && cache.from == start {
             debug_assert_eq!(
@@ -921,33 +977,14 @@ impl Profile {
                 "stale fits cache accepted: generation token collision"
             );
             bump(&self.stats.fits_cache_hits, 1);
-            return cache.admits(end, width);
+        } else {
+            bump(&self.stats.fits_cache_misses, 1);
+            cache.reset(self, start);
         }
-        bump(&self.stats.fits_cache_misses, 1);
-        if cache.miss_generation == self.generation && cache.miss_from == start {
-            // Second probe against an unchanged (silhouette, left edge):
-            // the profile has gone quiet, so memoizing pays off now.
-            cache.rebuild(self, start);
-            return cache.admits(end, width);
-        }
-        cache.miss_generation = self.generation;
-        cache.miss_from = start;
-        let mut w = Work::default();
-        let ok = self.fits_by_probe(start, end, width, &mut w);
-        self.charge(&w);
+        let mut visited = 0;
+        let ok = cache.admits(self, start + duration, width, &mut visited);
+        bump(&self.stats.segments_visited, visited);
         ok
-    }
-
-    /// The `fits` question answered directly: the segment hosting `start`
-    /// (or the implicit free prefix) must be feasible, and no segment
-    /// opening inside `(start, end)` may block — one blocker probe.
-    fn fits_by_probe(&self, start: SimTime, end: SimTime, width: u32, w: &mut Work) -> bool {
-        let from = match self.locate(start) {
-            None => ORIGIN,
-            Some(host) if self.at(host).free >= width => self.succ(host),
-            Some(_) => return false,
-        };
-        self.next_below(from, width, end, w).is_none()
     }
 
     fn assert_possible(&self, width: u32) {
@@ -1565,8 +1602,8 @@ mod tests {
 
     #[test]
     fn fits_cache_matches_anchor_scan_on_large_profiles() {
-        // On a many-chunk profile `fits` answers come from blocker probes
-        // and the prefix-minima memo; every answer must equal the
+        // On a many-chunk profile `fits` answers come from the lazily
+        // read prefix-minimum memo; every answer must equal the
         // anchor-scan definition, for shifting left edges and across
         // mutations.
         let mut p = Profile::new(64);
@@ -1589,7 +1626,7 @@ mod tests {
                             expect,
                             "diverged at start={start} dur={dur} width={width}"
                         );
-                        // The memoized repeat must agree with the rebuild.
+                        // The memoized repeat must agree with the first read.
                         assert_eq!(p.fits(t(start), d(dur), width), expect);
                     }
                 }
@@ -1611,7 +1648,7 @@ mod tests {
         let mut p = Profile::new(8);
         p.reserve(t(0), d(100), 4);
         assert!(p.fits(t(0), d(50), 4)); // warm the memo (4 free on [0,100))
-        assert!(p.fits(t(0), d(50), 4)); // second probe memoizes
+        assert!(p.fits(t(0), d(500), 4)); // and read it to the end
         let mut q = p.clone();
         q.reserve(t(0), d(50), 4); // q: 0 free on [0,50)
         assert!(!q.fits(t(0), d(50), 1), "stale clone cache accepted");
@@ -1619,6 +1656,54 @@ mod tests {
         assert!(p.fits(t(0), d(50), 4), "p's own memo must stay valid");
         p.reserve(t(0), d(50), 4);
         assert!(!p.fits(t(0), d(50), 1), "post-mutation memo accepted");
+    }
+
+    #[test]
+    fn fits_memo_reads_only_up_to_the_first_zero_level() {
+        // A long profile (well over 40 chunks) whose free level falls to 0
+        // three segments after the query's left edge: 6, 4, 2, 0, then
+        // levels alternating 7/6 for ~1,400 segments. The prefix minimum
+        // is final once it reaches 0, so no query at this edge needs
+        // anything past that segment.
+        let mut p = Profile::new(8);
+        for (i, width) in [2u32, 4, 6, 8].into_iter().enumerate() {
+            p.reserve(t(i as u64 * 10), d(10), width);
+        }
+        for i in 4..1_400u64 {
+            p.reserve(t(i * 10), d(10), 1 + (i % 2) as u32);
+        }
+        assert!(p.segments().len() > 40 * CHUNK);
+        let before = p.stats().segments_visited;
+        // Cold: a window spanning the whole profile reads segments 1–3 and
+        // stops at the 0 level.
+        assert!(!p.fits(t(0), d(1_000_000), 1));
+        let cold = p.stats().segments_visited - before;
+        assert!(cold <= 4, "cold fits read {cold} segments");
+        // Warm: every query at this edge is a lookup among the drops.
+        for (dur, width, expect) in [
+            (5u64, 6u32, true),
+            (10, 6, true),
+            (11, 6, false),
+            (20, 4, true),
+            (25, 4, false),
+            (30, 2, true),
+            (31, 1, false),
+            (1_000_000, 8, false),
+            (3, 7, false),
+        ] {
+            assert_eq!(
+                p.fits(t(0), d(dur), width),
+                expect,
+                "dur={dur} width={width}"
+            );
+        }
+        let s = p.stats();
+        assert_eq!(
+            s.segments_visited - before,
+            cold,
+            "repeat queries read nothing"
+        );
+        assert_eq!((s.fits_cache_misses, s.fits_cache_hits), (1, 9));
     }
 
     #[test]

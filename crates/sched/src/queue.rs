@@ -23,8 +23,12 @@
 //!   events at the same instant reuse the existing order when nothing was
 //!   inserted in between.
 //!
-//! [`repair_order`] is also how the conservative and selective schedulers
-//! re-order their reservation lists on each compression pass.
+//! `insertion_index` is the one binary-search placement: `push` uses it
+//! for each arrival, and the conservative scheduler uses it to merge the
+//! arrivals appended to its reservation list since the last compression
+//! pass. [`repair_order`] is how the selective scheduler, and the
+//! conservative one under XFactor, re-order their reservation lists on
+//! each compression pass.
 //!
 //! Dequeues come off a `VecDeque`: the schedulers' phase-1 "start from the
 //! head while it fits" loop pops in O(1) where `Vec::remove(0)` shifted
@@ -135,13 +139,7 @@ impl SchedQueue {
             self.items.push_back(job);
             self.sorted_at = None;
         } else {
-            // First index whose job orders strictly after the newcomer;
-            // `compare` ignores `now` for static-key policies, and the
-            // total order (arrival/id tie-breaks) makes the position — and
-            // hence the whole sequence — identical to a full sort.
-            let idx = self.items.partition_point(|q| {
-                self.policy.compare(q, &job, SimTime::ZERO) != Ordering::Greater
-            });
+            let idx = insertion_index(self.policy, &job, self.items.len(), |k| self.items[k]);
             self.items.insert(idx, job);
         }
     }
@@ -207,6 +205,30 @@ impl std::ops::Index<usize> for SchedQueue {
     fn index(&self, index: usize) -> &JobMeta {
         &self.items[index]
     }
+}
+
+/// Where `job` enters a sequence of `len` entries sorted by a static-key
+/// `policy` (`at(k)` is entry `k`'s job): the first index whose job orders
+/// strictly after it, found by binary search. `compare` ignores `now` for
+/// static-key policies, and the total order (arrival/id tie-breaks) makes
+/// the position — and hence the whole sequence — identical to a full sort.
+pub(crate) fn insertion_index(
+    policy: Policy,
+    job: &JobMeta,
+    len: usize,
+    at: impl Fn(usize) -> JobMeta,
+) -> usize {
+    debug_assert!(policy != Policy::XFactor, "XFactor keys depend on `now`");
+    let (mut lo, mut hi) = (0, len);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if policy.compare(&at(mid), job, SimTime::ZERO) == Ordering::Greater {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Reusable buffers for [`repair_order`]: the per-entry keys and the

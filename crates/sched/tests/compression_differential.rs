@@ -2,10 +2,12 @@
 //! reference.
 //!
 //! `ConservativeScheduler` keeps a compression pass proportional to the
-//! jobs that can move: it repairs the queue order in place instead of
-//! re-sorting it, rejects jobs wider than the free level at `now` without
-//! probing the profile, and skips the due-job scan while the earliest
-//! reservation lies in the future. `Reference` below is the plain version
+//! jobs that can move: it merges only the arrivals appended since the
+//! last pass into the sorted reservation list (static-key policies) or
+//! repairs the order in place (XFactor) instead of re-sorting it, rejects
+//! jobs wider than the free level at `now` without probing the profile,
+//! and skips the due-job scan while the earliest reservation lies in the
+//! future. `Reference` below is the plain version
 //! of the same scheduler: every pass sorts the whole queue with
 //! `Policy::compare` and probes every queued job, and every event scans
 //! the whole queue for due jobs.
@@ -268,8 +270,18 @@ fn lockstep(trace: &[Job], policy: Policy, mode: Compression) -> Result<(), Test
     Ok(())
 }
 
+/// Case count: `PROPTEST_CASES` can raise it (CI runs this file in
+/// release with more cases), never lower it.
+fn cases(default: u32) -> ProptestConfig {
+    let raised = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    ProptestConfig::with_cases(default.max(raised))
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(cases(192))]
 
     #[test]
     fn pruned_compression_matches_full_walk(trace in arb_trace()) {

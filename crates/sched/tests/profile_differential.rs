@@ -77,11 +77,24 @@ fn op() -> impl Strategy<Value = Op> {
     (0u8..8, 0u64..20_000, 1u64..3_000, 1u32..=24).prop_map(|(kind, a, b, w)| Op { kind, a, b, w })
 }
 
-fn apply_ops(cap: u32, ops: &[Op]) -> Profile {
-    let mut p = Profile::new(cap);
-    let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
-    for op in ops {
-        let width = op.w.min(cap);
+/// A profile and the reservations still live in it, so a history can be
+/// extended one [`Op`] at a time.
+struct History {
+    p: Profile,
+    live: Vec<(SimTime, SimSpan, u32)>,
+}
+
+impl History {
+    fn new(cap: u32) -> Self {
+        History {
+            p: Profile::new(cap),
+            live: Vec::new(),
+        }
+    }
+
+    fn apply(&mut self, op: &Op) {
+        let (p, live) = (&mut self.p, &mut self.live);
+        let width = op.w.min(p.capacity());
         match op.kind {
             // Mostly reservations: they are what grows the segment list.
             0..=4 => {
@@ -93,7 +106,7 @@ fn apply_ops(cap: u32, ops: &[Op]) -> Profile {
             // Release the tail of a live reservation (early completion).
             5 | 6 => {
                 if live.is_empty() {
-                    continue;
+                    return;
                 }
                 let (start, dur, w) = live.remove((op.a as usize) % live.len());
                 let keep = SimSpan::new(op.b % dur.as_secs().max(1));
@@ -116,7 +129,14 @@ fn apply_ops(cap: u32, ops: &[Op]) -> Profile {
             }
         }
     }
-    p
+}
+
+fn apply_ops(cap: u32, ops: &[Op]) -> Profile {
+    let mut h = History::new(cap);
+    for op in ops {
+        h.apply(op);
+    }
+    h.p
 }
 
 proptest! {
@@ -213,6 +233,104 @@ proptest! {
     }
 }
 
+// ---- the lazily read fits memo --------------------------------------------
+
+/// A query left edge: on, just before or just after a segment boundary
+/// (picked by `a`), or the raw instant `a`.
+fn edge() -> impl Strategy<Value = (u64, u8)> {
+    (0u64..30_000, 0u8..4)
+}
+
+fn edge_at(segs: &[Segment], (a, kind): (u64, u8)) -> SimTime {
+    let at = segs[a as usize % segs.len()].start.as_secs();
+    SimTime::new(match kind {
+        0 => at.saturating_sub(1),
+        1 => at,
+        2 => at + 1,
+        _ => a,
+    })
+}
+
+/// One `fits` query of a run: a duration selector and a width (see
+/// [`duration`]). Zero widths are included.
+fn fits_query() -> impl Strategy<Value = (u8, u64, u32)> {
+    (0u8..6, 0u64..40_000, 0u32..=24)
+}
+
+/// A query's duration from the left edge `e`: zero, windows ending
+/// inside the profile, windows closing exactly on a segment boundary,
+/// and ones ending past the last boundary (or saturating at the end of
+/// time). Drawn in no particular order, so a run's queries land both
+/// inside and beyond the part of the memo already read.
+fn duration(segs: &[Segment], e: SimTime, kind: u8, x: u64) -> SimSpan {
+    let boundary = segs[x as usize % segs.len()].start;
+    SimSpan::new(match kind {
+        0 => 0,
+        1 => 1 + x % 300,
+        2 => 1 + x % 6_000,
+        3 if boundary > e => boundary.since(e).as_secs(),
+        3 => 1 + x % 300,
+        4 => 20_000 + x,
+        _ => u64::MAX,
+    })
+}
+
+/// `fits` by definition: the naive reference anchors at `e` itself.
+fn reference_fits(segs: &[Segment], cap: u32, e: SimTime, dur: SimSpan, width: u32) -> bool {
+    dur.is_zero() || width == 0 || reference_anchor(segs, cap, e, dur, width) == e
+}
+
+proptest! {
+    #![proptest_config(chunk_cases(192))]
+
+    /// Between mutations of one profile, runs of `fits` queries at one
+    /// left edge (then a few at a second edge, then the first run again)
+    /// agree with the naive reference on every answer: the memo is reset
+    /// by every mutation and every change of edge, reads on past its
+    /// horizon only as far as a query needs, and answers from what it
+    /// has read otherwise.
+    #[test]
+    fn fits_memo_agrees_with_reference_over_query_runs(
+        cap in 1u32..=24,
+        ops in proptest::collection::vec(op(), 0..140),
+        rounds in proptest::collection::vec(
+            (
+                op(),
+                edge(),
+                edge(),
+                proptest::collection::vec(fits_query(), 3..10),
+                proptest::collection::vec(fits_query(), 0..4),
+            ),
+            1..8,
+        ),
+    ) {
+        let mut h = History::new(cap);
+        for op in &ops {
+            h.apply(op);
+        }
+        for (mutation, first, second, run, others) in &rounds {
+            h.apply(mutation);
+            let segs = h.p.segments();
+            let last_free = segs[segs.len() - 1].free;
+            let (e1, e2) = (edge_at(&segs, *first), edge_at(&segs, *second));
+            let queries = run
+                .iter()
+                .map(|&q| (e1, q))
+                .chain(others.iter().map(|&q| (e2, q)))
+                .chain(run.iter().map(|&q| (e1, q)));
+            for (e, (kind, x, width)) in queries {
+                let (dur, width) = (duration(&segs, e, kind, x), width.min(last_free));
+                prop_assert_eq!(
+                    h.p.fits(e, dur, width),
+                    reference_fits(&segs, cap, e, dur, width),
+                    "fits({}, {}, {}) over {:?}",
+                    e, dur, width, segs
+                );
+            }
+        }
+    }
+}
+
 // ---- chunk boundaries -----------------------------------------------------
 
 /// Segments per chunk.
@@ -289,8 +407,8 @@ fn check(p: &Profile, step: usize) -> Result<(), TestCaseError> {
                 dur,
                 width
             );
-            // Twice: the first probe is answered by the blocker probe, the
-            // repeat by the memoizing rebuild.
+            // Twice: the first probe resets the fits memo and reads it, the
+            // repeat is a lookup in what was read.
             for _ in 0..2 {
                 prop_assert_eq!(p.fits(e, dur, width), reference == e, "step {}: fits", step);
             }
