@@ -4,11 +4,12 @@
 //! steady state stops allocating per event: the ladder event queue reuses
 //! buckets, the profile edits its segment chunks in place, and schedulers reuse their
 //! `starts`/sort scratch buffers across events. This harness pins that
-//! claim with a counting `#[global_allocator]`: a deep-queue Conservative
-//! cell (the allocation-heaviest configuration — per-arrival reservations
-//! plus compression passes) and the EASY family (EASY, Depth(4),
-//! Preempt(5)) on a paper cell must stay under fixed allocations-per-event
-//! and bytes-per-event budgets under each of the paper's three policies.
+//! claim with a counting `#[global_allocator]`: the reservation-list family
+//! (Conservative, Selective(2), Slack(0.5)) on a deep-queue cell (the
+//! allocation-heaviest configuration — per-arrival reservations plus
+//! compression passes) and the EASY family (EASY, Depth(4), Preempt(5)) on
+//! a paper cell must stay under fixed allocations-per-event and
+//! bytes-per-event budgets under each of the paper's three policies.
 //!
 //! The budget is enforced in **release** builds only: debug builds run
 //! `debug_assert!(invariants_ok())` after every profile mutation and the
@@ -137,8 +138,16 @@ fn deep_queue_conservative_stays_under_allocation_budget() {
         load: Some(2.2),
     };
     let trace = scenario.materialize();
-    for policy in Policy::PAPER {
-        assert_within_budget(&trace, SchedulerKind::Conservative, policy);
+    // Selective and slack run on the same reservation list, with their
+    // own unreserved queue and per-event start-now pass respectively.
+    for kind in [
+        SchedulerKind::Conservative,
+        SchedulerKind::Selective { threshold: 2.0 },
+        SchedulerKind::Slack { slack_factor: 0.5 },
+    ] {
+        for policy in Policy::PAPER {
+            assert_within_budget(&trace, kind, policy);
+        }
     }
 }
 

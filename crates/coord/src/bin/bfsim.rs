@@ -435,10 +435,23 @@ fn parse_scheduler(s: &str) -> SchedulerKind {
         other => {
             if let Some(t) = other
                 .strip_prefix("selective:")
-                .and_then(|t| t.parse().ok())
+                .and_then(|t| t.parse::<f64>().ok())
             {
+                if t.is_nan() || t < 1.0 {
+                    die(&format!(
+                        "bad --scheduler {other:?}: selective:T needs a threshold T >= 1 (inf never reserves)"
+                    ))
+                }
                 SchedulerKind::Selective { threshold: t }
-            } else if let Some(f) = other.strip_prefix("slack:").and_then(|f| f.parse().ok()) {
+            } else if let Some(f) = other
+                .strip_prefix("slack:")
+                .and_then(|f| f.parse::<f64>().ok())
+            {
+                if !f.is_finite() || f < 0.0 {
+                    die(&format!(
+                        "bad --scheduler {other:?}: slack:F needs a finite factor F >= 0"
+                    ))
+                }
                 SchedulerKind::Slack { slack_factor: f }
             } else if let Some(d) = other.strip_prefix("depth:").and_then(|d| d.parse().ok()) {
                 SchedulerKind::Depth { depth: d }

@@ -6,7 +6,8 @@
 //! and 0 for a clean fleet — including a crashed-then-resumed sweep,
 //! whose `--canonical-out` projection must be byte-identical to an
 //! undisturbed run's. Drives the real binary the way CI does, against
-//! in-process daemons.
+//! in-process daemons. Also pins exit 2 (usage) for scheduler parameters
+//! the schedulers would reject.
 
 use backfill_sim::SchedulerKind;
 use bench_lib::sweep::{SweepSpec, TraceModel};
@@ -496,4 +497,23 @@ fn healthy_fleet_exits_0() {
 
     shutdown(a);
     shutdown(b);
+}
+
+/// Out-of-range scheduler parameters are usage errors (exit 2 with a
+/// message), not panics: a slack factor must be finite and non-negative,
+/// a selective threshold at least 1.
+#[test]
+fn bad_scheduler_parameters_exit_2() {
+    for scheduler in ["slack:-1", "slack:NaN", "selective:0.5", "selective:NaN"] {
+        let out = bfsim()
+            .args(["simulate", "--jobs", "50", "--scheduler", scheduler])
+            .output()
+            .expect("spawn bfsim");
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{scheduler}: stderr: {stderr}");
+        assert!(
+            stderr.contains("bad --scheduler") && stderr.contains(scheduler),
+            "{scheduler}: stderr: {stderr}"
+        );
+    }
 }

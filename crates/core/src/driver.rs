@@ -16,11 +16,7 @@ use crate::schedule::Schedule;
 use metrics::JobOutcome;
 use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
-use sched::slack::SlackPolicy;
-use sched::{
-    ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler, SelectiveScheduler,
-    SlackScheduler,
-};
+use sched::{ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler};
 use sched::{Decisions, JobMeta, Policy, ProfileStats, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::{Actor, Ctx, Engine, EventClass, JobId, Machine, SimSpan, SimTime};
@@ -94,14 +90,12 @@ impl SchedulerKind {
                 ConservativeScheduler::with_compression(capacity, policy, Compression::None),
             ),
             SchedulerKind::Easy => Box::new(DepthScheduler::new(capacity, policy, 1)),
-            SchedulerKind::Selective { threshold } => {
-                Box::new(SelectiveScheduler::new(capacity, policy, threshold))
-            }
-            SchedulerKind::Slack { slack_factor } => Box::new(SlackScheduler::new(
-                capacity,
-                policy,
-                SlackPolicy::ProportionalToEstimate(slack_factor),
+            SchedulerKind::Selective { threshold } => Box::new(ConservativeScheduler::selective(
+                capacity, policy, threshold,
             )),
+            SchedulerKind::Slack { slack_factor } => {
+                Box::new(ConservativeScheduler::slack(capacity, policy, slack_factor))
+            }
             SchedulerKind::Depth { depth } => {
                 Box::new(DepthScheduler::new(capacity, policy, depth))
             }

@@ -30,6 +30,14 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+const ALL_POLICIES: [Policy; 5] = [
+    Policy::Fcfs,
+    Policy::Sjf,
+    Policy::XFactor,
+    Policy::Ljf,
+    Policy::WidestFirst,
+];
+
 fn all_kinds() -> Vec<SchedulerKind> {
     vec![
         SchedulerKind::NoBackfill,
@@ -156,13 +164,28 @@ proptest! {
 
     /// Zero-slack slack-based backfilling degenerates to conservative
     /// backfilling exactly when estimates are accurate (promises equal
-    /// anchors and no holes ever open).
+    /// anchors and no holes ever open), under every policy.
     #[test]
     fn zero_slack_equals_conservative_on_exact_estimates(trace in arb_trace()) {
         let exact = trace.map_estimates(|j| j.runtime).expect("estimates >= runtimes");
-        let cons = simulate(&exact, SchedulerKind::Conservative, Policy::Fcfs);
-        let slack = simulate(&exact, SchedulerKind::Slack { slack_factor: 0.0 }, Policy::Fcfs);
-        prop_assert_eq!(cons.fingerprint(), slack.fingerprint());
+        for policy in ALL_POLICIES {
+            let cons = simulate(&exact, SchedulerKind::Conservative, policy);
+            let slack = simulate(&exact, SchedulerKind::Slack { slack_factor: 0.0 }, policy);
+            prop_assert_eq!(cons.fingerprint(), slack.fingerprint(), "{}", policy);
+        }
+    }
+
+    /// Selective backfilling at threshold 1 reserves every job on arrival
+    /// and re-anchors on early completions: conservative backfilling with
+    /// re-anchoring compression, under every policy and on inexact
+    /// estimates.
+    #[test]
+    fn selective_one_equals_conservative_reanchor(trace in arb_trace()) {
+        for policy in ALL_POLICIES {
+            let reanchor = simulate(&trace, SchedulerKind::ConservativeReanchor, policy);
+            let selective = simulate(&trace, SchedulerKind::Selective { threshold: 1.0 }, policy);
+            prop_assert_eq!(reanchor.fingerprint(), selective.fingerprint(), "{}", policy);
+        }
     }
 
     /// Metric identities on arbitrary schedules: slowdown >= 1,

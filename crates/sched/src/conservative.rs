@@ -1,11 +1,11 @@
-//! Conservative backfilling.
+//! Reservation-list backfilling: conservative, selective and slack-based.
 //!
-//! Every job receives a **start-time reservation the moment it arrives**,
-//! at the earliest anchor that delays no previously existing reservation
-//! (Section 2 of the paper). Because guarantees are handed out in arrival
-//! order, the schedule is completely determined when estimates are exact —
-//! the paper's Section 4.1 equivalence result, which this implementation
-//! reproduces mechanically.
+//! **Conservative backfilling** gives every job a **start-time reservation
+//! the moment it arrives**, at the earliest anchor that delays no
+//! previously existing reservation (Section 2 of the paper). Because
+//! guarantees are handed out in arrival order, the schedule is completely
+//! determined when estimates are exact — the paper's Section 4.1
+//! equivalence result, which this implementation reproduces mechanically.
 //!
 //! The priority policy only matters when a job **completes earlier than its
 //! estimate**: the hole it leaves lets queued jobs be *re-anchored*
@@ -13,14 +13,37 @@
 //! order, and each job's new anchor is provably never later than its old
 //! guarantee (its old rectangle remains feasible throughout the pass), so
 //! guarantees only improve — asserted in code.
+//!
+//! The same reservation list also runs the two other members of the
+//! family, each built by its own constructor:
+//!
+//! * **Selective backfilling** ([`ConservativeScheduler::selective`]) — the
+//!   middle ground Section 6 of the paper proposes (the authors' follow-up
+//!   "Selective Reservation Strategies for Backfill Job Scheduling"). A job
+//!   is reserved only once its expansion factor `(wait + estimate) /
+//!   estimate` — the XFactor priority — reaches a threshold τ, and keeps
+//!   that reservation. Until then it waits unreserved and backfills freely
+//!   around the reservations at every event. `τ = 2` protects a job once
+//!   its wait equals its estimate; `τ = 1` reserves on arrival; `τ = ∞`
+//!   never reserves. Holes are compressed by full re-anchoring.
+//! * **Slack-based backfilling** ([`ConservativeScheduler::slack`]; Talby &
+//!   Feitelson, the paper's reference \[13\]) — every job is reserved on
+//!   arrival, but its rectangle is parked at a *promise*: the first anchor
+//!   at or after its earliest anchor plus `σ = factor × estimate`. The span
+//!   in between stays open to later jobs, which may delay a queued job but
+//!   never past its promise. Each event offers the machine to the queue in
+//!   priority order: a job starts at once if it fits now, and each start
+//!   ahead of a promise rescans from the head, since the rectangle it
+//!   vacated may unblock a job already passed over. `σ = 0` equals
+//!   conservative backfilling on exact estimates.
 
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
-use crate::queue::{insertion_index, repair_order, OrderScratch};
+use crate::queue::{insertion_index, repair_order, OrderScratch, SchedQueue};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
-use simcore::{JobId, SimTime};
+use simcore::{JobId, SimSpan, SimTime};
 use std::collections::HashMap;
 
 /// What happens to queued jobs' reservations when a hole opens (a running
@@ -49,6 +72,22 @@ pub enum Compression {
     None,
 }
 
+/// Which member of the reservation-list family a scheduler is. Private:
+/// the constructors are the only way to pick one, so no other mix of
+/// admission rule, promise offset and compression can be built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    /// Reserve on arrival at the earliest anchor.
+    Conservative,
+    /// Reserve once the expansion factor reaches `threshold` (≥ 1);
+    /// compression mode `Reanchor`.
+    Selective { threshold: f64 },
+    /// Reserve on arrival at the promise (anchor + `factor` × estimate);
+    /// compression mode `Backfill`, run on every event with a rescan after
+    /// each early start.
+    Slack { factor: f64 },
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Reservation {
     meta: JobMeta,
@@ -61,23 +100,28 @@ struct Running {
     est_end: SimTime,
 }
 
-/// Conservative backfilling scheduler.
+/// The reservation-list scheduler: conservative, selective or slack-based
+/// backfilling, depending on the constructor.
 #[derive(Debug, Clone)]
 pub struct ConservativeScheduler {
     policy: Policy,
+    family: Family,
     profile: Profile,
     queue: Vec<Reservation>,
     /// Static-key policies: the length of `queue`'s prefix that is in
-    /// priority order. Entries past it are the arrivals appended since the
-    /// last compression pass, which merges them in; order-keeping
+    /// priority order. Entries past it are the reservations appended since
+    /// the last compression pass, which merges them in; order-keeping
     /// removals inside the prefix shrink it. Unused under XFactor.
     sorted: usize,
     /// The earliest reservation start in `queue` (`None` when it is
-    /// empty). Starts only fall between scans — an arrival's anchor, a
-    /// compression move — so both lower it with `min`; `collect()`
-    /// recomputes it in the scan that removes jobs. While it lies after
-    /// `now`, nothing is due and `collect()` skips that scan.
+    /// empty). Starts only fall between scans — a new reservation, a
+    /// compression move — so both lower it with `min`; the scans that
+    /// remove jobs recompute it. While it lies after `now`, nothing is due
+    /// and `collect()` skips the due-job scan.
     next_start: Option<SimTime>,
+    /// Selective only: jobs whose expansion factor has not yet reached the
+    /// threshold. They hold no reservation and backfill freely.
+    unreserved: SchedQueue,
     running: HashMap<JobId, Running>,
     /// Processors actually free *right now*. The profile alone is not
     /// enough: at an instant with several simultaneous completions, the
@@ -91,35 +135,71 @@ pub struct ConservativeScheduler {
     recorder: Option<SharedRecorder>,
     /// Opt-in per-phase profiling accumulator (strictly observational).
     phases: Option<obs::SharedPhases>,
-    /// Recycled `starts` buffer from the previous event's [`Decisions`]
-    /// (handed back by the driver via [`Scheduler::recycle`]); its capacity
-    /// serves the next collect pass.
-    starts_scratch: Vec<JobId>,
+    /// The current event's starts. Between events it holds the recycled
+    /// buffer of the previous event's [`Decisions`] (handed back by the
+    /// driver via [`Scheduler::recycle`]), whose capacity serves the next.
+    starts: Vec<JobId>,
     /// Reusable buffers for the XFactor order repair.
     order_scratch: OrderScratch<Reservation>,
 }
 
 impl ConservativeScheduler {
-    /// Create for a machine with `capacity` processors, with the paper's
-    /// hole-backfilling compression.
+    /// Conservative backfilling for a machine with `capacity` processors,
+    /// with the paper's hole-backfilling compression.
     pub fn new(capacity: u32, policy: Policy) -> Self {
         Self::with_compression(capacity, policy, Compression::Backfill)
     }
 
-    /// Create with an explicit compression mode.
+    /// Conservative backfilling with an explicit compression mode.
     pub fn with_compression(capacity: u32, policy: Policy, mode: Compression) -> Self {
+        Self::build(capacity, policy, mode, Family::Conservative)
+    }
+
+    /// Selective backfilling: a job is reserved once its expansion factor
+    /// reaches `threshold` (≥ 1; `f64::INFINITY` never reserves).
+    pub fn selective(capacity: u32, policy: Policy, threshold: f64) -> Self {
+        assert!(
+            threshold >= 1.0,
+            "xfactor threshold must be >= 1, got {threshold}"
+        );
+        Self::build(
+            capacity,
+            policy,
+            Compression::Reanchor,
+            Family::Selective { threshold },
+        )
+    }
+
+    /// Slack-based backfilling: every job is promised its earliest anchor
+    /// plus `factor × estimate` (finite, ≥ 0).
+    pub fn slack(capacity: u32, policy: Policy, factor: f64) -> Self {
+        assert!(
+            factor.is_finite() && factor >= 0.0,
+            "slack factor must be finite and non-negative, got {factor}"
+        );
+        Self::build(
+            capacity,
+            policy,
+            Compression::Backfill,
+            Family::Slack { factor },
+        )
+    }
+
+    fn build(capacity: u32, policy: Policy, mode: Compression, family: Family) -> Self {
         ConservativeScheduler {
             policy,
+            family,
             profile: Profile::new(capacity),
             queue: Vec::new(),
             sorted: 0,
             next_start: None,
+            unreserved: SchedQueue::new(policy),
             running: HashMap::new(),
             free: capacity,
             mode,
             recorder: None,
             phases: None,
-            starts_scratch: Vec::new(),
+            starts: Vec::new(),
             order_scratch: OrderScratch::default(),
         }
     }
@@ -131,85 +211,157 @@ impl ConservativeScheduler {
         }
     }
 
-    /// The currently guaranteed start time of a queued job (tests/metrics).
+    /// The currently guaranteed (for slack: promised) start time of a
+    /// reserved job (tests/metrics).
     pub fn guarantee(&self, id: JobId) -> Option<SimTime> {
         self.queue.iter().find(|r| r.meta.id == id).map(|r| r.start)
     }
 
-    fn start_job(&mut self, res: Reservation, now: SimTime) {
-        debug_assert!(res.start <= now, "started before its reservation");
-        self.free -= res.meta.width;
-        self.running.insert(
-            res.meta.id,
-            Running {
-                width: res.meta.width,
-                est_end: now + res.meta.estimate,
+    /// The expansion factor at which a job is reserved: τ for selective, 1
+    /// for conservative and slack (a fresh job's expansion factor is
+    /// exactly 1, so they reserve on arrival).
+    fn threshold(&self) -> f64 {
+        match self.family {
+            Family::Selective { threshold } => threshold,
+            _ => 1.0,
+        }
+    }
+
+    /// True once `job` deserves a reservation.
+    fn admitted(&self, job: &JobMeta, now: SimTime) -> bool {
+        Policy::xfactor(job, now) >= self.threshold()
+    }
+
+    /// The instant `job`'s expansion factor reaches the threshold:
+    /// `xf(t) ≥ τ ⇔ t ≥ arrival + (τ − 1)·estimate`.
+    fn crossing_time(&self, job: &JobMeta) -> SimTime {
+        let threshold = self.threshold();
+        if threshold.is_infinite() {
+            return SimTime::FAR_FUTURE;
+        }
+        let est = job.estimate.as_secs().max(1) as f64;
+        job.arrival + SimSpan::new(((threshold - 1.0) * est).ceil() as u64)
+    }
+
+    /// Reserve `job` at its earliest anchor — for slack, at the first
+    /// anchor at or after that plus its slack.
+    fn reserve(&mut self, job: JobMeta, now: SimTime) {
+        let mut anchor = self.profile.find_anchor(now, job.estimate, job.width);
+        if let Family::Slack { factor } = self.family {
+            let slack = job.estimate.scale(factor);
+            if !slack.is_zero() {
+                anchor = self
+                    .profile
+                    .find_anchor(anchor + slack, job.estimate, job.width);
+            }
+        }
+        self.profile.reserve(anchor, job.estimate, job.width);
+        self.next_start = earliest(self.next_start, anchor);
+        self.record(
+            now,
+            job.id,
+            TraceKind::Reserve {
+                anchor: anchor.as_secs(),
             },
         );
-        // The reservation rectangle simply becomes the running occupancy;
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
+        self.queue.push(Reservation {
+            meta: job,
+            start: anchor,
+        });
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
+    }
+
+    /// Remove the reservation at `i`, keeping the sorted-prefix count.
+    fn take(&mut self, i: usize) -> Reservation {
+        if i < self.sorted {
+            self.sorted -= 1;
+        }
+        self.queue.remove(i)
+    }
+
+    fn start_job(&mut self, job: JobMeta, now: SimTime) {
+        self.free -= job.width;
+        self.running.insert(
+            job.id,
+            Running {
+                width: job.width,
+                est_end: now + job.estimate,
+            },
+        );
+        self.starts.push(job.id);
+        // A reserved job's rectangle simply becomes the running occupancy;
         // the profile needs no update. This relies on the job starting at
         // its reserved instant: on valid traces (runtime <= estimate) a due
         // job is deferred only by same-instant sibling completions, so it
         // starts with `now == res.start` and consumes exactly the rectangle
         // the profile carries. If a job overruns its estimate (`res.start <
-        // now`), the `free` gate in collect() still prevents any capacity
-        // violation — tests cover both cases.
+        // now`), the `free` gate still prevents any capacity violation —
+        // tests cover both cases.
     }
 
-    /// Start every queued job whose reservation is due *and* whose
-    /// processors are physically free, then report the next wake-up. A due
-    /// job that does not fit yet is waiting on a sibling completion at this
-    /// same instant; with `retry_same_instant` set, the returned
-    /// same-instant wake-up retries it after the remaining events are
-    /// delivered.
+    /// Run one event's scheduling: slack's start-now pass, selective's
+    /// promotions, the due reservations, selective's free backfill — and
+    /// report the next wake-up. A due job that does not fit yet is waiting
+    /// on a sibling completion at this same instant; with
+    /// `retry_same_instant` set, the returned same-instant wake-up retries
+    /// it after the remaining events are delivered.
     ///
     /// `on_wake` passes `retry_same_instant = false`: wake-ups are the
     /// *last* event class at an instant, so everything that could free
     /// processors at `now` has already been delivered, and re-requesting
     /// `now` would spin forever (reachable when a job runs past its
-    /// estimate). The deferred job instead waits for the next completion or
-    /// a strictly later reservation.
+    /// estimate). The deferred job instead waits for the next completion, a
+    /// strictly later reservation or a threshold crossing.
     ///
-    /// A single ascending pass suffices: starting a job only *consumes*
-    /// processors, so a job skipped earlier in the pass can never become
-    /// startable later in the same pass — rescanning from the front would
-    /// find exactly the same starts in the same order.
-    ///
-    /// When `next_start` lies after `now`, no reservation is due: the pass
-    /// would start nothing and defer nothing, and the wake-up is
-    /// `next_start` itself, so the scan is skipped.
+    /// When `next_start` lies after `now`, no reservation is due: the scan
+    /// would start nothing and defer nothing, and the reservations' wake-up
+    /// is `next_start` itself, so the scan is skipped.
     fn collect(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
-        let mut starts = std::mem::take(&mut self.starts_scratch);
-        debug_assert!(starts.is_empty());
-        if starts.capacity() > 0 {
+        debug_assert!(self.starts.is_empty());
+        if self.starts.capacity() > 0 {
             self.profile.note_scratch_reuse();
+        }
+        if matches!(self.family, Family::Slack { .. }) && !self.queue.is_empty() {
+            self.compress_pass(now);
+        }
+        if !self.unreserved.is_empty() {
+            self.promote(now);
         }
         debug_assert_eq!(
             self.next_start,
             self.queue.iter().map(|r| r.start).min(),
             "next_start out of step with the queue"
         );
-        let wakeup = match self.next_start {
-            Some(next) if next <= now => self.start_due(now, retry_same_instant, &mut starts),
+        let mut wakeup = match self.next_start {
+            Some(next) if next <= now => self.start_due(now, retry_same_instant),
             // Nothing due: every reservation starts after `now`.
             next => next,
         };
+        if !self.unreserved.is_empty() {
+            let t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
+            let crossing = self.backfill(now);
+            obs::span::finish_nested(&self.phases, obs::Phase::Backfill, t0);
+            if wakeup != Some(now) {
+                wakeup = wakeup.into_iter().chain(crossing).min();
+            }
+        }
         self.profile.trim_before(now);
         Decisions {
             preempts: Vec::new(),
-            starts,
+            starts: std::mem::take(&mut self.starts),
             wakeup,
         }
     }
 
     /// `collect()`'s scan: start the due jobs that fit, recompute
     /// `next_start` from the rest, and return the wake-up.
-    fn start_due(
-        &mut self,
-        now: SimTime,
-        retry_same_instant: bool,
-        starts: &mut Vec<JobId>,
-    ) -> Option<SimTime> {
+    ///
+    /// A single ascending pass suffices: starting a job only *consumes*
+    /// processors, so a job skipped earlier in the pass can never become
+    /// startable later in the same pass — rescanning from the front would
+    /// find exactly the same starts in the same order.
+    fn start_due(&mut self, now: SimTime, retry_same_instant: bool) -> Option<SimTime> {
         let mut deferred = false;
         let mut next_start: Option<SimTime> = None;
         let mut next_future: Option<SimTime> = None;
@@ -218,12 +370,8 @@ impl ConservativeScheduler {
             let res = self.queue[i];
             if res.start <= now {
                 if res.meta.width <= self.free {
-                    self.queue.remove(i);
-                    if i < self.sorted {
-                        self.sorted -= 1;
-                    }
-                    starts.push(res.meta.id);
-                    self.start_job(res, now);
+                    self.take(i);
+                    self.start_job(res.meta, now);
                     // `remove` shifted the next candidate into slot `i`.
                     continue;
                 }
@@ -247,12 +395,62 @@ impl ConservativeScheduler {
         }
     }
 
+    /// Selective: reserve every unreserved job whose expansion factor has
+    /// reached the threshold, in priority order (simultaneous crossers are
+    /// anchored best-first).
+    fn promote(&mut self, now: SimTime) {
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
+        self.unreserved.prepare(now);
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
+        let mut i = 0;
+        while i < self.unreserved.len() {
+            if self.admitted(&self.unreserved[i], now) {
+                let job = self.unreserved.remove(i);
+                self.reserve(job, now);
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    /// Selective: start every unreserved job that fits now around the
+    /// reservations, in priority order, and return the earliest future
+    /// threshold crossing among those left waiting.
+    fn backfill(&mut self, now: SimTime) -> Option<SimTime> {
+        let mut crossing = None;
+        let mut i = 0;
+        while i < self.unreserved.len() {
+            let job = self.unreserved[i];
+            if job.width <= self.free && self.profile.fits(now, job.estimate, job.width) {
+                self.profile.reserve(now, job.estimate, job.width);
+                self.unreserved.remove(i);
+                // The hole runs from `now` to the earliest reservation.
+                let hole = self.next_start.unwrap_or(SimTime::FAR_FUTURE).since(now);
+                self.record(
+                    now,
+                    job.id,
+                    TraceKind::Backfill {
+                        filled_hole: hole.as_secs(),
+                    },
+                );
+                self.start_job(job, now);
+            } else {
+                let t = self.crossing_time(&job);
+                if t > now && t < SimTime::FAR_FUTURE {
+                    crossing = earliest(crossing, t);
+                }
+                i += 1;
+            }
+        }
+        crossing
+    }
+
     /// Bring the reservation list into priority order for a compression
     /// pass. Between passes the list changes only by order-keeping
-    /// removals, appended arrivals and, under XFactor, the few ranks that
-    /// cross as jobs age:
+    /// removals, appended reservations and, under XFactor, the few ranks
+    /// that cross as jobs age:
     ///
-    /// * static-key policies merge just the appended arrivals into the
+    /// * static-key policies merge just the appended reservations into the
     ///   sorted prefix, one `insertion_index` search and one rotate
     ///   each — the prefix is untouched otherwise;
     /// * XFactor re-keys every entry, so [`repair_order`] restores the
@@ -288,44 +486,67 @@ impl ConservativeScheduler {
             .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
     }
 
+    /// Order the reservation list, then compress it, each under its phase.
+    fn compress_pass(&mut self, now: SimTime) {
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
+        self.order_queue(now);
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::Compress);
+        self.compress(now);
+        obs::span::finish_nested(&self.phases, obs::Phase::Compress, t0);
+    }
+
+    /// Move reservation `i`, which lies after `now`, to `now`.
+    fn move_to_now(&mut self, i: usize, now: SimTime) {
+        let res = self.queue[i];
+        self.profile
+            .release(res.start, res.meta.estimate, res.meta.width);
+        self.profile.reserve(now, res.meta.estimate, res.meta.width);
+        self.queue[i].start = now;
+        self.next_start = earliest(self.next_start, now);
+        self.record(
+            now,
+            res.meta.id,
+            TraceKind::Compress {
+                moved: res.start.since(now).as_secs(),
+            },
+        );
+    }
+
     /// Consider queued jobs for the hole that just opened, in priority
     /// order. A job may only ever move *earlier*: its old rectangle stays
     /// feasible throughout the pass (each mover's new position was chosen
     /// against a profile still containing everyone else's guarantee), so
     /// restoring it is always possible — asserted below.
     ///
-    /// For the start-now modes (`Backfill`/`HeadStart`) the decision per
-    /// job is a yes/no — "can it start at `now`?" — and the full
-    /// release → find_anchor → reserve round-trip is needed only when the
-    /// job's own rectangle could influence the answer:
-    ///
-    /// * if the rectangle `[now, now + estimate)` already fits with the
-    ///   job's own reservation still in place, releasing that reservation
-    ///   only adds capacity, so the re-anchor would land at `now` — move
-    ///   directly, one release + one reserve;
-    /// * if it does not fit and the job's own rectangle is disjoint from
-    ///   the candidate window (`start >= now + estimate`), releasing it
-    ///   cannot change the answer — skip the round-trip entirely, zero
-    ///   profile mutations;
-    /// * only when the job's own rectangle overlaps the window is the full
-    ///   round-trip performed.
-    ///
-    /// Each branch is decision-for-decision identical to the round-trip
-    /// (the differential and compression property tests check this).
-    ///
     /// The queue is in priority order on entry ([`Self::order_queue`]).
-    /// In the start-now modes, a job wider than `cap` — the free level at
-    /// `now` — is rejected in O(1): every probe window opens at `now`,
-    /// where the job's own rectangle (starting after `now`) is not, so
-    /// `fits` would fail on the level at `now` alone. `cap` only falls
-    /// during the pass, as moved jobs take their rectangles.
+    /// In the start-now modes (`Backfill`/`HeadStart`), a job wider than
+    /// `cap` — the free level at `now` — is rejected in O(1): every probe
+    /// window opens at `now`, where the job's own rectangle (starting
+    /// after `now`) is not, so `fits` would fail on the level at `now`
+    /// alone. `cap` only falls during the pass, as moved jobs take their
+    /// rectangles.
+    ///
+    /// Slack runs this pass on every event and starts jobs in it: a due
+    /// job, or one that moves to `now`, starts at once if its processors
+    /// are physically free, and each move rescans from the head — the
+    /// rectangle it vacated may now let a job already passed over start.
     fn compress(&mut self, now: SimTime) {
         self.profile.note_compress_pass();
+        let eager = matches!(self.family, Family::Slack { .. });
         let mut cap = self.profile.free_at(now);
-        for i in 0..self.queue.len() {
+        let mut i = 0;
+        while i < self.queue.len() {
             let res = self.queue[i];
             if res.start <= now {
-                continue; // already due; collect() will start it
+                // Already due: collect() starts it, or slack starts it here.
+                if eager && res.meta.width <= self.free {
+                    self.take(i);
+                    self.start_job(res.meta, now);
+                } else {
+                    i += 1;
+                }
+                continue;
             }
             match self.mode {
                 Compression::Backfill | Compression::HeadStart => {
@@ -358,22 +579,18 @@ impl ConservativeScheduler {
                         res.meta.estimate
                     };
                     // A zero-length window always fits, whatever `cap`.
-                    let moved = (res.meta.width <= cap || window.is_zero())
+                    let moved = (!eager || res.meta.width <= self.free)
+                        && (res.meta.width <= cap || window.is_zero())
                         && self.profile.fits(now, window, res.meta.width);
                     if moved {
-                        self.profile
-                            .release(res.start, res.meta.estimate, res.meta.width);
-                        self.profile.reserve(now, res.meta.estimate, res.meta.width);
-                        self.queue[i].start = now;
-                        self.next_start = earliest(self.next_start, now);
+                        self.move_to_now(i, now);
                         cap = self.profile.free_at(now);
-                        self.record(
-                            now,
-                            res.meta.id,
-                            TraceKind::Compress {
-                                moved: res.start.since(now).as_secs(),
-                            },
-                        );
+                        if eager {
+                            self.take(i);
+                            self.start_job(res.meta, now);
+                            i = 0;
+                            continue;
+                        }
                     }
                     if self.mode == Compression::HeadStart && !moved {
                         // Strict priority: nothing may start ahead of a
@@ -388,49 +605,43 @@ impl ConservativeScheduler {
                     // capacity and the anchor can't move before `now`),
                     // so the probe is one fits descent, not a round-trip.
                     if self.profile.fits(now, res.meta.estimate, res.meta.width) {
+                        self.move_to_now(i, now);
+                    } else {
                         self.profile
                             .release(res.start, res.meta.estimate, res.meta.width);
-                        self.profile.reserve(now, res.meta.estimate, res.meta.width);
-                        self.queue[i].start = now;
-                        self.next_start = earliest(self.next_start, now);
-                        self.record(
-                            now,
+                        let anchor =
+                            self.profile
+                                .find_anchor(now, res.meta.estimate, res.meta.width);
+                        assert!(
+                            anchor <= res.start,
+                            "compression pushed {} from {} to {}",
                             res.meta.id,
-                            TraceKind::Compress {
-                                moved: res.start.since(now).as_secs(),
-                            },
+                            res.start,
+                            anchor
                         );
-                        continue;
-                    }
-                    self.profile
-                        .release(res.start, res.meta.estimate, res.meta.width);
-                    let anchor = self
-                        .profile
-                        .find_anchor(now, res.meta.estimate, res.meta.width);
-                    assert!(
-                        anchor <= res.start,
-                        "compression pushed {} from {} to {}",
-                        res.meta.id,
-                        res.start,
-                        anchor
-                    );
-                    self.profile
-                        .reserve(anchor, res.meta.estimate, res.meta.width);
-                    self.queue[i].start = anchor;
-                    self.next_start = earliest(self.next_start, anchor);
-                    if anchor < res.start {
-                        self.record(
-                            now,
-                            res.meta.id,
-                            TraceKind::Compress {
-                                moved: res.start.since(anchor).as_secs(),
-                            },
-                        );
+                        self.profile
+                            .reserve(anchor, res.meta.estimate, res.meta.width);
+                        self.queue[i].start = anchor;
+                        self.next_start = earliest(self.next_start, anchor);
+                        if anchor < res.start {
+                            self.record(
+                                now,
+                                res.meta.id,
+                                TraceKind::Compress {
+                                    moved: res.start.since(anchor).as_secs(),
+                                },
+                            );
+                        }
                     }
                 }
                 // compress() is only reached when compression is enabled.
                 Compression::None => unreachable!("compress called in None mode"),
             }
+            i += 1;
+        }
+        if eager {
+            // Starts removed jobs, possibly the earliest.
+            self.next_start = self.queue.iter().map(|r| r.start).min();
         }
     }
 }
@@ -442,7 +653,14 @@ fn earliest(current: Option<SimTime>, start: SimTime) -> Option<SimTime> {
 
 impl Scheduler for ConservativeScheduler {
     fn name(&self) -> String {
-        format!("Conservative/{}", self.policy)
+        match self.family {
+            Family::Conservative => format!("Conservative/{}", self.policy),
+            Family::Selective { threshold } if threshold.is_infinite() => {
+                format!("Selective(∞)/{}", self.policy)
+            }
+            Family::Selective { threshold } => format!("Selective({threshold})/{}", self.policy),
+            Family::Slack { factor } => format!("Slack({factor}×est)/{}", self.policy),
+        }
     }
 
     fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
@@ -451,22 +669,13 @@ impl Scheduler for ConservativeScheduler {
             "{} wider than machine",
             job.id
         );
-        let anchor = self.profile.find_anchor(now, job.estimate, job.width);
-        self.profile.reserve(anchor, job.estimate, job.width);
-        self.next_start = earliest(self.next_start, anchor);
-        self.record(
-            now,
-            job.id,
-            TraceKind::Reserve {
-                anchor: anchor.as_secs(),
-            },
-        );
-        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
-        self.queue.push(Reservation {
-            meta: job,
-            start: anchor,
-        });
-        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
+        if self.admitted(&job, now) {
+            self.reserve(job, now);
+        } else {
+            let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
+            self.unreserved.push(job);
+            obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
+        }
         self.collect(now, true)
     }
 
@@ -478,15 +687,11 @@ impl Scheduler for ConservativeScheduler {
         self.free += run.width;
         if now < run.est_end {
             // Early completion: return the unused tail of the rectangle and
-            // let queued jobs compress into the hole.
+            // let queued jobs compress into the hole (slack's collect runs
+            // its pass on every event anyway).
             self.profile.release(now, run.est_end.since(now), run.width);
-            if self.mode != Compression::None {
-                let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
-                self.order_queue(now);
-                obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
-                let t0 = obs::span::start_nested(&self.phases, obs::Phase::Compress);
-                self.compress(now);
-                obs::span::finish_nested(&self.phases, obs::Phase::Compress, t0);
+            if self.mode != Compression::None && !matches!(self.family, Family::Slack { .. }) {
+                self.compress_pass(now);
             }
         }
         self.collect(now, true)
@@ -499,11 +704,13 @@ impl Scheduler for ConservativeScheduler {
     }
 
     fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.unreserved.len()
     }
 
     fn profile_stats(&self) -> Option<ProfileStats> {
-        Some(self.profile.stats())
+        let mut stats = self.profile.stats();
+        self.unreserved.counters().merge_into(&mut stats);
+        Some(stats)
     }
 
     fn set_recorder(&mut self, recorder: SharedRecorder) {
@@ -517,7 +724,7 @@ impl Scheduler for ConservativeScheduler {
     fn recycle(&mut self, spent: Decisions) {
         let mut starts = spent.starts;
         starts.clear();
-        self.starts_scratch = starts;
+        self.starts = starts;
     }
 }
 
@@ -790,5 +997,334 @@ mod tests {
         let after = s.profile_stats().unwrap();
         assert_eq!(after.compress_passes, 1);
         assert!(after.releases > before.releases);
+    }
+
+    #[test]
+    fn overdue_reservation_starts_when_processors_free() {
+        // Job 0 overruns its estimate, so job 1's reservation at 100 is
+        // overdue by the time job 9 completes early at 150. Compression must
+        // leave an overdue reservation alone (re-anchoring it from `now`
+        // would move it later), and the due job starts in the freed room.
+        let schedulers = [
+            ConservativeScheduler::new(8, Policy::Fcfs),
+            ConservativeScheduler::with_compression(8, Policy::Fcfs, Compression::Reanchor),
+            ConservativeScheduler::selective(8, Policy::Fcfs, 1.0),
+            ConservativeScheduler::slack(8, Policy::Fcfs, 0.0),
+            ConservativeScheduler::slack(8, Policy::Fcfs, 0.5),
+        ];
+        for mut s in schedulers {
+            let name = s.name();
+            s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
+            s.on_arrival(meta(9, 0, 1000, 4), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 10, 4), SimTime::new(1));
+            let reserved = s.guarantee(JobId(1)).expect("job 1 is reserved");
+            assert!(
+                reserved >= SimTime::new(100),
+                "{name}: reserved at {reserved}"
+            );
+            let d = s.on_wake(reserved);
+            assert!(
+                d.starts.is_empty(),
+                "{name}: job 0 still holds its processors"
+            );
+            let d = s.on_completion(JobId(9), SimTime::new(150));
+            assert_eq!(d.starts, vec![JobId(1)], "{name}");
+            assert_eq!(s.queue_len(), 0, "{name}");
+        }
+    }
+
+    /// `ConservativeScheduler::selective`.
+    mod selective {
+        use super::*;
+
+        #[test]
+        fn idle_machine_starts_immediately() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 2.0);
+            let d = s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            assert_eq!(d.starts, vec![JobId(0)]);
+        }
+
+        #[test]
+        fn unprotected_jobs_backfill_freely() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 100.0);
+            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // waits, unreserved
+                                                               // A long 2-wide job backfills at once — EASY would refuse it
+                                                               // (it would delay job 1's reservation); selective has none to
+                                                               // delay.
+            let d = s.on_arrival(meta(2, 2, 9_000, 2), SimTime::new(2));
+            assert_eq!(d.starts, vec![JobId(2)]);
+            assert_eq!(s.guarantee(JobId(1)), None);
+        }
+
+        #[test]
+        fn crossing_time_formula() {
+            let s = ConservativeScheduler::selective(8, Policy::Fcfs, 3.0);
+            let j = meta(1, 1000, 200, 1);
+            // wait needed = (3-1)*200 = 400 -> crossing at 1400.
+            assert_eq!(s.crossing_time(&j), SimTime::new(1400));
+            let s = ConservativeScheduler::selective(8, Policy::Fcfs, f64::INFINITY);
+            assert_eq!(s.crossing_time(&j), SimTime::FAR_FUTURE);
+        }
+
+        #[test]
+        fn job_gets_reservation_once_threshold_crossed() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 2.0);
+            let rec = obs::trace::shared(64);
+            s.set_recorder(rec.clone());
+            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            // Job 1 (est 100): crosses at t = 1 + 100 = 101.
+            let d = s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            assert_eq!(d.wakeup, Some(SimTime::new(101)), "wake at the crossing");
+            let d = s.on_wake(SimTime::new(101));
+            assert!(d.starts.is_empty());
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1_000)));
+            // Now protected: a new job that would delay it must not backfill.
+            let d = s.on_arrival(meta(2, 102, 2_000, 8), SimTime::new(102));
+            assert!(d.starts.is_empty());
+            // At job 0's (exact) completion, the protected job starts first.
+            let d = s.on_completion(JobId(0), SimTime::new(1_000));
+            assert_eq!(d.starts, vec![JobId(1)]);
+            let events = rec.borrow().events();
+            let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
+            assert_eq!(
+                kinds,
+                vec![
+                    (
+                        0,
+                        &TraceKind::Backfill {
+                            filled_hole: SimTime::FAR_FUTURE.as_secs()
+                        }
+                    ),
+                    (1, &TraceKind::Reserve { anchor: 1_000 }),
+                ]
+            );
+        }
+
+        #[test]
+        fn threshold_one_reserves_on_arrival() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
+            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1));
+            // Like conservative: job 2 anchored after job 1's rectangle, so
+            // a conflicting backfill is refused.
+            let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+            assert!(d.starts.is_empty());
+            assert_eq!(s.queue_len(), 2);
+        }
+
+        #[test]
+        fn early_completion_compresses_protected_jobs() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
+            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            let d = s.on_completion(JobId(0), SimTime::new(300));
+            assert_eq!(d.starts, vec![JobId(1)]);
+        }
+
+        #[test]
+        fn infinite_threshold_never_reserves() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, f64::INFINITY);
+            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            let d = s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            assert_eq!(d.wakeup, None, "no reservations, no crossings, no wake-ups");
+            assert_eq!(s.name(), "Selective(∞)/FCFS");
+            assert_eq!(
+                ConservativeScheduler::selective(8, Policy::Fcfs, 2.0).name(),
+                "Selective(2)/FCFS"
+            );
+        }
+
+        #[test]
+        #[should_panic(expected = "must be >= 1")]
+        fn rejects_sub_one_threshold() {
+            ConservativeScheduler::selective(8, Policy::Fcfs, 0.5);
+        }
+
+        #[test]
+        #[should_panic(expected = "must be >= 1")]
+        fn rejects_nan_threshold() {
+            ConservativeScheduler::selective(8, Policy::Fcfs, f64::NAN);
+        }
+
+        #[test]
+        fn due_protected_job_does_not_spin_same_instant_wakeups() {
+            // A protected job whose reservation is due but whose processors
+            // are held by an overrunning job must not answer a wake-up with
+            // another same-instant wake-up (nothing else can happen then).
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
+            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // protected at 100
+            assert_eq!(d.wakeup, Some(SimTime::new(100)));
+            // Job 0 overruns its estimate; the wake at 150 finds the machine
+            // busy.
+            let d = s.on_wake(SimTime::new(150));
+            assert!(d.starts.is_empty());
+            assert_ne!(
+                d.wakeup,
+                Some(SimTime::new(150)),
+                "would spin the event loop"
+            );
+            let d = s.on_completion(JobId(0), SimTime::new(200));
+            assert_eq!(d.starts, vec![JobId(1)]);
+        }
+
+        #[test]
+        fn exposes_profile_stats() {
+            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
+            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            s.on_completion(JobId(0), SimTime::new(300)); // early → compress
+            let stats = s.profile_stats().expect("selective keeps a profile");
+            assert!(stats.find_anchor_calls > 0);
+            assert_eq!(stats.compress_passes, 1);
+        }
+    }
+
+    /// `ConservativeScheduler::slack`.
+    mod slack {
+        use super::*;
+
+        fn sched(factor: f64) -> ConservativeScheduler {
+            ConservativeScheduler::slack(8, Policy::Fcfs, factor)
+        }
+
+        #[test]
+        fn idle_machine_starts_immediately_regardless_of_slack() {
+            let mut s = sched(10.0);
+            let d = s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            assert_eq!(d.starts, vec![JobId(0)]);
+        }
+
+        #[test]
+        fn promise_is_anchor_plus_slack() {
+            let mut s = sched(10.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0,100)
+            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            assert!(d.starts.is_empty());
+            // Earliest anchor 100, slack 10 × 50 = 500 -> promise at 600.
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(600)));
+        }
+
+        #[test]
+        fn job_starts_at_earliest_opportunity_not_at_promise() {
+            let mut s = sched(10.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // promised 600
+                                                              // Machine frees at 100: job 1 starts right away, well before 600.
+            let d = s.on_completion(JobId(0), SimTime::new(100));
+            assert_eq!(d.starts, vec![JobId(1)]);
+        }
+
+        #[test]
+        fn slack_window_admits_backfill_that_conservative_refuses() {
+            // Conservative: job 1 reserved at 100 blocks a 200-second 2-wide
+            // job (it would overlap the reservation). With slack 10 × 50,
+            // job 1's rectangle sits at 600, so the long narrow job
+            // backfills at once.
+            let mut s = sched(10.0);
+            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+            assert_eq!(
+                d.starts,
+                vec![JobId(2)],
+                "slack window should admit the backfill"
+            );
+        }
+
+        #[test]
+        fn promise_is_never_exceeded() {
+            // Even when backfills consume the slack window, the job starts
+            // by its promise: the rectangle at the promise was never given
+            // away.
+            let mut s = sched(1.0);
+            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1)); // promise 1100
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1_100)));
+            // Exact completion at 1000; job 1 starts at 1000 (early) or by
+            // its promise at the latest.
+            let d = s.on_completion(JobId(0), SimTime::new(1_000));
+            assert_eq!(d.starts, vec![JobId(1)]);
+        }
+
+        #[test]
+        fn zero_slack_promise_equals_conservative_anchor() {
+            let mut s = sched(0.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(100)));
+        }
+
+        #[test]
+        fn proportional_slack_scales_with_estimate() {
+            let mut s = sched(2.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            // anchor 100 + 2*50 = 200.
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(200)));
+        }
+
+        #[test]
+        fn early_start_rescans_from_the_head() {
+            // Jobs 2 and 3 share [150, 200), which blocks job 1's window.
+            // Once job 2 starts ahead of its promise, half of that span
+            // frees up, so job 1 — ranked first, passed over once — starts
+            // in the same pass, ahead of job 3.
+            let mut s = sched(1.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0, 100)
+            s.on_arrival(meta(1, 1, 150, 4), SimTime::new(1)); // promise 250
+            s.on_arrival(meta(2, 2, 50, 4), SimTime::new(2)); // promise 150
+            s.on_arrival(meta(3, 3, 50, 4), SimTime::new(3)); // promise 150
+            assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(250)));
+            assert_eq!(s.guarantee(JobId(2)), Some(SimTime::new(150)));
+            assert_eq!(s.guarantee(JobId(3)), Some(SimTime::new(150)));
+            let d = s.on_completion(JobId(0), SimTime::new(40));
+            assert_eq!(d.starts, vec![JobId(2), JobId(1)]);
+            assert_eq!(s.guarantee(JobId(3)), Some(SimTime::new(150)));
+        }
+
+        #[test]
+        fn name_reports_slack_policy() {
+            assert_eq!(sched(2.0).name(), "Slack(2×est)/FCFS");
+            assert_eq!(
+                ConservativeScheduler::slack(8, Policy::Sjf, 0.5).name(),
+                "Slack(0.5×est)/SJF"
+            );
+        }
+
+        #[test]
+        fn rejects_negative_nan_and_infinite_factors() {
+            for bad in [-1.0, f64::NAN, f64::INFINITY] {
+                let built = std::panic::catch_unwind(|| sched(bad));
+                assert!(built.is_err(), "slack factor {bad} accepted");
+            }
+        }
+
+        #[test]
+        fn due_promise_does_not_spin_same_instant_wakeups() {
+            let mut s = sched(0.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
+            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // promised 100
+            assert_eq!(d.wakeup, Some(SimTime::new(100)));
+            // Job 0 overruns; the wake at 150 finds the machine still busy.
+            let d = s.on_wake(SimTime::new(150));
+            assert!(d.starts.is_empty());
+            assert_ne!(
+                d.wakeup,
+                Some(SimTime::new(150)),
+                "would spin the event loop"
+            );
+        }
+
+        #[test]
+        fn exposes_profile_stats() {
+            let mut s = sched(10.0);
+            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            let stats = s.profile_stats().expect("slack keeps a profile");
+            assert!(stats.find_anchor_calls >= 2);
+            assert!(stats.reserves >= 2);
+        }
     }
 }

@@ -8,12 +8,13 @@
 //! * [`policy`] — FCFS / SJF / XFactor queue priorities (plus ablations);
 //! * [`scheduler`] — the event-driven [`Scheduler`] interface;
 //! * [`fcfs`] — the no-backfill baseline;
-//! * [`conservative`] — reservation-per-job backfilling with priority-
-//!   ordered compression on early completions;
-//! * [`selective`] — the paper's proposed middle ground: reservations only
-//!   for jobs whose expansion factor crosses a threshold;
-//! * [`slack`] — slack-based backfilling (Talby & Feitelson), the paper's
-//!   reference \[13\]: every job holds a promise with built-in slack;
+//! * [`conservative`] — the reservation-list family, one scheduler with
+//!   three constructors: conservative backfilling (a reservation per job,
+//!   priority-ordered compression on early completions), selective
+//!   backfilling (the paper's proposed middle ground: reservations only
+//!   for jobs whose expansion factor crosses a threshold) and slack-based
+//!   backfilling (Talby & Feitelson, the paper's reference \[13\]: every
+//!   job holds a promise with built-in slack);
 //! * [`depth`] — reservation-depth backfilling: protect the top *k* queued
 //!   jobs, the EASY↔conservative continuum of Chiang et al. Depth 1 is
 //!   aggressive (EASY) backfilling with a single pivot reservation;
@@ -33,8 +34,6 @@ pub mod preemptive;
 pub mod profile;
 pub mod queue;
 pub mod scheduler;
-pub mod selective;
-pub mod slack;
 
 pub use conservative::{Compression, ConservativeScheduler};
 pub use depth::DepthScheduler;
@@ -44,5 +43,3 @@ pub use preemptive::PreemptiveScheduler;
 pub use profile::{Profile, ProfileStats, Segment};
 pub use queue::{QueueCounters, SchedQueue};
 pub use scheduler::{Decisions, JobMeta, Scheduler};
-pub use selective::SelectiveScheduler;
-pub use slack::{SlackPolicy, SlackScheduler};

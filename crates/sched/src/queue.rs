@@ -24,11 +24,10 @@
 //!   inserted in between.
 //!
 //! `insertion_index` is the one binary-search placement: `push` uses it
-//! for each arrival, and the conservative scheduler uses it to merge the
-//! arrivals appended to its reservation list since the last compression
-//! pass. [`repair_order`] is how the selective scheduler, and the
-//! conservative one under XFactor, re-order their reservation lists on
-//! each compression pass.
+//! for each arrival, and the reservation-list scheduler (conservative,
+//! selective, slack) uses it to merge the reservations appended to its
+//! list since the last compression pass. [`repair_order`] is how that
+//! list is re-ordered under XFactor on each compression pass.
 //!
 //! Dequeues come off a `VecDeque`: the schedulers' phase-1 "start from the
 //! head while it fits" loop pops in O(1) where `Vec::remove(0)` shifted
