@@ -15,6 +15,13 @@
 //!   removal and on every trim: ~1.0 per reserve/release on this cell.
 //!   The chunked profile rebuilds its chunk tree only when the chunk
 //!   count changes.
+//!
+//! A third gate pins the XFactor queue work exactly, on the same cell
+//! under EASY and Conservative: `queue_moves` counts the entries the
+//! certificate-ordered job lists re-place, one per crossing pair or
+//! misplaced append, and `queue_sorts` the ordering passes that moved
+//! anything. Both are functions of the schedule alone, so any change to
+//! either list's maintenance — or to the decisions — moves them.
 
 use backfill_sim::prelude::*;
 
@@ -88,6 +95,32 @@ fn deep_queue_conservative_rebuilds_the_index_only_on_chunk_count_changes() {
             per_mutation <= REBUILDS_PER_MUTATION,
             "{policy}: {per_mutation:.3} tree rebuilds per reserve/release > \
              {REBUILDS_PER_MUTATION}"
+        );
+    }
+}
+
+/// `(queue_moves, queue_sorts)` of the seed-7 deep cell under XFactor.
+const EASY_XF_QUEUE_WORK: (u64, u64) = (16_960, 4_133);
+const CONS_XF_QUEUE_WORK: (u64, u64) = (12_556, 2_094);
+
+#[test]
+fn deep_queue_xfactor_moves_are_pinned() {
+    let trace = deep_queue_trace();
+    for (kind, pinned) in [
+        (SchedulerKind::Easy, EASY_XF_QUEUE_WORK),
+        (SchedulerKind::Conservative, CONS_XF_QUEUE_WORK),
+    ] {
+        let schedule = simulate(&trace, kind, Policy::XFactor);
+        let stats = schedule.profile_stats.expect("both keep a profile");
+        eprintln!(
+            "work counters {kind:?}/XF: {} queue moves in {} moving passes \
+             ({} passes moved nothing), {} events",
+            stats.queue_moves, stats.queue_sorts, stats.queue_sorts_avoided, schedule.events
+        );
+        assert_eq!(
+            (stats.queue_moves, stats.queue_sorts),
+            pinned,
+            "{kind:?}/XF queue work changed"
         );
     }
 }

@@ -478,6 +478,16 @@ fn parse_policy(s: &str) -> Policy {
     }
 }
 
+/// Print the usage line and exit 0 (`--help`/`-h`, before or after the
+/// command).
+fn usage() -> ! {
+    println!(
+        "usage: bfsim <simulate|generate|inspect|compare|submit|stats|metrics|health|\
+         shutdown|bench|sweep|shards|timeline|coord-status> [flags]; see module docs"
+    );
+    std::process::exit(0);
+}
+
 fn parse_cli(args: &[String]) -> Cli {
     let mut cli = Cli::default();
     let mut it = args.iter().cloned();
@@ -485,11 +495,7 @@ fn parse_cli(args: &[String]) -> Cli {
         .next()
         .unwrap_or_else(|| die("missing command (try --help)"));
     if cli.command == "--help" || cli.command == "-h" {
-        println!(
-            "usage: bfsim <simulate|generate|inspect|compare|submit|stats|metrics|health|\
-             shutdown|bench|sweep|shards|timeline|coord-status> [flags]; see module docs"
-        );
-        std::process::exit(0);
+        usage();
     }
     let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
         it.next()
@@ -633,6 +639,7 @@ fn parse_cli(args: &[String]) -> Cli {
                 let _ = next(&mut it, "--log-level");
             }
             "--log-json" | "--log-elapsed" => {}
+            "--help" | "-h" => usage(),
             "--reps" => {
                 cli.reps = Some(
                     next(&mut it, "--reps")
@@ -753,7 +760,7 @@ fn cmd_simulate(cli: &Cli) {
         println!(
             "profile ops: {} anchors ({:.1} segs/anchor, {} tree descents, \
              {:.1} nodes/descent) | {} reserves | {} releases | \
-             {} compress passes | peak {} segments",
+             {} compress passes | peak {} segments | {} queue moves",
             p.find_anchor_calls,
             p.segments_per_anchor(),
             p.tree_descents,
@@ -761,7 +768,8 @@ fn cmd_simulate(cli: &Cli) {
             p.reserves,
             p.releases,
             p.compress_passes,
-            p.peak_segments
+            p.peak_segments,
+            p.queue_moves
         );
         println!("alloc path:  {} scratch reuses", p.scratch_reuses);
     }

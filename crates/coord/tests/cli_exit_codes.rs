@@ -7,7 +7,8 @@
 //! whose `--canonical-out` projection must be byte-identical to an
 //! undisturbed run's. Drives the real binary the way CI does, against
 //! in-process daemons. Also pins exit 2 (usage) for scheduler parameters
-//! the schedulers would reject.
+//! the schedulers would reject, and exit 0 with the usage line for
+//! `--help`/`-h` wherever it appears.
 
 use backfill_sim::SchedulerKind;
 use bench_lib::sweep::{SweepSpec, TraceModel};
@@ -514,6 +515,32 @@ fn bad_scheduler_parameters_exit_2() {
         assert!(
             stderr.contains("bad --scheduler") && stderr.contains(scheduler),
             "{scheduler}: stderr: {stderr}"
+        );
+    }
+}
+
+/// `--help` or `-h` prints the usage and exits 0 before or after the
+/// command, and after other flags; it never dies as an unknown flag.
+#[test]
+fn help_after_the_command_prints_usage_and_exits_0() {
+    for args in [
+        &["--help"][..],
+        &["-h"],
+        &["simulate", "--help"],
+        &["sweep", "-h"],
+        &["simulate", "--jobs", "50", "--help"],
+    ] {
+        let out = bfsim().args(args).output().expect("spawn bfsim");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: stderr: {}",
+            stderr_of(&out)
+        );
+        assert!(
+            stdout.starts_with("usage: bfsim"),
+            "{args:?}: stdout: {stdout}"
         );
     }
 }

@@ -286,6 +286,7 @@ pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
     registry
         .counter("sim.queue.sorts_avoided")
         .add(stats.queue_sorts_avoided);
+    registry.counter("sim.queue.moves").add(stats.queue_moves);
     registry
         .counter("sim.scratch_reuses")
         .add(stats.scratch_reuses);

@@ -39,7 +39,7 @@
 
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
-use crate::queue::{insertion_index, repair_order, OrderScratch, SchedQueue};
+use crate::queue::{Queued, SchedQueue};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,12 @@ struct Reservation {
     start: SimTime,
 }
 
+impl Queued for Reservation {
+    fn job(&self) -> &JobMeta {
+        &self.meta
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Running {
     width: u32,
@@ -107,12 +113,11 @@ pub struct ConservativeScheduler {
     policy: Policy,
     family: Family,
     profile: Profile,
-    queue: Vec<Reservation>,
-    /// Static-key policies: the length of `queue`'s prefix that is in
-    /// priority order. Entries past it are the reservations appended since
-    /// the last compression pass, which merges them in; order-keeping
-    /// removals inside the prefix shrink it. Unused under XFactor.
-    sorted: usize,
+    /// The reservation list. Only compression passes order it
+    /// ([`Self::compress_pass`]); between them the due-start scan reads it
+    /// in stored order — the last pass's order, less the started jobs,
+    /// plus the reservations made since.
+    queue: SchedQueue<Reservation>,
     /// The earliest reservation start in `queue` (`None` when it is
     /// empty). Starts only fall between scans — a new reservation, a
     /// compression move — so both lower it with `min`; the scans that
@@ -139,8 +144,6 @@ pub struct ConservativeScheduler {
     /// buffer of the previous event's [`Decisions`] (handed back by the
     /// driver via [`Scheduler::recycle`]), whose capacity serves the next.
     starts: Vec<JobId>,
-    /// Reusable buffers for the XFactor order repair.
-    order_scratch: OrderScratch<Reservation>,
 }
 
 impl ConservativeScheduler {
@@ -190,8 +193,7 @@ impl ConservativeScheduler {
             policy,
             family,
             profile: Profile::new(capacity),
-            queue: Vec::new(),
-            sorted: 0,
+            queue: SchedQueue::new(policy),
             next_start: None,
             unreserved: SchedQueue::new(policy),
             running: HashMap::new(),
@@ -200,7 +202,6 @@ impl ConservativeScheduler {
             recorder: None,
             phases: None,
             starts: Vec::new(),
-            order_scratch: OrderScratch::default(),
         }
     }
 
@@ -270,14 +271,6 @@ impl ConservativeScheduler {
             start: anchor,
         });
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
-    }
-
-    /// Remove the reservation at `i`, keeping the sorted-prefix count.
-    fn take(&mut self, i: usize) -> Reservation {
-        if i < self.sorted {
-            self.sorted -= 1;
-        }
-        self.queue.remove(i)
     }
 
     fn start_job(&mut self, job: JobMeta, now: SimTime) {
@@ -370,7 +363,7 @@ impl ConservativeScheduler {
             let res = self.queue[i];
             if res.start <= now {
                 if res.meta.width <= self.free {
-                    self.take(i);
+                    self.queue.remove(i);
                     self.start_job(res.meta, now);
                     // `remove` shifted the next candidate into slot `i`.
                     continue;
@@ -445,51 +438,10 @@ impl ConservativeScheduler {
         crossing
     }
 
-    /// Bring the reservation list into priority order for a compression
-    /// pass. Between passes the list changes only by order-keeping
-    /// removals, appended reservations and, under XFactor, the few ranks
-    /// that cross as jobs age:
-    ///
-    /// * static-key policies merge just the appended reservations into the
-    ///   sorted prefix, one `insertion_index` search and one rotate
-    ///   each — the prefix is untouched otherwise;
-    /// * XFactor re-keys every entry, so [`repair_order`] restores the
-    ///   order in place, one linear pass when it is nearly in order.
-    ///
-    /// Either way the result is the unique sequence a full sort by
-    /// `Policy::compare` would produce.
-    fn order_queue(&mut self, now: SimTime) {
-        let reordered = if self.policy == Policy::XFactor {
-            if self.order_scratch.is_warm() {
-                self.profile.note_scratch_reuse();
-            }
-            repair_order(
-                &mut self.queue,
-                self.policy,
-                now,
-                &mut self.order_scratch,
-                |r| r.meta,
-            )
-        } else {
-            let mut moved = false;
-            while self.sorted < self.queue.len() {
-                let n = self.sorted;
-                let job = self.queue[n].meta;
-                let idx = insertion_index(self.policy, &job, n, |k| self.queue[k].meta);
-                self.queue[idx..=n].rotate_right(1);
-                moved |= idx < n;
-                self.sorted += 1;
-            }
-            moved
-        };
-        self.profile
-            .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
-    }
-
     /// Order the reservation list, then compress it, each under its phase.
     fn compress_pass(&mut self, now: SimTime) {
         let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
-        self.order_queue(now);
+        self.queue.prepare(now);
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         let t0 = obs::span::start_nested(&self.phases, obs::Phase::Compress);
         self.compress(now);
@@ -519,7 +471,7 @@ impl ConservativeScheduler {
     /// against a profile still containing everyone else's guarantee), so
     /// restoring it is always possible — asserted below.
     ///
-    /// The queue is in priority order on entry ([`Self::order_queue`]).
+    /// The queue is in priority order on entry ([`Self::compress_pass`]).
     /// In the start-now modes (`Backfill`/`HeadStart`), a job wider than
     /// `cap` — the free level at `now` — is rejected in O(1): every probe
     /// window opens at `now`, where the job's own rectangle (starting
@@ -541,7 +493,7 @@ impl ConservativeScheduler {
             if res.start <= now {
                 // Already due: collect() starts it, or slack starts it here.
                 if eager && res.meta.width <= self.free {
-                    self.take(i);
+                    self.queue.remove(i);
                     self.start_job(res.meta, now);
                 } else {
                     i += 1;
@@ -586,7 +538,7 @@ impl ConservativeScheduler {
                         self.move_to_now(i, now);
                         cap = self.profile.free_at(now);
                         if eager {
-                            self.take(i);
+                            self.queue.remove(i);
                             self.start_job(res.meta, now);
                             i = 0;
                             continue;
@@ -709,6 +661,7 @@ impl Scheduler for ConservativeScheduler {
 
     fn profile_stats(&self) -> Option<ProfileStats> {
         let mut stats = self.profile.stats();
+        self.queue.counters().merge_into(&mut stats);
         self.unreserved.counters().merge_into(&mut stats);
         Some(stats)
     }

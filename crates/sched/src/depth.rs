@@ -13,9 +13,9 @@
 //! conservative's protection (without its arrival-order guarantees).
 //!
 //! At every arrival, completion and wake-up the scheduler:
-//! 1. establishes priority order via the incrementally maintained
-//!    [`SchedQueue`] (static-key policies stay permanently sorted; XFactor
-//!    re-keys once per distinct event instant);
+//! 1. establishes priority order via the certificate-ordered
+//!    [`SchedQueue`] (it places the arrivals and, under XFactor, only the
+//!    jobs whose ranks crossed since the last event);
 //! 2. starts jobs from the head while they fit in the free processors;
 //! 3. gives the top `k` blocked jobs reservations, in priority order, each
 //!    at its earliest anchor given the running jobs and the reservations

@@ -21,8 +21,8 @@
 //! * [`preemptive`] — EASY (a depth-1 [`DepthScheduler`]) with selective
 //!   preemption of running jobs (the authors' companion strategy, their
 //!   reference \[6\]);
-//! * [`queue`] — incrementally maintained priority queues shared by the
-//!   schedulers' event-loop hot paths.
+//! * [`queue`] — the one certificate-ordered job list behind every wait
+//!   queue and the reservation list.
 
 #![warn(missing_docs)]
 

@@ -75,42 +75,102 @@ impl Policy {
 
     /// Compare two queued jobs at time `now`; `Less` means `a` has higher
     /// priority (comes first). Total order for any fixed `now`.
+    ///
+    /// XFactor compares exactly, in integers: `xf = 1 + wait / e` with
+    /// `e = max(estimate, 1)`, so `a` leads when `wait_a · e_b >
+    /// wait_b · e_a` — the cross-multiplied `(wait + e)` form with the
+    /// common `e_a · e_b` taken off both sides. The products fit `u128`
+    /// for any `u64` times. [`xfactor`](Policy::xfactor) rounds, so where
+    /// two expansion factors differ by less than an `f64` ulp it ties and
+    /// the arrival tie-break decides; here the larger ratio leads.
     pub fn compare(self, a: &JobMeta, b: &JobMeta, now: SimTime) -> Ordering {
-        self.compare_keyed(a, self.key(a, now), b, self.key(b, now))
-    }
-
-    /// The time-dependent part of a job's priority at `now`, computed once
-    /// per job by callers that compare many pairs: its expansion factor
-    /// under XFactor, and 0 under the static-key policies (whose order
-    /// ignores `now`).
-    pub fn key(self, job: &JobMeta, now: SimTime) -> f64 {
-        if self == Policy::XFactor {
-            Self::xfactor(job, now)
-        } else {
-            0.0
-        }
-    }
-
-    /// [`compare`](Policy::compare) with each job's [`key`](Policy::key)
-    /// already computed: the same total order, without recomputing the
-    /// expansion factor per comparison.
-    pub fn compare_keyed(self, a: &JobMeta, ka: f64, b: &JobMeta, kb: f64) -> Ordering {
         let primary = match self {
             Policy::Fcfs => Ordering::Equal, // arrival tie-break decides
             Policy::Sjf => a.estimate.cmp(&b.estimate),
-            Policy::XFactor => kb.total_cmp(&ka),
+            Policy::XFactor => {
+                let (wa, ea) = aging(a, now);
+                let (wb, eb) = aging(b, now);
+                (u128::from(wb) * u128::from(ea)).cmp(&(u128::from(wa) * u128::from(eb)))
+            }
             Policy::Ljf => b.estimate.cmp(&a.estimate),
             Policy::WidestFirst => b.width.cmp(&a.width),
         };
-        primary
-            .then(a.arrival.cmp(&b.arrival))
-            .then(a.id.cmp(&b.id))
+        primary.then_with(|| wins_ties(a, b))
+    }
+
+    /// The first whole second after `now` at which `b` orders before `a`,
+    /// for a pair where `a` orders before `b` at `now`; `u64::MAX` when
+    /// that never happens. Only XFactor orders change with time: the
+    /// comparison margin `D(t) = e_b · wait_a(t) − e_a · wait_b(t)` is
+    /// linear in `t` with slope `e_b − e_a`, so the pair flips at most
+    /// once — when the job with the shorter estimate overtakes — at the
+    /// first `t` where `D` turns negative (or reaches zero, if `b` wins
+    /// the tie-break). The division is exact: `u64` when every term fits
+    /// 32 bits (a hardware divide), `u128` otherwise; an instant past
+    /// `u64::MAX` is "never".
+    ///
+    /// A job that arrives after `now` (its wait saturates at zero, so its
+    /// expansion factor is not yet linear) gives `now + 1`: still a lower
+    /// bound on the flip, the only promise a caller relies on.
+    pub fn flip_time(self, a: &JobMeta, b: &JobMeta, now: SimTime) -> u64 {
+        if self != Policy::XFactor {
+            return u64::MAX;
+        }
+        let t = now.as_secs();
+        if a.arrival > now || b.arrival > now {
+            return t.saturating_add(1);
+        }
+        debug_assert_eq!(self.compare(a, b, now), Ordering::Less, "pair out of order");
+        let (wa, ea) = aging(a, now);
+        let (wb, eb) = aging(b, now);
+        if ea <= eb {
+            // `a` ages at least as fast as `b`: the margin never shrinks.
+            return u64::MAX;
+        }
+        let slope = ea - eb;
+        let a_wins_ties = wins_ties(a, b) == Ordering::Less;
+        // Seconds from `now` until the margin crosses zero: past the zero
+        // when `a` keeps ties, onto it when `b` takes them.
+        let steps = if (wa | wb | ea | eb) >> 32 == 0 {
+            let margin = eb * wa - ea * wb;
+            u128::from(if a_wins_ties {
+                margin / slope + 1
+            } else {
+                margin.div_ceil(slope)
+            })
+        } else {
+            let margin = u128::from(eb) * u128::from(wa) - u128::from(ea) * u128::from(wb);
+            let slope = u128::from(slope);
+            if a_wins_ties {
+                margin / slope + 1
+            } else {
+                margin.div_ceil(slope)
+            }
+        };
+        u64::try_from(steps)
+            .ok()
+            .and_then(|s| t.checked_add(s))
+            .unwrap_or(u64::MAX)
     }
 
     /// Sort a queue into priority order (highest priority first) at `now`.
     pub fn sort(self, queue: &mut [JobMeta], now: SimTime) {
         queue.sort_by(|a, b| self.compare(a, b, now));
     }
+}
+
+/// A queued job's wait at `now` and its estimate, floored at one second:
+/// `xf = 1 + wait / estimate`.
+fn aging(job: &JobMeta, now: SimTime) -> (u64, u64) {
+    (
+        now.since(job.arrival).as_secs(),
+        job.estimate.as_secs().max(1),
+    )
+}
+
+/// The tie-break every policy shares: earlier arrival, then lower id.
+fn wins_ties(a: &JobMeta, b: &JobMeta) -> Ordering {
+    a.arrival.cmp(&b.arrival).then(a.id.cmp(&b.id))
 }
 
 impl std::fmt::Display for Policy {

@@ -540,15 +540,17 @@ pub struct ProfileStats {
     pub compress_passes: u64,
     /// Largest segment count the profile ever reached.
     pub peak_segments: u64,
-    /// Queued jobs placed by incremental binary-search insertion instead
-    /// of being re-sorted into place (static-key policies).
+    /// Entries appended to the schedulers' ordered job lists
+    /// ([`crate::SchedQueue`]: wait queues and the reservation list).
     pub queue_inserts: u64,
-    /// Full queue sorts actually performed (time-dependent policies such
-    /// as XFactor re-key and sort once per event).
+    /// Ordering passes over those lists that moved at least one entry.
+    /// (The name stays: reports and the benchmark read it.)
     pub queue_sorts: u64,
-    /// Per-event queue sorts skipped because the incremental order was
-    /// already correct (static-key policies never re-sort).
+    /// Ordering passes that moved nothing.
     pub queue_sorts_avoided: u64,
+    /// Entries re-placed by ordering passes: appended entries that did not
+    /// belong at the back, and jobs an XFactor crossing moved.
+    pub queue_moves: u64,
     /// Running-set profile rebuilds performed from scratch.
     pub profile_rebuilds: u64,
     /// Running-set profile rebuilds served from the incrementally
@@ -583,6 +585,7 @@ impl ProfileStats {
         self.queue_inserts += other.queue_inserts;
         self.queue_sorts += other.queue_sorts;
         self.queue_sorts_avoided += other.queue_sorts_avoided;
+        self.queue_moves += other.queue_moves;
         self.profile_rebuilds += other.profile_rebuilds;
         self.profile_rebuilds_avoided += other.profile_rebuilds_avoided;
         self.fits_cache_hits += other.fits_cache_hits;
@@ -627,9 +630,6 @@ struct Counters {
     releases: Cell<u64>,
     compress_passes: Cell<u64>,
     peak_segments: Cell<u64>,
-    queue_inserts: Cell<u64>,
-    queue_sorts: Cell<u64>,
-    queue_sorts_avoided: Cell<u64>,
     fits_cache_hits: Cell<u64>,
     fits_cache_misses: Cell<u64>,
     scratch_reuses: Cell<u64>,
@@ -869,14 +869,12 @@ impl Profile {
             releases: self.stats.releases.get(),
             compress_passes: self.stats.compress_passes.get(),
             peak_segments: self.stats.peak_segments.get(),
-            queue_inserts: self.stats.queue_inserts.get(),
-            queue_sorts: self.stats.queue_sorts.get(),
-            queue_sorts_avoided: self.stats.queue_sorts_avoided.get(),
             profile_rebuilds: 0,
             profile_rebuilds_avoided: 0,
             fits_cache_hits: self.stats.fits_cache_hits.get(),
             fits_cache_misses: self.stats.fits_cache_misses.get(),
             scratch_reuses: self.stats.scratch_reuses.get(),
+            ..ProfileStats::default()
         }
     }
 
@@ -892,9 +890,6 @@ impl Profile {
         self.stats.releases.set(0);
         self.stats.compress_passes.set(0);
         self.stats.peak_segments.set(self.len as u64);
-        self.stats.queue_inserts.set(0);
-        self.stats.queue_sorts.set(0);
-        self.stats.queue_sorts_avoided.set(0);
         self.stats.fits_cache_hits.set(0);
         self.stats.fits_cache_misses.set(0);
         self.stats.scratch_reuses.set(0);
@@ -905,18 +900,6 @@ impl Profile {
     /// [`ProfileStats`] carries the whole hot-path story.
     pub fn note_compress_pass(&self) {
         bump(&self.stats.compress_passes, 1);
-    }
-
-    /// Record queue-order maintenance work by the owning scheduler: jobs
-    /// placed by incremental insertion, full sorts performed, and sorts
-    /// skipped because the maintained order was already correct. Like
-    /// [`Profile::note_compress_pass`], the events happen at the scheduler
-    /// level; the counters live here so one [`ProfileStats`] carries the
-    /// whole hot-path story.
-    pub fn note_queue_ops(&self, inserts: u64, sorts: u64, sorts_avoided: u64) {
-        bump(&self.stats.queue_inserts, inserts);
-        bump(&self.stats.queue_sorts, sorts);
-        bump(&self.stats.queue_sorts_avoided, sorts_avoided);
     }
 
     /// Record one scheduler scratch-buffer reuse: a hot-loop pass (a

@@ -4,9 +4,11 @@
 //! run selective and slack-based backfilling as admission and promise
 //! rules on the conservative scheduler's reservation list. The modules
 //! below keep the two schedulers they replaced, verbatim apart from their
-//! `use` lines, as references: selective with its own reserved list,
-//! unreserved queue and compression loop, slack with a whole-queue stable
-//! sort and a start-now probe of every job on every event.
+//! `use` lines and selective's order repair (now a full sort of its
+//! reserved list, with no counters), as references: selective with its
+//! own reserved list, unreserved queue and compression loop, slack with a
+//! whole-queue stable sort and a start-now probe of every job on every
+//! event.
 //!
 //! Shipped scheduler and reference run in lockstep over arbitrary small
 //! traces — simultaneous arrivals and completions, estimates that are
@@ -60,7 +62,7 @@ mod selective_ref {
     //! reserves on arrival (conservative), `threshold = ∞` never reserves
     //! (pure free-for-all backfilling, more aggressive than EASY).
 
-    use sched::queue::{repair_order, OrderScratch, SchedQueue};
+    use sched::queue::SchedQueue;
     use sched::{Decisions, JobMeta, Policy, Profile, ProfileStats, Scheduler};
     use simcore::{JobId, SimSpan, SimTime};
     use std::collections::HashMap;
@@ -95,8 +97,6 @@ mod selective_ref {
         free: u32,
         /// Recycled `starts` buffer from the previous event's [`Decisions`].
         starts_scratch: Vec<JobId>,
-        /// Reusable buffers for the compression pass's order repair.
-        order_scratch: OrderScratch<Reservation>,
     }
 
     impl SelectiveScheduler {
@@ -117,7 +117,6 @@ mod selective_ref {
                 running: HashMap::new(),
                 free: capacity,
                 starts_scratch: Vec::new(),
-                order_scratch: OrderScratch::default(),
             }
         }
 
@@ -153,18 +152,9 @@ mod selective_ref {
         /// Re-anchor reservations after a hole opened (early completion).
         fn compress(&mut self, now: SimTime) {
             self.profile.note_compress_pass();
-            if self.order_scratch.is_warm() {
-                self.profile.note_scratch_reuse();
-            }
-            let reordered = repair_order(
-                &mut self.reserved,
-                self.policy,
-                now,
-                &mut self.order_scratch,
-                |r| r.meta,
-            );
-            self.profile
-                .note_queue_ops(0, u64::from(reordered), u64::from(!reordered));
+            let policy = self.policy;
+            self.reserved
+                .sort_by(|a, b| policy.compare(&a.meta, &b.meta, now));
             for i in 0..self.reserved.len() {
                 let res = self.reserved[i];
                 // If the rectangle fits at `now` with the job's own

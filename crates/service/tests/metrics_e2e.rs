@@ -64,6 +64,7 @@ fn metrics_verb_answers_one_canonical_snapshot() {
         "sim.profile.find_anchor_calls",
         "sim.profile.reserves",
         "sim.queue.inserts",
+        "sim.queue.moves",
         "sim.profile.fits_cache.hits",
     ] {
         assert!(json.contains(name), "metrics missing {name}:\n{json}");
