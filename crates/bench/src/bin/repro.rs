@@ -2,14 +2,15 @@
 //!
 //! ```text
 //! repro [EXPERIMENT...] [--quick] [--jobs N] [--seeds a,b,c] [--load RHO] [--csv DIR]
-//!       [--log-level SPEC] [--log-json]
+//!       [--log-level SPEC] [--log-json] [--log-elapsed]
 //! ```
 //!
 //! With no experiment names, everything runs (in paper order). `--quick`
 //! uses a small configuration for smoke runs. `--csv DIR` additionally
 //! writes each table as a CSV file into `DIR`. `--log-level` takes the
 //! `BFSIM_LOG` filter grammar and wins over the environment; per-
-//! experiment timing lines are logged at `info`.
+//! experiment timing lines are logged at `info`. `--log-json` and
+//! `--log-elapsed` work as for `bfsim`.
 //!
 //! Experiments: `table1 table2 table3 fig1 fig2 table4 equiv table5
 //! table6 fig3 fig4 table7 load-sweep selective compression policies`.
@@ -56,17 +57,10 @@ fn parse_args(args: &[String]) -> Args {
                     .unwrap_or_else(|| die("--load needs a number"));
             }
             "--csv" => csv_dir = Some(it.next().unwrap_or_else(|| die("--csv needs a dir"))),
-            // Consumed by init_logging before parsing; skip here.
-            "--log-level" => {
-                let _ = it
-                    .next()
-                    .unwrap_or_else(|| die("--log-level needs a value"));
-            }
-            "--log-json" => {}
             "--help" | "-h" => {
                 println!(
                     "usage: repro [EXPERIMENT...] [--quick] [--jobs N] [--seeds a,b,c] \
-                     [--load RHO] [--csv DIR] [--log-level SPEC] [--log-json]"
+                     [--load RHO] [--csv DIR] [--log-level SPEC] [--log-json] [--log-elapsed]"
                 );
                 println!("experiments: {}", ALL.join(" "));
                 std::process::exit(0);
@@ -85,38 +79,6 @@ fn parse_args(args: &[String]) -> Args {
 fn die(msg: &str) -> ! {
     obs::error!(target: "repro", "{msg}");
     std::process::exit(2);
-}
-
-/// Install the global logger before flag parsing so `die` goes through
-/// it. Mirrors `bfsim`'s logging flags.
-fn init_logging(args: &[String]) {
-    let mut spec: Option<String> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log-level" => spec = it.next().cloned(),
-            "--log-json" => json = true,
-            _ => {}
-        }
-    }
-    let filter = match &spec {
-        Some(spec) => obs::log::Filter::parse(spec).unwrap_or_else(|e| {
-            eprintln!("repro: bad --log-level: {e}");
-            std::process::exit(2);
-        }),
-        None => match std::env::var("BFSIM_LOG") {
-            Ok(env_spec) if !env_spec.trim().is_empty() => obs::log::Filter::parse(&env_spec)
-                .unwrap_or_else(|_| obs::log::Filter::uniform(obs::log::Level::Warn)),
-            _ => obs::log::Filter::uniform(obs::log::Level::Error),
-        },
-    };
-    let _ = obs::log::init(obs::log::LogConfig {
-        filter,
-        json,
-        sink: obs::log::Sink::Stderr,
-        elapsed: false,
-    });
 }
 
 const ALL: [&str; 23] = [
@@ -192,8 +154,7 @@ fn run(name: &str, opts: &Opts) -> Vec<Table> {
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    init_logging(&argv);
+    let argv = obs::log::init_cli("repro", std::env::args().skip(1).collect());
     let args = parse_args(&argv);
     let names: Vec<String> = if args.names.is_empty() {
         ALL.iter().map(|s| s.to_string()).collect()

@@ -22,6 +22,10 @@
 //! misplaced append, and `queue_sorts` the ordering passes that moved
 //! anything. Both are functions of the schedule alone, so any change to
 //! either list's maintenance — or to the decisions — moves them.
+//!
+//! A fourth pins that the counters do not depend on the build profile:
+//! the reservation-depth schedulers report no profile rebuilds in debug
+//! and release alike.
 
 use backfill_sim::prelude::*;
 
@@ -122,5 +126,31 @@ fn deep_queue_xfactor_moves_are_pinned() {
             pinned,
             "{kind:?}/XF queue work changed"
         );
+    }
+}
+
+/// The reservation-depth pass keeps its running profile incrementally;
+/// debug builds also check it against a rebuild, which must not count as
+/// one. EASY, Depth(k) and Preemptive therefore report zero rebuilds in
+/// every build, so a debug daemon's reports equal a release daemon's.
+#[test]
+fn reservation_depth_runs_report_no_profile_rebuilds() {
+    let trace = Scenario {
+        source: TraceSource::Ctc { jobs: 500, seed: 7 },
+        estimate: EstimateModel::User(UserModelParams::capped(SimSpan::from_hours(18))),
+        estimate_seed: 7,
+        load: Some(1.5),
+    }
+    .materialize();
+    for kind in [
+        SchedulerKind::Easy,
+        SchedulerKind::Depth { depth: 4 },
+        SchedulerKind::Preemptive { threshold: 5.0 },
+    ] {
+        let stats = simulate(&trace, kind, Policy::Fcfs)
+            .profile_stats
+            .expect("reservation-depth schedulers keep a profile");
+        assert_eq!(stats.profile_rebuilds, 0, "{kind:?}");
+        assert!(stats.profile_rebuilds_avoided > 0, "{kind:?}");
     }
 }

@@ -272,41 +272,6 @@ fn interrupt_flag() -> Arc<AtomicBool> {
     flag
 }
 
-/// Install the global logger before full CLI parsing, so `die` and every
-/// later record go through it. The `--log-level` flag beats `BFSIM_LOG`;
-/// with neither, errors still print.
-fn init_logging(args: &[String]) {
-    let mut spec: Option<String> = None;
-    let mut json = false;
-    let mut elapsed = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log-level" => spec = it.next().cloned(),
-            "--log-json" => json = true,
-            "--log-elapsed" => elapsed = true,
-            _ => {}
-        }
-    }
-    let filter = match &spec {
-        Some(spec) => obs::log::Filter::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bfsim: bad --log-level: {e}");
-            std::process::exit(2);
-        }),
-        None => match std::env::var("BFSIM_LOG") {
-            Ok(env_spec) if !env_spec.trim().is_empty() => obs::log::Filter::parse(&env_spec)
-                .unwrap_or_else(|_| obs::log::Filter::uniform(obs::log::Level::Warn)),
-            _ => obs::log::Filter::uniform(obs::log::Level::Error),
-        },
-    };
-    let _ = obs::log::init(obs::log::LogConfig {
-        filter,
-        json,
-        elapsed,
-        sink: obs::log::Sink::Stderr,
-    });
-}
-
 #[derive(Debug, Clone)]
 struct Cli {
     command: String,
@@ -634,11 +599,6 @@ fn parse_cli(args: &[String]) -> Cli {
                 }
             }
             "--in" => cli.input = Some(next(&mut it, "--in")),
-            // Consumed by init_logging before parsing; skip here.
-            "--log-level" => {
-                let _ = next(&mut it, "--log-level");
-            }
-            "--log-json" | "--log-elapsed" => {}
             "--help" | "-h" => usage(),
             "--reps" => {
                 cli.reps = Some(
@@ -1958,8 +1918,7 @@ fn cmd_coord_status(cli: &Cli) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    init_logging(&args);
+    let args = obs::log::init_cli("bfsim", std::env::args().skip(1).collect());
     let cli = parse_cli(&args);
     match cli.command.as_str() {
         "simulate" => cmd_simulate(&cli),

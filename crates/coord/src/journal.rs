@@ -1,31 +1,34 @@
 //! Durable sweep journal: crash recovery for the coordinator.
 //!
-//! A sweep journal is an append-only JSONL file mirroring the cache
-//! journal's discipline (see `service::cache`): every line is
-//! `{"crc":C,"record":R}` where `C` is the FNV-1a 64 hash of `R`'s
-//! canonical serialization. The first record is a **plan header**
-//! pinning the planned cell set ([`Plan::content_hash`] plus every
-//! per-cell content hash); each subsequent record is one resolved cell
-//! (`Done` or `Failed`), appended by the dispatcher the moment the
-//! cell's outcome slot is won.
+//! A sweep journal is a [`service::journal::Journal`] of
+//! [`SweepRecord`]s, the same checksummed JSONL format as the daemon's
+//! cache journal: every line is `{"crc":C,"record":R}`. The first record
+//! is a **plan header** pinning the planned cell set
+//! ([`Plan::content_hash`] plus every per-cell content hash); each
+//! subsequent record is one resolved cell (`Done` or `Failed`), appended
+//! by the dispatcher the moment the cell's outcome slot is won.
 //!
 //! # Replay invariants
 //!
-//! - The header must be the file's first valid record and must match
-//!   the re-planned sweep exactly — a mismatch is a hard
-//!   [`JournalError::PlanMismatch`] (CLI exit 6), never a silent
-//!   partial resume.
-//! - A checksum-valid record that contradicts the plan (index out of
-//!   range, or `config_hash` differing from the plan's hash at that
-//!   index) is a hard [`JournalError::BadRecord`] (exit 6): the journal
-//!   belongs to some other sweep and resuming would fabricate results.
+//! [`SweepJournal::resume`] and [`SweepJournal::inspect`] share one
+//! replay loop, which checks every record against the header:
+//!
+//! - The header must be the file's first valid record; for `resume` it
+//!   must also match the re-planned sweep exactly — a mismatch is a hard
+//!   [`JournalError::PlanMismatch`] (CLI exit 6), never a silent partial
+//!   resume.
+//! - A checksum-valid record that contradicts the header (a second
+//!   header, an index out of range, or a `config_hash` differing from
+//!   the header's hash at that index) is a hard
+//!   [`JournalError::BadRecord`] (exit 6): the journal belongs to some
+//!   other sweep and replaying it would fabricate results.
 //! - Duplicate records for one cell are resolved **first-writer-wins**,
 //!   matching the dispatcher's in-memory outcome-slot guard; later
 //!   duplicates are counted and dropped.
-//! - Replay stops at the first torn line (unterminated, non-UTF-8,
-//!   non-JSON, or checksum-failing) and truncates the file back to the
-//!   good prefix, so a crash mid-append costs at most the record being
-//!   written.
+//! - Replay stops at the first torn line; `resume` truncates the file
+//!   back to the good prefix, and only after every check passed, so a
+//!   crash mid-append costs at most the record being written and a
+//!   refused resume changes nothing.
 //!
 //! Because replayed cells re-enter the outcome table verbatim and the
 //! remainder is re-planned identically, a resumed sweep's canonical
@@ -33,27 +36,15 @@
 
 use crate::dispatch::CellDone;
 use crate::plan::Plan;
-use backfill_sim::canon::fnv1a_64;
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// One journal line: the checksummed envelope around a [`SweepRecord`].
-#[derive(Debug, Serialize, Deserialize)]
-struct JournalLine {
-    /// FNV-1a 64 of the serialized `record`.
-    crc: u64,
-    /// The payload.
-    record: SweepRecord,
-}
+use service::journal::{Journal, Record, Replay};
+use std::io;
+use std::path::Path;
 
 /// One durable sweep event.
 // `Done` dominates the enum's size via its embedded report, but records
-// only ever exist one at a time on the append/replay paths — never in
-// bulk — so indirection would buy nothing.
+// only ever exist one at a time on the append path, and replay holds
+// one per journaled cell — indirection would buy nothing.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum SweepRecord {
@@ -97,6 +88,10 @@ pub enum SweepRecord {
         /// Human-readable terminal error.
         error: String,
     },
+}
+
+impl Record for SweepRecord {
+    const FIELD: &'static str = "record";
 }
 
 /// Why a journal could not be replayed. Every variant maps to CLI
@@ -194,201 +189,52 @@ pub struct JournalStats {
     pub dropped_bytes: u64,
 }
 
-/// An open sweep journal: replay happened at construction, appends are
-/// durable per-record (flushed line-by-line, so a SIGKILL costs at most
-/// the line being written).
+/// An open sweep journal: appends are durable per record (flushed
+/// line by line, so a SIGKILL costs at most the line being written).
 #[derive(Debug)]
 pub struct SweepJournal {
-    path: PathBuf,
-    file: Mutex<File>,
-    appended: AtomicU64,
+    journal: Journal<SweepRecord>,
+    /// Appends that were the plan header: 1 after `create`, 0 after
+    /// `resume`.
+    header: u64,
 }
 
 impl SweepJournal {
     /// Start a fresh journal for `plan` at `path`, truncating anything
     /// already there and writing the plan header.
     pub fn create(path: &Path, plan: &Plan) -> io::Result<SweepJournal> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        write_record(
-            &mut file,
-            &SweepRecord::Plan {
-                plan_hash: plan.content_hash(),
-                shards: plan.shards,
-                hashes: plan.hashes.clone(),
-            },
-        )?;
-        Ok(SweepJournal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            appended: AtomicU64::new(0),
-        })
+        let journal = Journal::create(path)?;
+        journal.append(&SweepRecord::Plan {
+            plan_hash: plan.content_hash(),
+            shards: plan.shards,
+            hashes: plan.hashes.clone(),
+        })?;
+        Ok(SweepJournal { journal, header: 1 })
     }
 
     /// Reopen an existing journal against the re-planned sweep:
-    /// validate the header, replay resolved cells, truncate any torn
-    /// tail, and hold the file open for further appends.
+    /// validate the header and every record, replay resolved cells,
+    /// truncate any torn tail, and hold the file open for further
+    /// appends.
     pub fn resume(path: &Path, plan: &Plan) -> Result<(SweepJournal, SweepReplay), JournalError> {
-        let (good_len, records, dropped_bytes) = scan(path)?;
-        let mut lines = records.into_iter().enumerate();
-        let Some((
-            _,
-            SweepRecord::Plan {
-                plan_hash, hashes, ..
-            },
-        )) = lines.next()
-        else {
-            return Err(JournalError::MissingHeader);
-        };
-        let expected = plan.content_hash();
-        if plan_hash != expected || hashes != plan.hashes {
-            return Err(JournalError::PlanMismatch {
-                expected,
-                found: plan_hash,
-            });
-        }
-        let mut replay = SweepReplay {
-            truncated: dropped_bytes > 0,
-            dropped_bytes,
-            ..SweepReplay::default()
-        };
-        let mut resolved = vec![false; plan.len()];
-        for (at, record) in lines {
-            let line = at + 1; // 1-based for humans
-            let (index, config_hash) = match &record {
-                SweepRecord::Plan { .. } => {
-                    return Err(JournalError::BadRecord {
-                        line,
-                        why: "second plan header".to_string(),
-                    })
-                }
-                SweepRecord::Done {
-                    index, config_hash, ..
-                }
-                | SweepRecord::Failed {
-                    index, config_hash, ..
-                } => (*index, *config_hash),
-            };
-            if index >= plan.len() {
-                return Err(JournalError::BadRecord {
-                    line,
-                    why: format!("cell index {index} outside the {}-cell plan", plan.len()),
-                });
-            }
-            if config_hash != plan.hashes[index] {
-                return Err(JournalError::BadRecord {
-                    line,
-                    why: format!(
-                        "config_hash {config_hash:#018x} is not the plan's hash \
-                         {:#018x} for cell {index}",
-                        plan.hashes[index]
-                    ),
-                });
-            }
-            if resolved[index] {
-                replay.duplicates += 1;
-                continue;
-            }
-            resolved[index] = true;
-            match record {
-                SweepRecord::Done {
-                    index,
-                    config_hash,
-                    shard,
-                    stolen,
-                    cached,
-                    wall_ms,
-                    report,
-                } => replay.done.push(CellDone {
-                    index,
-                    config_hash,
-                    shard,
-                    stolen,
-                    cached,
-                    wall_ms,
-                    report,
-                }),
-                SweepRecord::Failed {
-                    index,
-                    config_hash,
-                    error,
-                } => replay.failed.push((index, config_hash, error)),
-                SweepRecord::Plan { .. } => unreachable!("rejected above"),
-            }
-        }
-        // Cut the torn tail (no-op for a clean file), then reopen in
-        // append mode for the resumed sweep's own records.
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(path)?;
-        file.set_len(good_len)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((
-            SweepJournal {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-                appended: AtomicU64::new(0),
-            },
-            replay,
-        ))
+        let (journal, replay) = Journal::open(path, |replay| {
+            fold(replay, Some(plan)).map(|(_, replay)| replay)
+        })?;
+        Ok((SweepJournal { journal, header: 0 }, replay))
     }
 
     /// Summarize a journal without a plan to validate against (for
-    /// `coord-status`): header stats plus done/failed/duplicate counts.
-    /// Per-record plan consistency is *not* checked here — only
-    /// checksums and the header's presence.
+    /// `coord-status`), checking it exactly as `resume` would except for
+    /// the header's match with a re-planned sweep. Writes nothing.
     pub fn inspect(path: &Path) -> Result<JournalStats, JournalError> {
-        let (_, records, dropped_bytes) = scan(path)?;
-        let mut lines = records.into_iter();
-        let Some(SweepRecord::Plan {
-            plan_hash,
-            shards,
-            hashes,
-        }) = lines.next()
-        else {
-            return Err(JournalError::MissingHeader);
-        };
-        let mut stats = JournalStats {
-            plan_hash,
-            shards,
-            cells: hashes.len(),
-            done: 0,
-            failed: 0,
-            duplicates: 0,
-            dropped_bytes,
-        };
-        let mut resolved = vec![false; hashes.len()];
-        for record in lines {
-            let index = match &record {
-                SweepRecord::Plan { .. } => continue,
-                SweepRecord::Done { index, .. } | SweepRecord::Failed { index, .. } => *index,
-            };
-            if let Some(slot) = resolved.get_mut(index) {
-                if *slot {
-                    stats.duplicates += 1;
-                    continue;
-                }
-                *slot = true;
-            }
-            match record {
-                SweepRecord::Done { .. } => stats.done += 1,
-                SweepRecord::Failed { .. } => stats.failed += 1,
-                SweepRecord::Plan { .. } => {}
-            }
-        }
-        Ok(stats)
+        fold(Journal::read(path)?, None).map(|(stats, _)| stats)
     }
 
     /// Append a completed cell. Errors are returned, not swallowed —
     /// the dispatcher logs and keeps sweeping (a broken journal must
     /// not fail a healthy sweep).
     pub fn append_done(&self, done: &CellDone) -> io::Result<()> {
-        self.append(&SweepRecord::Done {
+        self.journal.append(&SweepRecord::Done {
             index: done.index,
             config_hash: done.config_hash,
             shard: done.shard,
@@ -401,82 +247,129 @@ impl SweepJournal {
 
     /// Append a permanently failed cell.
     pub fn append_failed(&self, index: usize, config_hash: u64, error: &str) -> io::Result<()> {
-        self.append(&SweepRecord::Failed {
+        self.journal.append(&SweepRecord::Failed {
             index,
             config_hash,
             error: error.to_string(),
         })
     }
 
-    fn append(&self, record: &SweepRecord) -> io::Result<()> {
-        let mut file = self.file.lock().expect("journal lock poisoned");
-        write_record(&mut file, record)?;
-        self.appended.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Where the journal lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
-    /// Records appended since open (excludes replayed ones).
+    /// Records appended since open (excludes replayed ones and the
+    /// header).
     pub fn appended(&self) -> u64 {
-        self.appended.load(Ordering::Relaxed)
+        self.journal.appends().get() - self.header
     }
 }
 
-/// Serialize, checksum, write, flush one record.
-fn write_record(file: &mut File, record: &SweepRecord) -> io::Result<()> {
-    let body = serde_json::to_string(record).expect("sweep records always serialize");
-    let crc = fnv1a_64(body.as_bytes());
-    // Assembled by hand so the crc covers exactly the `record` value's
-    // bytes as written, independent of envelope field order.
-    let line = format!("{{\"crc\":{crc},\"record\":{body}}}\n");
-    file.write_all(line.as_bytes())?;
-    file.flush()
-}
-
-/// Read `path` and split it into validated records, the byte length of
-/// the good prefix, and the torn-tail size. The scan stops at the first
-/// unterminated, non-UTF-8, non-JSON, or checksum-failing line.
-fn scan(path: &Path) -> io::Result<(u64, Vec<SweepRecord>, u64)> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut file) => {
-            file.read_to_end(&mut bytes)?;
+/// The one replay loop: check the header (against `plan` when given)
+/// and every record against the header, and fold the cells into a
+/// replay, first writer winning, and its summary.
+fn fold(
+    replay: Replay<SweepRecord>,
+    plan: Option<&Plan>,
+) -> Result<(JournalStats, SweepReplay), JournalError> {
+    let mut records = replay.records.into_iter();
+    let Some(SweepRecord::Plan {
+        plan_hash,
+        shards,
+        hashes,
+    }) = records.next()
+    else {
+        return Err(JournalError::MissingHeader);
+    };
+    if let Some(plan) = plan {
+        let expected = plan.content_hash();
+        if plan_hash != expected || hashes != plan.hashes {
+            return Err(JournalError::PlanMismatch {
+                expected,
+                found: plan_hash,
+            });
         }
-        Err(err) if err.kind() == io::ErrorKind::NotFound => {}
-        Err(err) => return Err(err),
     }
-    let mut records = Vec::new();
-    let mut good_len = 0usize;
-    let mut rest = &bytes[..];
-    while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
-        let line = &rest[..newline];
-        let Ok(text) = std::str::from_utf8(line) else {
-            break;
+    let mut out = SweepReplay {
+        truncated: replay.dropped_bytes > 0,
+        dropped_bytes: replay.dropped_bytes,
+        ..SweepReplay::default()
+    };
+    let mut resolved = vec![false; hashes.len()];
+    for (at, record) in records.enumerate() {
+        let line = at + 2; // 1-based, after the header
+        let bad = |why: String| Err(JournalError::BadRecord { line, why });
+        let (index, config_hash) = match &record {
+            SweepRecord::Plan { .. } => return bad("second plan header".to_string()),
+            SweepRecord::Done {
+                index, config_hash, ..
+            }
+            | SweepRecord::Failed {
+                index, config_hash, ..
+            } => (*index, *config_hash),
         };
-        let Ok(parsed) = serde_json::from_str::<JournalLine>(text) else {
-            break;
+        let Some(&expected) = hashes.get(index) else {
+            return bad(format!(
+                "cell index {index} outside the {}-cell plan",
+                hashes.len()
+            ));
         };
-        let body = serde_json::to_string(&parsed.record).expect("sweep records always serialize");
-        if fnv1a_64(body.as_bytes()) != parsed.crc {
-            break;
+        if config_hash != expected {
+            return bad(format!(
+                "config_hash {config_hash:#018x} is not the plan's hash \
+                 {expected:#018x} for cell {index}"
+            ));
         }
-        records.push(parsed.record);
-        good_len += newline + 1;
-        rest = &rest[newline + 1..];
+        if std::mem::replace(&mut resolved[index], true) {
+            out.duplicates += 1;
+            continue;
+        }
+        match record {
+            SweepRecord::Done {
+                index,
+                config_hash,
+                shard,
+                stolen,
+                cached,
+                wall_ms,
+                report,
+            } => out.done.push(CellDone {
+                index,
+                config_hash,
+                shard,
+                stolen,
+                cached,
+                wall_ms,
+                report,
+            }),
+            SweepRecord::Failed {
+                index,
+                config_hash,
+                error,
+            } => out.failed.push((index, config_hash, error)),
+            SweepRecord::Plan { .. } => unreachable!("rejected above"),
+        }
     }
-    let dropped = (bytes.len() - good_len) as u64;
-    Ok((good_len as u64, records, dropped))
+    let stats = JournalStats {
+        plan_hash,
+        shards,
+        cells: hashes.len(),
+        done: out.done.len(),
+        failed: out.failed.len(),
+        duplicates: out.duplicates,
+        dropped_bytes: out.dropped_bytes,
+    };
+    Ok((stats, out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bench_lib::sweep::tiny_spec;
-    use std::fs;
+    use std::fs::{self, OpenOptions};
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let mut path = std::env::temp_dir();
@@ -635,5 +528,80 @@ mod tests {
         assert_eq!(stats.duplicates, 1);
         assert_eq!(stats.dropped_bytes, 0);
         let _ = fs::remove_file(&path);
+    }
+
+    /// `coord-status` checks records exactly as `resume` does: an index
+    /// outside the plan, a foreign `config_hash` and a second header are
+    /// each a bad record, not a count.
+    #[test]
+    fn inspect_rejects_what_resume_rejects() {
+        let plan = tiny_plan();
+        let cases = [
+            (
+                SweepRecord::Failed {
+                    index: 99,
+                    config_hash: plan.hashes[0],
+                    error: "x".to_string(),
+                },
+                "cell index 99 outside the 6-cell plan",
+            ),
+            (
+                SweepRecord::Failed {
+                    index: 1,
+                    config_hash: 0xDEAD_BEEF,
+                    error: "x".to_string(),
+                },
+                "config_hash",
+            ),
+            (
+                SweepRecord::Plan {
+                    plan_hash: plan.content_hash(),
+                    shards: plan.shards,
+                    hashes: plan.hashes.clone(),
+                },
+                "second plan header",
+            ),
+        ];
+        for (at, (record, reason)) in cases.into_iter().enumerate() {
+            let path = tmp(&format!("inspect-bad-{at}"));
+            SweepJournal::create(&path, &plan).unwrap();
+            let (raw, ()) = Journal::open(&path, |_| Ok::<_, io::Error>(())).unwrap();
+            raw.append(&record).unwrap();
+            drop(raw);
+            for err in [
+                SweepJournal::inspect(&path).unwrap_err(),
+                SweepJournal::resume(&path, &plan).unwrap_err(),
+            ] {
+                match err {
+                    JournalError::BadRecord { line, why } => {
+                        assert_eq!(line, 2);
+                        assert!(why.contains(reason), "why: {why}");
+                    }
+                    other => panic!("expected BadRecord, got {other:?}"),
+                }
+            }
+            let _ = fs::remove_file(&path);
+        }
+    }
+
+    /// A sweep-journal header and `Done` line written by an earlier
+    /// build: both still replay, and appending the replayed records
+    /// writes the very same bytes, so the on-disk format is pinned.
+    #[test]
+    fn golden_journal_lines_replay_and_rewrite_byte_identically() {
+        const GOLDEN: &str = include_str!("../tests/golden/sweep_journal.jsonl");
+        let old = tmp("golden-old");
+        fs::write(&old, GOLDEN).unwrap();
+        let stats = SweepJournal::inspect(&old).unwrap();
+        assert_eq!((stats.cells, stats.done, stats.dropped_bytes), (6, 1, 0));
+
+        let new = tmp("golden-new");
+        let rewriter = Journal::<SweepRecord>::create(&new).unwrap();
+        for record in Journal::<SweepRecord>::read(&old).unwrap().records {
+            rewriter.append(&record).unwrap();
+        }
+        assert_eq!(fs::read_to_string(&new).unwrap(), GOLDEN);
+        let _ = fs::remove_file(&old);
+        let _ = fs::remove_file(&new);
     }
 }

@@ -6,13 +6,16 @@
 //! and 0 for a clean fleet — including a crashed-then-resumed sweep,
 //! whose `--canonical-out` projection must be byte-identical to an
 //! undisturbed run's. Drives the real binary the way CI does, against
-//! in-process daemons. Also pins exit 2 (usage) for scheduler parameters
+//! in-process daemons. Also pins exit 6 for `coord-status --journal` on
+//! a journal `--resume` would refuse, exit 2 (usage) for scheduler parameters
 //! the schedulers would reject, and exit 0 with the usage line for
 //! `--help`/`-h` wherever it appears.
 
 use backfill_sim::SchedulerKind;
 use bench_lib::sweep::{SweepSpec, TraceModel};
+use coord::{CellDone, Plan, SweepJournal, SweepRecord};
 use sched::Policy;
+use service::journal::Journal;
 use service::{Client, FaultPlan, Server, ServiceConfig};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -38,7 +41,17 @@ fn spec_file(name: &str) -> PathBuf {
 }
 
 fn spec_file_with(name: &str, seeds: Vec<u64>) -> PathBuf {
-    let spec = SweepSpec {
+    let path = tmp(name);
+    std::fs::write(
+        &path,
+        serde_json::to_string(&spec_with(seeds)).expect("spec serializes"),
+    )
+    .expect("write spec");
+    path
+}
+
+fn spec_with(seeds: Vec<u64>) -> SweepSpec {
+    SweepSpec {
         models: vec![TraceModel::Ctc],
         jobs: 80,
         seeds,
@@ -47,14 +60,7 @@ fn spec_file_with(name: &str, seeds: Vec<u64>) -> PathBuf {
         loads: vec![Some(0.9)],
         kinds: vec![SchedulerKind::Easy, SchedulerKind::Conservative],
         policies: Policy::PAPER.to_vec(),
-    };
-    let path = tmp(name);
-    std::fs::write(
-        &path,
-        serde_json::to_string(&spec).expect("spec serializes"),
-    )
-    .expect("write spec");
-    path
+    }
 }
 
 fn parse_report(path: &PathBuf) -> serde::Value {
@@ -498,6 +504,57 @@ fn healthy_fleet_exits_0() {
 
     shutdown(a);
     shutdown(b);
+}
+
+/// `coord-status --journal` checks a journal's records as `--resume`
+/// does: a correctly checksummed record for a cell outside the plan is
+/// bad data (exit 6, naming the line), not one more cell done.
+#[test]
+fn coord_status_rejects_a_cell_outside_the_plan_with_exit_6() {
+    let plan = Plan::new(&spec_with(vec![7]).expand(), 1);
+    let path = tmp("status-outside.jsonl");
+    let journal = SweepJournal::create(&path, &plan).expect("create journal");
+    let cfg = &plan.cells[0];
+    let done = CellDone {
+        index: 0,
+        config_hash: plan.hashes[0],
+        shard: 0,
+        stolen: false,
+        cached: false,
+        wall_ms: 1,
+        report: service::RunReport::from_schedule(cfg, &cfg.run()),
+    };
+    journal.append_done(&done).expect("append");
+    drop(journal);
+    let status = || {
+        bfsim()
+            .args(["coord-status", "--journal", path.to_str().unwrap()])
+            .output()
+            .expect("spawn bfsim")
+    };
+    let healthy = status();
+    assert_eq!(healthy.status.code(), Some(0), "{}", stderr_of(&healthy));
+    assert!(String::from_utf8_lossy(&healthy.stdout).contains("1/6 cells done"));
+
+    let (raw, ()) = Journal::open(&path, |_| Ok::<_, std::io::Error>(())).expect("reopen");
+    raw.append(&SweepRecord::Done {
+        index: 99,
+        config_hash: done.config_hash,
+        shard: 0,
+        stolen: false,
+        cached: false,
+        wall_ms: 1,
+        report: done.report,
+    })
+    .expect("append foreign record");
+    drop(raw);
+    let out = status();
+    let stderr = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(6), "stderr: {stderr}");
+    assert!(
+        stderr.contains("journal line 3: cell index 99 outside the 6-cell plan"),
+        "stderr: {stderr}"
+    );
 }
 
 /// Out-of-range scheduler parameters are usage errors (exit 2 with a

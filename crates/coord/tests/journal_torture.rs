@@ -1,12 +1,20 @@
-//! Property torture for the sweep journal: arbitrary byte truncation
-//! never loses a complete record (and resume is idempotent afterwards),
+//! Property torture for the journals. Through the shared
+//! `service::journal::Journal`, for both record types (sweep records and
+//! cache entries): arbitrary byte truncation never loses a complete
+//! record, and a second open is clean. For the sweep journal on top:
+//! resume after truncation recovers exactly the complete cells,
 //! duplicated records resolve first-writer-wins, and a record whose
 //! `config_hash` belongs to a different plan is rejected with its line
 //! number — never silently replayed.
+//!
+//! `PROPTEST_CASES` raises the case count (CI runs this file in release
+//! at 2000).
 
-use coord::{CellDone, JournalError, Plan, SweepJournal};
+use coord::{CellDone, JournalError, Plan, SweepJournal, SweepRecord};
 use proptest::prelude::*;
 use sched::Policy;
+use service::journal::{Journal, Record};
+use service::{cache, ResultCache};
 use workload::EstimateModel;
 
 use backfill_sim::SchedulerKind;
@@ -34,11 +42,13 @@ fn spec(seeds: Vec<u64>) -> SweepSpec {
     }
 }
 
-/// Computed once: plan A with a fully journaled run (as text), plan B
-/// (disjoint cells), and one valid record line written for plan B.
+/// Computed once: plan A with a fully journaled run (as text), the
+/// cache journal of a daemon that served those cells, plan B (disjoint
+/// cells), and one valid record line written for plan B.
 struct Fixture {
     plan_a: Plan,
     text_a: String,
+    cache_text: String,
     plan_b: Plan,
     foreign_line: String,
 }
@@ -69,6 +79,16 @@ fn fixture() -> &'static Fixture {
         };
         let (plan_a, text_a) = journal_for("torture-a.jsonl", vec![7, 8], 4);
         let (plan_b, text_b) = journal_for("torture-b.jsonl", vec![9, 10], 1);
+        let cache_path = tmp("torture-cache.jsonl");
+        let _ = std::fs::remove_file(&cache_path);
+        let cache = ResultCache::with_journal(8, &cache_path).expect("open cache journal");
+        for cfg in &plan_a.cells {
+            cache.insert(
+                cfg.canonical_json(),
+                service::RunReport::from_schedule(cfg, &cfg.run()),
+            );
+        }
+        let cache_text = std::fs::read_to_string(&cache_path).expect("read cache journal");
         let foreign_line = text_b
             .lines()
             .nth(1)
@@ -77,14 +97,68 @@ fn fixture() -> &'static Fixture {
         Fixture {
             plan_a,
             text_a,
+            cache_text,
             plan_b,
             foreign_line,
         }
     })
 }
 
+/// Case count: `PROPTEST_CASES` can raise it, never lower it.
+fn cases(default: u32) -> ProptestConfig {
+    let raised = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    ProptestConfig::with_cases(default.max(raised))
+}
+
+/// Cut `text` at `cut` and open it as a `Journal<R>`: exactly the records
+/// whose newline is on disk replay, the torn tail's size is reported,
+/// the file is cut back to the good prefix, and a second open is clean.
+fn open_after_cut<R: Record>(text: &str, cut: usize, name: &str) -> Result<(), TestCaseError> {
+    let prefix = &text.as_bytes()[..cut];
+    let path = tmp(name);
+    std::fs::write(&path, prefix).expect("write torn journal");
+    let complete = prefix.iter().filter(|&&b| b == b'\n').count();
+    let good_len = prefix
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |at| at + 1);
+
+    let (journal, replay) = Journal::<R>::open(&path, Ok::<_, std::io::Error>).expect("open");
+    prop_assert_eq!(replay.records.len(), complete);
+    prop_assert_eq!(replay.dropped_bytes as usize, cut - good_len);
+    drop(journal);
+    prop_assert!(
+        std::fs::read(&path).expect("read back") == prefix[..good_len],
+        "the file is cut back to exactly the good prefix"
+    );
+    let (_, again) = Journal::<R>::open(&path, Ok::<_, std::io::Error>).expect("second open");
+    prop_assert_eq!(again.dropped_bytes, 0, "truncation is idempotent");
+    prop_assert_eq!(again.records.len(), complete);
+    let _ = std::fs::remove_file(&path);
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
+
+    /// Any cut of a sweep journal keeps every complete record.
+    #[test]
+    fn any_cut_keeps_every_complete_sweep_record(raw in 0u64..1_000_000) {
+        let text = &fixture().text_a;
+        let cut = (raw as usize) % (text.len() + 1);
+        open_after_cut::<SweepRecord>(text, cut, &format!("cut-sweep-{cut}.jsonl"))?;
+    }
+
+    /// Any cut of a cache journal keeps every complete entry.
+    #[test]
+    fn any_cut_keeps_every_complete_cache_entry(raw in 0u64..1_000_000) {
+        let text = &fixture().cache_text;
+        let cut = (raw as usize) % (text.len() + 1);
+        open_after_cut::<cache::Entry>(text, cut, &format!("cut-cache-{cut}.jsonl"))?;
+    }
 
     /// Cutting the journal at *any* byte offset keeps every record
     /// whose line survived intact: resume recovers `complete - 1` cells

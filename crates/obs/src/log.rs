@@ -279,6 +279,57 @@ pub fn init_from_env() -> bool {
     init(LogConfig::new(filter)).is_ok()
 }
 
+/// Install the logger for a command-line program from its arguments and
+/// return the arguments without the logging flags, so the program's own
+/// parser never sees them.
+///
+/// `--log-level SPEC` beats the `BFSIM_LOG` environment variable (where
+/// an unparsable spec falls back to `warn`); with neither, only errors
+/// are logged. `--log-json` and `--log-elapsed` set [`LogConfig::json`]
+/// and [`LogConfig::elapsed`]. A missing or bad `--log-level` spec is a
+/// usage error: `program` reports it on stderr and the process exits 2.
+pub fn init_cli(program: &str, args: Vec<String>) -> Vec<String> {
+    let env = std::env::var("BFSIM_LOG").ok();
+    match cli_config(args, env.as_deref()) {
+        Ok((config, rest)) => {
+            let _ = init(config);
+            rest
+        }
+        Err(err) => {
+            eprintln!("{program}: {err}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The logger config [`init_cli`] installs, and the remaining arguments.
+fn cli_config(args: Vec<String>, env: Option<&str>) -> Result<(LogConfig, Vec<String>), String> {
+    let mut spec = None;
+    let mut config = LogConfig::new(Filter::uniform(Level::Error));
+    let mut rest = Vec::with_capacity(args.len());
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--log-level" => {
+                spec = Some(it.next().ok_or("--log-level needs a value")?);
+            }
+            "--log-json" => config.json = true,
+            "--log-elapsed" => config.elapsed = true,
+            _ => rest.push(arg),
+        }
+    }
+    match (spec, env) {
+        (Some(spec), _) => {
+            config.filter = Filter::parse(&spec).map_err(|e| format!("bad --log-level: {e}"))?;
+        }
+        (None, Some(env)) if !env.trim().is_empty() => {
+            config.filter = Filter::parse(env).unwrap_or_else(|_| Filter::uniform(Level::Warn));
+        }
+        (None, _) => {}
+    }
+    Ok((config, rest))
+}
+
 /// Cheap pre-check used by the macros: is a record at `level` under
 /// `target` worth formatting?
 #[inline]
@@ -384,6 +435,52 @@ macro_rules! trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn cli_config_strips_the_logging_flags() {
+        let (config, rest) = cli_config(
+            args(&[
+                "run",
+                "--log-level",
+                "info",
+                "--jobs",
+                "5",
+                "--log-json",
+                "--log-elapsed",
+            ]),
+            Some("trace"),
+        )
+        .unwrap();
+        assert_eq!(rest, args(&["run", "--jobs", "5"]));
+        assert_eq!(
+            config.filter,
+            Filter::uniform(Level::Info),
+            "the flag beats the env"
+        );
+        assert!(config.json && config.elapsed);
+    }
+
+    #[test]
+    fn cli_config_falls_back_to_the_env_then_to_errors() {
+        let filter = |env| cli_config(args(&["x"]), env).unwrap().0.filter;
+        assert_eq!(filter(Some("debug")), Filter::uniform(Level::Debug));
+        assert_eq!(filter(Some("loud")), Filter::uniform(Level::Warn));
+        assert_eq!(filter(Some(" ")), Filter::uniform(Level::Error));
+        assert_eq!(filter(None), Filter::uniform(Level::Error));
+        let (config, _) = cli_config(args(&["x"]), None).unwrap();
+        assert!(!config.json && !config.elapsed);
+    }
+
+    #[test]
+    fn cli_config_rejects_a_missing_or_bad_spec() {
+        let err = |list: &[&str]| cli_config(args(list), Some("info")).err().unwrap();
+        assert_eq!(err(&["--log-level"]), "--log-level needs a value");
+        assert!(err(&["--log-level", "loud"]).starts_with("bad --log-level: "));
+    }
 
     #[test]
     fn level_parse_and_order() {

@@ -32,43 +32,8 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Install the global logger before flag parsing so `die` goes through
-/// it. Mirrors `bfsim`'s logging flags.
-fn init_logging(args: &[String]) {
-    let mut spec: Option<String> = None;
-    let mut json = false;
-    let mut elapsed = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log-level" => spec = it.next().cloned(),
-            "--log-json" => json = true,
-            "--log-elapsed" => elapsed = true,
-            _ => {}
-        }
-    }
-    let filter = match &spec {
-        Some(spec) => obs::log::Filter::parse(spec).unwrap_or_else(|e| {
-            eprintln!("bfsimd: bad --log-level: {e}");
-            std::process::exit(2);
-        }),
-        None => match std::env::var("BFSIM_LOG") {
-            Ok(env_spec) if !env_spec.trim().is_empty() => obs::log::Filter::parse(&env_spec)
-                .unwrap_or_else(|_| obs::log::Filter::uniform(obs::log::Level::Warn)),
-            _ => obs::log::Filter::uniform(obs::log::Level::Error),
-        },
-    };
-    let _ = obs::log::init(obs::log::LogConfig {
-        filter,
-        json,
-        sink: obs::log::Sink::Stderr,
-        elapsed,
-    });
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    init_logging(&args);
+    let args = obs::log::init_cli("bfsimd", std::env::args().skip(1).collect());
     let mut addr = "127.0.0.1:7411".to_string();
     let mut cfg = ServiceConfig::default();
     let mut it = args.iter().cloned();
@@ -125,11 +90,6 @@ fn main() {
                     .filter(|&n| n >= 1024)
                     .unwrap_or_else(|| die("bad --max-frame (need bytes >= 1024)"))
             }
-            // Consumed by init_logging before parsing; skip here.
-            "--log-level" => {
-                let _ = next(&mut it, "--log-level");
-            }
-            "--log-json" | "--log-elapsed" => {}
             "--help" | "-h" => {
                 println!(
                     "usage: bfsimd [--addr HOST:PORT] [--workers N] [--queue N] [--cache-cap N] \

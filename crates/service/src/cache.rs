@@ -1,119 +1,55 @@
 //! Content-addressed result cache.
 //!
-//! Completed runs are memoized under the **canonical JSON** of their
-//! `RunConfig` (see `backfill_sim::canon`). Keying on the full canonical
-//! text — not just a hash — means two distinct scenarios can never alias
-//! a cache slot, even under a 64-bit hash collision; the FNV-1a hash of
-//! the key is carried alongside purely as the compact label shown in
-//! responses and logs. Simulations are deterministic (equal config ⇒
-//! byte-identical schedule ⇒ byte-identical report), so a hit returns a
-//! report indistinguishable from re-running the scenario, minus the
-//! compute.
-//!
-//! The cache is bounded: past the configured entry cap, inserting evicts
-//! the least-recently-used entry (hits refresh recency). Eviction scans
-//! for the oldest tick — O(entries) — which is deliberate: an insert only
-//! happens after a full simulation, so the scan is noise, and the flat
-//! map keeps lookups (the actual hot path) a single hash probe.
+//! Completed runs are memoized in an [`Lru`] under the **canonical
+//! JSON** of their `RunConfig` (see `backfill_sim::canon`). The FNV-1a
+//! hash of the key is carried alongside purely as the compact label
+//! shown in responses and logs. Simulations are deterministic (equal
+//! config ⇒ byte-identical schedule ⇒ byte-identical report), so a hit
+//! returns a report indistinguishable from re-running the scenario,
+//! minus the compute.
 //!
 //! # Crash recovery
 //!
 //! With [`ResultCache::with_journal`] every insert is also appended to a
-//! JSONL journal: one line per entry, `{"crc":C,"entry":{"key":K,
-//! "report":R}}`, where `C` is the FNV-1a hash of the serialized
-//! `entry` object. On startup the journal is replayed newest-state-wins
-//! under the same LRU cap; replay stops at the **first** record that is
-//! torn (no trailing newline), non-JSON, or fails its checksum, and the
-//! file is truncated back to the last good record — a half-written tail
-//! from a crash can never poison entries that were durable before it.
-//! The journal is a log, not a snapshot: entries evicted in memory may
-//! be re-admitted on replay (the cap is re-applied), and duplicate
-//! appends replay idempotently.
+//! [`Journal`] of [`Entry`] records: one line per insert,
+//! `{"crc":C,"entry":{"key":K,"report":R}}`. On startup the journal's
+//! good prefix is replayed in file order under the same LRU cap, and its
+//! torn tail (if any) is cut. The journal is a log, not a snapshot:
+//! entries evicted in memory may be re-admitted on replay (the cap is
+//! re-applied), and duplicate appends replay idempotently.
 
+use crate::journal::{Journal, Record};
+use crate::lru::Lru;
 use crate::protocol::{JournalHealth, RunReport};
 use backfill_sim::canon::fnv1a_64;
-use obs::metrics::{Counter, Metric, Registry};
-use parking_lot::Mutex;
+use obs::metrics::{Metric, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::io;
+use std::path::Path;
 
-/// A memoized report plus its display hash and last-touched tick.
-#[derive(Debug, Clone)]
-struct Entry {
-    hash: u64,
-    report: RunReport,
-    /// Logical LRU clock value of the last lookup hit or insert.
-    tick: u64,
-}
-
-/// Guarded state: the map and the logical clock it stamps entries with.
-#[derive(Debug, Default)]
-struct Slots {
-    map: HashMap<String, Entry>,
-    clock: u64,
-}
-
-impl Slots {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-}
-
-/// One durable journal record: the payload plus its integrity check.
+/// One cache-journal record: exactly what [`ResultCache::insert`] took.
 #[derive(Debug, Serialize, Deserialize)]
-struct JournalLine {
-    /// FNV-1a hash of the serialized `entry` object; a mismatch marks
-    /// the record (and everything after it) as torn.
-    crc: u64,
-    entry: JournalEntry,
+pub struct Entry {
+    /// Canonical config JSON.
+    pub key: String,
+    /// The memoized report.
+    pub report: RunReport,
 }
 
-/// The durable payload: exactly what [`ResultCache::insert`] took.
-#[derive(Debug, Serialize, Deserialize)]
-struct JournalEntry {
-    key: String,
-    report: RunReport,
-}
-
-/// What startup replay of a cache journal found, returned by
-/// [`ResultCache::with_journal`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalReplay {
-    /// Records restored into the cache.
-    pub replayed: u64,
-    /// True when a torn/corrupt tail was found and truncated away.
-    pub truncated: bool,
-    /// Bytes discarded by the truncation (0 when the file was clean).
-    pub dropped_bytes: u64,
-}
-
-/// The open journal plus its replay provenance (for health reporting).
-#[derive(Debug)]
-struct Journal {
-    path: PathBuf,
-    file: Mutex<File>,
-    replay: JournalReplay,
-    appends: Arc<Counter>,
+impl Record for Entry {
+    const FIELD: &'static str = "entry";
 }
 
 /// Thread-safe memoization of completed runs, keyed by canonical config
-/// JSON, bounded to `cap` entries with LRU eviction. Counters are
-/// monotone over the cache's lifetime.
+/// JSON, bounded to `cap` entries with LRU eviction, optionally backed
+/// by a journal.
 #[derive(Debug)]
 pub struct ResultCache {
-    slots: Mutex<Slots>,
-    cap: usize,
-    // Shared obs handles so an owning daemon can `bind_metrics` them
-    // into its registry; the cache increments, the registry reads.
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
-    journal: Option<Journal>,
+    /// Display hash and report per canonical key.
+    entries: Lru<(u64, RunReport)>,
+    /// The journal and what its startup replay found (`appended` is
+    /// read live from the journal's counter).
+    journal: Option<(Journal<Entry>, JournalHealth)>,
 }
 
 impl Default for ResultCache {
@@ -157,103 +93,41 @@ impl ResultCache {
     /// Create an empty cache holding at most `cap` entries (minimum 1).
     pub fn with_capacity(cap: usize) -> Self {
         ResultCache {
-            slots: Mutex::new(Slots::default()),
-            cap: cap.max(1),
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-            evictions: Arc::new(Counter::new()),
+            entries: Lru::new(cap),
             journal: None,
         }
     }
 
-    /// Create a cache backed by an append-only JSONL journal at `path`.
-    ///
-    /// Existing journal records are replayed into the cache (in file
-    /// order, so recency follows append order; the LRU cap applies as
-    /// usual). Replay stops at the first torn or checksum-failing
-    /// record and **truncates** the file back to the last good one, so
-    /// a crash mid-append costs at most the record being written. The
-    /// file is created when absent.
-    pub fn with_journal(cap: usize, path: &Path) -> io::Result<(Self, JournalReplay)> {
+    /// Create a cache backed by the journal at `path` (created when
+    /// absent), replaying its good prefix in file order, so recency
+    /// follows append order, and cutting its torn tail. What the replay
+    /// found is in [`Self::journal_health`].
+    pub fn with_journal(cap: usize, path: &Path) -> io::Result<Self> {
         let mut cache = Self::with_capacity(cap);
-        let (good_len, records, replay) = Self::scan_journal(path)?;
-        for entry in records {
-            cache.insert_in_memory(entry.key, entry.report);
-        }
-        // Drop the torn tail (no-op for a clean file), then hold the
-        // file open in append mode for the cache's lifetime.
-        // truncate(false): the good prefix must survive — only the torn
-        // tail is cut, via the explicit set_len below.
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(false)
-            .open(path)?;
-        file.set_len(good_len)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        cache.journal = Some(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-            replay,
-            appends: Arc::new(Counter::new()),
-        });
-        Ok((cache, replay))
-    }
-
-    /// Read `path` (if present) and split it into validated records and
-    /// the byte length of the good prefix.
-    fn scan_journal(path: &Path) -> io::Result<(u64, Vec<JournalEntry>, JournalReplay)> {
-        let mut bytes = Vec::new();
-        match File::open(path) {
-            Ok(mut file) => {
-                file.read_to_end(&mut bytes)?;
-            }
-            Err(err) if err.kind() == io::ErrorKind::NotFound => {}
-            Err(err) => return Err(err),
-        }
-        let mut records = Vec::new();
-        let mut good_len = 0usize;
-        let mut rest = &bytes[..];
-        // A record counts only if its line is newline-terminated, valid
-        // UTF-8 + JSON, and checksum-clean; the first failure (including
-        // an unterminated tail) stops the scan — everything after it is
-        // the torn region.
-        while let Some(newline) = rest.iter().position(|&b| b == b'\n') {
-            let line = &rest[..newline];
-            let Ok(text) = std::str::from_utf8(line) else {
-                break;
-            };
-            let Ok(parsed) = serde_json::from_str::<JournalLine>(text) else {
-                break;
-            };
-            let body =
-                serde_json::to_string(&parsed.entry).expect("journal entries always serialize");
-            if fnv1a_64(body.as_bytes()) != parsed.crc {
-                break;
-            }
-            records.push(parsed.entry);
-            good_len += newline + 1;
-            rest = &rest[newline + 1..];
-        }
-        let dropped = (bytes.len() - good_len) as u64;
-        let replay = JournalReplay {
-            replayed: records.len() as u64,
-            truncated: dropped > 0,
-            dropped_bytes: dropped,
+        let (journal, replay) = Journal::open(path, Ok::<_, io::Error>)?;
+        let health = JournalHealth {
+            path: path.display().to_string(),
+            replayed: replay.records.len() as u64,
+            appended: 0,
+            truncated: replay.dropped_bytes > 0,
+            dropped_bytes: replay.dropped_bytes,
         };
-        Ok((good_len as u64, records, replay))
+        for entry in replay.records {
+            cache.insert_in_memory(entry);
+        }
+        cache.journal = Some((journal, health));
+        Ok(cache)
     }
 
     /// The journal's health snapshot, `None` when no journal is
     /// configured.
     pub fn journal_health(&self) -> Option<JournalHealth> {
-        self.journal.as_ref().map(|journal| JournalHealth {
-            path: journal.path.display().to_string(),
-            replayed: journal.replay.replayed,
-            appended: journal.appends.get(),
-            truncated: journal.replay.truncated,
-            dropped_bytes: journal.replay.dropped_bytes,
-        })
+        self.journal
+            .as_ref()
+            .map(|(journal, replay)| JournalHealth {
+                appended: journal.appends().get(),
+                ..replay.clone()
+            })
     }
 
     /// Expose the cache's counters to `registry` under
@@ -261,16 +135,11 @@ impl ResultCache {
     /// `service.cache.journal_appends` when journaling — see DESIGN.md
     /// §12/§13).
     pub fn bind_metrics(&self, registry: &Registry) {
-        registry.bind("service.cache.hits", Metric::Counter(self.hits.clone()));
-        registry.bind("service.cache.misses", Metric::Counter(self.misses.clone()));
-        registry.bind(
-            "service.cache.evictions",
-            Metric::Counter(self.evictions.clone()),
-        );
-        if let Some(journal) = &self.journal {
+        self.entries.bind_metrics(registry, "service.cache");
+        if let Some((journal, _)) = &self.journal {
             registry.bind(
                 "service.cache.journal_appends",
-                Metric::Counter(journal.appends.clone()),
+                Metric::Counter(journal.appends().clone()),
             );
         }
     }
@@ -278,23 +147,11 @@ impl ResultCache {
     /// Look up a canonical config key, bumping the hit or miss counter.
     /// A hit refreshes the entry's recency.
     pub fn lookup(&self, canonical: &str) -> Lookup {
-        let mut slots = self.slots.lock();
-        let tick = slots.tick();
-        match slots.map.get_mut(canonical) {
-            Some(entry) => {
-                entry.tick = tick;
-                self.hits.inc();
-                Lookup::Hit {
-                    hash: entry.hash,
-                    report: entry.report.clone(),
-                }
-            }
-            None => {
-                self.misses.inc();
-                Lookup::Miss {
-                    hash: fnv1a_64(canonical.as_bytes()),
-                }
-            }
+        match self.entries.get(canonical) {
+            Some((hash, report)) => Lookup::Hit { hash, report },
+            None => Lookup::Miss {
+                hash: fnv1a_64(canonical.as_bytes()),
+            },
         }
     }
 
@@ -306,64 +163,32 @@ impl ResultCache {
     /// flushed before this returns, so a `SIGKILL` any time after an
     /// insert finds the entry durable.
     pub fn insert(&self, canonical: String, report: RunReport) {
-        if let Some(journal) = &self.journal {
-            let entry = JournalEntry {
-                key: canonical.clone(),
-                report: report.clone(),
-            };
-            let body = serde_json::to_string(&entry).expect("journal entries always serialize");
-            // The crc covers exactly the bytes embedded in the line, so
-            // replay can recompute it from the parsed record.
-            let line = format!(
-                "{{\"crc\":{},\"entry\":{}}}\n",
-                fnv1a_64(body.as_bytes()),
-                body
-            );
-            let mut file = journal.file.lock();
-            if file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.flush())
-                .is_ok()
-            {
-                journal.appends.inc();
-            } else {
+        let entry = Entry {
+            key: canonical,
+            report,
+        };
+        if let Some((journal, _)) = &self.journal {
+            if journal.append(&entry).is_err() {
                 obs::warn!(
                     target: "service::cache",
                     "journal append failed at {}; entry stays in memory only",
-                    journal.path.display()
+                    journal.path().display()
                 );
             }
         }
-        self.insert_in_memory(canonical, report);
+        self.insert_in_memory(entry);
     }
 
     /// The in-memory half of [`Self::insert`] — also the replay path,
     /// which must not append what it just read back.
-    fn insert_in_memory(&self, canonical: String, report: RunReport) {
-        let hash = fnv1a_64(canonical.as_bytes());
-        let mut slots = self.slots.lock();
-        let tick = slots.tick();
-        if slots.map.len() >= self.cap && !slots.map.contains_key(&canonical) {
-            let coldest = slots
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-                .expect("cap >= 1, so a full map is non-empty");
-            slots.map.remove(&coldest);
-            self.evictions.inc();
-        }
-        slots.map.insert(canonical, Entry { hash, report, tick });
+    fn insert_in_memory(&self, entry: Entry) {
+        let hash = fnv1a_64(entry.key.as_bytes());
+        self.entries.insert(entry.key, (hash, entry.report));
     }
 
     /// `(hits, misses, entries, evictions)` counters.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.get(),
-            self.misses.get(),
-            self.slots.lock().map.len() as u64,
-            self.evictions.get(),
-        )
+        self.entries.stats()
     }
 }
 
@@ -410,22 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_configs_occupy_distinct_slots() {
-        let cache = ResultCache::new();
-        let a = config(1);
-        let b = config(2);
-        assert_ne!(a.canonical_json(), b.canonical_json());
-        cache.insert(a.canonical_json(), RunReport::from_schedule(&a, &a.run()));
-        cache.insert(b.canonical_json(), RunReport::from_schedule(&b, &b.run()));
-        let (_, _, entries, _) = cache.stats();
-        assert_eq!(entries, 2);
-        match cache.lookup(&a.canonical_json()) {
-            Lookup::Hit { report, .. } => assert_eq!(report.label, a.label()),
-            Lookup::Miss { .. } => panic!("a missed"),
-        }
-    }
-
-    #[test]
     fn lru_eviction_under_cap_of_two() {
         let cache = ResultCache::with_capacity(2);
         let (a, b, c) = (config(1), config(2), config(3));
@@ -459,6 +268,22 @@ mod tests {
         assert_eq!((entries, evictions), (2, 1));
     }
 
+    #[test]
+    fn distinct_configs_occupy_distinct_slots() {
+        let cache = ResultCache::new();
+        let a = config(1);
+        let b = config(2);
+        assert_ne!(a.canonical_json(), b.canonical_json());
+        cache.insert(a.canonical_json(), RunReport::from_schedule(&a, &a.run()));
+        cache.insert(b.canonical_json(), RunReport::from_schedule(&b, &b.run()));
+        let (_, _, entries, _) = cache.stats();
+        assert_eq!(entries, 2);
+        match cache.lookup(&a.canonical_json()) {
+            Lookup::Hit { report, .. } => assert_eq!(report.label, a.label()),
+            Lookup::Miss { .. } => panic!("a missed"),
+        }
+    }
+
     /// A scratch path under the target-adjacent temp dir, removed on drop.
     struct TempJournal(std::path::PathBuf);
     impl TempJournal {
@@ -482,14 +307,18 @@ mod tests {
         let report = |cfg: &RunConfig| RunReport::from_schedule(cfg, &cfg.run());
         let expected = serde_json::to_string(&report(&a)).unwrap();
         {
-            let (cache, replay) = ResultCache::with_journal(8, &journal.0).unwrap();
-            assert_eq!(replay, JournalReplay::default(), "fresh journal is empty");
+            let cache = ResultCache::with_journal(8, &journal.0).unwrap();
+            let fresh = cache.journal_health().unwrap();
+            assert_eq!(
+                (fresh.replayed, fresh.dropped_bytes),
+                (0, 0),
+                "fresh journal is empty"
+            );
             cache.insert(a.canonical_json(), report(&a));
             cache.insert(b.canonical_json(), report(&b));
             assert_eq!(cache.journal_health().unwrap().appended, 2);
         } // dropped without any shutdown ceremony — durability is per-insert
-        let (cache, replay) = ResultCache::with_journal(8, &journal.0).unwrap();
-        assert_eq!((replay.replayed, replay.truncated), (2, false));
+        let cache = ResultCache::with_journal(8, &journal.0).unwrap();
         match cache.lookup(&a.canonical_json()) {
             Lookup::Hit { report, .. } => {
                 assert_eq!(
@@ -511,13 +340,34 @@ mod tests {
         );
     }
 
+    /// A cache-journal line written by an earlier build: it still
+    /// replays, and the cache writes the replayed entry back as the very
+    /// same bytes, so the on-disk format is pinned.
+    #[test]
+    fn golden_journal_line_replays_and_rewrites_byte_identically() {
+        const GOLDEN: &str = include_str!("../tests/golden/cache_journal.jsonl");
+        let old = TempJournal::new("golden-old");
+        std::fs::write(&old.0, GOLDEN).unwrap();
+        let cache = ResultCache::with_journal(8, &old.0).unwrap();
+        let health = cache.journal_health().unwrap();
+        assert_eq!((health.replayed, health.truncated), (1, false));
+        let entry = Journal::<Entry>::read(&old.0).unwrap().records.remove(0);
+        assert!(entry.key.starts_with("{\"kind\":\"Easy\""));
+        assert!(matches!(cache.lookup(&entry.key), Lookup::Hit { .. }));
+
+        let new = TempJournal::new("golden-new");
+        let rewriter = ResultCache::with_journal(8, &new.0).unwrap();
+        rewriter.insert(entry.key, entry.report);
+        assert_eq!(std::fs::read_to_string(&new.0).unwrap(), GOLDEN);
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_earlier_records_survive() {
         let journal = TempJournal::new("torn");
         let (a, b) = (config(1), config(2));
         let report = |cfg: &RunConfig| RunReport::from_schedule(cfg, &cfg.run());
         {
-            let (cache, _) = ResultCache::with_journal(8, &journal.0).unwrap();
+            let cache = ResultCache::with_journal(8, &journal.0).unwrap();
             cache.insert(a.canonical_json(), report(&a));
             cache.insert(b.canonical_json(), report(&b));
         }
@@ -527,18 +377,15 @@ mod tests {
         let torn_at = first_end + (bytes.len() - first_end) / 2;
         std::fs::write(&journal.0, &bytes[..torn_at]).unwrap();
 
-        let (cache, replay) = ResultCache::with_journal(8, &journal.0).unwrap();
-        assert_eq!(replay.replayed, 1, "only the intact record replays");
-        assert!(replay.truncated);
-        assert_eq!(replay.dropped_bytes, (torn_at - first_end) as u64);
-        // The health view carries the replay provenance verbatim, so the
-        // `health` verb (and a sweep coordinator polling it) can report
-        // shard recovery state: entries replayed + torn-tail bytes
-        // dropped.
+        let cache = ResultCache::with_journal(8, &journal.0).unwrap();
+        // The health view carries the replay provenance, so the `health`
+        // verb (and a sweep coordinator polling it) can report shard
+        // recovery state: entries replayed + torn-tail bytes dropped.
         let health = cache.journal_health().expect("journaled cache");
         assert_eq!(
             (health.replayed, health.truncated, health.dropped_bytes),
-            (1, true, (torn_at - first_end) as u64)
+            (1, true, (torn_at - first_end) as u64),
+            "only the intact record replays"
         );
         assert!(matches!(
             cache.lookup(&a.canonical_json()),
@@ -556,8 +403,9 @@ mod tests {
         // ...and appending resumes cleanly after the truncation point.
         cache.insert(b.canonical_json(), report(&b));
         drop(cache);
-        let (_, replay) = ResultCache::with_journal(8, &journal.0).unwrap();
-        assert_eq!((replay.replayed, replay.truncated), (2, false));
+        let cache = ResultCache::with_journal(8, &journal.0).unwrap();
+        let health = cache.journal_health().unwrap();
+        assert_eq!((health.replayed, health.truncated), (2, false));
     }
 
     #[test]
@@ -566,7 +414,7 @@ mod tests {
         let (a, b) = (config(1), config(2));
         let report = |cfg: &RunConfig| RunReport::from_schedule(cfg, &cfg.run());
         {
-            let (cache, _) = ResultCache::with_journal(8, &journal.0).unwrap();
+            let cache = ResultCache::with_journal(8, &journal.0).unwrap();
             cache.insert(a.canonical_json(), report(&a));
             cache.insert(b.canonical_json(), report(&b));
         }
@@ -584,8 +432,9 @@ mod tests {
         bytes[digit_at] = if bytes[digit_at] == b'1' { b'2' } else { b'1' };
         std::fs::write(&journal.0, &bytes).unwrap();
 
-        let (cache, replay) = ResultCache::with_journal(8, &journal.0).unwrap();
-        assert_eq!((replay.replayed, replay.truncated), (1, true));
+        let cache = ResultCache::with_journal(8, &journal.0).unwrap();
+        let health = cache.journal_health().unwrap();
+        assert_eq!((health.replayed, health.truncated), (1, true));
         assert!(matches!(
             cache.lookup(&a.canonical_json()),
             Lookup::Hit { .. }
@@ -602,16 +451,17 @@ mod tests {
         let (a, b, c) = (config(1), config(2), config(3));
         let report = |cfg: &RunConfig| RunReport::from_schedule(cfg, &cfg.run());
         {
-            let (cache, _) = ResultCache::with_journal(8, &journal.0).unwrap();
+            let cache = ResultCache::with_journal(8, &journal.0).unwrap();
             cache.insert(a.canonical_json(), report(&a));
             cache.insert(b.canonical_json(), report(&b));
             cache.insert(c.canonical_json(), report(&c));
         }
         // Replay under a smaller cap: file order is recency order, so
         // the oldest append is the one evicted.
-        let (cache, replay) = ResultCache::with_journal(2, &journal.0).unwrap();
+        let cache = ResultCache::with_journal(2, &journal.0).unwrap();
         assert_eq!(
-            replay.replayed, 3,
+            cache.journal_health().unwrap().replayed,
+            3,
             "all records replay before the cap trims"
         );
         let (_, _, entries, evictions) = cache.stats();

@@ -22,8 +22,12 @@
 //! * [`pool`] — bounded worker pool: shedding via `try_submit`,
 //!   per-task panic isolation (worker-level `catch_unwind` plus
 //!   `backfill_sim::run_cell`'s inner boundary);
+//! * [`lru`] — the bounded LRU map under both caches;
 //! * [`cache`] — result memoization keyed by canonical config JSON,
-//!   optionally crash-recoverable via an append-only JSONL journal;
+//!   optionally crash-recoverable via a cache journal;
+//! * [`tracecache`] — materialized traces shared by the pool's workers;
+//! * [`journal`] — the checksummed JSONL journal under the cache
+//!   journal and `coord`'s sweep journal;
 //! * [`fault`] — seedable deterministic fault injection plans;
 //! * [`server`] — accept loop, connection handlers, hardening,
 //!   graceful drain;
@@ -54,13 +58,15 @@
 pub mod cache;
 pub mod client;
 pub mod fault;
+pub mod journal;
+pub mod lru;
 pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod supervisor;
 pub mod tracecache;
 
-pub use cache::{JournalReplay, Lookup, ResultCache};
+pub use cache::{Lookup, ResultCache};
 pub use client::{Backoff, Client, ClientError, ClientOptions, ResilientClient, RetryPolicy};
 pub use fault::{FaultActions, FaultInjector, FaultPlan};
 pub use pool::{SubmitError, Task, TaskResult, WorkerPool};

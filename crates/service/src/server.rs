@@ -166,12 +166,13 @@ impl Inner {
         let registry = Registry::new();
         let cache = match &cfg.journal {
             Some(path) => {
-                let (cache, replay) = ResultCache::with_journal(cfg.cache_cap, path)?;
+                let cache = ResultCache::with_journal(cfg.cache_cap, path)?;
+                let replay = cache.journal_health().expect("journaled cache");
                 if replay.truncated {
                     obs::warn!(
                         target: "service::cache",
                         "journal {} had a torn tail: dropped {} bytes, kept {} records",
-                        path.display(),
+                        replay.path,
                         replay.dropped_bytes,
                         replay.replayed
                     );
@@ -179,7 +180,7 @@ impl Inner {
                     obs::info!(
                         target: "service::cache",
                         "journal {}: replayed {} records",
-                        path.display(),
+                        replay.path,
                         replay.replayed
                     );
                 }

@@ -3,62 +3,28 @@
 //! A sweep submitted to `bfsimd` is dozens of (scheduler × policy) cells
 //! over a handful of scenarios, but tasks arrive one by one, so the pool
 //! cannot group them the way `run_all` does. Instead the workers share
-//! this cache: traces are memoized under the **canonical JSON** of their
-//! [`Scenario`] (same keying discipline as the result cache — full text,
-//! not a hash, so distinct scenarios can never alias), and a worker that
-//! misses materializes once and publishes the `Arc<Trace>` for everyone
-//! after it.
+//! this cache: traces are memoized in an [`Lru`] under the **canonical
+//! JSON** of their [`Scenario`], and a worker that misses materializes
+//! once and publishes the `Arc<Trace>` for everyone after it.
 //!
-//! The cache is bounded with the same LRU-by-tick scan as
-//! [`ResultCache`](crate::cache::ResultCache): traces are a few MB each,
-//! so the cap is small, and an eviction scan only happens after a full
-//! trace materialization. Two workers racing on the same scenario may
-//! both materialize; materialization is deterministic, so last-write-wins
-//! is harmless. A scenario whose materialization panics is **not**
-//! cached — every request for it re-runs (and re-fails), exactly like the
-//! per-cell fault boundary in `run_cell`.
+//! Traces are a few MB each, so the cap is small. Two workers racing on
+//! the same scenario may both materialize; materialization is
+//! deterministic, so last-write-wins is harmless. A scenario whose
+//! materialization panics is **not** cached — every request for it
+//! re-runs (and re-fails), exactly like the per-cell fault boundary in
+//! `run_cell`.
 
+use crate::lru::Lru;
 use backfill_sim::{materialize_caught, Scenario};
-use obs::metrics::{Counter, Metric, Registry};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use obs::metrics::Registry;
 use std::sync::Arc;
 use workload::Trace;
 
-/// A memoized trace plus its last-touched tick.
-#[derive(Debug)]
-struct Entry {
-    trace: Arc<Trace>,
-    /// Logical LRU clock value of the last lookup hit or insert.
-    tick: u64,
-}
-
-/// Guarded state: the map and the logical clock it stamps entries with.
-#[derive(Debug, Default)]
-struct Slots {
-    map: HashMap<String, Entry>,
-    clock: u64,
-}
-
-impl Slots {
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
-    }
-}
-
 /// Thread-safe memoization of materialized traces, keyed by canonical
-/// scenario JSON, bounded to `cap` entries with LRU eviction. Counters
-/// are monotone over the cache's lifetime.
+/// scenario JSON, bounded to `cap` entries with LRU eviction.
 #[derive(Debug)]
 pub struct TraceCache {
-    slots: Mutex<Slots>,
-    cap: usize,
-    // Shared obs handles so the owning daemon can `bind_metrics` them
-    // into its registry; the cache increments, the registry reads.
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    evictions: Arc<Counter>,
+    traces: Lru<Arc<Trace>>,
 }
 
 impl Default for TraceCache {
@@ -81,29 +47,14 @@ impl TraceCache {
     /// Create an empty cache holding at most `cap` entries (minimum 1).
     pub fn with_capacity(cap: usize) -> Self {
         TraceCache {
-            slots: Mutex::new(Slots::default()),
-            cap: cap.max(1),
-            hits: Arc::new(Counter::new()),
-            misses: Arc::new(Counter::new()),
-            evictions: Arc::new(Counter::new()),
+            traces: Lru::new(cap),
         }
     }
 
     /// Expose the cache's counters to `registry` under
     /// `service.trace_cache.{hits,misses,evictions}`.
     pub fn bind_metrics(&self, registry: &Registry) {
-        registry.bind(
-            "service.trace_cache.hits",
-            Metric::Counter(self.hits.clone()),
-        );
-        registry.bind(
-            "service.trace_cache.misses",
-            Metric::Counter(self.misses.clone()),
-        );
-        registry.bind(
-            "service.trace_cache.evictions",
-            Metric::Counter(self.evictions.clone()),
-        );
+        self.traces.bind_metrics(registry, "service.trace_cache");
     }
 
     /// The scenario's trace: served from cache on a hit (refreshing
@@ -112,49 +63,20 @@ impl TraceCache {
     /// text and leaves the cache untouched.
     pub fn get_or_materialize(&self, scenario: &Scenario) -> Result<Arc<Trace>, String> {
         let key = scenario.canonical_json();
-        {
-            let mut slots = self.slots.lock();
-            let tick = slots.tick();
-            if let Some(entry) = slots.map.get_mut(&key) {
-                entry.tick = tick;
-                self.hits.inc();
-                return Ok(entry.trace.clone());
-            }
+        if let Some(trace) = self.traces.get(&key) {
+            return Ok(trace);
         }
-        self.misses.inc();
-        // Materialize with the lock released: a multi-second trace
-        // generation must not stall every other worker's lookups.
+        // The lock is released between the lookup and the insert: a
+        // multi-second trace generation must not stall every other
+        // worker's lookups.
         let trace = Arc::new(materialize_caught(scenario)?);
-        let mut slots = self.slots.lock();
-        let tick = slots.tick();
-        if slots.map.len() >= self.cap && !slots.map.contains_key(&key) {
-            let coldest = slots
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(k, _)| k.clone())
-                .expect("cap >= 1, so a full map is non-empty");
-            slots.map.remove(&coldest);
-            self.evictions.inc();
-        }
-        slots.map.insert(
-            key,
-            Entry {
-                trace: trace.clone(),
-                tick,
-            },
-        );
+        self.traces.insert(key, trace.clone());
         Ok(trace)
     }
 
     /// `(hits, misses, entries, evictions)` counters.
     pub fn stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.hits.get(),
-            self.misses.get(),
-            self.slots.lock().map.len() as u64,
-            self.evictions.get(),
-        )
+        self.traces.stats()
     }
 }
 
