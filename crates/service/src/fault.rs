@@ -49,7 +49,10 @@
 //! accepted-connection order and `handshake` by `Capabilities`-request
 //! order — each has its own counter, so e.g. `connect@0;handshake@1..3`
 //! kills the first connection and refuses the second and third
-//! handshakes while leaving submit faults untouched.
+//! handshakes while leaving submit faults untouched. The connection a
+//! `Shutdown` opens to wake the daemon's blocked accept is not a client
+//! and claims no `connect` index, so connections opened during the
+//! drain keep counting on from the last client connection.
 
 use backfill_sim::canon::fnv1a_64;
 use std::fmt;

@@ -33,9 +33,16 @@
 //! 1. Any connection sends [`Request::Shutdown`]; the daemon sets the
 //!    `draining` flag and acknowledges with `ShuttingDown`.
 //! 2. New `Submit`s now answer `ShuttingDown` without entering the pool.
-//! 3. The accept loop keeps polling until `pending` — the count of
-//!    submits between acceptance and response flush — reaches zero, so
-//!    every request already in the pipeline still gets its response.
+//! 3. Before Shutdown the accept loop blocks in `accept`, so each
+//!    connection reaches its handler the moment the kernel queues it.
+//!    Shutdown wakes that call with one connection of its own to the
+//!    listener's port (loopback when bound to an unspecified address);
+//!    the loop drops the wake unserved — it claims no `connect` fault
+//!    index and counts in no metric. Only now does the loop poll,
+//!    non-blocking, until `pending` — the count of submits between
+//!    acceptance and response flush — reaches zero, so every request
+//!    already in the pipeline still gets its response; connections
+//!    opened meanwhile are still served.
 //! 4. The loop exits, the pool's queue closes, workers finish what they
 //!    hold and join. `ServerHandle::join` then returns.
 
@@ -48,14 +55,15 @@ use crate::protocol::{
 use backfill_sim::canon::fnv1a_64;
 use obs::metrics::{Counter, Histogram, Registry};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls for new connections / drain progress.
+/// How often the draining accept loop polls for new connections and
+/// drain progress. Before Shutdown the loop blocks in `accept` instead.
 const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Daemon sizing and hardening knobs.
@@ -132,6 +140,13 @@ struct Inner {
     refusing: AtomicBool,
     /// Submits between acceptance and response flush; the drain gate.
     pending: AtomicUsize,
+    /// Where Shutdown connects to wake the blocked accept (see
+    /// [`wake_addr`]).
+    wake_addr: SocketAddr,
+    /// The wake connection's local address, which the accept loop sees
+    /// as its peer. Held locked across the wake's connect, so the loop
+    /// can never accept the wake before it is recorded here.
+    wake_peer: Mutex<Option<SocketAddr>>,
     registry: Registry,
     submitted: Arc<Counter>,
     completed: Arc<Counter>,
@@ -162,7 +177,7 @@ struct Inner {
 impl Inner {
     /// Build the shared state; fallible because opening/replaying the
     /// cache journal touches the filesystem.
-    fn new(cfg: ServiceConfig) -> io::Result<Self> {
+    fn new(cfg: ServiceConfig, bound: SocketAddr) -> io::Result<Self> {
         let registry = Registry::new();
         let cache = match &cfg.journal {
             Some(path) => {
@@ -202,6 +217,8 @@ impl Inner {
             draining: AtomicBool::new(false),
             refusing: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
+            wake_addr: wake_addr(bound),
+            wake_peer: Mutex::new(None),
             submitted: registry.counter("service.submitted"),
             completed: registry.counter("service.completed"),
             failed: registry.counter("service.failed"),
@@ -341,6 +358,35 @@ impl Inner {
         }
     }
 
+    /// Start the drain: set `draining` and, the first time only, wake the
+    /// accept loop out of its blocking `accept` with one connection.
+    fn begin_shutdown(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut peer = self.wake_peer.lock().unwrap_or_else(|e| e.into_inner());
+        match TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1)) {
+            Ok(stream) => *peer = stream.local_addr().ok(),
+            // The loop then leaves `accept` only with the next connection.
+            Err(e) => obs::warn!(
+                target: "service::server",
+                "shutdown could not wake the accept loop at {}: {e}",
+                self.wake_addr
+            ),
+        }
+    }
+
+    /// Is this accepted connection Shutdown's wake? Consumes the match,
+    /// so a later client that happens to reuse the port is served.
+    fn is_wake(&self, peer: SocketAddr) -> bool {
+        let mut wake = self.wake_peer.lock().unwrap_or_else(|e| e.into_inner());
+        if *wake == Some(peer) {
+            *wake = None;
+            return true;
+        }
+        false
+    }
+
     fn record_wall(&self, wall_ms: u64) {
         self.wall_ms_total.add(wall_ms);
         self.wall_ms_max.fetch_max(wall_ms, Ordering::SeqCst);
@@ -381,8 +427,7 @@ impl Server {
     pub fn start<A: ToSocketAddrs>(addr: A, cfg: ServiceConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let inner = Arc::new(Inner::new(cfg)?);
+        let inner = Arc::new(Inner::new(cfg, addr)?);
         let accept = std::thread::spawn(move || accept_loop(listener, inner));
         Ok(ServerHandle {
             addr,
@@ -391,29 +436,60 @@ impl Server {
     }
 }
 
+/// Where Shutdown's wake connects: the bound address, with an
+/// unspecified IP (`0.0.0.0`, `[::]`) replaced by that family's loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    loop {
+    // Serving: block in accept until Shutdown sets `draining` and wakes
+    // this call with a connection of its own.
+    while !inner.draining.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _peer)) => {
-                let inner = inner.clone();
-                // Handlers run blocking I/O; one thread per connection.
-                std::thread::spawn(move || handle_connection(stream, &inner));
+            Ok((stream, peer)) => admit(stream, peer, &inner),
+            // A failing listener stops the daemon without a drain.
+            Err(_) => {
+                inner.pool.shutdown();
+                return;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if inner.draining.load(Ordering::SeqCst)
-                    && inner.pending.load(Ordering::SeqCst) == 0
-                {
-                    break;
+        }
+    }
+    // Draining: keep serving new connections, non-blocking, until every
+    // tracked submit has flushed its response.
+    if listener.set_nonblocking(true).is_ok() {
+        loop {
+            match listener.accept() {
+                Ok((stream, peer)) => admit(stream, peer, &inner),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if inner.pending.load(Ordering::SeqCst) == 0 {
+                        break;
+                    }
+                    std::thread::sleep(ACCEPT_POLL);
                 }
-                std::thread::sleep(ACCEPT_POLL);
+                Err(_) => break,
             }
-            Err(_) => break,
         }
     }
     // Close the queue and wait for workers; everything still queued was
     // counted in `pending`, so its handlers get replies before this
     // point could be reached only via the drain gate above.
     inner.pool.shutdown();
+}
+
+/// Hand an accepted connection to its own handler thread (handlers run
+/// blocking I/O), unless it is Shutdown's wake, which is dropped here.
+fn admit(stream: TcpStream, peer: SocketAddr, inner: &Arc<Inner>) {
+    if inner.is_wake(peer) {
+        return;
+    }
+    let inner = inner.clone();
+    std::thread::spawn(move || handle_connection(stream, &inner));
 }
 
 /// One framing step's outcome (see [`read_frame`]).
@@ -714,7 +790,7 @@ fn serve(request: Request, inner: &Inner) -> Served {
             Served::plain(Response::Draining)
         }
         Request::Shutdown => {
-            inner.draining.store(true, Ordering::SeqCst);
+            inner.begin_shutdown();
             Served::plain(Response::ShuttingDown)
         }
     }
@@ -905,22 +981,10 @@ mod tests {
         assert!(matches!(read_frame(&mut reader, 5).unwrap(), Frame::Eof));
     }
 
-    #[test]
-    fn start_binds_ephemeral_port() {
-        let handle = Server::start(
-            "127.0.0.1:0",
-            ServiceConfig {
-                workers: 1,
-                queue_cap: 1,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = handle.addr();
-        assert_ne!(addr.port(), 0, "port 0 must resolve to a real port");
-        // Shut it down over the wire so join() returns. The read is
-        // deadline-bounded: a hung daemon fails this test with a timeout
-        // error instead of hanging the suite.
+    /// Send `Shutdown` on a fresh connection and check the ack. The read
+    /// is deadline-bounded: a hung daemon fails the calling test with a
+    /// timeout error instead of hanging the suite.
+    fn shutdown_over_wire(addr: SocketAddr) {
         let stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -936,6 +1000,59 @@ mod tests {
         BufReader::new(stream).read_line(&mut line).unwrap();
         let response: Response = serde_json::from_str(&line).unwrap();
         assert!(matches!(response, Response::ShuttingDown));
+    }
+
+    fn one_worker() -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            queue_cap: 1,
+            ..ServiceConfig::default()
+        }
+    }
+
+    #[test]
+    fn start_binds_ephemeral_port() {
+        let handle = Server::start("127.0.0.1:0", one_worker()).unwrap();
+        let addr = handle.addr();
+        assert_ne!(addr.port(), 0, "port 0 must resolve to a real port");
+        shutdown_over_wire(addr);
         handle.join();
+    }
+
+    #[test]
+    fn wake_targets_loopback_for_unspecified_binds() {
+        for (bound, wake) in [
+            ("0.0.0.0:7481", "127.0.0.1:7481"),
+            ("[::]:7481", "[::1]:7481"),
+            ("127.0.0.1:7481", "127.0.0.1:7481"),
+            ("10.1.2.3:7481", "10.1.2.3:7481"),
+            ("[::1]:7481", "[::1]:7481"),
+        ] {
+            assert_eq!(
+                wake_addr(bound.parse().unwrap()),
+                wake.parse::<SocketAddr>().unwrap(),
+                "{bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_daemon_on_any_bind_address() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handle = Server::start(bind, one_worker()).unwrap();
+            let port = handle.addr().port();
+            shutdown_over_wire(SocketAddr::from((Ipv4Addr::LOCALHOST, port)));
+            // Join under a watchdog: a lost wake leaves the accept loop
+            // blocked, which must fail this test rather than hang it.
+            let (done_tx, done_rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                handle.join();
+                let _ = done_tx.send(());
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+                "{bind}: an idle daemon must stop within 5 s of Shutdown"
+            );
+        }
     }
 }

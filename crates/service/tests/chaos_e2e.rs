@@ -5,8 +5,9 @@
 //! byte-identical to a fault-free direct run.
 //!
 //! Also pins the individual hardening behaviors: overload shedding
-//! (`Busy`), oversized-frame rejection, and the server-side idle read
-//! timeout.
+//! (`Busy`), oversized-frame rejection, the server-side idle read
+//! timeout, and that Shutdown's wake connection claims no `connect`
+//! fault index.
 
 use backfill_sim::{run_all, RunConfig, Scenario, SchedulerKind, TraceSource};
 use sched::Policy;
@@ -299,5 +300,64 @@ fn idle_connection_is_reaped_by_the_read_timeout() {
     let mut client = Client::connect(addr).expect("connect");
     client.stats().expect("stats after reap");
     client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+#[test]
+fn shutdown_wake_claims_no_connect_fault_index() {
+    // Connection 0 carries the delayed submit that holds the drain open,
+    // connection 1 sends Shutdown, connection 2 opens mid-drain and must
+    // be the one `connect@2` drops. Had the wake that Shutdown sends to
+    // its own accept loop been counted, it would have used up index 2
+    // and connection 2 would be served.
+    let plan = FaultPlan::parse("delay@0=500ms;connect@2").expect("plan parses");
+    let handle = Server::start(
+        "127.0.0.1:0",
+        ServiceConfig {
+            workers: 1,
+            queue_cap: 2,
+            fault_plan: Some(plan),
+            ..ServiceConfig::default()
+        },
+    )
+    .expect("start daemon");
+    let addr = handle.addr();
+    let config = chaos_batch()[0];
+
+    // Each connection answers one request before the next opens, so the
+    // connect indices follow the order below.
+    let mut submitter = Client::connect(addr).expect("connect 0");
+    submitter.health().expect("connection 0 is served");
+    let delayed = std::thread::spawn(move || submitter.submit(&config));
+
+    let mut killer = Client::connect(addr).expect("connect 1");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while killer.stats().expect("stats").submitted == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "delayed submit never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    killer.shutdown().expect("shutdown ack");
+
+    let mut dropped = Client::connect(addr).expect("connect 2");
+    let refused = dropped.health();
+    assert!(
+        matches!(refused, Err(ref e) if e.is_transport()),
+        "connection 2 must be dropped at accept, got {refused:?}"
+    );
+    let mut late = Client::connect(addr).expect("connect 3");
+    let health = late.health().expect("connection 3 is served mid-drain");
+    assert!(
+        health.draining,
+        "the delayed submit must still hold the drain"
+    );
+
+    let reply = delayed
+        .join()
+        .unwrap()
+        .expect("the delayed submit must get its report");
+    assert_eq!(reply.config_hash, config.content_hash());
     handle.join();
 }
