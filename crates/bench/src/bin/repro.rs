@@ -5,75 +5,38 @@
 //!       [--log-level SPEC] [--log-json] [--log-elapsed]
 //! ```
 //!
-//! With no experiment names, everything runs (in paper order). `--quick`
-//! uses a small configuration for smoke runs. `--csv DIR` additionally
-//! writes each table as a CSV file into `DIR`. `--log-level` takes the
-//! `BFSIM_LOG` filter grammar and wins over the environment; per-
-//! experiment timing lines are logged at `info`. `--log-json` and
-//! `--log-elapsed` work as for `bfsim`.
-//!
-//! Experiments: `table1 table2 table3 fig1 fig2 table4 equiv table5
-//! table6 fig3 fig4 table7 load-sweep selective compression policies`.
+//! `repro --help` prints the authoritative flag and experiment lists,
+//! generated from the flag table below. With no experiment named, every
+//! experiment runs, in paper order; per-experiment timing lines are
+//! logged at `info`.
 
 use bench::experiments::{ablations, accurate, estimates, robustness, workload_tables, Opts};
 use metrics::Table;
+use table::*;
 
-struct Args {
-    names: Vec<String>,
-    opts: Opts,
-    csv_dir: Option<String>,
-}
+/// The flag table; `obs::cli` generates `--help` from it.
+#[rustfmt::skip]
+mod table {
+    use obs::cli::{list, number, text, Command, Flag, Group, Program, LOG};
 
-fn parse_args(args: &[String]) -> Args {
-    let mut names = Vec::new();
-    let mut opts = Opts::default();
-    let mut csv_dir = None;
-    let mut it = args.iter().cloned();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => {
-                opts = Opts {
-                    threads: opts.threads,
-                    ..Opts::quick()
-                }
-            }
-            "--jobs" => {
-                opts.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--jobs needs a number"));
-            }
-            "--seeds" => {
-                let list = it.next().unwrap_or_else(|| die("--seeds needs a list"));
-                opts.seeds = list
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| die("bad seed list")))
-                    .collect();
-            }
-            "--load" => {
-                opts.load = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--load needs a number"));
-            }
-            "--csv" => csv_dir = Some(it.next().unwrap_or_else(|| die("--csv needs a dir"))),
-            "--help" | "-h" => {
-                println!(
-                    "usage: repro [EXPERIMENT...] [--quick] [--jobs N] [--seeds a,b,c] \
-                     [--load RHO] [--csv DIR] [--log-level SPEC] [--log-json] [--log-elapsed]"
-                );
-                println!("experiments: {}", ALL.join(" "));
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => die(&format!("unknown flag {other}")),
-            other => names.push(other.to_string()),
-        }
-    }
-    Args {
-        names,
-        opts,
-        csv_dir,
-    }
+    pub static QUICK: Flag<bool> = Flag::switch("--quick", "a small configuration for smoke runs");
+    pub static JOBS: Flag<usize> = Flag::new("--jobs", "N", "", "jobs per trace, at least 2 (default 20000; 2000 with --quick)", |raw| {
+        number(raw).and_then(|n| if n >= 2 { Ok(n) } else { Err("need an integer >= 2: scaling to --load needs two arrivals".to_string()) })
+    });
+    pub static SEEDS: Flag<Vec<u64>> = Flag::new("--seeds", "a,b,c", "", "trace seeds (default 42,1337,2002; 42 with --quick)", list);
+    pub static LOAD: Flag<f64> = Flag::new("--load", "RHO", "0.9", "offered load of the high-load condition", |raw| {
+        number(raw).and_then(|rho| backfill_sim::check_load(rho).map(|()| rho))
+    });
+    pub static CSV: Flag<String> = Flag::new("--csv", "DIR", "", "also write each table as a CSV file into DIR", text);
+
+    static RUN: Group = Group { title: "run", flags: &[&QUICK, &JOBS, &SEEDS, &LOAD, &CSV] };
+    pub static REPRO: Program = Program {
+        name: "repro",
+        about: "Regenerate the paper's tables and figures; with no EXPERIMENT, all of them in paper order.\n\
+                EXPERIMENT: table1 table2 table3 fig1 fig2 table4 equiv table5 table6 fig3 fig4 table7\n\
+                normal-load load-sweep selective slack depth compression policies fairness shaking flurry preemption",
+        commands: &[Command { name: "", about: "", operands: "[EXPERIMENT...]", groups: &[&RUN, &LOG] }],
+    };
 }
 
 fn die(msg: &str) -> ! {
@@ -81,99 +44,82 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-const ALL: [&str; 23] = [
-    "table1",
-    "table2",
-    "table3",
-    "fig1",
-    "fig2",
-    "table4",
-    "equiv",
-    "table5",
-    "table6",
-    "fig3",
-    "fig4",
-    "table7",
-    "normal-load",
-    "load-sweep",
-    "selective",
-    "slack",
-    "depth",
-    "compression",
-    "policies",
-    "fairness",
-    "shaking",
-    "flurry",
-    "preemption",
+type Experiment = fn(&Opts) -> Vec<Table>;
+
+/// Every experiment, in paper order.
+const EXPERIMENTS: [(&str, Experiment); 23] = [
+    ("table1", |_| vec![workload_tables::table1()]),
+    ("table2", |o| vec![workload_tables::table2(o)]),
+    ("table3", |o| vec![workload_tables::table3(o)]),
+    ("fig1", accurate::fig1),
+    ("fig2", accurate::fig2),
+    ("table4", |o| vec![accurate::table4(o)]),
+    ("equiv", |o| vec![accurate::equivalence(o)]),
+    ("table5", |o| vec![estimates::tables5_6(o).remove(0)]),
+    ("table6", |o| vec![estimates::tables5_6(o).remove(1)]),
+    ("fig3", estimates::fig3),
+    ("fig4", |o| vec![estimates::fig4(o)]),
+    ("table7", |o| vec![estimates::table7(o)]),
+    ("normal-load", |o| vec![accurate::normal_vs_high_load(o)]),
+    ("load-sweep", |o| {
+        vec![ablations::load_sweep(o, &[0.5, 0.6, 0.7, 0.8, 0.9, 1.0])]
+    }),
+    ("selective", |o| {
+        vec![ablations::selective_sweep(o, &[1.5, 2.0, 3.0, 5.0, 10.0])]
+    }),
+    ("slack", |o| {
+        vec![ablations::slack_sweep(o, &[0.0, 0.5, 1.0, 2.0, 5.0, 10.0])]
+    }),
+    ("depth", |o| {
+        vec![ablations::depth_sweep(o, &[1, 2, 4, 8, 16, 64])]
+    }),
+    ("compression", |o| vec![ablations::compression_ablation(o)]),
+    ("policies", |o| vec![ablations::policy_ablation(o)]),
+    ("fairness", |o| vec![ablations::fairness_ablation(o)]),
+    ("shaking", |o| {
+        vec![robustness::shaking(o, 10, simcore::SimSpan::from_mins(3))]
+    }),
+    ("flurry", |o| vec![robustness::flurry(o, 500)]),
+    ("preemption", |o| {
+        vec![ablations::preemption_sweep(o, &[1.5, 2.0, 5.0, 20.0])]
+    }),
 ];
 
-fn run(name: &str, opts: &Opts) -> Vec<Table> {
-    match name {
-        "table1" => vec![workload_tables::table1()],
-        "table2" => vec![workload_tables::table2(opts)],
-        "table3" => vec![workload_tables::table3(opts)],
-        "fig1" => accurate::fig1(opts),
-        "fig2" => accurate::fig2(opts),
-        "table4" => vec![accurate::table4(opts)],
-        "equiv" => vec![accurate::equivalence(opts)],
-        "table5" => vec![estimates::tables5_6(opts).remove(0)],
-        "table6" => {
-            let mut v = estimates::tables5_6(opts);
-            vec![v.remove(1)]
-        }
-        "fig3" => estimates::fig3(opts),
-        "fig4" => vec![estimates::fig4(opts)],
-        "table7" => vec![estimates::table7(opts)],
-        "normal-load" => vec![accurate::normal_vs_high_load(opts)],
-        "load-sweep" => {
-            vec![ablations::load_sweep(opts, &[0.5, 0.6, 0.7, 0.8, 0.9, 1.0])]
-        }
-        "selective" => vec![ablations::selective_sweep(
-            opts,
-            &[1.5, 2.0, 3.0, 5.0, 10.0],
-        )],
-        "slack" => vec![ablations::slack_sweep(
-            opts,
-            &[0.0, 0.5, 1.0, 2.0, 5.0, 10.0],
-        )],
-        "depth" => vec![ablations::depth_sweep(opts, &[1, 2, 4, 8, 16, 64])],
-        "preemption" => vec![ablations::preemption_sweep(opts, &[1.5, 2.0, 5.0, 20.0])],
-        "compression" => vec![ablations::compression_ablation(opts)],
-        "policies" => vec![ablations::policy_ablation(opts)],
-        "fairness" => vec![ablations::fairness_ablation(opts)],
-        "shaking" => {
-            vec![robustness::shaking(
-                opts,
-                10,
-                simcore::SimSpan::from_mins(3),
-            )]
-        }
-        "flurry" => vec![robustness::flurry(opts, 500)],
-        other => die(&format!("unknown experiment {other:?} (try --help)")),
-    }
-}
-
 fn main() {
-    let argv = obs::log::init_cli("repro", std::env::args().skip(1).collect());
-    let args = parse_args(&argv);
-    let names: Vec<String> = if args.names.is_empty() {
-        ALL.iter().map(|s| s.to_string()).collect()
+    let a = obs::cli::parse(&REPRO, std::env::args().skip(1).collect());
+    let mut opts = if a.on(&QUICK) {
+        Opts::quick()
     } else {
-        args.names.clone()
+        Opts::default()
     };
-    if let Some(dir) = &args.csv_dir {
+    opts.jobs = a.opt(&JOBS).unwrap_or(opts.jobs);
+    opts.seeds = a.opt(&SEEDS).unwrap_or(opts.seeds);
+    opts.load = a.get(&LOAD);
+    let experiments: Vec<(&str, Experiment)> = if a.operands.is_empty() {
+        EXPERIMENTS.to_vec()
+    } else {
+        let named = |name: &String| EXPERIMENTS.iter().find(|(e, _)| e == name).copied();
+        let unknown = |name: &String| die(&format!("unknown experiment {name:?} (try --help)"));
+        let found = a
+            .operands
+            .iter()
+            .map(|n| named(n).unwrap_or_else(|| unknown(n)));
+        found.collect()
+    };
+    let csv_dir = a.opt(&CSV);
+    if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("--csv {dir}: {e}")));
     }
     println!(
         "# backfill-sim repro — jobs={} seeds={:?} load={}\n",
-        args.opts.jobs, args.opts.seeds, args.opts.load
+        opts.jobs, opts.seeds, opts.load
     );
-    for name in &names {
+    for (name, experiment) in experiments {
         let t0 = std::time::Instant::now();
-        let tables = run(name, &args.opts);
+        let tables = experiment(&opts);
         for (i, table) in tables.iter().enumerate() {
             println!("{}", table.render());
-            if let Some(dir) = &args.csv_dir {
+            if let Some(dir) = &csv_dir {
                 let suffix = if tables.len() > 1 {
                     format!("-{}", i + 1)
                 } else {

@@ -14,7 +14,9 @@
 //! coordinator covers byte-for-byte the same cells the serial bench
 //! measures.
 
-use backfill_sim::{RunConfig, Scenario, SchedulerKind, TraceSource};
+use backfill_sim::{
+    check_estimate, check_kind, check_load, RunConfig, Scenario, SchedulerKind, TraceSource,
+};
 use sched::Policy;
 use serde::{Deserialize, Serialize};
 use simcore::SimSpan;
@@ -83,7 +85,9 @@ impl SweepSpec {
         .product()
     }
 
-    /// Reject specs that cannot expand to at least one cell.
+    /// Reject specs that cannot expand to at least one cell, or that hold
+    /// a parameter out of its range (`backfill_sim::check_kind` and its
+    /// siblings).
     pub fn validate(&self) -> Result<(), String> {
         let axes: [(&str, usize); 7] = [
             ("models", self.models.len()),
@@ -104,6 +108,15 @@ impl SweepSpec {
         }
         if self.jobs == 0 {
             return Err("jobs must be >= 1".to_string());
+        }
+        for &kind in &self.kinds {
+            check_kind(kind).map_err(|e| format!("kinds: {kind:?}: {e}"))?;
+        }
+        for &estimate in &self.estimates {
+            check_estimate(estimate).map_err(|e| format!("estimates: {estimate:?}: {e}"))?;
+        }
+        for &rho in self.loads.iter().flatten() {
+            check_load(rho).map_err(|e| format!("loads: {rho}: {e}"))?;
         }
         Ok(())
     }
@@ -276,6 +289,53 @@ mod tests {
         let mut zero_jobs = tiny_spec();
         zero_jobs.jobs = 0;
         assert!(zero_jobs.validate().is_err());
+        let out_of_range = |edit: fn(&mut SweepSpec)| {
+            let mut spec = tiny_spec();
+            edit(&mut spec);
+            spec.validate().unwrap_err()
+        };
+        let err = out_of_range(|s| s.kinds.push(SchedulerKind::Depth { depth: 0 }));
+        assert_eq!(
+            err,
+            "kinds: Depth { depth: 0 }: reservation depth must be >= 1"
+        );
+        let err = out_of_range(|s| {
+            s.kinds = vec![SchedulerKind::Preemptive {
+                threshold: f64::NAN,
+            }]
+        });
+        assert!(err.starts_with("kinds: Preemptive"), "{err}");
+        assert!(
+            out_of_range(|s| s.kinds = vec![SchedulerKind::Selective { threshold: 0.5 }])
+                .starts_with("kinds: Selective")
+        );
+        assert!(
+            out_of_range(|s| s.kinds = vec![SchedulerKind::Slack { slack_factor: -1.0 }])
+                .starts_with("kinds: Slack")
+        );
+        let err = out_of_range(|s| {
+            s.estimates = vec![EstimateModel::SystematicOver {
+                factor: f64::INFINITY,
+            }]
+        });
+        assert!(err.starts_with("estimates: SystematicOver"), "{err}");
+        assert_eq!(
+            out_of_range(|s| s.loads = vec![None, Some(0.0)]),
+            "loads: 0: load must be finite and > 0"
+        );
+        assert!(out_of_range(|s| s.loads = vec![Some(f64::NAN)]).starts_with("loads: NaN"));
+        let mut edge = tiny_spec();
+        edge.kinds = vec![
+            SchedulerKind::Selective {
+                threshold: f64::INFINITY,
+            },
+            SchedulerKind::Slack { slack_factor: 0.0 },
+        ];
+        edge.loads = vec![None];
+        assert!(
+            edge.validate().is_ok(),
+            "inf never reserves; slack 0 is conservative"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bfsim simulate [WORKLOAD] [SCHED] [--gantt] [--series] [--fairness]
-//!                [--trace-out OUT.jsonl]
+//!                [--journal OUT.jsonl] [--trace-out OUT.jsonl]
 //! bfsim generate [WORKLOAD] -o OUT.swf
 //! bfsim inspect FILE.swf
 //! bfsim compare [WORKLOAD] [--seeds a,b,c]
@@ -11,7 +11,7 @@
 //! bfsim metrics [--addr HOST:PORT]
 //! bfsim health [--addr HOST:PORT]
 //! bfsim shutdown [--addr HOST:PORT]
-//! bfsim bench [-o OUT.json] [--baseline OLD.json] [--enforce-parity]
+//! bfsim bench -o OUT.json [--baseline OLD.json] [--enforce-parity]
 //!             [--tiny] [--reps N] [--trace-out OUT.jsonl]
 //! bfsim sweep --shards H:P,H:P,... (--spec FILE.json | --tiny | --bench)
 //!             [--window N] [--no-steal] [--max-requeues N] [--spans]
@@ -24,31 +24,6 @@
 //! bfsim coord-status [--shards H:P,H:P,...] [--journal J.jsonl]
 //!                    [--in SWEEP.json]
 //!
-//! Every command also accepts `--log-level SPEC` (the `BFSIM_LOG`
-//! filter grammar, e.g. `info` or `warn,sched=debug`), `--log-json`
-//! (JSON-lines log records instead of text), and `--log-elapsed`
-//! (monotonic `elapsed_ms` on every record). The flag wins over the
-//! environment; without either, only errors are logged.
-//!
-//! `metrics` accepts `--format json|prom`: `json` (default) prints the
-//! canonical registry document, `prom` the Prometheus text exposition
-//! of the same state, scrape-ready.
-//!
-//! `sweep --spans` traces the sweep: one root span per cell on the
-//! coordinator, an `attempt` span per submission, trace context
-//! propagated to the shards (whose cache/pool/phase spans parent into
-//! the same trace), and everything drained into the report's `spans`
-//! field. `timeline` then merges a span-bearing report into Chrome
-//! trace-event JSON (chrome://tracing, Perfetto), validating first that
-//! every cell's spans form exactly one rooted tree (exit 6 otherwise).
-//!
-//! `--trace-out` records the run's scheduling decisions (arrivals,
-//! reservations, backfills, starts, completions, compressions,
-//! preemptions) to a JSONL file — see DESIGN.md §12 for the event
-//! schema and `crates/bench`'s analyzer for consuming it. Recording is
-//! strictly observational: the schedule fingerprint is identical with
-//! and without it.
-//!
 //! WORKLOAD: --model ctc|sdsc|lublin | --trace FILE.swf [--lenient]
 //!           --jobs N --seed S --load RHO
 //!           --estimate exact|systematic:R|user
@@ -57,83 +32,59 @@
 //!           --policy fcfs|sjf|xf|ljf|widest
 //! ```
 //!
-//! The daemon commands (`submit`/`stats`/`metrics`/`health`/`shutdown`)
-//! talk to a running `bfsimd` (default `127.0.0.1:7411`) through the
-//! resilient client: per-request deadline `--timeout-ms N` (0 disables),
-//! retry budget `--retries N` with seeded decorrelated-jitter backoff
-//! (`--retry-base-ms N`, `--retry-seed S`). On failure they exit
-//! nonzero with a one-line diagnostic through the obs logger: 3 for
-//! connection/timeout failures, 4 when the daemon is busy or draining,
-//! 5 for service/protocol errors. `submit` only supports the
-//! model-generated workloads (`ctc`/`sdsc`) because the daemon receives
-//! a declarative `RunConfig`, not a trace file.
+//! `bfsim --help` and `bfsim <command> --help` print the authoritative
+//! flag list, with defaults, generated from the flag table below
+//! (`obs::cli`). A flag the command does not read, an unknown flag, a
+//! missing value or a value out of its range exits 2 with one logged
+//! `bad --FLAG …` line.
 //!
-//! `--lenient` (with `--trace FILE.swf`) skips malformed trace lines
-//! and logs a per-field breakdown instead of aborting the parse.
+//! The local commands run in-process. `--trace-out` records the run's
+//! scheduling decisions as JSONL (DESIGN.md §12); recording never
+//! changes a decision, so the schedule fingerprint is identical with and
+//! without it. `bench` times the pinned sweep (fixed traces, seeds,
+//! loads, kinds) and writes per-cell wall time, events/sec, fingerprint
+//! and operation counters; `--baseline` embeds an earlier report's cells
+//! with per-cell speedups and fingerprint-parity flags, loaded and
+//! checked before the sweep runs, and `--enforce-parity` turns a changed
+//! fingerprint into exit 7 after the report is written.
 //!
-//! `bench` runs the **pinned** throughput sweep (fixed traces, seeds,
-//! loads, scheduler kinds) serially, and writes a machine-readable JSON
-//! report: per-cell wall time, events processed, events/sec, schedule
-//! fingerprint, and the scheduler's profile/queue operation counters.
-//! With `--baseline OLD.json`, the old report's cells are embedded in the
-//! new file alongside per-cell speedups and fingerprint-parity flags, so a
-//! perf claim and its decision-preservation proof travel together. The
-//! baseline is loaded and validated *before* the sweep: a missing or
-//! corrupt file, or one whose cell set shares nothing with the current
-//! sweep, exits 6 with one logged diagnostic (extending the daemon exit
-//! taxonomy above: 2 usage, 3 connect, 4 busy, 5 service, 6 bad data
-//! file, 7 parity violation). `--enforce-parity` additionally requires
-//! every sweep cell to exist in the baseline and exits 7 — after writing
-//! the report — if any schedule fingerprint differs: decision-neutrality
-//! as a CI gate. `--tiny` shrinks the sweep to a six-cell subset of the
-//! full grid, in seconds, for CI smoke testing.
+//! The daemon commands talk to a running `bfsimd` through the resilient
+//! client (per-request deadline, seeded decorrelated-jitter retries).
+//! `submit` sends a declarative `RunConfig`, so it takes the `ctc` and
+//! `sdsc` models only, never a trace file.
 //!
-//! `sweep` fans one sweep out across many `bfsimd` shards (see
-//! DESIGN.md §15): cells are assigned to shards by canonical config
-//! hash, idle shards steal from stragglers, a dying shard's queue is
-//! redistributed, and the merged report carries exactly one result per
-//! unique cell with per-cell fingerprints byte-identical to a serial
-//! run. The cell grid comes from `--tiny` (the pinned six-cell bench
-//! grid) or `--spec FILE.json` (a serialized `SweepSpec`; a missing or
-//! invalid file exits 6). Exit codes extend the taxonomy again: 8 when
-//! a shard fails the startup `capabilities` handshake (nothing ran), 9
-//! when the sweep *completed* — every cell resolved, report written —
-//! but degraded because at least one shard died mid-sweep.
-//! `coord-status` prints one row per shard (capabilities, queue depth,
-//! cache hit rate, journal replay) and exits 3 only when **no** shard
-//! is reachable. With `--journal J.jsonl` it additionally summarizes a
-//! sweep journal offline (cells done, duplicates, torn-tail bytes), and
-//! with `--in SWEEP.json` a finished report's recovery accounting
-//! (deaths, rejoins, replayed cells); either makes `--shards` optional.
+//! `sweep` fans one sweep out across `bfsimd` shards (DESIGN.md §15):
+//! cells home by canonical config hash, idle shards steal from
+//! stragglers, a dying shard's queue is redistributed, and the report
+//! carries one result per unique cell, fingerprints byte-identical to a
+//! serial run. `--journal` makes it crash-recoverable: after a
+//! coordinator crash, `--resume` with the same spec and flags replays the
+//! journal and runs only the rest, and `--canonical-out` writes the
+//! deterministic projection, byte-identical between an undisturbed run
+//! and a resumed one (DESIGN.md §18). Dead shards are re-handshaken and
+//! readmitted every `--reprobe-ms`. `shards` runs a local fleet and
+//! restarts crashed children under jittered backoff until a
+//! crash-looping child's breaker opens; `timeline` merges a `--spans`
+//! report into Chrome trace JSON after checking that each cell's spans
+//! form one rooted tree; `coord-status` reports on a fleet, a sweep
+//! journal or a finished report.
 //!
-//! Crash recovery (see DESIGN.md §18): `sweep --journal J.jsonl`
-//! appends a checksummed record per resolved cell; after a coordinator
-//! crash, `sweep --resume J.jsonl` (same spec and flags) replays the
-//! journal, marks journaled cells done without dispatching them, and
-//! runs only the remainder. A resume against a journal written for a
-//! *different* plan exits 6. `--canonical-out CANON.json` writes the
-//! deterministic projection of the sweep (plan-ordered cells, config
-//! hashes, schedule fingerprints — no wall times or shard placement),
-//! byte-identical between an undisturbed run and a crashed-then-resumed
-//! one. SIGINT/SIGTERM interrupt a sweep cleanly: the journal is
-//! already flushed per record, a resume hint is printed, and the exit
-//! code is 130. `--reprobe-ms N` (default 1000, 0 disables) makes the
-//! coordinator periodically re-handshake shards that died mid-sweep and
-//! re-admit any that answer again — a shard that was SIGKILLed and then
-//! respawned by `bfsim shards` rejoins the sweep, and a sweep whose
-//! every death was healed by a rejoin exits 0, not 9.
-//!
-//! `shards` spawns `--count` local `bfsimd` children on consecutive
-//! ports and babysits them: a crashed child is restarted under seeded
-//! decorrelated-jitter backoff, and a child that crash-loops (more than
-//! `--restart-limit` consecutive sub-`--stable-ms` lifetimes) trips its
-//! breaker and is abandoned. SIGINT/SIGTERM stops the fleet (exit 0);
-//! if every child breaks, the supervisor gives up with exit 5.
+//! Exit codes, as tabled in README.md: 0 success; 2 usage; 3 the daemon
+//! is unreachable, or every shard died mid-sweep; 4 busy or draining; 5
+//! a request or a sweep cell failed, or every supervised shard broke; 6
+//! a bad data file (`--baseline`, `--spec`, a `--resume` journal a
+//! different plan wrote, a report without a span forest); 7 fingerprint
+//! parity violated; 8 a shard failed the sweep's startup handshake
+//! (nothing ran); 9 the sweep completed degraded, a shard dead at its
+//! end; 130 interrupted by SIGINT/SIGTERM, journal flushed and a resume
+//! hint printed.
 
 use backfill_sim::prelude::*;
+use backfill_sim::{check_estimate, check_kind, check_load};
 use bench_lib::sweep::{bench_cells, SweepSpec};
 use coord::{run_sweep_recoverable, SweepError, SweepJournal, SweepOptions, SweepReplay};
 use metrics::{fairness, queue_depth_series, utilization_series, viz};
+use obs::cli::Args;
 use obs::trace::Recorder;
 use sched::ProfileStats;
 use serde::{Deserialize, Serialize};
@@ -147,6 +98,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use table::*;
 use workload::models::LublinModel;
 use workload::{load::scale_to_load, swf, TraceStats};
 
@@ -159,7 +111,7 @@ fn die(msg: &str) -> ! {
 /// 3 = could not reach the daemon (connect/timeout), 4 = the daemon is
 /// there but refusing work (busy/draining), 5 = the request itself
 /// failed (service error, protocol violation, corrupt frame).
-fn die_client(context: &str, addr: &str, err: ClientError) -> ! {
+fn die_client(context: &str, a: &Args, err: ClientError) -> ! {
     fn class(err: &ClientError) -> i32 {
         match err {
             ClientError::Io(_) | ClientError::Timeout(_) => 3,
@@ -177,7 +129,7 @@ fn die_client(context: &str, addr: &str, err: ClientError) -> ! {
         }
     }
     let hint = if refused(&err) {
-        format!(" (is bfsimd running at {addr}?)")
+        format!(" (is bfsimd running at {}?)", a.get(&ADDR))
     } else {
         String::new()
     };
@@ -272,363 +224,156 @@ fn interrupt_flag() -> Arc<AtomicBool> {
     flag
 }
 
-#[derive(Debug, Clone)]
-struct Cli {
-    command: String,
-    model: String,
-    trace_file: Option<String>,
-    jobs: usize,
-    seed: u64,
-    seeds: Vec<u64>,
-    load: Option<f64>,
-    estimate: EstimateModel,
-    scheduler: SchedulerKind,
-    policy: Policy,
-    out: Option<String>,
-    gantt: bool,
-    series: bool,
-    fairness: bool,
-    journal: Option<String>,
-    addr: String,
-    baseline: Option<String>,
-    enforce_parity: bool,
-    tiny: bool,
-    reps: Option<u32>,
-    trace_out: Option<String>,
-    lenient: bool,
-    timeout_ms: u64,
-    retries: u32,
-    retry_base_ms: u64,
-    retry_seed: u64,
-    shards: Vec<String>,
-    spec: Option<String>,
-    window: Option<usize>,
-    no_steal: bool,
-    max_requeues: u32,
-    spans: bool,
-    format: String,
-    input: Option<String>,
-    resume: Option<String>,
-    reprobe_ms: u64,
-    canonical_out: Option<String>,
-    bench: bool,
-    count: usize,
-    base_port: u16,
-    bfsimd_path: Option<String>,
-    cache_journal_dir: Option<String>,
-    fault_plan: Option<String>,
-    restart_limit: u32,
-    stable_ms: u64,
-}
+/// The flag table: every flag `bfsim` reads, declared once, and the
+/// commands that read them. `obs::cli` generates `--help` from it.
+#[rustfmt::skip]
+mod table {
+    use super::*;
+    use obs::cli::{list, millis, number, one_of, positive, text, Command, Flag, Group, Program, LOG};
 
-impl Default for Cli {
-    fn default() -> Self {
-        Cli {
-            command: String::new(),
-            model: "ctc".into(),
-            trace_file: None,
-            jobs: 5_000,
-            seed: 42,
-            seeds: vec![42, 1337, 2002],
-            load: Some(0.9),
-            estimate: EstimateModel::Exact,
-            scheduler: SchedulerKind::Easy,
-            policy: Policy::Fcfs,
-            out: None,
-            gantt: false,
-            series: false,
-            fairness: false,
-            journal: None,
-            addr: "127.0.0.1:7411".into(),
-            baseline: None,
-            enforce_parity: false,
-            tiny: false,
-            reps: None,
-            trace_out: None,
-            lenient: false,
-            timeout_ms: 30_000,
-            retries: 4,
-            retry_base_ms: 25,
-            retry_seed: 0,
-            shards: Vec::new(),
-            spec: None,
-            window: None,
-            no_steal: false,
-            max_requeues: 3,
-            spans: false,
-            format: "json".into(),
-            input: None,
-            resume: None,
-            reprobe_ms: 1_000,
-            canonical_out: None,
-            bench: false,
-            count: 2,
-            base_port: 7431,
-            bfsimd_path: None,
-            cache_journal_dir: None,
-            fault_plan: None,
-            restart_limit: 5,
-            stable_ms: 5_000,
-        }
+    pub static MODEL: Flag<String> = Flag::new("--model", "ctc|sdsc|lublin", "ctc", "synthetic workload model", |raw| one_of(raw, &["ctc", "sdsc", "lublin"]));
+    pub static JOBS: Flag<usize> = Flag::new("--jobs", "N", "5000", "jobs to generate", positive);
+    pub static SEED: Flag<u64> = Flag::new("--seed", "S", "42", "workload and estimate seed", number);
+    pub static LOAD: Flag<Option<f64>> = Flag::new("--load", "RHO|native", "0.9", "offered load to scale to (finite, > 0), or the trace's own", load);
+    pub static ESTIMATE: Flag<EstimateModel> = Flag::new("--estimate", "EST", "exact", "user estimates: exact, systematic:R (R x runtime, finite R >= 1) or user", estimate);
+    pub static TRACE: Flag<String> = Flag::new("--trace", "FILE.swf", "", "replay an SWF trace instead of a model", text);
+    pub static LENIENT: Flag<bool> = Flag::switch("--lenient", "skip malformed trace lines, logging a per-field breakdown");
+    pub static SCHEDULER: Flag<SchedulerKind> = Flag::new("--scheduler", "KIND", "easy", "nobf, cons[-reanchor|-headstart|-none], easy, selective:T, slack:F, depth:K, preemptive:T", scheduler);
+    pub static POLICY: Flag<Policy> = Flag::new("--policy", "fcfs|sjf|xf|ljf|widest", "fcfs", "queue priority", policy);
+    pub static GANTT: Flag<bool> = Flag::switch("--gantt", "print a Gantt chart");
+    pub static SERIES: Flag<bool> = Flag::switch("--series", "print utilization and queue-depth sparklines");
+    pub static FAIRNESS: Flag<bool> = Flag::switch("--fairness", "print fairness metrics");
+    pub static EVENT_JOURNAL: Flag<String> = Flag::new("--journal", "OUT.jsonl", "", "write the event journal", text);
+    pub static TRACE_OUT: Flag<String> = Flag::new("--trace-out", "OUT.jsonl", "", "write the decision trace (decision-neutral)", text);
+    pub static OUT: Flag<String> = Flag::new("-o, --out", "FILE", "", "output file", text);
+    pub static SEEDS: Flag<Vec<u64>> = Flag::new("--seeds", "a,b,c", "42,1337,2002", "campaign seeds", list);
+    pub static ADDR: Flag<String> = Flag::new("--addr", "HOST:PORT", "127.0.0.1:7411", "the bfsimd to talk to", text);
+    pub static TIMEOUT: Flag<Option<Duration>> = Flag::new("--timeout-ms", "N", "30000", "per-request deadline (0 disables)", millis);
+    pub static RETRIES: Flag<u32> = Flag::new("--retries", "N", "4", "retry budget per request", number);
+    pub static RETRY_BASE: Flag<u64> = Flag::new("--retry-base-ms", "N", "25", "backoff base, decorrelated jitter", positive);
+    pub static RETRY_SEED: Flag<u64> = Flag::new("--retry-seed", "S", "0", "backoff jitter seed", number);
+    pub static FORMAT: Flag<String> = Flag::new("--format", "json|prom", "json", "canonical JSON or Prometheus text", |raw| one_of(raw, &["json", "prom"]));
+    pub static BASELINE: Flag<String> = Flag::new("--baseline", "OLD.json", "", "compare against an earlier report (bad file: exit 6)", text);
+    pub static ENFORCE_PARITY: Flag<bool> = Flag::switch("--enforce-parity", "exit 7 if a fingerprint differs from --baseline");
+    pub static TINY: Flag<bool> = Flag::switch("--tiny", "the pinned six-cell grid");
+    pub static REPS: Flag<u32> = Flag::new("--reps", "N", "", "timed runs per cell, best kept (default 2; 1 with --tiny)", positive);
+    pub static SPANS: Flag<bool> = Flag::switch("--spans", "record phase and cell spans");
+    pub static SHARDS: Flag<Vec<String>> = Flag::new("--shards", "H:P,H:P,...", "", "the bfsimd shards", list);
+    pub static SPEC: Flag<String> = Flag::new("--spec", "FILE.json", "", "a serialized SweepSpec (bad file: exit 6)", text);
+    pub static BENCH: Flag<bool> = Flag::switch("--bench", "the full pinned bench grid");
+    pub static WINDOW: Flag<usize> = Flag::new("--window", "N", "", "in-flight cells per shard (default: its workers)", positive);
+    pub static NO_STEAL: Flag<bool> = Flag::switch("--no-steal", "keep cells on their home shard");
+    pub static MAX_REQUEUES: Flag<u32> = Flag::new("--max-requeues", "N", "3", "redispatches per cell before it fails", number);
+    pub static SWEEP_JOURNAL: Flag<String> = Flag::new("--journal", "J.jsonl", "", "sweep journal: sweep starts one, coord-status summarizes it", text);
+    pub static RESUME: Flag<String> = Flag::new("--resume", "J.jsonl", "", "replay a journal of the same sweep, run the rest", text);
+    pub static REPROBE: Flag<Option<Duration>> = Flag::new("--reprobe-ms", "N", "1000", "re-handshake dead shards every N ms (0 disables)", millis);
+    pub static CANONICAL_OUT: Flag<String> = Flag::new("--canonical-out", "CANON.json", "", "write the deterministic projection", text);
+    pub static COUNT: Flag<usize> = Flag::new("--count", "N", "2", "children on consecutive ports", positive);
+    pub static BASE_PORT: Flag<u16> = Flag::new("--base-port", "P", "7431", "first child's port", positive);
+    pub static BFSIMD: Flag<String> = Flag::new("--bfsimd", "PATH", "", "daemon binary (default: next to bfsim, else $PATH)", text);
+    pub static CACHE_JOURNAL_DIR: Flag<String> = Flag::new("--cache-journal-dir", "DIR", "", "give each child a cache journal in DIR", text);
+    pub static FAULT_PLAN: Flag<String> = Flag::new("--fault-plan", "SPEC", "", "arm fault injection in every child", |raw| {
+        service::FaultPlan::parse(raw).map(|_| raw.to_string())
+    });
+    pub static RESTART_LIMIT: Flag<u32> = Flag::new("--restart-limit", "N", "5", "short-lived restarts before a child's breaker opens", number);
+    pub static STABLE_MS: Flag<u64> = Flag::new("--stable-ms", "N", "5000", "uptime that resets the restart count", number);
+    pub static IN: Flag<String> = Flag::new("--in", "SWEEP.json", "", "a sweep report (timeline: default SWEEP.json)", text);
+
+    static WORKLOAD: Group = Group { title: "workload", flags: &[&MODEL, &JOBS, &SEED, &LOAD, &ESTIMATE] };
+    static TRACE_FILE: Group = Group { title: "trace file", flags: &[&TRACE, &LENIENT] };
+    static SCHED: Group = Group { title: "scheduler", flags: &[&SCHEDULER, &POLICY] };
+    static CLIENT: Group = Group { title: "daemon client", flags: &[&ADDR, &TIMEOUT, &RETRIES, &RETRY_BASE, &RETRY_SEED] };
+    static SHARD_CLIENT: Group = Group { title: "shard client", flags: &[&TIMEOUT, &RETRIES, &RETRY_BASE, &RETRY_SEED] };
+    static SIMULATE: Group = Group { title: "output", flags: &[&GANTT, &SERIES, &FAIRNESS, &EVENT_JOURNAL, &TRACE_OUT] };
+    static OUTPUT: Group = Group { title: "output", flags: &[&OUT] };
+    static COMPARE: Group = Group { title: "campaign", flags: &[&SEEDS] };
+    static METRICS: Group = Group { title: "output", flags: &[&FORMAT] };
+    static BENCH_RUN: Group = Group { title: "bench", flags: &[&OUT, &BASELINE, &ENFORCE_PARITY, &TINY, &REPS, &TRACE_OUT, &SPANS] };
+    static SWEEP: Group = Group { title: "sweep", flags: &[&SHARDS, &SPEC, &TINY, &BENCH, &WINDOW, &NO_STEAL, &MAX_REQUEUES, &SPANS, &SWEEP_JOURNAL, &RESUME, &REPROBE, &CANONICAL_OUT, &OUT] };
+    static FLEET: Group = Group { title: "fleet", flags: &[&COUNT, &BASE_PORT, &BFSIMD, &CACHE_JOURNAL_DIR, &FAULT_PLAN, &RESTART_LIMIT, &STABLE_MS, &RETRY_BASE, &RETRY_SEED] };
+    static TIMELINE: Group = Group { title: "files", flags: &[&IN, &OUT] };
+    static STATUS: Group = Group { title: "sources", flags: &[&SHARDS, &SWEEP_JOURNAL, &IN] };
+
+    const fn command(name: &'static str, about: &'static str, groups: &'static [&'static Group]) -> Command {
+        Command { name, about, operands: "", groups }
     }
-}
 
-fn parse_estimate(s: &str) -> EstimateModel {
-    match s {
-        "exact" => EstimateModel::Exact,
-        "user" => EstimateModel::User(UserModelParams::capped(SimSpan::from_hours(18))),
-        other => match other
-            .strip_prefix("systematic:")
-            .and_then(|r| r.parse::<f64>().ok())
-        {
-            Some(r) if r >= 1.0 => EstimateModel::systematic(r),
-            _ => die(&format!(
-                "bad --estimate {other:?} (exact | systematic:R | user)"
-            )),
-        },
-    }
-}
-
-fn parse_scheduler(s: &str) -> SchedulerKind {
-    match s {
-        "nobf" => SchedulerKind::NoBackfill,
-        "cons" => SchedulerKind::Conservative,
-        "cons-reanchor" => SchedulerKind::ConservativeReanchor,
-        "cons-headstart" => SchedulerKind::ConservativeHeadStart,
-        "cons-none" => SchedulerKind::ConservativeNoCompress,
-        "easy" => SchedulerKind::Easy,
-        other => {
-            if let Some(t) = other
-                .strip_prefix("selective:")
-                .and_then(|t| t.parse::<f64>().ok())
-            {
-                if t.is_nan() || t < 1.0 {
-                    die(&format!(
-                        "bad --scheduler {other:?}: selective:T needs a threshold T >= 1 (inf never reserves)"
-                    ))
-                }
-                SchedulerKind::Selective { threshold: t }
-            } else if let Some(f) = other
-                .strip_prefix("slack:")
-                .and_then(|f| f.parse::<f64>().ok())
-            {
-                if !f.is_finite() || f < 0.0 {
-                    die(&format!(
-                        "bad --scheduler {other:?}: slack:F needs a finite factor F >= 0"
-                    ))
-                }
-                SchedulerKind::Slack { slack_factor: f }
-            } else if let Some(d) = other.strip_prefix("depth:").and_then(|d| d.parse().ok()) {
-                SchedulerKind::Depth { depth: d }
-            } else if let Some(t) = other
-                .strip_prefix("preemptive:")
-                .and_then(|t| t.parse().ok())
-            {
-                SchedulerKind::Preemptive { threshold: t }
-            } else {
-                die(&format!("bad --scheduler {other:?}"))
-            }
-        }
-    }
-}
-
-fn parse_policy(s: &str) -> Policy {
-    match s {
-        "fcfs" => Policy::Fcfs,
-        "sjf" => Policy::Sjf,
-        "xf" => Policy::XFactor,
-        "ljf" => Policy::Ljf,
-        "widest" => Policy::WidestFirst,
-        other => die(&format!("bad --policy {other:?}")),
-    }
-}
-
-/// Print the usage line and exit 0 (`--help`/`-h`, before or after the
-/// command).
-fn usage() -> ! {
-    println!(
-        "usage: bfsim <simulate|generate|inspect|compare|submit|stats|metrics|health|\
-         shutdown|bench|sweep|shards|timeline|coord-status> [flags]; see module docs"
-    );
-    std::process::exit(0);
-}
-
-fn parse_cli(args: &[String]) -> Cli {
-    let mut cli = Cli::default();
-    let mut it = args.iter().cloned();
-    cli.command = it
-        .next()
-        .unwrap_or_else(|| die("missing command (try --help)"));
-    if cli.command == "--help" || cli.command == "-h" {
-        usage();
-    }
-    let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+    pub static BFSIM: Program = Program {
+        name: "bfsim",
+        about: "Simulate backfilling schedulers, alone or through bfsimd shards.",
+        commands: &[
+            command("simulate", "Simulate one workload under one scheduler and print its metrics.", &[&WORKLOAD, &TRACE_FILE, &SCHED, &SIMULATE, &LOG]),
+            command("generate", "Write the workload as an SWF trace to -o (required).", &[&WORKLOAD, &TRACE_FILE, &OUTPUT, &LOG]),
+            Command { operands: "[FILE.swf]", ..command("inspect", "Print a trace's statistics and weekly arrival heatmap.", &[&WORKLOAD, &TRACE_FILE, &LOG]) },
+            command("compare", "Run six scheduler cells over several seeds, with 95% intervals.", &[&WORKLOAD, &COMPARE, &LOG]),
+            command("submit", "Simulate one cell on a bfsimd (ctc and sdsc models only).", &[&WORKLOAD, &SCHED, &CLIENT, &LOG]),
+            command("stats", "Print a bfsimd's request, cache and pool counters.", &[&CLIENT, &LOG]),
+            command("metrics", "Print a bfsimd's metrics registry.", &[&METRICS, &CLIENT, &LOG]),
+            command("health", "Print a bfsimd's readiness, pool and journal state.", &[&CLIENT, &LOG]),
+            command("shutdown", "Drain and stop a bfsimd.", &[&CLIENT, &LOG]),
+            command("bench", "Time the pinned sweep and write its report to -o (required).", &[&BENCH_RUN, &LOG]),
+            command("sweep", "Fan a sweep across bfsimd shards; report to -o (default SWEEP.json).", &[&SWEEP, &SHARD_CLIENT, &LOG]),
+            command("shards", "Run and supervise local bfsimd shards until SIGINT/SIGTERM.", &[&FLEET, &LOG]),
+            command("timeline", "Merge a --spans sweep report into Chrome trace JSON (-o, default stdout).", &[&TIMELINE, &LOG]),
+            command("coord-status", "Print each shard's state, or summarize a sweep journal or report.", &[&STATUS, &SHARD_CLIENT, &LOG]),
+        ],
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--model" => cli.model = next(&mut it, "--model"),
-            "--trace" => cli.trace_file = Some(next(&mut it, "--trace")),
-            "--jobs" => {
-                cli.jobs = next(&mut it, "--jobs")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --jobs"))
-            }
-            "--seed" => {
-                cli.seed = next(&mut it, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --seed"))
-            }
-            "--seeds" => {
-                cli.seeds = next(&mut it, "--seeds")
-                    .split(',')
-                    .map(|s| s.parse().unwrap_or_else(|_| die("bad --seeds")))
-                    .collect()
-            }
-            "--load" => {
-                let v = next(&mut it, "--load");
-                cli.load = if v == "native" {
-                    None
-                } else {
-                    Some(v.parse().unwrap_or_else(|_| die("bad --load")))
-                }
-            }
-            "--estimate" => cli.estimate = parse_estimate(&next(&mut it, "--estimate")),
-            "--scheduler" => cli.scheduler = parse_scheduler(&next(&mut it, "--scheduler")),
-            "--policy" => cli.policy = parse_policy(&next(&mut it, "--policy")),
-            "-o" | "--out" => cli.out = Some(next(&mut it, "-o")),
-            "--gantt" => cli.gantt = true,
-            "--journal" => cli.journal = Some(next(&mut it, "--journal")),
-            "--series" => cli.series = true,
-            "--fairness" => cli.fairness = true,
-            "--addr" => cli.addr = next(&mut it, "--addr"),
-            "--baseline" => cli.baseline = Some(next(&mut it, "--baseline")),
-            "--enforce-parity" => cli.enforce_parity = true,
-            "--tiny" => cli.tiny = true,
-            "--trace-out" => cli.trace_out = Some(next(&mut it, "--trace-out")),
-            "--lenient" => cli.lenient = true,
-            "--timeout-ms" => {
-                cli.timeout_ms = next(&mut it, "--timeout-ms")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --timeout-ms (millis, 0 disables)"))
-            }
-            "--retries" => {
-                cli.retries = next(&mut it, "--retries")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --retries"))
-            }
-            "--retry-base-ms" => {
-                cli.retry_base_ms = next(&mut it, "--retry-base-ms")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --retry-base-ms (need millis >= 1)"))
-            }
-            "--retry-seed" => {
-                cli.retry_seed = next(&mut it, "--retry-seed")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --retry-seed"))
-            }
-            "--shards" => {
-                cli.shards = next(&mut it, "--shards")
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect()
-            }
-            "--spec" => cli.spec = Some(next(&mut it, "--spec")),
-            "--window" => {
-                cli.window = Some(
-                    next(&mut it, "--window")
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("bad --window (need an integer >= 1)")),
-                )
-            }
-            "--no-steal" => cli.no_steal = true,
-            "--max-requeues" => {
-                cli.max_requeues = next(&mut it, "--max-requeues")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --max-requeues"))
-            }
-            "--spans" => cli.spans = true,
-            "--resume" => cli.resume = Some(next(&mut it, "--resume")),
-            "--reprobe-ms" => {
-                cli.reprobe_ms = next(&mut it, "--reprobe-ms")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --reprobe-ms (millis, 0 disables)"))
-            }
-            "--canonical-out" => cli.canonical_out = Some(next(&mut it, "--canonical-out")),
-            "--bench" => cli.bench = true,
-            "--count" => {
-                cli.count = next(&mut it, "--count")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --count (need an integer >= 1)"))
-            }
-            "--base-port" => {
-                cli.base_port = next(&mut it, "--base-port")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --base-port (need a port >= 1)"))
-            }
-            "--bfsimd" => cli.bfsimd_path = Some(next(&mut it, "--bfsimd")),
-            "--cache-journal-dir" => {
-                cli.cache_journal_dir = Some(next(&mut it, "--cache-journal-dir"))
-            }
-            "--fault-plan" => cli.fault_plan = Some(next(&mut it, "--fault-plan")),
-            "--restart-limit" => {
-                cli.restart_limit = next(&mut it, "--restart-limit")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --restart-limit"))
-            }
-            "--stable-ms" => {
-                cli.stable_ms = next(&mut it, "--stable-ms")
-                    .parse()
-                    .unwrap_or_else(|_| die("bad --stable-ms"))
-            }
-            "--format" => {
-                cli.format = next(&mut it, "--format");
-                if cli.format != "json" && cli.format != "prom" {
-                    die(&format!("bad --format {:?} (json | prom)", cli.format));
-                }
-            }
-            "--in" => cli.input = Some(next(&mut it, "--in")),
-            "--help" | "-h" => usage(),
-            "--reps" => {
-                cli.reps = Some(
-                    next(&mut it, "--reps")
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("bad --reps (need an integer >= 1)")),
-                )
-            }
-            other if !other.starts_with('-') && cli.command == "inspect" => {
-                cli.trace_file = Some(other.to_string())
-            }
-            other => die(&format!("unknown flag {other:?}")),
+
+    fn load(raw: &str) -> Result<Option<f64>, String> {
+        if raw == "native" {
+            return Ok(None);
         }
+        let rho = number(raw)?;
+        check_load(rho).map(|()| Some(rho))
     }
-    cli
+
+    fn estimate(raw: &str) -> Result<EstimateModel, String> {
+        let model = match (raw, raw.split_once(':')) {
+            ("exact", _) => EstimateModel::Exact,
+            ("user", _) => EstimateModel::User(UserModelParams::capped(SimSpan::from_hours(18))),
+            (_, Some(("systematic", r))) => EstimateModel::SystematicOver { factor: number(r)? },
+            _ => return Err("need exact, systematic:R or user".to_string()),
+        };
+        check_estimate(model).map(|()| model)
+    }
+
+    fn scheduler(raw: &str) -> Result<SchedulerKind, String> {
+        use SchedulerKind::*;
+        let kind = match (raw, raw.split_once(':')) {
+            ("nobf", _) => NoBackfill,
+            ("cons", _) => Conservative,
+            ("cons-reanchor", _) => ConservativeReanchor,
+            ("cons-headstart", _) => ConservativeHeadStart,
+            ("cons-none", _) => ConservativeNoCompress,
+            ("easy", _) => Easy,
+            (_, Some(("selective", t))) => Selective { threshold: number(t)? },
+            (_, Some(("slack", f))) => Slack { slack_factor: number(f)? },
+            (_, Some(("depth", k))) => Depth { depth: number(k)? },
+            (_, Some(("preemptive", t))) => Preemptive { threshold: number(t)? },
+            _ => return Err("unknown scheduler (see --help)".to_string()),
+        };
+        check_kind(kind).map(|()| kind)
+    }
+
+    fn policy(raw: &str) -> Result<Policy, String> {
+        let policies = [Policy::Fcfs, Policy::Sjf, Policy::XFactor, Policy::Ljf, Policy::WidestFirst];
+        let found = policies.into_iter().find(|p| p.label().to_lowercase() == raw);
+        found.ok_or_else(|| "need fcfs, sjf, xf, ljf or widest".to_string())
+    }
 }
 
-fn build_trace(cli: &Cli) -> Trace {
-    let base = match &cli.trace_file {
+fn build_trace(a: &Args) -> Trace {
+    let (jobs, seed) = (a.get(&JOBS), a.get(&SEED));
+    let base = match a.operands.last().cloned().or_else(|| a.opt(&TRACE)) {
         Some(path) => {
-            let text = std::fs::read_to_string(path)
+            let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| die(&format!("reading {path}: {e}")));
-            let mode = if cli.lenient {
+            let mode = if a.on(&LENIENT) {
                 swf::ParseMode::Lenient
             } else {
                 swf::ParseMode::Strict
             };
-            let parsed = swf::parse_trace_with(&text, path, None, mode)
+            let parsed = swf::parse_trace_with(&text, &path, None, mode)
                 .unwrap_or_else(|e| die(&format!("parsing {path}: {e}")));
             if parsed.report.total() > 0 {
                 obs::warn!(target: "bfsim",
@@ -637,18 +382,23 @@ fn build_trace(cli: &Cli) -> Trace {
             }
             parsed.trace
         }
-        None => match cli.model.as_str() {
-            "ctc" => workload::models::ctc().generate(cli.jobs, cli.seed),
-            "sdsc" => workload::models::sdsc().generate(cli.jobs, cli.seed),
-            "lublin" => LublinModel::default_for(256).generate(cli.jobs, cli.seed),
-            other => die(&format!("unknown model {other:?} (ctc | sdsc | lublin)")),
+        None => match a.get(&MODEL).as_str() {
+            "ctc" => workload::models::ctc().generate(jobs, seed),
+            "sdsc" => workload::models::sdsc().generate(jobs, seed),
+            _ => LublinModel::default_for(256).generate(jobs, seed),
         },
     };
-    let estimated = cli.estimate.apply(&base, cli.seed ^ 0xE57);
-    match cli.load {
-        Some(rho) => scale_to_load(&estimated, rho),
-        None => estimated,
+    let estimated = a.get(&ESTIMATE).apply(&base, seed ^ 0xE57);
+    let Some(rho) = a.get(&LOAD) else {
+        return estimated;
+    };
+    let own = estimated.offered_load();
+    if !own.is_finite() || own <= 0.0 {
+        die(&format!(
+            "bad --load {rho}: the trace's own load is undefined ({own}); use --load native"
+        ));
     }
+    scale_to_load(&estimated, rho)
 }
 
 /// Drain `recorder` to `path` as JSONL, reporting drops.
@@ -665,10 +415,19 @@ fn write_trace_out(recorder: &Rc<RefCell<Recorder>>, path: &str) {
     println!("trace: {} events -> {path}", rec.events().len());
 }
 
-fn cmd_simulate(cli: &Cli) {
-    let trace = build_trace(cli);
-    let schedule = if let Some(path) = &cli.journal {
-        let (schedule, journal) = simulate_journaled(&trace, cli.scheduler, cli.policy);
+fn cmd_simulate(a: &Args) {
+    let trace = build_trace(a);
+    let (journal_out, trace_out) = (a.opt(&EVENT_JOURNAL), a.opt(&TRACE_OUT));
+    let recorder = trace_out
+        .as_ref()
+        .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
+    let options = SimOptions {
+        journal: journal_out.is_some(),
+        recorder: recorder.clone(),
+        phases: None,
+    };
+    let (schedule, journal) = simulate_observed(&trace, a.get(&SCHEDULER), a.get(&POLICY), options);
+    if let (Some(path), Some(journal)) = (&journal_out, journal) {
         let mut out = String::new();
         for e in &journal {
             out.push_str(&serde_json::to_string(e).expect("journal serializes"));
@@ -676,25 +435,16 @@ fn cmd_simulate(cli: &Cli) {
         }
         std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         println!("journal: {} events -> {path}", journal.len());
-        schedule
-    } else if let Some(path) = &cli.trace_out {
-        let recorder = obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8));
-        let (schedule, _) = simulate_observed(
-            &trace,
-            cli.scheduler,
-            cli.policy,
-            SimOptions::with_recorder(recorder.clone()),
-        );
-        write_trace_out(&recorder, path);
-        schedule
-    } else {
-        simulate(&trace, cli.scheduler, cli.policy)
-    };
+    }
+    if let (Some(path), Some(recorder)) = (&trace_out, &recorder) {
+        write_trace_out(recorder, path);
+    }
     schedule
         .validate()
         .unwrap_or_else(|e| die(&format!("audit failed: {e}")));
     let stats = schedule.stats(&CategoryCriteria::default());
     println!("scheduler: {}", schedule.scheduler);
+    println!("fingerprint {:#018x}", schedule.fingerprint());
     println!("{}", TraceStats::of(&trace).render());
     println!(
         "avg bounded slowdown {:.2} | avg wait {:.0} s | avg turnaround {:.0} s",
@@ -733,14 +483,14 @@ fn cmd_simulate(cli: &Cli) {
         );
         println!("alloc path:  {} scratch reuses", p.scratch_reuses);
     }
-    if cli.fairness {
+    if a.on(&FAIRNESS) {
         let f = fairness(&schedule.outcomes);
         println!(
             "fairness: slowdown gini {:.3} | max stretch {:.1} | overtake rate {:.3}",
             f.slowdown_gini, f.max_stretch, f.overtake_rate
         );
     }
-    if cli.series {
+    if a.on(&SERIES) {
         let bin = SimSpan::new((stats.makespan.as_secs() / 72).max(1));
         let util = utilization_series(&schedule.outcomes, trace.nodes(), bin);
         let depth = queue_depth_series(&schedule.outcomes, bin);
@@ -751,24 +501,23 @@ fn cmd_simulate(cli: &Cli) {
             depth.peak()
         );
     }
-    if cli.gantt {
+    if a.on(&GANTT) {
         println!("{}", viz::gantt(&schedule.outcomes, 100));
     }
 }
 
-fn cmd_generate(cli: &Cli) {
-    let trace = build_trace(cli);
-    let out = cli
-        .out
-        .clone()
+fn cmd_generate(a: &Args) {
+    let trace = build_trace(a);
+    let out = a
+        .opt(&OUT)
         .unwrap_or_else(|| die("generate needs -o OUT.swf"));
     std::fs::write(&out, swf::write_trace(&trace))
         .unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
     println!("wrote {} jobs to {out}", trace.len());
 }
 
-fn cmd_inspect(cli: &Cli) {
-    let trace = build_trace(cli);
+fn cmd_inspect(a: &Args) {
+    let trace = build_trace(a);
     println!("{}", TraceStats::of(&trace).render());
     let grid = workload::arrival_heatmap(&trace);
     let rows: Vec<Vec<f64>> = grid
@@ -782,26 +531,30 @@ fn cmd_inspect(cli: &Cli) {
     );
 }
 
-fn cmd_compare(cli: &Cli) {
-    let source = match cli.model.as_str() {
-        "ctc" => TraceSource::Ctc {
-            jobs: cli.jobs,
-            seed: cli.seed,
-        },
-        "sdsc" => TraceSource::Sdsc {
-            jobs: cli.jobs,
-            seed: cli.seed,
-        },
-        other => die(&format!("compare supports ctc|sdsc models, got {other:?}")),
-    };
+/// The trace source `--model`, `--jobs` and `--seed` name, for the
+/// commands that send a declarative `Scenario`, which has no Lublin model.
+fn model_source(a: &Args) -> TraceSource {
+    let (jobs, seed) = (a.get(&JOBS), a.get(&SEED));
+    match a.get(&MODEL).as_str() {
+        "ctc" => TraceSource::Ctc { jobs, seed },
+        "sdsc" => TraceSource::Sdsc { jobs, seed },
+        other => die(&format!(
+            "bad --model {other:?}: {} supports ctc and sdsc",
+            a.command
+        )),
+    }
+}
+
+fn cmd_compare(a: &Args) {
+    let seeds = a.get(&SEEDS);
     let campaign = Campaign {
         scenario: Scenario {
-            source,
-            estimate: cli.estimate,
+            source: model_source(a),
+            estimate: a.get(&ESTIMATE),
             estimate_seed: 1,
-            load: cli.load,
+            load: a.get(&LOAD),
         },
-        seeds: cli.seeds.clone(),
+        seeds: seeds.clone(),
         grid: vec![
             (SchedulerKind::NoBackfill, Policy::Fcfs),
             (SchedulerKind::Conservative, Policy::Fcfs),
@@ -813,7 +566,7 @@ fn cmd_compare(cli: &Cli) {
         threads: None,
     };
     let mut table = Table::new(
-        format!("Campaign over seeds {:?}", cli.seeds),
+        format!("Campaign over seeds {seeds:?}"),
         &["scheme", "slowdown", "turnaround (s)", "utilization"],
     );
     for cell in campaign.run() {
@@ -830,46 +583,15 @@ fn cmd_compare(cli: &Cli) {
     println!("{}", table.render());
 }
 
-fn service_config(cli: &Cli) -> RunConfig {
-    if cli.trace_file.is_some() {
-        die("submit sends a declarative RunConfig; --trace files are not supported");
-    }
-    let source = match cli.model.as_str() {
-        "ctc" => TraceSource::Ctc {
-            jobs: cli.jobs,
-            seed: cli.seed,
-        },
-        "sdsc" => TraceSource::Sdsc {
-            jobs: cli.jobs,
-            seed: cli.seed,
-        },
-        other => die(&format!("submit supports ctc|sdsc models, got {other:?}")),
-    };
-    RunConfig {
-        scenario: Scenario {
-            source,
-            estimate: cli.estimate,
-            estimate_seed: cli.seed ^ 0xE57,
-            load: cli.load,
-        },
-        kind: cli.scheduler,
-        policy: cli.policy,
-    }
-}
-
 /// Deadline/retry options from the CLI flags, shared by every daemon
 /// command and by the sweep coordinator's per-shard clients.
-fn client_options(cli: &Cli) -> ClientOptions {
+fn client_options(a: &Args) -> ClientOptions {
     ClientOptions {
-        deadline: if cli.timeout_ms == 0 {
-            None
-        } else {
-            Some(Duration::from_millis(cli.timeout_ms))
-        },
+        deadline: a.get(&TIMEOUT),
         retry: RetryPolicy {
-            max_retries: cli.retries,
-            base: Duration::from_millis(cli.retry_base_ms),
-            seed: cli.retry_seed,
+            max_retries: a.get(&RETRIES),
+            base: Duration::from_millis(a.get(&RETRY_BASE)),
+            seed: a.get(&RETRY_SEED),
             ..RetryPolicy::default()
         },
     }
@@ -878,16 +600,24 @@ fn client_options(cli: &Cli) -> ClientOptions {
 /// Build the resilient client from the CLI's deadline/retry flags. The
 /// connection itself is lazy, so this never fails — errors surface (and
 /// get retried) on the first actual request.
-fn connect(cli: &Cli) -> ResilientClient {
-    ResilientClient::new(&cli.addr, client_options(cli))
+fn connect(a: &Args) -> ResilientClient {
+    ResilientClient::new(a.get(&ADDR), client_options(a))
 }
 
-fn cmd_submit(cli: &Cli) {
-    let config = service_config(cli);
-    let mut client = connect(cli);
-    let reply = client
+fn cmd_submit(a: &Args) {
+    let config = RunConfig {
+        scenario: Scenario {
+            source: model_source(a),
+            estimate: a.get(&ESTIMATE),
+            estimate_seed: a.get(&SEED) ^ 0xE57,
+            load: a.get(&LOAD),
+        },
+        kind: a.get(&SCHEDULER),
+        policy: a.get(&POLICY),
+    };
+    let reply = connect(a)
         .submit(&config)
-        .unwrap_or_else(|e| die_client("submit", &cli.addr, e));
+        .unwrap_or_else(|e| die_client("submit", a, e));
     let r = &reply.report;
     println!(
         "{} [{}] config {:#018x} in {} ms",
@@ -918,10 +648,10 @@ fn cmd_submit(cli: &Cli) {
     );
 }
 
-fn cmd_stats(cli: &Cli) {
-    let stats = connect(cli)
+fn cmd_stats(a: &Args) {
+    let stats = connect(a)
         .stats()
-        .unwrap_or_else(|e| die_client("stats", &cli.addr, e));
+        .unwrap_or_else(|e| die_client("stats", a, e));
     println!(
         "requests: {} submitted | {} completed | {} failed | {} rejected | {} shed{}",
         stats.submitted,
@@ -1050,23 +780,27 @@ fn load_baseline(path: &str, configs: &[RunConfig], enforce_parity: bool) -> Vec
     report.cells
 }
 
-fn cmd_bench(cli: &Cli) {
-    let configs = bench_cells(cli.tiny);
-    let baseline: Option<Vec<BenchCell>> = cli
-        .baseline
-        .as_ref()
-        .map(|path| load_baseline(path, &configs, cli.enforce_parity));
-    if cli.enforce_parity && baseline.is_none() {
+fn cmd_bench(a: &Args) {
+    let (tiny, enforce_parity, spans) = (a.on(&TINY), a.on(&ENFORCE_PARITY), a.on(&SPANS));
+    let out = a
+        .opt(&OUT)
+        .unwrap_or_else(|| die("bench needs -o OUT.json"));
+    let configs = bench_cells(tiny);
+    let baseline: Option<Vec<BenchCell>> = a
+        .opt(&BASELINE)
+        .map(|path| load_baseline(&path, &configs, enforce_parity));
+    if enforce_parity && baseline.is_none() {
         die("--enforce-parity needs --baseline");
     }
     // Wall time on a shared machine is one-sided noise (contention only
     // slows a run down), so each cell keeps its best-of-`reps` time.
-    let repeats = cli.reps.unwrap_or(if cli.tiny { 1 } else { 2 });
-    if cli.spans {
+    let repeats = a.opt(&REPS).unwrap_or(if tiny { 1 } else { 2 });
+    if spans {
         obs::span::set_enabled(true);
     }
+    let trace_out = a.opt(&TRACE_OUT);
     let mut cells = Vec::with_capacity(configs.len());
-    let mut trace_file = cli.trace_out.as_ref().map(|path| {
+    let mut trace_file = trace_out.as_ref().map(|path| {
         std::fs::File::create(path).unwrap_or_else(|e| die(&format!("creating {path}: {e}")))
     });
     for config in &configs {
@@ -1084,11 +818,10 @@ fn cmd_bench(cli: &Cli) {
             // recorder, and with --spans the phase accumulator: the
             // emitted fingerprints then prove both are decision-neutral
             // against a plain bench run.
-            let recorder = cli
-                .trace_out
+            let recorder = trace_out
                 .as_ref()
                 .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
-            let phases = cli.spans.then(|| {
+            let phases = spans.then(|| {
                 let acc = Rc::new(RefCell::new(obs::PhaseAcc::new()));
                 acc.borrow_mut().set_ctx(cell_ctx);
                 acc
@@ -1181,12 +914,11 @@ fn cmd_bench(cli: &Cli) {
     let report = BenchReport {
         version: 5,
         tool: "bfsim bench".into(),
-        tiny: cli.tiny,
+        tiny,
         cells,
         baseline,
         comparison,
     };
-    let out = cli.out.clone().unwrap_or_else(|| "BENCH_5.json".into());
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
 
@@ -1211,7 +943,7 @@ fn cmd_bench(cli: &Cli) {
         );
     }
     println!("wrote {} cells to {out} (validated)", report.cells.len());
-    if cli.enforce_parity {
+    if enforce_parity {
         let changed: Vec<&BenchComparison> = report
             .comparison
             .iter()
@@ -1233,26 +965,26 @@ fn cmd_bench(cli: &Cli) {
     }
 }
 
-fn cmd_metrics(cli: &Cli) {
-    if cli.format == "prom" {
-        let text = connect(cli)
+fn cmd_metrics(a: &Args) {
+    if a.get(&FORMAT) == "prom" {
+        let text = connect(a)
             .metrics_prom()
-            .unwrap_or_else(|e| die_client("metrics", &cli.addr, e));
+            .unwrap_or_else(|e| die_client("metrics", a, e));
         // Prometheus text exposition (already newline-terminated).
         print!("{text}");
         return;
     }
-    let json = connect(cli)
+    let json = connect(a)
         .metrics()
-        .unwrap_or_else(|e| die_client("metrics", &cli.addr, e));
+        .unwrap_or_else(|e| die_client("metrics", a, e));
     // One canonical-JSON document on stdout, ready for `jq` or diffing.
     println!("{json}");
 }
 
-fn cmd_health(cli: &Cli) {
-    let h = connect(cli)
+fn cmd_health(a: &Args) {
+    let h = connect(a)
         .health()
-        .unwrap_or_else(|e| die_client("health", &cli.addr, e));
+        .unwrap_or_else(|e| die_client("health", a, e));
     let status = if h.draining {
         "draining"
     } else if h.ready {
@@ -1260,7 +992,7 @@ fn cmd_health(cli: &Cli) {
     } else {
         "not ready"
     };
-    println!("bfsimd at {} is {status}", cli.addr);
+    println!("bfsimd at {} is {status}", a.get(&ADDR));
     println!(
         "pool: {} workers | queue {}/{} | {} in flight | {} shed | {} worker panics",
         h.workers, h.queue_depth, h.queue_cap, h.in_flight, h.shed, h.worker_panics
@@ -1288,11 +1020,11 @@ fn cmd_health(cli: &Cli) {
     }
 }
 
-fn cmd_shutdown(cli: &Cli) {
-    connect(cli)
+fn cmd_shutdown(a: &Args) {
+    connect(a)
         .shutdown()
-        .unwrap_or_else(|e| die_client("shutdown", &cli.addr, e));
-    println!("bfsimd at {} is draining", cli.addr);
+        .unwrap_or_else(|e| die_client("shutdown", a, e));
+    println!("bfsimd at {} is draining", a.get(&ADDR));
 }
 
 /// One completed cell in a `bfsim sweep` report.
@@ -1379,18 +1111,18 @@ struct SweepReport {
 
 /// The sweep's cell grid: an explicit `--spec FILE.json` (a serialized
 /// `SweepSpec`) or the pinned tiny bench grid via `--tiny`.
-fn sweep_cells(cli: &Cli) -> Vec<RunConfig> {
-    if let Some(path) = &cli.spec {
-        let text = std::fs::read_to_string(path)
+fn sweep_cells(a: &Args) -> Vec<RunConfig> {
+    if let Some(path) = a.opt(&SPEC) {
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die_data(&format!("reading sweep spec {path}: {e}")));
         let spec: SweepSpec = serde_json::from_str(&text)
             .unwrap_or_else(|e| die_data(&format!("parsing sweep spec {path}: {e}")));
         spec.validate()
             .unwrap_or_else(|e| die_data(&format!("invalid sweep spec {path}: {e}")));
         spec.expand()
-    } else if cli.bench {
+    } else if a.on(&BENCH) {
         bench_cells(false)
-    } else if cli.tiny {
+    } else if a.on(&TINY) {
         bench_cells(true)
     } else {
         die("sweep needs --spec FILE.json, --tiny, or --bench")
@@ -1430,24 +1162,25 @@ struct CanonicalSweep {
     duplicates: usize,
 }
 
-fn cmd_sweep(cli: &Cli) {
-    if cli.shards.is_empty() {
-        die("sweep needs --shards HOST:PORT[,HOST:PORT...]");
-    }
-    if cli.journal.is_some() && cli.resume.is_some() {
+fn cmd_sweep(a: &Args) {
+    let shards = a
+        .opt(&SHARDS)
+        .unwrap_or_else(|| die("sweep needs --shards HOST:PORT[,HOST:PORT...]"));
+    let (journal_path, resume) = (a.opt(&SWEEP_JOURNAL), a.opt(&RESUME));
+    if journal_path.is_some() && resume.is_some() {
         die("--journal and --resume are mutually exclusive (a resume appends to the journal it replays)");
     }
-    let cells = sweep_cells(cli);
+    let cells = sweep_cells(a);
     // Re-derive the plan for index → config mapping; planning is a pure
     // function of (cells, shard count), so this matches the dispatcher.
-    let plan = coord::Plan::new(&cells, cli.shards.len());
+    let plan = coord::Plan::new(&cells, shards.len());
 
     // --journal starts a fresh journal; --resume replays one written by
     // an earlier (crashed or interrupted) run of the *same* plan and
     // keeps appending to it. Any resume-time mismatch — wrong plan hash,
     // foreign cell hashes, malformed records — is a bad data file: 6.
     let mut replay: Option<SweepReplay> = None;
-    let journal: Option<SweepJournal> = if let Some(path) = &cli.resume {
+    let journal: Option<SweepJournal> = if let Some(path) = &resume {
         match SweepJournal::resume(Path::new(path), &plan) {
             Ok((journal, rep)) => {
                 if rep.truncated {
@@ -1467,7 +1200,7 @@ fn cmd_sweep(cli: &Cli) {
             }
             Err(err) => die_data(&format!("resuming {path}: {err}")),
         }
-    } else if let Some(path) = &cli.journal {
+    } else if let Some(path) = &journal_path {
         match SweepJournal::create(Path::new(path), &plan) {
             Ok(journal) => Some(journal),
             Err(err) => die_data(&format!("creating journal {path}: {err}")),
@@ -1478,26 +1211,21 @@ fn cmd_sweep(cli: &Cli) {
 
     let interrupt = interrupt_flag();
     let opts = SweepOptions {
-        client: client_options(cli),
-        window: cli.window,
-        steal: !cli.no_steal,
-        max_requeues: cli.max_requeues,
-        spans: cli.spans,
-        reprobe: (cli.reprobe_ms > 0).then(|| Duration::from_millis(cli.reprobe_ms)),
+        client: client_options(a),
+        window: a.opt(&WINDOW),
+        steal: !a.on(&NO_STEAL),
+        max_requeues: a.get(&MAX_REQUEUES),
+        spans: a.on(&SPANS),
+        reprobe: a.get(&REPROBE),
         interrupt: Some(Arc::clone(&interrupt)),
     };
-    let outcome = match run_sweep_recoverable(
-        &cli.shards,
-        &cells,
-        &opts,
-        journal.as_ref(),
-        replay.as_ref(),
-    ) {
-        Ok(outcome) => outcome,
-        Err(err @ SweepError::ShardUnreachable { .. }) => die_shard(&err),
-        Err(SweepError::NoShards) => die("sweep needs --shards"),
-        Err(SweepError::EmptySweep) => die_data("sweep expanded to zero cells"),
-    };
+    let outcome =
+        match run_sweep_recoverable(&shards, &cells, &opts, journal.as_ref(), replay.as_ref()) {
+            Ok(outcome) => outcome,
+            Err(err @ SweepError::ShardUnreachable { .. }) => die_shard(&err),
+            Err(SweepError::NoShards) => die("sweep needs --shards"),
+            Err(SweepError::EmptySweep) => die_data("sweep expanded to zero cells"),
+        };
 
     let report = SweepReport {
         version: 3,
@@ -1553,7 +1281,7 @@ fn cmd_sweep(cli: &Cli) {
         metrics: outcome.metrics_json,
         spans: outcome.spans.into_iter().map(Into::into).collect(),
     };
-    let out = cli.out.clone().unwrap_or_else(|| "SWEEP.json".into());
+    let out = a.opt(&OUT).unwrap_or_else(|| "SWEEP.json".into());
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     std::fs::write(&out, &json).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
 
@@ -1581,7 +1309,7 @@ fn cmd_sweep(cli: &Cli) {
         report.requeues,
         report.duplicates
     );
-    if cli.spans {
+    if opts.spans {
         let total: usize = report.spans.iter().map(|s| s.spans.len()).sum();
         println!(
             "spans: {total} from {} sources (merge with `bfsim timeline --in {out}`)",
@@ -1602,7 +1330,7 @@ fn cmd_sweep(cli: &Cli) {
     }
 
     // --canonical-out: the deterministic projection, plan-ordered.
-    if let Some(path) = &cli.canonical_out {
+    if let Some(path) = a.opt(&CANONICAL_OUT) {
         let mut cells: Vec<(usize, CanonicalCell)> = outcome
             .cells
             .iter()
@@ -1640,7 +1368,7 @@ fn cmd_sweep(cli: &Cli) {
             duplicates: outcome.duplicates,
         };
         let json = serde_json::to_string_pretty(&canon).expect("canonical sweep serializes");
-        std::fs::write(path, &json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
+        std::fs::write(&path, &json).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
         println!("canonical: {} cells -> {path}", canon.cells.len());
     }
 
@@ -1690,8 +1418,8 @@ fn cmd_sweep(cli: &Cli) {
 /// seeded decorrelated-jitter backoff, crash-loopers trip their breaker
 /// and are abandoned. Runs until SIGINT/SIGTERM (fleet stopped, exit 0)
 /// or until every child has broken (exit 5).
-fn cmd_shards(cli: &Cli) {
-    let bfsimd = match &cli.bfsimd_path {
+fn cmd_shards(a: &Args) {
+    let bfsimd = match a.opt(&BFSIMD) {
         Some(path) => PathBuf::from(path),
         // Default to the bfsimd sitting next to this bfsim binary —
         // the layout `cargo build` produces — falling back to $PATH.
@@ -1701,31 +1429,32 @@ fn cmd_shards(cli: &Cli) {
             .filter(|candidate| candidate.exists())
             .unwrap_or_else(|| PathBuf::from("bfsimd")),
     };
-    let addrs: Vec<String> = (0..cli.count)
-        .map(|i| format!("127.0.0.1:{}", cli.base_port as usize + i))
+    let base_port = a.get(&BASE_PORT) as usize;
+    let addrs: Vec<String> = (0..a.get(&COUNT))
+        .map(|i| format!("127.0.0.1:{}", base_port + i))
         .collect();
     let mut args: Vec<String> = Vec::new();
-    if let Some(dir) = &cli.cache_journal_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("creating {dir}: {e}")));
+    if let Some(dir) = a.opt(&CACHE_JOURNAL_DIR) {
+        std::fs::create_dir_all(&dir).unwrap_or_else(|e| die(&format!("creating {dir}: {e}")));
         args.push("--cache-journal".into());
         args.push(format!("{dir}/shard-{{port}}.jsonl"));
     }
-    if let Some(plan) = &cli.fault_plan {
+    if let Some(plan) = a.opt(&FAULT_PLAN) {
         args.push("--fault-plan".into());
-        args.push(plan.clone());
+        args.push(plan);
     }
     let spec = SupervisorSpec {
         bfsimd,
         addrs: addrs.clone(),
         args,
         retry: RetryPolicy {
-            base: Duration::from_millis(cli.retry_base_ms),
-            seed: cli.retry_seed,
+            base: Duration::from_millis(a.get(&RETRY_BASE)),
+            seed: a.get(&RETRY_SEED),
             ..RetryPolicy::default()
         },
         breaker: BreakerPolicy {
-            max_restarts: cli.restart_limit,
-            stable_uptime: Duration::from_millis(cli.stable_ms),
+            max_restarts: a.get(&RESTART_LIMIT),
+            stable_uptime: Duration::from_millis(a.get(&STABLE_MS)),
         },
     };
     let supervisor =
@@ -1769,7 +1498,7 @@ fn cmd_shards(cli: &Cli) {
 /// span's parent present in the same trace) — a violation means the
 /// propagation chain broke somewhere and exits 6 rather than rendering
 /// a misleading timeline.
-fn cmd_timeline(cli: &Cli) {
+fn cmd_timeline(a: &Args) {
     // Only the `spans` field matters here; unknown fields are ignored,
     // so any report revision ≥ 1 parses (a v1 report just has no spans).
     #[derive(Deserialize)]
@@ -1777,7 +1506,7 @@ fn cmd_timeline(cli: &Cli) {
         #[serde(default)]
         spans: Vec<coord::SpanDoc>,
     }
-    let path = cli.input.clone().unwrap_or_else(|| "SWEEP.json".into());
+    let path = a.opt(&IN).unwrap_or_else(|| "SWEEP.json".into());
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| die_data(&format!("reading sweep report {path}: {e}")));
     let doc: TimelineDoc = serde_json::from_str(&text)
@@ -1795,9 +1524,9 @@ fn cmd_timeline(cli: &Cli) {
     let summary = obs::validate_forest(&merged)
         .unwrap_or_else(|e| die_data(&format!("{path}: span forest is malformed: {e}")));
     let rendered = obs::render_chrome_trace(&sources);
-    match &cli.out {
+    match a.opt(&OUT) {
         Some(out) => {
-            std::fs::write(out, &rendered).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
+            std::fs::write(&out, &rendered).unwrap_or_else(|e| die(&format!("writing {out}: {e}")));
             println!(
                 "timeline: {} spans across {} cell traces from {} sources -> {out}",
                 summary.spans,
@@ -1809,14 +1538,14 @@ fn cmd_timeline(cli: &Cli) {
     }
 }
 
-fn cmd_coord_status(cli: &Cli) {
+fn cmd_coord_status(a: &Args) {
     // Offline views first: a sweep journal (--journal) and/or a finished
     // report (--in). Either makes --shards optional, so an operator can
     // inspect recovery state with no fleet running at all.
     let mut offline = false;
-    if let Some(path) = &cli.journal {
+    if let Some(path) = a.opt(&SWEEP_JOURNAL) {
         offline = true;
-        match SweepJournal::inspect(Path::new(path)) {
+        match SweepJournal::inspect(Path::new(&path)) {
             Ok(stats) => println!(
                 "journal {path}: plan {:#018x} over {} shard(s) | {}/{} cells done | \
                  {} failed | {} duplicate records | {} bytes dropped from torn tail",
@@ -1831,9 +1560,9 @@ fn cmd_coord_status(cli: &Cli) {
             Err(err) => die_data(&format!("inspecting journal {path}: {err}")),
         }
     }
-    if let Some(path) = &cli.input {
+    if let Some(path) = a.opt(&IN) {
         offline = true;
-        let text = std::fs::read_to_string(path)
+        let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die_data(&format!("reading sweep report {path}: {e}")));
         let report: SweepReport = serde_json::from_str(&text)
             .unwrap_or_else(|e| die_data(&format!("parsing sweep report {path}: {e}")));
@@ -1854,15 +1583,15 @@ fn cmd_coord_status(cli: &Cli) {
             },
         );
     }
-    if cli.shards.is_empty() {
+    let Some(shards) = a.opt(&SHARDS) else {
         if offline {
             return;
         }
         die("coord-status needs --shards HOST:PORT[,HOST:PORT...] (or --journal / --in)");
-    }
+    };
     let mut reachable = 0usize;
-    for addr in &cli.shards {
-        let mut client = ResilientClient::new(addr.clone(), client_options(cli));
+    for addr in &shards {
+        let mut client = ResilientClient::new(addr.clone(), client_options(a));
         let polled = (|| -> Result<_, ClientError> {
             let caps = client.capabilities()?;
             let health = client.health()?;
@@ -1914,31 +1643,26 @@ fn cmd_coord_status(cli: &Cli) {
         obs::error!(target: "bfsim", "no shard reachable");
         std::process::exit(3);
     }
-    println!("{reachable}/{} shards reachable", cli.shards.len());
+    println!("{reachable}/{} shards reachable", shards.len());
 }
 
 fn main() {
-    let args = obs::log::init_cli("bfsim", std::env::args().skip(1).collect());
-    let cli = parse_cli(&args);
-    match cli.command.as_str() {
-        "simulate" => cmd_simulate(&cli),
-        "generate" => cmd_generate(&cli),
-        "inspect" => cmd_inspect(&cli),
-        "compare" => cmd_compare(&cli),
-        "submit" => cmd_submit(&cli),
-        "stats" => cmd_stats(&cli),
-        "metrics" => cmd_metrics(&cli),
-        "health" => cmd_health(&cli),
-        "shutdown" => cmd_shutdown(&cli),
-        "bench" => cmd_bench(&cli),
-        "sweep" => cmd_sweep(&cli),
-        "shards" => cmd_shards(&cli),
-        "timeline" => cmd_timeline(&cli),
-        "coord-status" => cmd_coord_status(&cli),
-        other => die(&format!(
-            "unknown command {other:?} \
-             (simulate|generate|inspect|compare|submit|stats|metrics|health|shutdown|bench|\
-             sweep|shards|timeline|coord-status)"
-        )),
+    let a = obs::cli::parse(&BFSIM, std::env::args().skip(1).collect());
+    match a.command {
+        "simulate" => cmd_simulate(&a),
+        "generate" => cmd_generate(&a),
+        "inspect" => cmd_inspect(&a),
+        "compare" => cmd_compare(&a),
+        "submit" => cmd_submit(&a),
+        "stats" => cmd_stats(&a),
+        "metrics" => cmd_metrics(&a),
+        "health" => cmd_health(&a),
+        "shutdown" => cmd_shutdown(&a),
+        "bench" => cmd_bench(&a),
+        "sweep" => cmd_sweep(&a),
+        "shards" => cmd_shards(&a),
+        "timeline" => cmd_timeline(&a),
+        "coord-status" => cmd_coord_status(&a),
+        other => unreachable!("the table has no command {other:?}"),
     }
 }

@@ -7,8 +7,9 @@
 //! whose `--canonical-out` projection must be byte-identical to an
 //! undisturbed run's. Drives the real binary the way CI does, against
 //! in-process daemons. Also pins exit 6 for `coord-status --journal` on
-//! a journal `--resume` would refuse, exit 2 (usage) for scheduler parameters
-//! the schedulers would reject, and exit 0 with the usage line for
+//! a journal `--resume` would refuse, exit 2 (usage) for cell parameters
+//! the schedulers would reject and for malformed command lines, exit 6
+//! for a `--spec` holding such a cell, and exit 0 with the usage line for
 //! `--help`/`-h` wherever it appears.
 
 use backfill_sim::SchedulerKind;
@@ -557,22 +558,97 @@ fn coord_status_rejects_a_cell_outside_the_plan_with_exit_6() {
     );
 }
 
-/// Out-of-range scheduler parameters are usage errors (exit 2 with a
-/// message), not panics: a slack factor must be finite and non-negative,
-/// a selective threshold at least 1.
+/// Out-of-range cells are usage errors (exit 2 with one `bad --FLAG` line),
+/// not panics: a slack factor must be finite and non-negative, a
+/// selective or preemptive threshold at least 1, a depth at least 1, a
+/// systematic overestimation factor finite and at least 1, a load finite
+/// and positive, and a job count at least 1. So are an unknown flag, a
+/// flag the command does not read, and a flag without its value.
 #[test]
 fn bad_scheduler_parameters_exit_2() {
-    for scheduler in ["slack:-1", "slack:NaN", "selective:0.5", "selective:NaN"] {
+    let rejected = [
+        ("--scheduler", "slack:-1"),
+        ("--scheduler", "slack:NaN"),
+        ("--scheduler", "selective:0.5"),
+        ("--scheduler", "selective:NaN"),
+        ("--scheduler", "depth:0"),
+        ("--scheduler", "preemptive:0"),
+        ("--scheduler", "preemptive:NaN"),
+        ("--estimate", "systematic:inf"),
+        ("--jobs", "0"),
+        ("--load", "0"),
+        ("--load", "-1"),
+        ("--load", "nan"),
+        ("--load", "inf"),
+    ];
+    let malformed = [
+        (
+            &["--shards", "x"][..],
+            "bad --shards: not read by bfsim simulate",
+        ),
+        (
+            &["--frobnicate"],
+            "bad --frobnicate: unknown to bfsim simulate",
+        ),
+        (&["--jobs"], "bad --jobs: missing value N"),
+    ];
+    let cases = rejected
+        .iter()
+        .map(|&(flag, value)| (vec![flag, value], format!("bad {flag} {value:?}: ")))
+        .chain(
+            malformed
+                .iter()
+                .map(|(args, want)| (args.to_vec(), want.to_string())),
+        );
+    for (args, want) in cases {
         let out = bfsim()
-            .args(["simulate", "--jobs", "50", "--scheduler", scheduler])
+            .args(["simulate", "--jobs", "50"])
+            .args(&args)
             .output()
             .expect("spawn bfsim");
         let stderr = stderr_of(&out);
-        assert_eq!(out.status.code(), Some(2), "{scheduler}: stderr: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
         assert!(
-            stderr.contains("bad --scheduler") && stderr.contains(scheduler),
-            "{scheduler}: stderr: {stderr}"
+            stderr.contains(&want) && !stderr.contains("panicked"),
+            "{args:?}: want {want:?}, stderr: {stderr}"
         );
+    }
+}
+
+/// A `--spec` cell out of its range is a bad data file (exit 6), refused
+/// before the startup handshake — the shard named here is not listening,
+/// which would otherwise exit 8.
+#[test]
+fn out_of_range_spec_cells_exit_6_before_dispatch() {
+    let vacant = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr").to_string()
+    };
+    let mut deep = spec_with(vec![7]);
+    deep.kinds = vec![SchedulerKind::Depth { depth: 0 }];
+    let mut idle = spec_with(vec![7]);
+    idle.loads = vec![Some(0.0)];
+    for (name, spec, want) in [
+        ("depth-0.json", deep, "reservation depth must be >= 1"),
+        ("load-0.json", idle, "load must be finite and > 0"),
+    ] {
+        let path = tmp(name);
+        let text = serde_json::to_string(&spec).expect("spec serializes");
+        std::fs::write(&path, text).expect("write spec");
+        let out = bfsim()
+            .args([
+                "sweep",
+                "--shards",
+                &vacant,
+                "--spec",
+                path.to_str().unwrap(),
+            ])
+            .args(["-o", tmp("never-written.json").to_str().unwrap()])
+            .output()
+            .expect("spawn bfsim");
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(6), "{name}: stderr: {stderr}");
+        assert!(stderr.contains(want), "{name}: stderr: {stderr}");
     }
 }
 

@@ -1,0 +1,97 @@
+//! The command-line surface of `bfsim`, driven through the real binary.
+//!
+//! `golden/cli_help.txt` holds the generated `--help` of all four
+//! binaries and of every `bfsim` command, so an added, removed or
+//! re-defaulted flag shows up in review as a diff of that file. This
+//! file checks the `bfsim` sections; the `service` and `bench` packages
+//! check their binaries' sections of the same file. After a deliberate
+//! change to a flag table, rebuild and regenerate the file:
+//!
+//! ```text
+//! cargo build && cd target/debug && {
+//!   for c in "" simulate generate inspect compare submit stats metrics \
+//!       health shutdown bench sweep shards timeline coord-status; do
+//!     echo "==> bfsim${c:+ $c} --help <=="; ./bfsim $c --help; done
+//!   for b in bfsimd repro trace-summary; do
+//!     echo "==> $b --help <=="; ./$b --help; done
+//! } > ../../crates/coord/tests/golden/cli_help.txt
+//! ```
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+const GOLDEN: &str = include_str!("golden/cli_help.txt");
+
+fn bfsim() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_bfsim"))
+}
+
+fn run(args: &[&str]) -> Output {
+    bfsim().args(args).output().expect("spawn bfsim")
+}
+
+fn stdout_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The golden `--help` output of `title`, e.g. `bfsim simulate`.
+fn golden(title: &str) -> &'static str {
+    let header = format!("==> {title} --help <==\n");
+    let start = GOLDEN
+        .find(&header)
+        .unwrap_or_else(|| panic!("golden/cli_help.txt has no {header:?}"));
+    let rest = &GOLDEN[start + header.len()..];
+    &rest[..rest.find("==> ").unwrap_or(rest.len())]
+}
+
+#[test]
+fn help_of_bfsim_and_each_command_matches_the_golden_file() {
+    let top = stdout_of(&run(&["--help"]));
+    assert_eq!(top, golden("bfsim"), "bfsim --help drifted");
+    let commands: Vec<&str> = top
+        .lines()
+        .skip_while(|l| *l != "commands:")
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(commands.len(), 14, "{commands:?}");
+    for command in commands {
+        let out = run(&[command, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "{command}");
+        let title = format!("bfsim {command}");
+        assert_eq!(stdout_of(&out), golden(&title), "{title} --help drifted");
+    }
+}
+
+/// `--journal` and `--trace-out` together write both files, and neither
+/// changes a decision: the fingerprint equals a plain run's.
+#[test]
+fn simulate_writes_journal_and_trace_with_the_plain_fingerprint() {
+    let dir = std::env::temp_dir().join(format!("bfsim-surface-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let (journal, trace): (PathBuf, PathBuf) = (dir.join("j.jsonl"), dir.join("t.jsonl"));
+    let base = ["simulate", "--jobs", "300", "--scheduler", "cons"];
+    let plain = run(&base);
+    let observed = run(&[
+        &base[..],
+        &["--journal", journal.to_str().unwrap()],
+        &["--trace-out", trace.to_str().unwrap()],
+    ]
+    .concat());
+    let fingerprint = |out: &Output| {
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = stdout_of(out);
+        let line = stdout.lines().find(|l| l.starts_with("fingerprint "));
+        line.expect("simulate prints its fingerprint").to_string()
+    };
+    assert_eq!(fingerprint(&observed), fingerprint(&plain));
+    for (path, kind) in [
+        (&journal, "\"kind\":\"Arrive\""),
+        (&trace, "\"ev\":\"Arrive\""),
+    ] {
+        let text = std::fs::read_to_string(path).expect("file written");
+        assert!(text.lines().count() >= 300, "{}", path.display());
+        assert!(text.contains(kind), "{}: no {kind} record", path.display());
+    }
+}

@@ -143,6 +143,45 @@ impl RunConfig {
     }
 }
 
+/// The range its constructor asserts for a scheduler kind's parameter:
+/// depth ≥ 1, a selective or preemptive threshold ≥ 1 (`inf` allowed), a
+/// finite slack factor ≥ 0. The CLI and sweep specs check every cell with
+/// this, [`check_estimate`] and [`check_load`] before it runs.
+pub fn check_kind(kind: SchedulerKind) -> Result<(), String> {
+    match kind {
+        SchedulerKind::Depth { depth: 0 } => Err("reservation depth must be >= 1".into()),
+        SchedulerKind::Selective { threshold: t } | SchedulerKind::Preemptive { threshold: t }
+            if t.is_nan() || t < 1.0 =>
+        {
+            Err("threshold must be >= 1 (inf allowed)".into())
+        }
+        SchedulerKind::Slack { slack_factor: f } if !f.is_finite() || f < 0.0 => {
+            Err("slack factor must be finite and >= 0".into())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The range of an estimate model's parameter: a systematic
+/// overestimation factor is finite and ≥ 1.
+pub fn check_estimate(estimate: EstimateModel) -> Result<(), String> {
+    match estimate {
+        EstimateModel::SystematicOver { factor } if !factor.is_finite() || factor < 1.0 => {
+            Err("overestimation factor must be finite and >= 1".into())
+        }
+        _ => Ok(()),
+    }
+}
+
+/// The range of an offered load ρ: finite and > 0.
+pub fn check_load(rho: f64) -> Result<(), String> {
+    if rho.is_finite() && rho > 0.0 {
+        Ok(())
+    } else {
+        Err("load must be finite and > 0".into())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

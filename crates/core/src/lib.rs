@@ -42,7 +42,7 @@ pub mod runner;
 pub mod schedule;
 
 pub use campaign::{Campaign, CampaignCell, Estimate};
-pub use config::{RunConfig, Scenario, TraceSource};
+pub use config::{check_estimate, check_kind, check_load, RunConfig, Scenario, TraceSource};
 pub use driver::{
     flush_profile_stats, journal_queue_series, simulate, simulate_journaled, simulate_observed,
     JournalEntry, JournalKind, SchedulerKind, SimOptions,

@@ -10,7 +10,7 @@
 //!   macros, filtered by a `BFSIM_LOG`-style directive string, emitted as
 //!   text or JSON lines. The global handle is an atomic level gate plus a
 //!   `OnceLock`, so a disabled level costs one relaxed load and no
-//!   formatting.
+//!   formatting. [`cli`] is the binaries' flag parser, which installs it.
 //! * [`metrics`] — named counters, gauges, and log-scale histograms with
 //!   atomic hot-path increments, registered in a process-global (or
 //!   per-component) [`metrics::Registry`] and snapshot-able as one
@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod log;
 pub mod metrics;
 pub mod span;

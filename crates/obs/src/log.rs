@@ -2,11 +2,11 @@
 //!
 //! Records carry a [`Level`], a target (defaulting to the emitting
 //! module's path), and a formatted message. A process-global logger is
-//! installed once via [`init`] / [`init_from_env`]; the `error!`,
-//! `warn!`, `info!`, `debug!`, and `trace!` macros check a single
-//! relaxed atomic load before formatting anything, so disabled levels are
-//! near-free on the hot path and pool workers can log without
-//! coordination beyond the sink mutex.
+//! installed once via [`init`], which the binaries reach through
+//! [`crate::cli::parse`]; the `error!`, `warn!`, `info!`, `debug!`, and
+//! `trace!` macros check a single relaxed atomic load before formatting
+//! anything, so disabled levels are near-free on the hot path and pool
+//! workers can log without coordination beyond the sink mutex.
 //!
 //! # Filter grammar
 //!
@@ -266,70 +266,6 @@ pub fn init(config: LogConfig) -> Result<(), LogConfig> {
     }
 }
 
-/// Install from the `BFSIM_LOG` environment variable (text, stderr).
-/// Unset or empty means off; an unparsable spec falls back to `warn` so
-/// a typo never silences errors. Returns whether this call installed it.
-pub fn init_from_env() -> bool {
-    let filter = match std::env::var("BFSIM_LOG") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            Filter::parse(&spec).unwrap_or_else(|_| Filter::uniform(Level::Warn))
-        }
-        _ => Filter::off(),
-    };
-    init(LogConfig::new(filter)).is_ok()
-}
-
-/// Install the logger for a command-line program from its arguments and
-/// return the arguments without the logging flags, so the program's own
-/// parser never sees them.
-///
-/// `--log-level SPEC` beats the `BFSIM_LOG` environment variable (where
-/// an unparsable spec falls back to `warn`); with neither, only errors
-/// are logged. `--log-json` and `--log-elapsed` set [`LogConfig::json`]
-/// and [`LogConfig::elapsed`]. A missing or bad `--log-level` spec is a
-/// usage error: `program` reports it on stderr and the process exits 2.
-pub fn init_cli(program: &str, args: Vec<String>) -> Vec<String> {
-    let env = std::env::var("BFSIM_LOG").ok();
-    match cli_config(args, env.as_deref()) {
-        Ok((config, rest)) => {
-            let _ = init(config);
-            rest
-        }
-        Err(err) => {
-            eprintln!("{program}: {err}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The logger config [`init_cli`] installs, and the remaining arguments.
-fn cli_config(args: Vec<String>, env: Option<&str>) -> Result<(LogConfig, Vec<String>), String> {
-    let mut spec = None;
-    let mut config = LogConfig::new(Filter::uniform(Level::Error));
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--log-level" => {
-                spec = Some(it.next().ok_or("--log-level needs a value")?);
-            }
-            "--log-json" => config.json = true,
-            "--log-elapsed" => config.elapsed = true,
-            _ => rest.push(arg),
-        }
-    }
-    match (spec, env) {
-        (Some(spec), _) => {
-            config.filter = Filter::parse(&spec).map_err(|e| format!("bad --log-level: {e}"))?;
-        }
-        (None, Some(env)) if !env.trim().is_empty() => {
-            config.filter = Filter::parse(env).unwrap_or_else(|_| Filter::uniform(Level::Warn));
-        }
-        (None, _) => {}
-    }
-    Ok((config, rest))
-}
-
 /// Cheap pre-check used by the macros: is a record at `level` under
 /// `target` worth formatting?
 #[inline]
@@ -435,27 +371,49 @@ macro_rules! trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::{self, Command, Program, LOG};
+
+    /// A program that reads only the logging flags and any operands.
+    static PROGRAM: Program = Program {
+        name: "x",
+        about: "",
+        commands: &[Command {
+            name: "",
+            about: "",
+            operands: "[ARG]...",
+            groups: &[&LOG],
+        }],
+    };
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The logger `list` asks for, and the operands left once the
+    /// logging flags are read, as `cli::parse` would see them.
+    fn cli_config(list: &[&str], env: Option<&str>) -> Result<(LogConfig, Vec<String>), String> {
+        let (parsed, error) = cli::tokenize(&PROGRAM, args(list));
+        if let Some(error) = error {
+            return Err(error);
+        }
+        Ok((cli::log_config(&parsed, env)?, parsed.operands))
+    }
+
     #[test]
     fn cli_config_strips_the_logging_flags() {
         let (config, rest) = cli_config(
-            args(&[
+            &[
                 "run",
                 "--log-level",
                 "info",
-                "--jobs",
                 "5",
                 "--log-json",
                 "--log-elapsed",
-            ]),
+            ],
             Some("trace"),
         )
         .unwrap();
-        assert_eq!(rest, args(&["run", "--jobs", "5"]));
+        assert_eq!(rest, args(&["run", "5"]));
         assert_eq!(
             config.filter,
             Filter::uniform(Level::Info),
@@ -466,20 +424,20 @@ mod tests {
 
     #[test]
     fn cli_config_falls_back_to_the_env_then_to_errors() {
-        let filter = |env| cli_config(args(&["x"]), env).unwrap().0.filter;
+        let filter = |env| cli_config(&["x"], env).unwrap().0.filter;
         assert_eq!(filter(Some("debug")), Filter::uniform(Level::Debug));
         assert_eq!(filter(Some("loud")), Filter::uniform(Level::Warn));
         assert_eq!(filter(Some(" ")), Filter::uniform(Level::Error));
         assert_eq!(filter(None), Filter::uniform(Level::Error));
-        let (config, _) = cli_config(args(&["x"]), None).unwrap();
+        let (config, _) = cli_config(&["x"], None).unwrap();
         assert!(!config.json && !config.elapsed);
     }
 
     #[test]
     fn cli_config_rejects_a_missing_or_bad_spec() {
-        let err = |list: &[&str]| cli_config(args(list), Some("info")).err().unwrap();
-        assert_eq!(err(&["--log-level"]), "--log-level needs a value");
-        assert!(err(&["--log-level", "loud"]).starts_with("bad --log-level: "));
+        let err = |list: &[&str]| cli_config(list, Some("info")).err().unwrap();
+        assert_eq!(err(&["--log-level"]), "bad --log-level: missing value SPEC");
+        assert!(err(&["--log-level", "loud"]).starts_with("bad --log-level \"loud\": "));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //!        [--log-level SPEC] [--log-json] [--log-elapsed]
 //! ```
 //!
+//! `bfsimd --help` prints the authoritative flag list, with defaults,
+//! generated from the flag table below.
+//!
 //! Listens for JSON-lines requests (see `service::protocol`), runs them
 //! on a bounded worker pool, and memoizes completed reports. Stop it
 //! with `bfsim shutdown` (graceful drain) — the process exits once every
@@ -18,14 +21,37 @@
 //! start. `--fault-plan SPEC` (or env `BFSIM_FAULT_PLAN`) arms
 //! deterministic fault injection — see `service::fault` for the grammar;
 //! never use it on a daemon you care about.
-//!
-//! `--log-level` takes the `BFSIM_LOG` filter grammar (e.g. `info` or
-//! `warn,service=debug`) and wins over the environment; `--log-json`
-//! switches log records to JSON lines. Without either, only errors are
-//! logged.
 
 use service::{FaultPlan, Server, ServiceConfig};
-use std::time::Duration;
+use table::*;
+
+/// The flag table; `obs::cli` generates `--help` from it. Flags without
+/// a default keep `ServiceConfig::default()`'s value.
+#[rustfmt::skip]
+mod table {
+    use obs::cli::{millis, number, positive, text, Command, Flag, Group, Program, LOG};
+    use service::FaultPlan;
+    use std::time::Duration;
+
+    pub static ADDR: Flag<String> = Flag::new("--addr", "HOST:PORT", "127.0.0.1:7411", "address to listen on", text);
+    pub static WORKERS: Flag<usize> = Flag::new("--workers", "N", "", "simulation threads (default: one per core, at least 2)", positive);
+    pub static QUEUE: Flag<usize> = Flag::new("--queue", "N", "", "queued requests before Busy (default: twice the default workers)", positive);
+    pub static CACHE_CAP: Flag<usize> = Flag::new("--cache-cap", "N", "", "cached reports (default 1024)", positive);
+    pub static CACHE_JOURNAL: Flag<String> = Flag::new("--cache-journal", "PATH", "", "journal the cache to PATH, replaying it at start", text);
+    pub static FAULT_PLAN: Flag<FaultPlan> = Flag::new("--fault-plan", "SPEC", "", "arm fault injection (else env BFSIM_FAULT_PLAN); see service::fault", FaultPlan::parse);
+    pub static READ_TIMEOUT: Flag<Option<Duration>> = Flag::new("--read-timeout-ms", "N", "", "socket read deadline, 0 disables (default 300000)", millis);
+    pub static WRITE_TIMEOUT: Flag<Option<Duration>> = Flag::new("--write-timeout-ms", "N", "", "socket write deadline, 0 disables (default 30000)", millis);
+    pub static MAX_FRAME: Flag<usize> = Flag::new("--max-frame", "BYTES", "", "longest request line, at least 1024 (default 1048576)", |raw| {
+        number(raw).and_then(|n| if n >= 1024 { Ok(n) } else { Err("need bytes >= 1024".to_string()) })
+    });
+
+    static DAEMON: Group = Group { title: "daemon", flags: &[&ADDR, &WORKERS, &QUEUE, &CACHE_CAP, &CACHE_JOURNAL, &FAULT_PLAN, &READ_TIMEOUT, &WRITE_TIMEOUT, &MAX_FRAME] };
+    pub static BFSIMD: Program = Program {
+        name: "bfsimd",
+        about: "Serve simulations over JSON lines until `bfsim shutdown` drains it.",
+        commands: &[Command { name: "", about: "", operands: "", groups: &[&DAEMON, &LOG] }],
+    };
+}
 
 fn die(msg: &str) -> ! {
     obs::error!(target: "bfsimd", "{msg}");
@@ -33,75 +59,17 @@ fn die(msg: &str) -> ! {
 }
 
 fn main() {
-    let args = obs::log::init_cli("bfsimd", std::env::args().skip(1).collect());
-    let mut addr = "127.0.0.1:7411".to_string();
+    let a = obs::cli::parse(&BFSIMD, std::env::args().skip(1).collect());
+    let addr = a.get(&ADDR);
     let mut cfg = ServiceConfig::default();
-    let mut it = args.iter().cloned();
-    let next = |it: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        it.next()
-            .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = next(&mut it, "--addr"),
-            "--workers" => {
-                cfg.workers = next(&mut it, "--workers")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --workers (need an integer >= 1)"))
-            }
-            "--queue" => {
-                cfg.queue_cap = next(&mut it, "--queue")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --queue (need an integer >= 1)"))
-            }
-            "--cache-cap" => {
-                cfg.cache_cap = next(&mut it, "--cache-cap")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die("bad --cache-cap (need an integer >= 1)"))
-            }
-            "--cache-journal" => {
-                cfg.journal = Some(next(&mut it, "--cache-journal").into());
-            }
-            "--fault-plan" => {
-                let spec = next(&mut it, "--fault-plan");
-                cfg.fault_plan = Some(
-                    FaultPlan::parse(&spec)
-                        .unwrap_or_else(|e| die(&format!("bad --fault-plan: {e}"))),
-                );
-            }
-            "--read-timeout-ms" => {
-                cfg.read_timeout = parse_timeout(&next(&mut it, "--read-timeout-ms"))
-                    .unwrap_or_else(|| die("bad --read-timeout-ms (millis, 0 disables)"));
-            }
-            "--write-timeout-ms" => {
-                cfg.write_timeout = parse_timeout(&next(&mut it, "--write-timeout-ms"))
-                    .unwrap_or_else(|| die("bad --write-timeout-ms (millis, 0 disables)"));
-            }
-            "--max-frame" => {
-                cfg.max_frame = next(&mut it, "--max-frame")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1024)
-                    .unwrap_or_else(|| die("bad --max-frame (need bytes >= 1024)"))
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: bfsimd [--addr HOST:PORT] [--workers N] [--queue N] [--cache-cap N] \
-                     [--cache-journal PATH] [--fault-plan SPEC] [--read-timeout-ms N] \
-                     [--write-timeout-ms N] [--max-frame BYTES] [--log-level SPEC] [--log-json] \
-                     [--log-elapsed]"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown flag {other:?}")),
-        }
-    }
+    cfg.workers = a.opt(&WORKERS).unwrap_or(cfg.workers);
+    cfg.queue_cap = a.opt(&QUEUE).unwrap_or(cfg.queue_cap);
+    cfg.cache_cap = a.opt(&CACHE_CAP).unwrap_or(cfg.cache_cap);
+    cfg.journal = a.opt(&CACHE_JOURNAL).map(Into::into);
+    cfg.fault_plan = a.opt(&FAULT_PLAN);
+    cfg.read_timeout = a.opt(&READ_TIMEOUT).unwrap_or(cfg.read_timeout);
+    cfg.write_timeout = a.opt(&WRITE_TIMEOUT).unwrap_or(cfg.write_timeout);
+    cfg.max_frame = a.opt(&MAX_FRAME).unwrap_or(cfg.max_frame);
     // The env var arms fault injection when the flag didn't (the flag
     // wins); an empty plan is the same as none.
     if cfg.fault_plan.is_none() {
@@ -138,14 +106,4 @@ fn main() {
     println!("bfsimd listening on {} ({summary})", handle.addr());
     handle.join();
     println!("bfsimd drained and stopped");
-}
-
-/// `"0"` disables a timeout; any other millisecond count sets it.
-fn parse_timeout(raw: &str) -> Option<Option<Duration>> {
-    let ms: u64 = raw.parse().ok()?;
-    Some(if ms == 0 {
-        None
-    } else {
-        Some(Duration::from_millis(ms))
-    })
 }
