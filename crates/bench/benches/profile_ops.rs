@@ -49,24 +49,6 @@ fn bench_find_anchor(c: &mut Criterion) {
     group.finish();
 }
 
-/// The pre-index linear scan over the same profiles and query stream —
-/// the baseline the block index is measured against.
-fn bench_find_anchor_linear(c: &mut Criterion) {
-    let mut group = c.benchmark_group("profile/find_anchor_linear");
-    for &n in &[16usize, 128, 1024] {
-        let p = dense_profile(n, 430, 42);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &p, |b, p| {
-            // Identical query stream to `profile/find_anchor` (same seed).
-            let mut rng = SimRng::seed_from_u64(7);
-            b.iter(|| {
-                let (earliest, width) = query(&mut rng, 430);
-                black_box(p.find_anchor_linear(earliest, SimSpan::new(5_000), width))
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_reserve_release(c: &mut Criterion) {
     let mut group = c.benchmark_group("profile/reserve_release");
     for &n in &[16usize, 128, 1024] {
@@ -175,7 +157,6 @@ fn bench_free_at(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_find_anchor,
-    bench_find_anchor_linear,
     bench_reserve_release,
     bench_split_boundary,
     bench_trim_one,

@@ -1,9 +1,9 @@
 //! Per-event allocation budget for the simulate hot path.
 //!
 //! The allocation-free event path (DESIGN.md §16) claims the simulator's
-//! steady state stops allocating per event: the ladder event queue reuses
-//! buckets, the profile edits its segment chunks in place, and schedulers reuse their
-//! `starts`/sort scratch buffers across events. This harness pins that
+//! steady state stops allocating per event: the event heap keeps its
+//! capacity, the profile edits its segment chunks in place, and schedulers
+//! reuse their `starts`/sort scratch buffers across events. This harness pins that
 //! claim with a counting `#[global_allocator]`: the reservation-list family
 //! (Conservative, Selective(2), Slack(0.5)) on a deep-queue cell (the
 //! allocation-heaviest configuration — per-arrival reservations plus
@@ -74,8 +74,8 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 /// Per-event budgets, enforced in release builds. The steady-state event
-/// path allocates only for amortized container growth (chunk/queue/
-/// ladder-bucket Vecs): measured 0.03 allocs/event and about 80 B/event
+/// path allocates only for amortized container growth (chunk, queue and
+/// event-heap Vecs): measured 0.03 allocs/event and about 80 B/event
 /// on each of these cells. The bounds leave headroom for allocator-pattern
 /// drift without letting a per-event regression (a clone, a collect, a
 /// fresh scratch, a stable sort's merge buffer — which cost this FCFS cell

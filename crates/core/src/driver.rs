@@ -627,10 +627,10 @@ pub fn simulate_observed(
     // schedules its successor (the trace is sorted by arrival, so the
     // successor is never in the past). The pending-event set then holds
     // one arrival plus the in-flight completions/wake-ups — dozens —
-    // instead of the whole trace, keeping both tiers of the ladder event
-    // queue shallow. Delivery order is unchanged: arrivals keep their
-    // trace-relative insertion order, and cross-class ties at an instant
-    // are decided by `EventClass`, not insertion sequence.
+    // instead of the whole trace, keeping the event heap shallow.
+    // Delivery order is unchanged: arrivals keep their trace-relative
+    // insertion order, and cross-class ties at an instant are decided by
+    // `EventClass`, not insertion sequence.
     if let Some(first) = trace.jobs().first() {
         engine.prime_classed(first.arrival, CLASS_ARRIVAL, Ev::Arrive(first.id.0));
     }

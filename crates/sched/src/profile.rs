@@ -59,10 +59,11 @@
 //! are plain `Copy` arrays, so cloning a profile is a memcpy of the
 //! chunk vector.
 //!
-//! [`Profile::find_anchor_linear`] preserves the plain segment-by-segment
-//! scan; differential property tests (`tests/profile_differential.rs`)
-//! assert the two agree decision-for-decision (against a naive quadratic
-//! reference as well), and the `profile_ops` bench compares their cost.
+//! The plain segment-by-segment scan lives in test support
+//! (`tests/support/mod.rs`, over [`Profile::segments`]); differential
+//! property tests (`tests/profile_differential.rs`) assert it and
+//! [`Profile::find_anchor`] agree decision-for-decision (against a naive
+//! quadratic reference as well).
 //!
 //! # Instrumentation
 //!
@@ -1035,44 +1036,6 @@ impl Profile {
         anchor
     }
 
-    /// The plain linear anchor scan, kept as a reference: the
-    /// differential property test asserts it agrees with
-    /// [`find_anchor`](Profile::find_anchor) decision-for-decision, and the
-    /// `profile_ops` bench measures what the chunk index buys. Maintains
-    /// the same panics; does not update the probe counters.
-    pub fn find_anchor_linear(&self, earliest: SimTime, duration: SimSpan, width: u32) -> SimTime {
-        self.assert_possible(width);
-        if duration.is_zero() || width == 0 {
-            return earliest;
-        }
-
-        let mut anchor = earliest;
-        let first_start = self.chunks[0].first_start();
-        if anchor < first_start && anchor + duration <= first_start {
-            return anchor;
-        }
-
-        // Scan from the segment containing (or first after) the anchor.
-        // Invariant on entry to each iteration: free >= width over
-        // [anchor, seg.start) — either empty, the implicit free region, or
-        // previously verified segments.
-        let mut segs = self.segs_from(self.locate(anchor).unwrap_or(ORIGIN));
-        let mut seg = *segs.next().expect("profile is never empty");
-        for &next in segs {
-            if seg.free >= width {
-                if next.start >= anchor + duration {
-                    return anchor;
-                }
-            } else {
-                // Blocked: restart the anchor at the end of this segment.
-                anchor = next.start;
-            }
-            seg = next;
-        }
-        // The final segment is infinite; asserted wide enough above.
-        anchor
-    }
-
     /// Insert `seg` at `p` (`p.i` may equal the chunk's length: append),
     /// first splitting a full chunk into two halves. Returns where the
     /// segment landed.
@@ -1551,35 +1514,6 @@ mod tests {
                 anchor == t(start),
                 "fits({start},{dur},{width}) = {fits} but anchor = {anchor}"
             );
-        }
-    }
-
-    #[test]
-    fn indexed_and_linear_anchors_agree_on_dense_profile() {
-        // A profile spanning many chunks, so the search leaps between
-        // chunks as well as scanning inside them: mixed widths force both
-        // the first-feasible establishment and the first-blocker window
-        // verification over many candidates.
-        let mut p = Profile::new(64);
-        for i in 0..(8 * CHUNK as u64) {
-            let width = 1 + ((i * 7 + 3) % 60) as u32;
-            p.reserve(
-                t(i * 10),
-                d(10 + (i % 13) * 5),
-                width.min(p.free_at(t(i * 10))),
-            );
-        }
-        assert!(p.chunks.len() > 4, "want a profile spanning many chunks");
-        for earliest in (0..8 * CHUNK as u64 * 10).step_by(53) {
-            for &width in &[1u32, 7, 23, 40, 64] {
-                for &dur in &[1u64, 50, 400, 5_000] {
-                    assert_eq!(
-                        p.find_anchor(t(earliest), d(dur), width),
-                        p.find_anchor_linear(t(earliest), d(dur), width),
-                        "diverged at earliest={earliest} dur={dur} width={width}"
-                    );
-                }
-            }
         }
     }
 

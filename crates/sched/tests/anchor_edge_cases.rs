@@ -1,9 +1,8 @@
 //! Pinned edge cases of the anchor search and the fits memo.
 //!
 //! Each unit test nails one boundary the many-chunk path (chunk leaps
-//! through the tree), the one-chunk scan, and the linear oracle must
-//! agree on: zero-width
-//! requests, zero-duration rectangles, and anchors exactly at the
+//! through the tree), the one-chunk scan, and the linear oracle
+//! (`support::linear_anchor`) must agree on: zero-width requests, zero-duration rectangles, and anchors exactly at the
 //! past-cutoff boundary `trim_before` leaves behind (the implicit
 //! fully-free region before the first segment). The property test at the
 //! bottom hammers the fits memo specifically *across* mutations: every
@@ -11,9 +10,12 @@
 //! probe (memoized), repeat after another mutation — must equal the
 //! linear oracle's verdict.
 
+mod support;
+
 use proptest::prelude::*;
 use sched::Profile;
 use simcore::{SimSpan, SimTime};
+use support::linear_anchor;
 
 fn t(s: u64) -> SimTime {
     SimTime::new(s)
@@ -56,7 +58,7 @@ fn zero_width_anchors_at_earliest_on_all_paths() {
     for p in [small_trimmed(), large_trimmed()] {
         for e in [0, 500, 1_000, 1_234, 100_000] {
             assert_eq!(p.find_anchor(t(e), d(100), 0), t(e));
-            assert_eq!(p.find_anchor_linear(t(e), d(100), 0), t(e));
+            assert_eq!(linear_anchor(&p, t(e), d(100), 0), t(e));
             assert!(p.fits(t(e), d(100), 0));
         }
     }
@@ -67,7 +69,7 @@ fn zero_duration_anchors_at_earliest_on_all_paths() {
     for p in [small_trimmed(), large_trimmed()] {
         for e in [0, 500, 1_000, 1_234, 100_000] {
             assert_eq!(p.find_anchor(t(e), d(0), 16), t(e));
-            assert_eq!(p.find_anchor_linear(t(e), d(0), 16), t(e));
+            assert_eq!(linear_anchor(&p, t(e), d(0), 16), t(e));
             assert!(p.fits(t(e), d(0), 16));
         }
     }
@@ -93,7 +95,7 @@ fn window_ending_exactly_at_the_cutoff_boundary_fits() {
         let first = p.segments()[0].start;
         let e = t(first.as_secs() - 100);
         assert_eq!(p.find_anchor(e, d(100), 16), e);
-        assert_eq!(p.find_anchor_linear(e, d(100), 16), e);
+        assert_eq!(linear_anchor(&p, e, d(100), 16), e);
         assert!(p.fits(e, d(100), 16));
     }
 }
@@ -108,7 +110,7 @@ fn window_crossing_the_cutoff_boundary_sees_the_first_segment() {
         // the (partially blocked) first segment.
         let width = free0 + 1; // more than the first segment offers
         let a_tree = p.find_anchor(e, d(101), width);
-        let a_lin = p.find_anchor_linear(e, d(101), width);
+        let a_lin = linear_anchor(&p, e, d(101), width);
         assert_eq!(a_tree, a_lin);
         assert!(a_tree > e, "crossing window must not anchor in the prefix");
         assert!(!p.fits(e, d(101), width));
@@ -116,7 +118,7 @@ fn window_crossing_the_cutoff_boundary_sees_the_first_segment() {
         // anchors at `e` on both paths.
         if free0 > 0 {
             assert_eq!(p.find_anchor(e, d(101), free0), e);
-            assert_eq!(p.find_anchor_linear(e, d(101), free0), e);
+            assert_eq!(linear_anchor(&p, e, d(101), free0), e);
             assert!(p.fits(e, d(101), free0));
         }
     }
@@ -132,7 +134,7 @@ fn anchor_exactly_at_the_cutoff_boundary() {
             for &dur in &[1u64, 250, 10_000] {
                 assert_eq!(
                     p.find_anchor(first, d(dur), width),
-                    p.find_anchor_linear(first, d(dur), width),
+                    linear_anchor(&p, first, d(dur), width),
                     "diverged at boundary for dur={dur} width={width}"
                 );
             }
@@ -149,7 +151,7 @@ fn anchor_in_implicit_region_agrees_between_paths() {
                 for &dur in &[1u64, 99, 100, 101, 2_000] {
                     assert_eq!(
                         p.find_anchor(e, d(dur), width),
-                        p.find_anchor_linear(e, d(dur), width),
+                        linear_anchor(&p, e, d(dur), width),
                         "diverged at e={e} dur={dur} width={width}"
                     );
                 }
@@ -207,7 +209,7 @@ proptest! {
         let mut p = Profile::new(cap);
         let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
         let check = |p: &Profile, from: SimTime, dur: SimSpan, width: u32| {
-            let expect = p.find_anchor_linear(from, dur, width) == from;
+            let expect = linear_anchor(p, from, dur, width) == from;
             // First call may be the tree-answered miss, the second the
             // memoizing rebuild, the third the memo hit: all must agree.
             for round in 0..3 {

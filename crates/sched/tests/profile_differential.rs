@@ -2,20 +2,23 @@
 //!
 //! `Profile::find_anchor` scans inside a chunk of segments and leaps
 //! whole chunks through a min/max tree over the chunk summaries;
-//! `Profile::find_anchor_linear` is the plain segment-by-segment scan.
-//! These properties drive both — plus a third, deliberately naive
-//! reference implemented here over `Profile::segments()` — through random
-//! reserve/partial-release/trim histories and assert all three agree on
-//! every query: the chunked layout must be a pure accelerator, never a
-//! decision change. The chunk-boundary tests at the bottom force every
-//! change to the chunk layout — splits, chunks emptied by coalescing,
-//! reservations spanning three or more chunks, trims that drop whole
-//! chunks — and check anchors, `fits` and `free_at` after every single
-//! operation.
+//! `support::linear_anchor` is the plain segment-by-segment scan over
+//! `Profile::segments()`. These properties drive both — plus a third,
+//! deliberately naive reference implemented here over the same segments
+//! — through random reserve/partial-release/trim histories and assert
+//! all three agree on every query: the chunked layout must be a pure
+//! accelerator, never a decision change. The chunk-boundary tests at the
+//! bottom force every change to the chunk layout — splits, chunks emptied
+//! by coalescing, reservations spanning three or more chunks, trims that
+//! drop whole chunks — and check anchors, `fits` and `free_at` after every
+//! single operation.
+
+mod support;
 
 use proptest::prelude::*;
 use sched::{Profile, Segment};
 use simcore::{SimSpan, SimTime};
+use support::linear_anchor;
 
 /// Naive reference anchor: try `earliest` and every later segment start in
 /// order, checking feasibility point-by-point against the raw segments.
@@ -158,7 +161,7 @@ proptest! {
             let earliest = SimTime::new(earliest);
             let dur = SimSpan::new(dur);
             let indexed = p.find_anchor(earliest, dur, width);
-            let linear = p.find_anchor_linear(earliest, dur, width);
+            let linear = linear_anchor(&p, earliest, dur, width);
             prop_assert_eq!(
                 indexed,
                 linear,
@@ -187,7 +190,7 @@ proptest! {
         let snapshot = p.clone();
         for (earliest, dur, width) in queries {
             p.find_anchor(SimTime::new(earliest), SimSpan::new(dur), width.min(cap));
-            p.find_anchor_linear(SimTime::new(earliest), SimSpan::new(dur), width.min(cap));
+            linear_anchor(&p, SimTime::new(earliest), SimSpan::new(dur), width.min(cap));
         }
         prop_assert_eq!(p, snapshot);
     }
@@ -225,10 +228,45 @@ proptest! {
             let dur = SimSpan::new(dur);
             prop_assert_eq!(
                 p.find_anchor(earliest, dur, width),
-                p.find_anchor_linear(earliest, dur, width),
+                linear_anchor(&p, earliest, dur, width),
                 "indexed vs linear diverged at ({}, {}, {})",
                 earliest, dur, width
             );
+        }
+    }
+}
+
+#[test]
+fn indexed_and_linear_anchors_agree_on_dense_profile() {
+    // A profile spanning many chunks, so the search leaps between
+    // chunks as well as scanning inside them: mixed widths force both
+    // the first-feasible establishment and the first-blocker window
+    // verification over many candidates.
+    let chunk = Profile::CHUNK_SEGMENTS as u64;
+    let mut p = Profile::new(64);
+    for i in 0..8 * chunk {
+        let at = SimTime::new(i * 10);
+        let width = 1 + ((i * 7 + 3) % 60) as u32;
+        p.reserve(
+            at,
+            SimSpan::new(10 + (i % 13) * 5),
+            width.min(p.free_at(at)),
+        );
+    }
+    assert!(
+        p.segments().len() > 4 * Profile::CHUNK_SEGMENTS,
+        "want a profile spanning many chunks"
+    );
+    for earliest in (0..8 * chunk * 10).step_by(53) {
+        for &width in &[1u32, 7, 23, 40, 64] {
+            for &dur in &[1u64, 50, 400, 5_000] {
+                let (e, dur) = (SimTime::new(earliest), SimSpan::new(dur));
+                assert_eq!(
+                    p.find_anchor(e, dur, width),
+                    linear_anchor(&p, e, dur, width),
+                    "diverged at earliest={e} dur={dur} width={width}"
+                );
+            }
         }
     }
 }
@@ -391,7 +429,7 @@ fn check(p: &Profile, step: usize) -> Result<(), TestCaseError> {
             let reference = reference_anchor(&segs, cap, e, dur, width);
             prop_assert_eq!(
                 indexed,
-                p.find_anchor_linear(e, dur, width),
+                linear_anchor(p, e, dur, width),
                 "step {}: indexed vs linear at ({}, {}, {})",
                 step,
                 e,

@@ -86,11 +86,6 @@ impl<E> Engine<E> {
         self.processed
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Seed an initial event before running.
     pub fn prime(&mut self, at: SimTime, event: E) {
         self.queue.push(at, event);
@@ -149,19 +144,6 @@ impl<E> Engine<E> {
             actor.handle(event, &mut ctx);
             mark(Hook::Handled);
         }
-    }
-
-    /// Run until no events remain or `limit` events have been processed
-    /// (a runaway guard for schedulers that might self-schedule forever).
-    /// Returns `true` if the event set drained before the limit.
-    pub fn run_bounded(&mut self, actor: &mut impl Actor<E>, limit: u64) -> bool {
-        let start = self.processed;
-        while self.processed - start < limit {
-            if !self.step(actor) {
-                return true;
-            }
-        }
-        self.queue.is_empty()
     }
 }
 
@@ -232,20 +214,6 @@ mod tests {
         let mut engine: Engine<&str> = Engine::new();
         let mut actor = Recorder { seen: vec![] };
         assert!(!engine.step(&mut actor));
-    }
-
-    #[test]
-    fn run_bounded_stops_runaways() {
-        struct Forever;
-        impl Actor<()> for Forever {
-            fn handle(&mut self, _: (), ctx: &mut Ctx<'_, ()>) {
-                ctx.schedule(ctx.now() + crate::time::SimSpan::SECOND, ());
-            }
-        }
-        let mut engine = Engine::new();
-        engine.prime(SimTime::ZERO, ());
-        assert!(!engine.run_bounded(&mut Forever, 1000));
-        assert_eq!(engine.processed(), 1000);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod validate;
 
 pub use engine::{Actor, Ctx, Engine, Hook};
 pub use error::SimError;
-pub use event::{EventClass, EventQueue, HeapEventQueue};
+pub use event::{EventClass, EventQueue};
 pub use machine::{JobId, Machine};
 pub use rng::{SimRng, SplitMix64, Xoshiro256pp};
 pub use time::{SimSpan, SimTime};
