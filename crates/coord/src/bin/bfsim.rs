@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bfsim simulate [WORKLOAD] [SCHED] [--gantt] [--series] [--fairness]
-//!                [--journal OUT.jsonl] [--trace-out OUT.jsonl]
+//!                [--trace-out OUT.jsonl]
 //! bfsim generate [WORKLOAD] -o OUT.swf
 //! bfsim inspect FILE.swf
 //! bfsim compare [WORKLOAD] [--seeds a,b,c]
@@ -243,7 +243,6 @@ mod table {
     pub static GANTT: Flag<bool> = Flag::switch("--gantt", "print a Gantt chart");
     pub static SERIES: Flag<bool> = Flag::switch("--series", "print utilization and queue-depth sparklines");
     pub static FAIRNESS: Flag<bool> = Flag::switch("--fairness", "print fairness metrics");
-    pub static EVENT_JOURNAL: Flag<String> = Flag::new("--journal", "OUT.jsonl", "", "write the event journal", text);
     pub static TRACE_OUT: Flag<String> = Flag::new("--trace-out", "OUT.jsonl", "", "write the decision trace (decision-neutral)", text);
     pub static OUT: Flag<String> = Flag::new("-o, --out", "FILE", "", "output file", text);
     pub static SEEDS: Flag<Vec<u64>> = Flag::new("--seeds", "a,b,c", "42,1337,2002", "campaign seeds", list);
@@ -284,7 +283,7 @@ mod table {
     static SCHED: Group = Group { title: "scheduler", flags: &[&SCHEDULER, &POLICY] };
     static CLIENT: Group = Group { title: "daemon client", flags: &[&ADDR, &TIMEOUT, &RETRIES, &RETRY_BASE, &RETRY_SEED] };
     static SHARD_CLIENT: Group = Group { title: "shard client", flags: &[&TIMEOUT, &RETRIES, &RETRY_BASE, &RETRY_SEED] };
-    static SIMULATE: Group = Group { title: "output", flags: &[&GANTT, &SERIES, &FAIRNESS, &EVENT_JOURNAL, &TRACE_OUT] };
+    static SIMULATE: Group = Group { title: "output", flags: &[&GANTT, &SERIES, &FAIRNESS, &TRACE_OUT] };
     static OUTPUT: Group = Group { title: "output", flags: &[&OUT] };
     static COMPARE: Group = Group { title: "campaign", flags: &[&SEEDS] };
     static METRICS: Group = Group { title: "output", flags: &[&FORMAT] };
@@ -412,30 +411,20 @@ fn write_trace_out(recorder: &Rc<RefCell<Recorder>>, path: &str) {
         obs::warn!(target: "bfsim",
             "trace ring dropped {} oldest events (raise the cap?)", rec.dropped());
     }
-    println!("trace: {} events -> {path}", rec.events().len());
+    println!("trace: {} events -> {path}", rec.len());
 }
 
 fn cmd_simulate(a: &Args) {
     let trace = build_trace(a);
-    let (journal_out, trace_out) = (a.opt(&EVENT_JOURNAL), a.opt(&TRACE_OUT));
+    let trace_out = a.opt(&TRACE_OUT);
     let recorder = trace_out
         .as_ref()
         .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
     let options = SimOptions {
-        journal: journal_out.is_some(),
         recorder: recorder.clone(),
         phases: None,
     };
-    let (schedule, journal) = simulate_observed(&trace, a.get(&SCHEDULER), a.get(&POLICY), options);
-    if let (Some(path), Some(journal)) = (&journal_out, journal) {
-        let mut out = String::new();
-        for e in &journal {
-            out.push_str(&serde_json::to_string(e).expect("journal serializes"));
-            out.push('\n');
-        }
-        std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-        println!("journal: {} events -> {path}", journal.len());
-    }
+    let (schedule, ()) = simulate_observed(&trace, a.get(&SCHEDULER), a.get(&POLICY), options);
     if let (Some(path), Some(recorder)) = (&trace_out, &recorder) {
         write_trace_out(recorder, path);
     }
@@ -828,21 +817,11 @@ fn cmd_bench(a: &Args) {
             });
             let start_us = obs::span::now_micros();
             let t0 = std::time::Instant::now();
-            let schedule = if recorder.is_some() || phases.is_some() {
-                simulate_observed(
-                    &trace,
-                    config.kind,
-                    config.policy,
-                    SimOptions {
-                        journal: false,
-                        recorder: recorder.clone(),
-                        phases: phases.clone(),
-                    },
-                )
-                .0
-            } else {
-                config.run_on(&trace)
+            let options = SimOptions {
+                recorder: recorder.clone(),
+                phases: phases.clone(),
             };
+            let (schedule, ()) = simulate_observed(&trace, config.kind, config.policy, options);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             if let Some(acc) = &phases {
                 // Root span per timed run + phase histograms into the

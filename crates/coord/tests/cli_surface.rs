@@ -64,21 +64,17 @@ fn help_of_bfsim_and_each_command_matches_the_golden_file() {
     }
 }
 
-/// `--journal` and `--trace-out` together write both files, and neither
-/// changes a decision: the fingerprint equals a plain run's.
+/// `--trace-out` writes the decision trace, the one event log, without
+/// changing a decision: the fingerprint equals a plain run's. The old
+/// event-journal flag is gone, so `simulate --journal` is a usage error.
 #[test]
 fn simulate_writes_journal_and_trace_with_the_plain_fingerprint() {
     let dir = std::env::temp_dir().join(format!("bfsim-surface-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let (journal, trace): (PathBuf, PathBuf) = (dir.join("j.jsonl"), dir.join("t.jsonl"));
+    let trace: PathBuf = dir.join("t.jsonl");
     let base = ["simulate", "--jobs", "300", "--scheduler", "cons"];
     let plain = run(&base);
-    let observed = run(&[
-        &base[..],
-        &["--journal", journal.to_str().unwrap()],
-        &["--trace-out", trace.to_str().unwrap()],
-    ]
-    .concat());
+    let observed = run(&[&base[..], &["--trace-out", trace.to_str().unwrap()]].concat());
     let fingerprint = |out: &Output| {
         assert_eq!(out.status.code(), Some(0), "{out:?}");
         let stdout = stdout_of(out);
@@ -86,12 +82,17 @@ fn simulate_writes_journal_and_trace_with_the_plain_fingerprint() {
         line.expect("simulate prints its fingerprint").to_string()
     };
     assert_eq!(fingerprint(&observed), fingerprint(&plain));
-    for (path, kind) in [
-        (&journal, "\"kind\":\"Arrive\""),
-        (&trace, "\"ev\":\"Arrive\""),
-    ] {
-        let text = std::fs::read_to_string(path).expect("file written");
-        assert!(text.lines().count() >= 300, "{}", path.display());
-        assert!(text.contains(kind), "{}: no {kind} record", path.display());
-    }
+    let text = std::fs::read_to_string(&trace).expect("trace written");
+    assert!(text.lines().count() >= 300, "{}", trace.display());
+    assert!(text.contains("\"ev\":\"Arrive\""), "no Arrive record");
+
+    let journal = dir.join("j.jsonl");
+    let _ = std::fs::remove_file(&journal);
+    let refused = run(&[&base[..], &["--journal", journal.to_str().unwrap()]].concat());
+    assert_eq!(refused.status.code(), Some(2), "{refused:?}");
+    assert!(
+        !journal.exists(),
+        "a refused run wrote {}",
+        journal.display()
+    );
 }

@@ -122,80 +122,11 @@ impl SchedulerKind {
     }
 }
 
-/// One record of the simulation's event journal (optional instrumentation
-/// for debugging, visualization, and causality tests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct JournalEntry {
-    /// When the event fired.
-    pub time: SimTime,
-    /// What happened.
-    pub kind: JournalKind,
-    /// The job involved (absent for wake-ups).
-    pub job: Option<JobId>,
-    /// Queue length *after* the event was handled.
-    pub queue_len: u32,
-}
-
-/// Journal event kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum JournalKind {
-    /// A job was submitted.
-    Arrive,
-    /// The scheduler started (or resumed) a job.
-    Start,
-    /// A running job completed.
-    Complete,
-    /// A running job was suspended.
-    Preempt,
-    /// A scheduler-requested timer fired.
-    Wake,
-}
-
-/// Bin a journal's queue-length trajectory into a time series: the
-/// time-average number of queued jobs per bin. The queue length is
-/// piecewise constant between journal entries (it changes only at events).
-pub fn journal_queue_series(
-    journal: &[crate::driver::JournalEntry],
-    bin: simcore::SimSpan,
-) -> metrics::TimeSeries {
-    assert!(!bin.is_zero(), "need a positive bin width");
-    let Some(first) = journal.first() else {
-        return metrics::TimeSeries::from_parts(SimTime::ZERO, bin, vec![]);
-    };
-    let last = journal.last().expect("non-empty");
-    let origin = first.time;
-    let span = last.time.since(origin).as_secs();
-    let n = (span.div_ceil(bin.as_secs()).max(1)) as usize;
-    let mut weighted = vec![0u128; n];
-    let mut level = 0u32;
-    let mut prev = origin;
-    for e in journal {
-        // Integrate `level` over [prev, e.time).
-        let (mut t, end) = (prev, e.time);
-        while t < end {
-            let b = (t.since(origin).as_secs() / bin.as_secs()) as usize;
-            let bin_end = origin + simcore::SimSpan::new((b as u64 + 1) * bin.as_secs());
-            let hi = end.min(bin_end);
-            weighted[b.min(n - 1)] += level as u128 * hi.since(t).as_secs() as u128;
-            t = hi;
-        }
-        level = e.queue_len;
-        prev = e.time;
-    }
-    let values = weighted
-        .iter()
-        .map(|&w| w as f64 / bin.as_secs_f64())
-        .collect();
-    metrics::TimeSeries::from_parts(origin, bin, values)
-}
-
 /// Observability options for one simulation run. Everything here is
 /// record-only: enabling any of it cannot change a single scheduling
 /// decision (asserted by the fingerprint-parity tests).
 #[derive(Debug, Default)]
 pub struct SimOptions {
-    /// Collect the event journal (as [`simulate_journaled`] does).
-    pub journal: bool,
     /// Record typed decision-trace events into this recorder. The driver
     /// tags every job with its paper category at arrival and emits
     /// `Arrive`/`Start`/`Complete`/`Preempt`; profile-keeping schedulers
@@ -209,10 +140,9 @@ pub struct SimOptions {
 }
 
 impl SimOptions {
-    /// Record into `recorder`, no journal.
+    /// Record into `recorder`, nothing else.
     pub fn with_recorder(recorder: SharedRecorder) -> Self {
         SimOptions {
-            journal: false,
             recorder: Some(recorder),
             phases: None,
         }
@@ -221,7 +151,6 @@ impl SimOptions {
     /// Accumulate per-phase timings into `phases`, nothing else.
     pub fn with_phases(phases: obs::SharedPhases) -> Self {
         SimOptions {
-            journal: false,
             recorder: None,
             phases: Some(phases),
         }
@@ -334,7 +263,6 @@ struct Driver<'a> {
     /// Discrete events delivered (arrivals, completions — stale ones
     /// included — and wake-ups): the denominator of events/sec throughput.
     events: u64,
-    journal: Option<Vec<JournalEntry>>,
     /// Opt-in decision-trace recorder (shared with the scheduler).
     recorder: Option<SharedRecorder>,
     /// Opt-in per-phase timing accumulator (shared with the scheduler).
@@ -364,18 +292,6 @@ struct Driver<'a> {
 }
 
 impl Driver<'_> {
-    fn record(&mut self, time: SimTime, kind: JournalKind, job: Option<JobId>) {
-        if let Some(journal) = &mut self.journal {
-            let queue_len = self.scheduler.queue_len() as u32;
-            journal.push(JournalEntry {
-                time,
-                kind,
-                job,
-                queue_len,
-            });
-        }
-    }
-
     /// Record one decision-trace event, if a recorder is attached.
     fn trace_event(&self, now: SimTime, id: JobId, kind: TraceKind) {
         if let Some(rec) = &self.recorder {
@@ -412,7 +328,6 @@ impl Driver<'_> {
             });
             let total_ran = job.runtime - self.remaining[i];
             self.scheduler.on_preempted(id, total_ran, now);
-            self.record(now, JournalKind::Preempt, Some(id));
             self.trace_event(now, id, TraceKind::Preempt);
         }
         for &id in &decisions.starts {
@@ -430,7 +345,6 @@ impl Driver<'_> {
                 self.starts[i] = Some(now);
             }
             self.running_since[i] = Some(now);
-            self.record(now, JournalKind::Start, Some(id));
             self.trace_event(now, id, TraceKind::Start);
             ctx.schedule_classed(
                 now + self.remaining[i],
@@ -505,9 +419,7 @@ impl Actor<Ev> for Driver<'_> {
                     estimate: job.estimate,
                     width: job.width,
                 };
-                let d = self.scheduler.on_arrival(meta, now);
-                self.record(now, JournalKind::Arrive, Some(job.id));
-                d
+                self.scheduler.on_arrival(meta, now)
             }
             Ev::Complete(id, epoch) => {
                 let i = id.0 as usize;
@@ -540,15 +452,11 @@ impl Actor<Ev> for Driver<'_> {
                         overestimate_factor: job.overestimation(),
                     },
                 );
-                let d = self.scheduler.on_completion(id, now);
-                self.record(now, JournalKind::Complete, Some(id));
-                d
+                self.scheduler.on_completion(id, now)
             }
             Ev::Wake => {
                 self.pending_wakes.remove(&now);
-                let d = self.scheduler.on_wake(now);
-                self.record(now, JournalKind::Wake, None);
-                d
+                self.scheduler.on_wake(now)
             }
         };
         self.apply(decisions, ctx);
@@ -564,36 +472,19 @@ pub fn simulate(trace: &Trace, kind: SchedulerKind, policy: Policy) -> Schedule 
     simulate_observed(trace, kind, policy, SimOptions::default()).0
 }
 
-/// Like [`simulate`], additionally returning the full event journal
-/// (arrivals, starts, completions, wake-ups, in processing order).
-pub fn simulate_journaled(
-    trace: &Trace,
-    kind: SchedulerKind,
-    policy: Policy,
-) -> (Schedule, Vec<JournalEntry>) {
-    let (schedule, journal) = simulate_observed(
-        trace,
-        kind,
-        policy,
-        SimOptions {
-            journal: true,
-            recorder: None,
-            phases: None,
-        },
-    );
-    (schedule, journal.expect("journaling was enabled"))
-}
-
-/// Like [`simulate`], with explicit observability options: an event
-/// journal and/or a decision-trace recorder. Recording is strictly
+/// Like [`simulate`], with explicit observability options: a
+/// decision-trace recorder and/or per-phase timing. Recording is strictly
 /// observational — the returned schedule is byte-identical to an
 /// unobserved run's.
+///
+/// The `()` keeps the two-tuple shape existing callers destructure; the
+/// decision trace in [`SimOptions::recorder`] is the run's event log.
 pub fn simulate_observed(
     trace: &Trace,
     kind: SchedulerKind,
     policy: Policy,
     options: SimOptions,
-) -> (Schedule, Option<Vec<JournalEntry>>) {
+) -> (Schedule, ()) {
     let mut scheduler = kind.build(trace.nodes(), policy);
     if let Some(rec) = &options.recorder {
         scheduler.set_recorder(rec.clone());
@@ -614,7 +505,6 @@ pub fn simulate_observed(
         segments: Vec::with_capacity(trace.len()),
         completions: 0,
         events: 0,
-        journal: options.journal.then(Vec::new),
         recorder: options.recorder,
         phases: options.phases,
         phase_tag: None,
@@ -699,7 +589,7 @@ pub fn simulate_observed(
     if let Some(stats) = &schedule.profile_stats {
         flush_profile_stats(registry, stats);
     }
-    (schedule, driver.journal)
+    (schedule, ())
 }
 
 #[cfg(test)]
@@ -762,6 +652,59 @@ mod tests {
     }
 
     #[test]
+    fn journal_records_full_causal_history() {
+        let trace = tiny_trace();
+        let recorder = obs::trace::shared(1 << 10);
+        let (schedule, ()) = simulate_observed(
+            &trace,
+            SchedulerKind::Easy,
+            Policy::Fcfs,
+            SimOptions::with_recorder(recorder.clone()),
+        );
+        let rec = recorder.borrow();
+        assert_eq!(rec.dropped(), 0);
+        let events = rec.events();
+        // Times are non-decreasing in processing order.
+        for w in events.windows(2) {
+            assert!(w[0].time <= w[1].time, "{:?} before {:?}", w[0], w[1]);
+        }
+        // Every job has exactly one Arrive, one Start and one Complete, in
+        // causal order, and the traced start is the schedule's.
+        for job in trace.jobs() {
+            let mut times = [None::<u64>; 3];
+            for ev in events.iter().filter(|e| e.job == u64::from(job.id.0)) {
+                let slot = match ev.kind {
+                    TraceKind::Arrive { .. } => 0,
+                    TraceKind::Start => 1,
+                    TraceKind::Complete { .. } => 2,
+                    _ => continue,
+                };
+                assert!(
+                    times[slot].is_none(),
+                    "{}: second {}",
+                    job.id,
+                    ev.kind.name()
+                );
+                times[slot] = Some(ev.time);
+            }
+            let [Some(arrive), Some(start), Some(complete)] = times else {
+                panic!("{}: lifecycle incomplete: {times:?}", job.id);
+            };
+            assert!(
+                arrive <= start && start <= complete,
+                "{}: {times:?}",
+                job.id
+            );
+            assert_eq!(
+                start,
+                schedule.outcomes[job.id.0 as usize].start.as_secs(),
+                "{}",
+                job.id
+            );
+        }
+    }
+
+    #[test]
     fn exact_estimates_make_schedules_deterministic_and_repeatable() {
         let trace = tiny_trace();
         let a = simulate(&trace, SchedulerKind::Easy, Policy::Sjf);
@@ -805,78 +748,41 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_full_causal_history() {
-        let trace = tiny_trace();
-        let (schedule, journal) = simulate_journaled(&trace, SchedulerKind::Easy, Policy::Fcfs);
-        // Times are non-decreasing in processing order.
-        for w in journal.windows(2) {
-            assert!(w[0].time <= w[1].time);
+    fn profile_stats_flush_under_the_pinned_sim_names() {
+        let registry = obs::Registry::new();
+        flush_profile_stats(&registry, &ProfileStats::default());
+        let snapshot = registry.snapshot();
+        let mut names: Vec<&str> = snapshot.iter().map(|(n, _)| n.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "sim.profile.compress_passes",
+                "sim.profile.find_anchor_calls",
+                "sim.profile.fits_cache.hits",
+                "sim.profile.fits_cache.misses",
+                "sim.profile.peak_segments",
+                "sim.profile.rebuilds",
+                "sim.profile.rebuilds_avoided",
+                "sim.profile.releases",
+                "sim.profile.reserves",
+                "sim.profile.segments_visited",
+                "sim.profile.tree.descents",
+                "sim.profile.tree.incremental_updates",
+                "sim.profile.tree.nodes_visited",
+                "sim.profile.tree.rebuilds",
+                "sim.queue.inserts",
+                "sim.queue.moves",
+                "sim.queue.sorts",
+                "sim.queue.sorts_avoided",
+                "sim.scratch_reuses",
+            ]
+        );
+        // Every name is a counter but the peak, which is a high-water gauge.
+        for (name, value) in &snapshot {
+            let gauge = matches!(value, obs::metrics::SnapshotValue::Gauge(_));
+            assert_eq!(gauge, name == "sim.profile.peak_segments", "{name}");
         }
-        // Every job has exactly one Arrive, one Start, one Complete, in
-        // causal order.
-        for job in trace.jobs() {
-            let times: Vec<(JournalKind, SimTime)> = journal
-                .iter()
-                .filter(|e| e.job == Some(job.id))
-                .map(|e| (e.kind, e.time))
-                .collect();
-            let arrive = times
-                .iter()
-                .filter(|(k, _)| *k == JournalKind::Arrive)
-                .count();
-            let start = times
-                .iter()
-                .filter(|(k, _)| *k == JournalKind::Start)
-                .count();
-            let complete = times
-                .iter()
-                .filter(|(k, _)| *k == JournalKind::Complete)
-                .count();
-            assert_eq!((arrive, start, complete), (1, 1, 1), "{}", job.id);
-            let t = |kind: JournalKind| times.iter().find(|(k, _)| *k == kind).unwrap().1;
-            assert!(t(JournalKind::Arrive) <= t(JournalKind::Start));
-            assert!(t(JournalKind::Start) <= t(JournalKind::Complete));
-            // The journal's start matches the schedule's outcome.
-            assert_eq!(
-                t(JournalKind::Start),
-                schedule.outcomes[job.id.0 as usize].start
-            );
-        }
-    }
-
-    #[test]
-    fn journal_queue_series_tracks_backlog() {
-        // Machine 8 procs; three 8-wide jobs arriving together: queue
-        // holds 2 then 1 then 0 jobs as they drain.
-        let trace = Trace::new(
-            "q",
-            8,
-            vec![
-                job(0, 0, 100, 100, 8),
-                job(1, 1, 100, 100, 8),
-                job(2, 2, 100, 100, 8),
-            ],
-        )
-        .unwrap();
-        let (_, journal) = simulate_journaled(&trace, SchedulerKind::Easy, Policy::Fcfs);
-        let ts = journal_queue_series(&journal, SimSpan::new(100));
-        // Bin [0,100): 2 queued; bin [100,200): 1 queued; bin [200,300): 0.
-        assert!(ts.values()[0] > 1.9, "bin0 {:?}", ts.values());
-        assert!((ts.values()[1] - 1.0).abs() < 0.1, "bin1 {:?}", ts.values());
-    }
-
-    #[test]
-    fn journal_queue_series_of_empty_journal() {
-        let ts = journal_queue_series(&[], SimSpan::new(10));
-        assert!(ts.is_empty());
-    }
-
-    #[test]
-    fn journaled_and_plain_simulation_agree() {
-        let trace = tiny_trace();
-        let plain = simulate(&trace, SchedulerKind::Conservative, Policy::Sjf);
-        let (journaled, _) = simulate_journaled(&trace, SchedulerKind::Conservative, Policy::Sjf);
-        assert_eq!(plain.fingerprint(), journaled.fingerprint());
     }
 
     #[test]

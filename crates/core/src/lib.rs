@@ -43,13 +43,9 @@ pub mod schedule;
 
 pub use campaign::{Campaign, CampaignCell, Estimate};
 pub use config::{check_estimate, check_kind, check_load, RunConfig, Scenario, TraceSource};
-pub use driver::{
-    flush_profile_stats, journal_queue_series, simulate, simulate_journaled, simulate_observed,
-    JournalEntry, JournalKind, SchedulerKind, SimOptions,
-};
+pub use driver::{flush_profile_stats, simulate, simulate_observed, SchedulerKind, SimOptions};
 pub use runner::{
-    aggregate_profile_stats, materialize_caught, run_all, run_all_checked, run_all_checked_shared,
-    run_cell, run_cell_observed_on, run_cell_on, CellError, RunResult, SweepSharing,
+    materialize_caught, run_all, run_all_checked, run_cell_on, CellError, RunResult, SweepSharing,
 };
 pub use schedule::Schedule;
 
@@ -57,13 +53,9 @@ pub use schedule::Schedule;
 pub mod prelude {
     pub use crate::campaign::{Campaign, CampaignCell, Estimate};
     pub use crate::config::{RunConfig, Scenario, TraceSource};
-    pub use crate::driver::{
-        simulate, simulate_journaled, simulate_observed, JournalEntry, JournalKind, SchedulerKind,
-        SimOptions,
-    };
+    pub use crate::driver::{simulate, simulate_observed, SchedulerKind, SimOptions};
     pub use crate::runner::{
-        aggregate_profile_stats, run_all, run_all_checked, run_all_checked_shared, run_cell,
-        run_cell_on, CellError, RunResult, SweepSharing,
+        run_all, run_all_checked, run_cell_on, CellError, RunResult, SweepSharing,
     };
     pub use crate::schedule::Schedule;
     pub use metrics::{

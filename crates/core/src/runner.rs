@@ -8,9 +8,9 @@
 //! parallelism never changes any report.
 
 use crate::config::{RunConfig, Scenario};
+use crate::driver::{simulate_observed, SimOptions};
 use crate::schedule::Schedule;
 use crossbeam::channel;
-use sched::ProfileStats;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,45 +53,25 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one cell, converting a panic inside the simulation into a
+/// Run one cell against an already materialized trace, with `options`
+/// (a decision-trace recorder, per-phase timing, or neither) threaded
+/// into the driver, converting a panic inside the simulation into a
 /// [`CellError`] instead of unwinding into the caller. This is the fault
 /// boundary both the sweep runner and the simulation service stand on:
 /// one poisoned scenario must not take down its whole batch (or daemon).
+/// Observing a run never changes it: the schedule is byte-identical to
+/// an unobserved run's.
 // CellError embeds the offending RunConfig by value (136 bytes); the Err
 // path only exists on a panicked cell, so the width is irrelevant and
 // boxing would complicate every consumer.
 #[allow(clippy::result_large_err)]
-pub fn run_cell(config: &RunConfig) -> Result<Schedule, CellError> {
-    catch_unwind(AssertUnwindSafe(|| config.run())).map_err(|payload| CellError {
-        config: *config,
-        panic: panic_message(payload),
-    })
-}
-
-/// Run one cell against an already materialized trace, with the same
-/// fault boundary as [`run_cell`]. Callers that share one trace across
-/// many scheduler configs (the sweep runner, the service trace cache)
-/// route through here so a panicked simulation still becomes a
-/// [`CellError`] instead of unwinding.
-#[allow(clippy::result_large_err)] // see run_cell
-pub fn run_cell_on(config: &RunConfig, trace: &Trace) -> Result<Schedule, CellError> {
-    catch_unwind(AssertUnwindSafe(|| config.run_on(trace))).map_err(|payload| CellError {
-        config: *config,
-        panic: panic_message(payload),
-    })
-}
-
-/// [`run_cell_on`] with observability options (per-phase profiling, a
-/// decision-trace recorder) threaded into the driver. Same fault
-/// boundary; the schedule is byte-identical to an unobserved run's.
-#[allow(clippy::result_large_err)] // see run_cell
-pub fn run_cell_observed_on(
+pub fn run_cell_on(
     config: &RunConfig,
     trace: &Trace,
-    options: crate::driver::SimOptions,
+    options: SimOptions,
 ) -> Result<Schedule, CellError> {
     catch_unwind(AssertUnwindSafe(|| {
-        crate::driver::simulate_observed(trace, config.kind, config.policy, options).0
+        simulate_observed(trace, config.kind, config.policy, options).0
     }))
     .map_err(|payload| CellError {
         config: *config,
@@ -100,7 +80,7 @@ pub fn run_cell_observed_on(
 }
 
 /// Materialize a scenario's trace behind the same fault boundary as
-/// [`run_cell`]: a panic inside generation / estimate application / load
+/// [`run_cell_on`]: a panic inside generation / estimate application / load
 /// rescaling comes back as its rendered panic text. Callers that cache
 /// traces separately from results (the sweep runner, the `bfsimd` trace
 /// cache) use this so one poisoned scenario cannot take down its batch.
@@ -111,7 +91,7 @@ pub fn materialize_caught(scenario: &Scenario) -> Result<Trace, String> {
 /// How much trace sharing a sweep achieved. A paper sweep is dozens of
 /// (scheduler × policy) cells over a handful of scenarios; the runner
 /// materializes each distinct scenario's trace exactly once and fans the
-/// cells through [`RunConfig::run_on`], so `traces_materialized` tracks
+/// cells through [`run_cell_on`], so `traces_materialized` tracks
 /// `distinct_scenarios`, not `cells`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepSharing {
@@ -172,29 +152,19 @@ fn fan_out<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -
 }
 
 /// Run every config, in parallel, returning per-cell outcomes in input
-/// order. A cell whose simulation panics yields `Err(CellError)` — with
-/// the offending config attached — while every other cell still runs to
-/// completion.
+/// order, plus the sweep's [`SweepSharing`] diagnostics. A cell whose
+/// simulation panics yields `Err(CellError)` — with the offending config
+/// attached — while every other cell still runs to completion.
 ///
 /// Cells sharing a [`Scenario`] share one materialized trace: the sweep
 /// first groups configs by the scenario's canonical JSON, materializes
 /// each distinct trace exactly once (in parallel), then fans the cells
-/// through [`RunConfig::run_on`]. A panic during materialization is
-/// charged to every cell of that scenario, as a [`CellError`] each.
+/// through [`run_cell_on`]. A panic during materialization is charged to
+/// every cell of that scenario, as a [`CellError`] each.
 ///
 /// `threads = None` uses the machine's available parallelism.
-#[allow(clippy::result_large_err)] // see run_cell
+#[allow(clippy::result_large_err)] // see run_cell_on
 pub fn run_all_checked(
-    configs: &[RunConfig],
-    threads: Option<NonZeroUsize>,
-) -> Vec<Result<RunResult, CellError>> {
-    run_all_checked_shared(configs, threads).0
-}
-
-/// [`run_all_checked`] plus the sweep's [`SweepSharing`] diagnostics —
-/// the materialization counter regression tests pin against.
-#[allow(clippy::result_large_err)] // see run_cell
-pub fn run_all_checked_shared(
     configs: &[RunConfig],
     threads: Option<NonZeroUsize>,
 ) -> (Vec<Result<RunResult, CellError>>, SweepSharing) {
@@ -241,7 +211,8 @@ pub fn run_all_checked_shared(
     let results = fan_out(configs.len(), threads, |i| {
         let config = configs[i];
         match &traces[group_of_cell[i]] {
-            Ok(trace) => run_cell_on(&config, trace).map(|schedule| RunResult { config, schedule }),
+            Ok(trace) => run_cell_on(&config, trace, SimOptions::default())
+                .map(|schedule| RunResult { config, schedule }),
             Err(panic) => Err(CellError {
                 config,
                 panic: panic.clone(),
@@ -265,25 +236,10 @@ pub fn run_all_checked_shared(
 /// [`run_all_checked`] to handle poisoned cells per cell instead.
 pub fn run_all(configs: &[RunConfig], threads: Option<NonZeroUsize>) -> Vec<RunResult> {
     run_all_checked(configs, threads)
+        .0
         .into_iter()
         .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
         .collect()
-}
-
-/// Sum the availability-profile counters across a sweep's results.
-/// Returns `None` if no cell reported stats (all profile-free schedulers);
-/// otherwise counts add and `peak_segments` takes the maximum.
-pub fn aggregate_profile_stats(results: &[RunResult]) -> Option<ProfileStats> {
-    let mut total: Option<ProfileStats> = None;
-    for stats in results
-        .iter()
-        .filter_map(|r| r.schedule.profile_stats.as_ref())
-    {
-        total
-            .get_or_insert_with(ProfileStats::default)
-            .absorb(stats);
-    }
-    total
 }
 
 #[cfg(test)]
@@ -383,7 +339,7 @@ mod tests {
         let mut configs = sweep();
         let bad = poisoned();
         configs.insert(2, bad);
-        let results = with_quiet_panics(|| run_all_checked(&configs, NonZeroUsize::new(4)));
+        let (results, _) = with_quiet_panics(|| run_all_checked(&configs, NonZeroUsize::new(4)));
         assert_eq!(results.len(), configs.len());
         for (i, (cfg, res)) in configs.iter().zip(&results).enumerate() {
             match res {
@@ -431,7 +387,7 @@ mod tests {
                 });
             }
         }
-        let (results, sharing) = run_all_checked_shared(&configs, NonZeroUsize::new(4));
+        let (results, sharing) = run_all_checked(&configs, NonZeroUsize::new(4));
         assert_eq!(sharing.cells, configs.len());
         assert_eq!(sharing.distinct_scenarios, 2);
         assert_eq!(
@@ -442,8 +398,7 @@ mod tests {
         // Shared traces must not change any cell's schedule.
         for (config, result) in configs.iter().zip(&results) {
             let shared = result.as_ref().expect("healthy sweep");
-            let direct = run_cell(config).expect("healthy cell");
-            assert_eq!(shared.schedule.fingerprint(), direct.fingerprint());
+            assert_eq!(shared.schedule.fingerprint(), config.run().fingerprint());
         }
     }
 
@@ -461,7 +416,7 @@ mod tests {
             });
         }
         let (results, sharing) =
-            with_quiet_panics(|| run_all_checked_shared(&configs, NonZeroUsize::new(4)));
+            with_quiet_panics(|| run_all_checked(&configs, NonZeroUsize::new(4)));
         assert_eq!(sharing.distinct_scenarios, 2);
         assert_eq!(sharing.traces_materialized, 2);
         let healthy = configs.len() - 2;
@@ -474,22 +429,5 @@ mod tests {
                 assert_eq!(err.config, configs[i]);
             }
         }
-    }
-
-    #[test]
-    fn aggregates_profile_stats_across_cells() {
-        let configs = sweep();
-        let results = run_all(&configs, NonZeroUsize::new(2));
-        // Conservative and EASY both maintain profiles, so every cell
-        // reports stats and the totals must dominate each cell's.
-        let total = aggregate_profile_stats(&results).expect("profiled schedulers");
-        assert!(total.find_anchor_calls > 0);
-        assert!(total.reserves > 0);
-        for r in &results {
-            let cell = r.schedule.profile_stats.expect("each cell profiled");
-            assert!(total.find_anchor_calls >= cell.find_anchor_calls);
-            assert!(total.peak_segments >= cell.peak_segments);
-        }
-        assert_eq!(aggregate_profile_stats(&[]), None);
     }
 }

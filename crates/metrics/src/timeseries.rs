@@ -17,17 +17,6 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// Assemble a series from raw parts (for adapters that bin their own
-    /// data, e.g. the driver's event journal).
-    pub fn from_parts(origin: SimTime, bin: SimSpan, values: Vec<f64>) -> Self {
-        assert!(!bin.is_zero(), "need a positive bin width");
-        TimeSeries {
-            origin,
-            bin,
-            values,
-        }
-    }
-
     /// Start of the series.
     pub fn origin(&self) -> SimTime {
         self.origin

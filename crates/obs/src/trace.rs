@@ -321,9 +321,11 @@ impl Recorder {
         out
     }
 
-    /// Write the retained events as JSONL, oldest first.
+    /// Write the retained events as JSONL, oldest first, straight from
+    /// the ring (no copy of the events).
     pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for event in self.events() {
+        let (newer, older) = self.buf.split_at(self.next);
+        for event in older.iter().chain(newer) {
             w.write_all(event.to_json_line().as_bytes())?;
             w.write_all(b"\n")?;
         }
@@ -422,6 +424,15 @@ mod tests {
         assert_eq!(rec.dropped(), 6);
         let times: Vec<u64> = rec.events().iter().map(|e| e.time).collect();
         assert_eq!(times, vec![6, 7, 8, 9], "oldest events are overwritten");
+        // The JSONL writer reads the wrapped ring in place, oldest first.
+        let mut out = Vec::new();
+        rec.write_jsonl(&mut out).unwrap();
+        let written: Vec<u64> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| TraceEvent::parse_json_line(l).unwrap().time)
+            .collect();
+        assert_eq!(written, times);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * [`protocol`] — request/response message types (shared serde data);
 //! * [`pool`] — bounded worker pool: shedding via `try_submit`,
 //!   per-task panic isolation (worker-level `catch_unwind` plus
-//!   `backfill_sim::run_cell`'s inner boundary);
+//!   `backfill_sim::run_cell_on`'s inner boundary);
 //! * [`lru`] — the bounded LRU map under both caches;
 //! * [`cache`] — result memoization keyed by canonical config JSON,
 //!   optionally crash-recoverable via a cache journal;

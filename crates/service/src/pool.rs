@@ -10,7 +10,7 @@
 //!
 //! Two fault boundaries protect the pool:
 //!
-//! * `backfill_sim::run_cell` catches panics **inside** a simulation, so
+//! * `backfill_sim::run_cell_on` catches panics **inside** a simulation, so
 //!   a poisoned scenario produces an error result for its requester;
 //! * the worker loop itself wraps each task in `catch_unwind`, so a
 //!   panic **outside** the simulation (an injected worker fault, or a
@@ -21,7 +21,7 @@
 
 use crate::fault::FaultActions;
 use crate::tracecache::TraceCache;
-use backfill_sim::{run_cell_observed_on, run_cell_on, CellError, RunConfig, Schedule, SimOptions};
+use backfill_sim::{run_cell_on, CellError, RunConfig, Schedule, SimOptions};
 use crossbeam::channel::{self, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,8 +151,7 @@ impl WorkerPool {
                             let run_span = task.trace.map(|ctx| obs::Span::child(ctx, "pool.run"));
                             // Traced tasks run with per-phase profiling;
                             // the sampled phase spans parent under the
-                            // pool.run span. Untraced tasks keep the plain
-                            // (zero-overhead) path.
+                            // pool.run span. Untraced tasks run without it.
                             let phase_acc = task.trace.map(|_| {
                                 let acc =
                                     std::rc::Rc::new(std::cell::RefCell::new(obs::PhaseAcc::new()));
@@ -164,16 +163,15 @@ impl WorkerPool {
                             // Trace sharing: tasks over the same scenario
                             // reuse one materialized trace. Both halves —
                             // materialization and simulation — keep
-                            // run_cell's per-task fault isolation.
+                            // run_cell_on's per-task fault isolation.
                             let outcome = match traces.get_or_materialize(&task.config.scenario) {
-                                Ok(trace) => match &phase_acc {
-                                    Some(acc) => run_cell_observed_on(
-                                        &task.config,
-                                        &trace,
-                                        SimOptions::with_phases(acc.clone()),
-                                    ),
-                                    None => run_cell_on(&task.config, &trace),
-                                },
+                                Ok(trace) => {
+                                    let options = SimOptions {
+                                        recorder: None,
+                                        phases: phase_acc.clone(),
+                                    };
+                                    run_cell_on(&task.config, &trace, options)
+                                }
                                 Err(panic) => Err(CellError {
                                     config: task.config,
                                     panic,
@@ -398,7 +396,7 @@ mod tests {
         let err = first.outcome.expect_err("poisoned task must fail");
         assert!(err.panic.contains("target load must be positive"));
         assert!(second.outcome.is_ok(), "healthy task after a poisoned one");
-        // The panic was inside run_cell's boundary, not the worker's.
+        // The panic was inside run_cell_on's boundary, not the worker's.
         assert_eq!(pool.worker_panics(), 0);
     }
 

@@ -12,7 +12,7 @@
 //! deterministic, so last-write-wins is harmless. A scenario whose
 //! materialization panics is **not** cached — every request for it
 //! re-runs (and re-fails), exactly like the per-cell fault boundary in
-//! `run_cell`.
+//! `run_cell_on`.
 
 use crate::lru::Lru;
 use backfill_sim::{materialize_caught, Scenario};

@@ -88,7 +88,7 @@ fn infinite_threshold_is_easy() {
     );
 }
 
-/// The journal records preemption events in causal order.
+/// The decision trace records preemption events in causal order.
 #[test]
 fn journal_shows_preempt_between_starts() {
     let trace = Trace::new(
@@ -97,24 +97,29 @@ fn journal_shows_preempt_between_starts() {
         vec![job(0, 0, 50_000, 50_000, 8), job(1, 10, 1_000, 1_000, 8)],
     )
     .unwrap();
-    let (_, journal) = simulate_journaled(
+    let recorder = obs::trace::shared(1 << 10);
+    simulate_observed(
         &trace,
         SchedulerKind::Preemptive { threshold: 2.0 },
         Policy::Fcfs,
+        SimOptions::with_recorder(recorder.clone()),
     );
-    let kinds: Vec<JournalKind> = journal
+    let kinds: Vec<&str> = recorder
+        .borrow()
+        .events()
         .iter()
-        .filter(|e| e.job == Some(JobId(0)))
-        .map(|e| e.kind)
+        .filter(|e| e.job == 0)
+        .map(|e| e.kind.name())
+        .filter(|k| ["Arrive", "Start", "Preempt", "Complete"].contains(k))
         .collect();
     assert_eq!(
         kinds,
         vec![
-            JournalKind::Arrive,   // submitted
-            JournalKind::Start,    // hog starts
-            JournalKind::Preempt,  // suspended for the starving job
-            JournalKind::Start,    // resumes
-            JournalKind::Complete, // finishes
+            "Arrive",   // submitted
+            "Start",    // hog starts
+            "Preempt",  // suspended for the starving job
+            "Start",    // resumes
+            "Complete", // finishes
         ]
     );
 }
