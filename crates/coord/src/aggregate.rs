@@ -172,6 +172,25 @@ mod tests {
         assert_eq!(render_snapshot(&parsed), doc, "parse must invert render");
     }
 
+    /// `bfsim metrics --format prom` renders the parsed `metrics`
+    /// document: the text must equal a rendering of the registry itself.
+    #[test]
+    fn prometheus_text_of_a_parsed_document_matches_the_registry() {
+        let r = Registry::new();
+        r.counter("service.submitted").add(12);
+        r.counter("sim.runs").inc();
+        r.gauge("service.pool.queue_depth").set(-2);
+        r.histogram("service.empty");
+        for v in [0, 1, 2, 3, 1000, 65_000, u64::MAX / 2, u64::MAX] {
+            r.histogram("service.wall_ms").record(v);
+        }
+        let parsed = parse_metrics_doc(&r.snapshot_json()).unwrap();
+        assert_eq!(
+            obs::render_prometheus(&parsed),
+            obs::render_prometheus(&r.snapshot())
+        );
+    }
+
     #[test]
     fn aggregate_metrics_doubles_a_doc_merged_with_itself() {
         let r = Registry::new();

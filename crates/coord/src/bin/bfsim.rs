@@ -287,7 +287,7 @@ mod table {
     static OUTPUT: Group = Group { title: "output", flags: &[&OUT] };
     static COMPARE: Group = Group { title: "campaign", flags: &[&SEEDS] };
     static METRICS: Group = Group { title: "output", flags: &[&FORMAT] };
-    static BENCH_RUN: Group = Group { title: "bench", flags: &[&OUT, &BASELINE, &ENFORCE_PARITY, &TINY, &REPS, &TRACE_OUT, &SPANS] };
+    static BENCH_RUN: Group = Group { title: "bench", flags: &[&OUT, &BASELINE, &ENFORCE_PARITY, &TINY, &REPS, &TRACE_OUT] };
     static SWEEP: Group = Group { title: "sweep", flags: &[&SHARDS, &SPEC, &TINY, &BENCH, &WINDOW, &NO_STEAL, &MAX_REQUEUES, &SPANS, &SWEEP_JOURNAL, &RESUME, &REPROBE, &CANONICAL_OUT, &OUT] };
     static FLEET: Group = Group { title: "fleet", flags: &[&COUNT, &BASE_PORT, &BFSIMD, &CACHE_JOURNAL_DIR, &FAULT_PLAN, &RESTART_LIMIT, &STABLE_MS, &RETRY_BASE, &RETRY_SEED] };
     static TIMELINE: Group = Group { title: "files", flags: &[&IN, &OUT] };
@@ -770,7 +770,7 @@ fn load_baseline(path: &str, configs: &[RunConfig], enforce_parity: bool) -> Vec
 }
 
 fn cmd_bench(a: &Args) {
-    let (tiny, enforce_parity, spans) = (a.on(&TINY), a.on(&ENFORCE_PARITY), a.on(&SPANS));
+    let (tiny, enforce_parity) = (a.on(&TINY), a.on(&ENFORCE_PARITY));
     let out = a
         .opt(&OUT)
         .unwrap_or_else(|| die("bench needs -o OUT.json"));
@@ -784,9 +784,6 @@ fn cmd_bench(a: &Args) {
     // Wall time on a shared machine is one-sided noise (contention only
     // slows a run down), so each cell keeps its best-of-`reps` time.
     let repeats = a.opt(&REPS).unwrap_or(if tiny { 1 } else { 2 });
-    if spans {
-        obs::span::set_enabled(true);
-    }
     let trace_out = a.opt(&TRACE_OUT);
     let mut cells = Vec::with_capacity(configs.len());
     let mut trace_file = trace_out.as_ref().map(|path| {
@@ -796,47 +793,22 @@ fn cmd_bench(a: &Args) {
         // Materialize once, outside the timed region: the bench measures
         // the event loop, not the workload generator.
         let trace = config.scenario.materialize();
-        let cell_ctx = obs::SpanContext {
-            trace_id: config.content_hash(),
-            span_id: config.content_hash(),
-        };
         let mut best: Option<(f64, Schedule)> = None;
         let mut recorded: Option<Rc<RefCell<Recorder>>> = None;
         for _ in 0..repeats {
             // With --trace-out the timed run itself carries the
-            // recorder, and with --spans the phase accumulator: the
-            // emitted fingerprints then prove both are decision-neutral
-            // against a plain bench run.
+            // recorder: the emitted fingerprints then prove it is
+            // decision-neutral against a plain bench run.
             let recorder = trace_out
                 .as_ref()
                 .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
-            let phases = spans.then(|| {
-                let acc = Rc::new(RefCell::new(obs::PhaseAcc::new()));
-                acc.borrow_mut().set_ctx(cell_ctx);
-                acc
-            });
-            let start_us = obs::span::now_micros();
             let t0 = std::time::Instant::now();
             let options = SimOptions {
                 recorder: recorder.clone(),
-                phases: phases.clone(),
+                phases: None,
             };
             let (schedule, ()) = simulate_observed(&trace, config.kind, config.policy, options);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            if let Some(acc) = &phases {
-                // Root span per timed run + phase histograms into the
-                // process-global registry (surfaced by `bfsim metrics`
-                // against a daemon, or inspectable in-process).
-                obs::span::record_raw(obs::SpanRecord {
-                    trace_id: cell_ctx.trace_id,
-                    span_id: obs::span::next_span_id(),
-                    parent_id: 0,
-                    name: "bench.run".to_string(),
-                    start_us,
-                    dur_us: obs::span::now_micros().saturating_sub(start_us),
-                });
-                acc.borrow().flush_into(obs::metrics::global());
-            }
             if best.as_ref().is_none_or(|(b, _)| wall_ms < *b) {
                 best = Some((wall_ms, schedule));
                 recorded = recorder;
@@ -945,17 +917,16 @@ fn cmd_bench(a: &Args) {
 }
 
 fn cmd_metrics(a: &Args) {
-    if a.get(&FORMAT) == "prom" {
-        let text = connect(a)
-            .metrics_prom()
-            .unwrap_or_else(|e| die_client("metrics", a, e));
-        // Prometheus text exposition (already newline-terminated).
-        print!("{text}");
-        return;
-    }
     let json = connect(a)
         .metrics()
         .unwrap_or_else(|e| die_client("metrics", a, e));
+    if a.get(&FORMAT) == "prom" {
+        let snapshot = coord::parse_metrics_doc(&json)
+            .unwrap_or_else(|e| die_client("metrics", a, ClientError::Protocol(e)));
+        // Prometheus text exposition (already newline-terminated).
+        print!("{}", obs::render_prometheus(&snapshot));
+        return;
+    }
     // One canonical-JSON document on stdout, ready for `jq` or diffing.
     println!("{json}");
 }

@@ -48,7 +48,7 @@
 use crate::journal::{SweepJournal, SweepReplay};
 use crate::plan::Plan;
 use backfill_sim::RunConfig;
-use obs::metrics::{Histogram, Registry};
+use obs::metrics::{Histogram, Registry, SnapshotValue};
 use service::{Capabilities, ClientError, ClientOptions, ResilientClient, RunReport, ServiceStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -251,10 +251,6 @@ struct Shared<'a> {
     /// and outcome recording synthesizes the cell's root span.
     spans: bool,
     started_us: Vec<AtomicU64>,
-    steals: AtomicU64,
-    requeues: AtomicU64,
-    deaths: AtomicU64,
-    rejoins: AtomicU64,
     /// Set when any sweep-level span (reprobe, journal replay) was
     /// recorded, so span collection synthesizes the sweep root trace.
     sweep_spans: AtomicBool,
@@ -340,7 +336,6 @@ impl Shared<'_> {
     }
 
     fn requeue(&self, index: usize) {
-        self.requeues.fetch_add(1, Ordering::Relaxed);
         self.registry.counter("coord.requeues").inc();
         self.injector
             .lock()
@@ -355,7 +350,6 @@ impl Shared<'_> {
         if !self.live[shard].swap(false, Ordering::SeqCst) {
             return;
         }
-        self.deaths.fetch_add(1, Ordering::SeqCst);
         self.registry.counter("coord.shard_deaths").inc();
         let orphans: Vec<usize> = {
             let mut queue = self.queues[shard].lock().unwrap_or_else(|e| e.into_inner());
@@ -410,7 +404,6 @@ impl Shared<'_> {
             .unwrap_or_else(|e| e.into_inner())
             .pop_back();
         if let Some(i) = stolen {
-            self.steals.fetch_add(1, Ordering::Relaxed);
             self.registry.counter("coord.steals").inc();
             obs::debug!(target: "coord",
                 "shard {shard} stole cell {i} from shard {victim}");
@@ -594,10 +587,6 @@ pub fn run_sweep_recoverable(
         attempts: (0..plan.len()).map(|_| AtomicU64::new(0)).collect(),
         spans: opts.spans,
         started_us: (0..plan.len()).map(|_| AtomicU64::new(0)).collect(),
-        steals: AtomicU64::new(0),
-        requeues: AtomicU64::new(0),
-        deaths: AtomicU64::new(0),
-        rejoins: AtomicU64::new(0),
         sweep_spans: AtomicBool::new(false),
         journal,
         interrupt: opts.interrupt.clone(),
@@ -711,8 +700,18 @@ pub fn run_sweep_recoverable(
         }
     }
     let stats = (!shard_stats.is_empty()).then(|| crate::aggregate::aggregate_stats(&shard_stats));
+    let coord_metrics = shared.registry.snapshot();
+    let tally = |name: &str| match coord_metrics.iter().find(|(n, _)| n == name) {
+        Some((_, SnapshotValue::Counter(v))) => *v,
+        _ => 0,
+    };
     let metrics_json = (!shard_metrics.is_empty())
-        .then(|| crate::aggregate::aggregate_metrics(&shard_metrics, &[shared.registry.snapshot()]))
+        .then(|| {
+            crate::aggregate::aggregate_metrics(
+                &shard_metrics,
+                std::slice::from_ref(&coord_metrics),
+            )
+        })
         .transpose()
         .unwrap_or_else(|e| {
             obs::warn!(target: "coord", "metrics aggregation failed: {e}");
@@ -773,14 +772,14 @@ pub fn run_sweep_recoverable(
         cells: done,
         failed,
         shards: summaries,
-        steals: shared.steals.load(Ordering::SeqCst),
-        requeues: shared.requeues.load(Ordering::SeqCst),
+        steals: tally("coord.steals"),
+        requeues: tally("coord.requeues"),
         duplicates: plan.duplicates(),
         // Dead *now*, not "ever died": a shard the reprobe loop
         // readmitted healed the sweep.
         degraded: shared.live.iter().any(|live| !live.load(Ordering::SeqCst)),
-        deaths: shared.deaths.load(Ordering::SeqCst),
-        rejoins: shared.rejoins.load(Ordering::SeqCst),
+        deaths: tally("coord.shard_deaths"),
+        rejoins: tally("coord.rejoins"),
         replayed: replayed as u64,
         interrupted,
         stats,
@@ -865,7 +864,6 @@ fn monitor_dead_shards<'scope, 'env, 'p>(
             match probe.capabilities() {
                 Ok(caps) if !caps.draining => {
                     shared.live[shard].store(true, Ordering::SeqCst);
-                    shared.rejoins.fetch_add(1, Ordering::SeqCst);
                     shared.registry.counter("coord.rejoins").inc();
                     obs::info!(target: "coord",
                         "shard {shard} ({}) answered the reprobe handshake; \

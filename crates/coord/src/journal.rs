@@ -585,11 +585,14 @@ mod tests {
     }
 
     /// A sweep-journal header and `Done` line written by an earlier
-    /// build: both still replay, and appending the replayed records
-    /// writes the very same bytes, so the on-disk format is pinned.
+    /// build, whose profile counters included two since-deleted fields:
+    /// both still replay, and appending the replayed records writes the
+    /// pinned current lines (the `Done` line less those two keys, with
+    /// its own checksum; the header unchanged).
     #[test]
     fn golden_journal_lines_replay_and_rewrite_byte_identically() {
         const GOLDEN: &str = include_str!("../tests/golden/sweep_journal.jsonl");
+        const GOLDEN_V2: &str = include_str!("../tests/golden/sweep_journal_v2.jsonl");
         let old = tmp("golden-old");
         fs::write(&old, GOLDEN).unwrap();
         let stats = SweepJournal::inspect(&old).unwrap();
@@ -600,7 +603,7 @@ mod tests {
         for record in Journal::<SweepRecord>::read(&old).unwrap().records {
             rewriter.append(&record).unwrap();
         }
-        assert_eq!(fs::read_to_string(&new).unwrap(), GOLDEN);
+        assert_eq!(fs::read_to_string(&new).unwrap(), GOLDEN_V2);
         let _ = fs::remove_file(&old);
         let _ = fs::remove_file(&new);
     }

@@ -96,3 +96,32 @@ fn simulate_writes_journal_and_trace_with_the_plain_fingerprint() {
         journal.display()
     );
 }
+
+/// `metrics --format prom` renders the daemon's `metrics` document on
+/// the client side, so the `sim.*` counters the daemon wrote after a
+/// fresh run show up under their Prometheus names.
+#[test]
+fn prometheus_metrics_show_the_daemons_sim_counters() {
+    let handle = service::Server::start("127.0.0.1:0", service::ServiceConfig::default())
+        .expect("start daemon");
+    let addr = handle.addr().to_string();
+    let config = backfill_sim::RunConfig {
+        scenario: backfill_sim::Scenario::high_load(backfill_sim::TraceSource::Ctc {
+            jobs: 50,
+            seed: 3,
+        }),
+        kind: backfill_sim::SchedulerKind::Easy,
+        policy: sched::Policy::Fcfs,
+    };
+    let mut client = service::Client::connect(handle.addr()).expect("connect");
+    assert!(!client.submit(&config).expect("submit").cached);
+
+    let out = run(&["metrics", "--addr", &addr, "--format", "prom"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout_of(&out);
+    assert!(text.contains("# TYPE sim_runs counter\n"), "{text}");
+    assert!(text.lines().any(|l| l == "sim_runs 1"), "{text}");
+
+    client.shutdown().expect("shutdown");
+    handle.join();
+}

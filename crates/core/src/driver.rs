@@ -169,9 +169,9 @@ fn trace_category(cat: Category) -> TraceCategory {
 
 /// Accumulate one run's profile counters into `registry` under the
 /// `sim.*` naming convention (see the `obs::metrics` docs). The per-run
-/// [`ProfileStats`] stays the protocol-level report — this flush is how
-/// those counters also surface in a long-lived registry (the process
-/// global for CLI runs, the daemon's own for `bfsimd`).
+/// [`ProfileStats`] stays the protocol-level report; `bfsimd` flushes
+/// each fresh run into its own registry, so the `metrics` verb serves
+/// running totals.
 pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
     registry
         .counter("sim.profile.find_anchor_calls")
@@ -196,12 +196,6 @@ pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
     registry
         .counter("sim.profile.compress_passes")
         .add(stats.compress_passes);
-    registry
-        .counter("sim.profile.rebuilds")
-        .add(stats.profile_rebuilds);
-    registry
-        .counter("sim.profile.rebuilds_avoided")
-        .add(stats.profile_rebuilds_avoided);
     registry
         .counter("sim.profile.fits_cache.hits")
         .add(stats.fits_cache_hits);
@@ -532,7 +526,6 @@ pub fn simulate_observed(
             // its phase class; the hook attributes the interval.
             let tag = std::rc::Rc::new(std::cell::Cell::new(obs::Phase::EventPop));
             driver.phase_tag = Some(tag.clone());
-            obs::span::calibrate_clock();
             let mut last = obs::span::clock_ticks();
             engine.run_hooked(&mut driver, &mut |hook| {
                 let now = obs::span::clock_ticks();
@@ -581,14 +574,6 @@ pub fn simulate_observed(
         profile_stats: driver.scheduler.profile_stats(),
         events: driver.events,
     };
-    // Surface this run's hot-path counters in the process-global metrics
-    // registry (monotone totals across all runs in the process).
-    let registry = obs::metrics::global();
-    registry.counter("sim.runs").inc();
-    registry.counter("sim.events").add(schedule.events);
-    if let Some(stats) = &schedule.profile_stats {
-        flush_profile_stats(registry, stats);
-    }
     (schedule, ())
 }
 
@@ -762,8 +747,6 @@ mod tests {
                 "sim.profile.fits_cache.hits",
                 "sim.profile.fits_cache.misses",
                 "sim.profile.peak_segments",
-                "sim.profile.rebuilds",
-                "sim.profile.rebuilds_avoided",
                 "sim.profile.releases",
                 "sim.profile.reserves",
                 "sim.profile.segments_visited",

@@ -1,8 +1,8 @@
 //! Observability must never change a scheduling decision.
 //!
-//! Runs every scheduler kind with the decision-trace recorder attached
-//! and asserts the schedule fingerprint is byte-identical to a plain
-//! run. Also pins a tiny golden trace for one deterministic run so the
+//! Runs every scheduler kind with the decision-trace recorder and the
+//! phase accumulator attached and asserts the schedule fingerprint is
+//! byte-identical to a plain run. Also pins a tiny golden trace for one deterministic run so the
 //! event vocabulary and ordering stay stable.
 
 use backfill_sim::prelude::*;
@@ -42,20 +42,24 @@ fn recorder_is_decision_neutral() {
         for policy in [Policy::Fcfs, Policy::Sjf, Policy::XFactor] {
             let plain = simulate(&trace, kind, policy);
             let recorder = Rc::new(RefCell::new(Recorder::new(1 << 12)));
-            let (observed, _) = simulate_observed(
-                &trace,
-                kind,
-                policy,
-                SimOptions::with_recorder(recorder.clone()),
-            );
+            let phases = Rc::new(RefCell::new(obs::PhaseAcc::new()));
+            let options = SimOptions {
+                recorder: Some(recorder.clone()),
+                phases: Some(phases.clone()),
+            };
+            let (observed, _) = simulate_observed(&trace, kind, policy, options);
             assert_eq!(
                 plain.fingerprint(),
                 observed.fingerprint(),
-                "recorder changed decisions for {kind:?}/{policy:?}"
+                "recorder or phase accumulator changed decisions for {kind:?}/{policy:?}"
             );
             assert!(
                 !recorder.borrow().events().is_empty(),
                 "recorder saw no events for {kind:?}/{policy:?}"
+            );
+            assert!(
+                phases.borrow().histogram(obs::Phase::EventPop).count() > 0,
+                "phase accumulator timed no events for {kind:?}/{policy:?}"
             );
         }
     }

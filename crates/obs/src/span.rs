@@ -558,8 +558,10 @@ impl Default for PhaseAcc {
 }
 
 impl PhaseAcc {
-    /// An empty accumulator.
+    /// An empty accumulator. Calibrates the fast clock first, so the
+    /// one-time calibration sleep never lands inside a timed run.
     pub fn new() -> Self {
+        calibrate_clock();
         PhaseAcc {
             hist: std::array::from_fn(|_| LocalHistogram::new()),
             occurrences: [0; PHASE_COUNT],

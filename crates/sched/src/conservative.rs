@@ -144,6 +144,8 @@ pub struct ConservativeScheduler {
     /// buffer of the previous event's [`Decisions`] (handed back by the
     /// driver via [`Scheduler::recycle`]), whose capacity serves the next.
     starts: Vec<JobId>,
+    /// Pass counters not kept by the profile itself.
+    stats: ProfileStats,
 }
 
 impl ConservativeScheduler {
@@ -202,6 +204,7 @@ impl ConservativeScheduler {
             recorder: None,
             phases: None,
             starts: Vec::new(),
+            stats: ProfileStats::default(),
         }
     }
 
@@ -313,7 +316,7 @@ impl ConservativeScheduler {
     fn collect(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
         debug_assert!(self.starts.is_empty());
         if self.starts.capacity() > 0 {
-            self.profile.note_scratch_reuse();
+            self.stats.scratch_reuses += 1;
         }
         if matches!(self.family, Family::Slack { .. }) && !self.queue.is_empty() {
             self.compress_pass(now);
@@ -484,7 +487,7 @@ impl ConservativeScheduler {
     /// are physically free, and each move rescans from the head — the
     /// rectangle it vacated may now let a job already passed over start.
     fn compress(&mut self, now: SimTime) {
-        self.profile.note_compress_pass();
+        self.stats.compress_passes += 1;
         let eager = matches!(self.family, Family::Slack { .. });
         let mut cap = self.profile.free_at(now);
         let mut i = 0;
@@ -660,7 +663,8 @@ impl Scheduler for ConservativeScheduler {
     }
 
     fn profile_stats(&self) -> Option<ProfileStats> {
-        let mut stats = self.profile.stats();
+        let mut stats = self.stats;
+        stats.absorb(&self.profile.stats());
         self.queue.counters().merge_into(&mut stats);
         self.unreserved.counters().merge_into(&mut stats);
         Some(stats)

@@ -193,16 +193,16 @@ impl DepthScheduler {
         if self.queue.is_empty() {
             return;
         }
-        self.stats.compress_passes += 1; // one backfill pass per event
-                                         // Not counted as a rebuild: counters are functions of the
-                                         // schedule, the same in every build.
+        // One backfill pass per event. The debug rebuild below is not
+        // counted: counters are functions of the schedule, the same in
+        // every build.
+        self.stats.compress_passes += 1;
         #[cfg(debug_assertions)]
         assert!(
             self.cached
                 .same_future(&self.rebuilt_running_profile(now), now),
             "cached running profile diverged from rebuild at {now}"
         );
-        self.stats.profile_rebuilds_avoided += 1;
 
         // `anchor == now` is possible even for the head, which did not
         // start: the profile (built from *estimated* ends) may already

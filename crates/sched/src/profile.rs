@@ -500,9 +500,10 @@ impl FitsCache {
     }
 }
 
-/// Operation counters of one [`Profile`] (or aggregated over several — see
-/// [`ProfileStats::absorb`]). All counts are cumulative since creation or
-/// the last [`Profile::reset_stats`].
+/// Operation counters of one [`Profile`], plus the pass counters its
+/// owning scheduler keeps beside it and merges in with
+/// [`ProfileStats::absorb`] (which also aggregates several runs). All
+/// counts are cumulative since creation.
 ///
 /// `serde(default)` keeps old serialized reports (e.g. `--baseline`
 /// files written before a counter existed) readable: missing counters
@@ -536,8 +537,9 @@ pub struct ProfileStats {
     pub reserves: u64,
     /// Calls to [`Profile::release`] that changed the profile.
     pub releases: u64,
-    /// Compression passes noted by the owning scheduler
-    /// (see [`Profile::note_compress_pass`]).
+    /// Passes over the queue by the owning scheduler: compression passes
+    /// of the reservation-list schedulers, backfill passes of the
+    /// reservation-depth ones. Never counted by the profile itself.
     pub compress_passes: u64,
     /// Largest segment count the profile ever reached.
     pub peak_segments: u64,
@@ -552,11 +554,6 @@ pub struct ProfileStats {
     /// Entries re-placed by ordering passes: appended entries that did not
     /// belong at the back, and jobs an XFactor crossing moved.
     pub queue_moves: u64,
-    /// Running-set profile rebuilds performed from scratch.
-    pub profile_rebuilds: u64,
-    /// Running-set profile rebuilds served from the incrementally
-    /// maintained cache instead of being rebuilt.
-    pub profile_rebuilds_avoided: u64,
     /// `fits` queries that found the memo valid for their silhouette and
     /// left edge (answered by a lookup, or by reading on from where the
     /// memo stopped).
@@ -565,7 +562,8 @@ pub struct ProfileStats {
     /// left edge moved, and re-anchored the memo before answering.
     pub fits_cache_misses: u64,
     /// Scheduler scratch buffers reused across events instead of being
-    /// freshly allocated (see [`Profile::note_scratch_reuse`]).
+    /// freshly allocated. Counted by the owning scheduler, never by the
+    /// profile itself.
     pub scratch_reuses: u64,
 }
 
@@ -587,8 +585,6 @@ impl ProfileStats {
         self.queue_sorts += other.queue_sorts;
         self.queue_sorts_avoided += other.queue_sorts_avoided;
         self.queue_moves += other.queue_moves;
-        self.profile_rebuilds += other.profile_rebuilds;
-        self.profile_rebuilds_avoided += other.profile_rebuilds_avoided;
         self.fits_cache_hits += other.fits_cache_hits;
         self.fits_cache_misses += other.fits_cache_misses;
         self.scratch_reuses += other.scratch_reuses;
@@ -629,11 +625,9 @@ struct Counters {
     tree_rebuilds: Cell<u64>,
     reserves: Cell<u64>,
     releases: Cell<u64>,
-    compress_passes: Cell<u64>,
     peak_segments: Cell<u64>,
     fits_cache_hits: Cell<u64>,
     fits_cache_misses: Cell<u64>,
-    scratch_reuses: Cell<u64>,
 }
 
 fn bump(cell: &Cell<u64>, by: u64) {
@@ -868,49 +862,11 @@ impl Profile {
             tree_rebuilds: self.stats.tree_rebuilds.get(),
             reserves: self.stats.reserves.get(),
             releases: self.stats.releases.get(),
-            compress_passes: self.stats.compress_passes.get(),
             peak_segments: self.stats.peak_segments.get(),
-            profile_rebuilds: 0,
-            profile_rebuilds_avoided: 0,
             fits_cache_hits: self.stats.fits_cache_hits.get(),
             fits_cache_misses: self.stats.fits_cache_misses.get(),
-            scratch_reuses: self.stats.scratch_reuses.get(),
             ..ProfileStats::default()
         }
-    }
-
-    /// Zero the operation counters (the peak resets to the current size).
-    pub fn reset_stats(&self) {
-        self.stats.find_anchor_calls.set(0);
-        self.stats.segments_visited.set(0);
-        self.stats.tree_descents.set(0);
-        self.stats.tree_nodes_visited.set(0);
-        self.stats.tree_incremental_updates.set(0);
-        self.stats.tree_rebuilds.set(0);
-        self.stats.reserves.set(0);
-        self.stats.releases.set(0);
-        self.stats.compress_passes.set(0);
-        self.stats.peak_segments.set(self.len as u64);
-        self.stats.fits_cache_hits.set(0);
-        self.stats.fits_cache_misses.set(0);
-        self.stats.scratch_reuses.set(0);
-    }
-
-    /// Record one compression pass by the owning scheduler. The pass itself
-    /// happens at the scheduler level; the counter lives here so a single
-    /// [`ProfileStats`] carries the whole hot-path story.
-    pub fn note_compress_pass(&self) {
-        bump(&self.stats.compress_passes, 1);
-    }
-
-    /// Record one scheduler scratch-buffer reuse: a hot-loop pass (a
-    /// compression sweep, the EASY backfill scan) that filled a retained
-    /// buffer instead of allocating a fresh one. Like
-    /// [`Profile::note_compress_pass`], the event happens at the
-    /// scheduler level; the counter lives here so one [`ProfileStats`]
-    /// carries the whole hot-path story.
-    pub fn note_scratch_reuse(&self) {
-        bump(&self.stats.scratch_reuses, 1);
     }
 
     /// FNV-1a over the silhouette (capacity + every boundary/level pair).
@@ -1330,6 +1286,13 @@ mod tests {
         SimSpan::new(s)
     }
 
+    /// Zero `p`'s operation counters (the peak resets to the current
+    /// size), so a test can count one stretch of work.
+    fn reset_stats(p: &mut Profile) {
+        p.stats = Counters::default();
+        p.stats.peak_segments.set(p.len as u64);
+    }
+
     #[test]
     fn fresh_profile_is_fully_free() {
         let p = Profile::new(16);
@@ -1631,7 +1594,7 @@ mod tests {
             p.reserve(t(i * 100), d(50), 1);
         }
         assert!(p.chunks.len() > 1);
-        p.reset_stats();
+        reset_stats(&mut p);
         // Both boundaries exist and the level drops below the first
         // chunk's minimum: a summary change, absorbed by a path update.
         p.reserve(t(0), d(50), 4);
@@ -1700,12 +1663,11 @@ mod tests {
         p.release(t(50), d(50), 4);
         p.find_anchor(t(0), d(10), 8);
         p.find_anchor(t(0), d(10), 2);
-        p.note_compress_pass();
         let s = p.stats();
         assert_eq!(s.reserves, 2);
         assert_eq!(s.releases, 1);
         assert_eq!(s.find_anchor_calls, 2);
-        assert_eq!(s.compress_passes, 1);
+        assert_eq!(s.compress_passes, 0, "the scheduler counts its passes");
         assert!(s.segments_visited >= 2, "anchor scans examine segments");
         assert!(s.peak_segments >= 3);
         assert!(s.segments_per_anchor() > 0.0);
@@ -1714,7 +1676,7 @@ mod tests {
             0,
             "a one-chunk profile keeps no tree"
         );
-        p.reset_stats();
+        reset_stats(&mut p);
         let s = p.stats();
         assert_eq!(s.find_anchor_calls, 0);
         assert_eq!(s.reserves, 0);
@@ -1733,7 +1695,7 @@ mod tests {
             p.reserve(t(i * 100), d(100), 6 + (i % 2) as u32);
         }
         assert!(p.chunks.len() > 4);
-        p.reset_stats();
+        reset_stats(&mut p);
         let end = t(8 * CHUNK as u64 * 100);
         assert_eq!(p.find_anchor(t(0), d(10), 3), end);
         assert_eq!(p.find_anchor(t(0), d(1_000_000), 1), t(0));

@@ -151,7 +151,6 @@ mod selective_ref {
 
         /// Re-anchor reservations after a hole opened (early completion).
         fn compress(&mut self, now: SimTime) {
-            self.profile.note_compress_pass();
             let policy = self.policy;
             self.reserved
                 .sort_by(|a, b| policy.compare(&a.meta, &b.meta, now));
@@ -191,9 +190,6 @@ mod selective_ref {
         fn reschedule(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
             let mut starts = std::mem::take(&mut self.starts_scratch);
             debug_assert!(starts.is_empty());
-            if starts.capacity() > 0 {
-                self.profile.note_scratch_reuse();
-            }
 
             // Promote jobs whose expansion factor crossed the threshold, in
             // priority order (simultaneous crossers are anchored best-first).

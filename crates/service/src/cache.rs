@@ -340,12 +340,14 @@ mod tests {
         );
     }
 
-    /// A cache-journal line written by an earlier build: it still
-    /// replays, and the cache writes the replayed entry back as the very
-    /// same bytes, so the on-disk format is pinned.
+    /// A cache-journal line written by an earlier build, whose profile
+    /// counters included two since-deleted fields: it still replays, and
+    /// the cache writes the replayed entry back as the pinned current
+    /// line (the old one less those two keys, with its own checksum).
     #[test]
     fn golden_journal_line_replays_and_rewrites_byte_identically() {
         const GOLDEN: &str = include_str!("../tests/golden/cache_journal.jsonl");
+        const GOLDEN_V2: &str = include_str!("../tests/golden/cache_journal_v2.jsonl");
         let old = TempJournal::new("golden-old");
         std::fs::write(&old.0, GOLDEN).unwrap();
         let cache = ResultCache::with_journal(8, &old.0).unwrap();
@@ -358,7 +360,7 @@ mod tests {
         let new = TempJournal::new("golden-new");
         let rewriter = ResultCache::with_journal(8, &new.0).unwrap();
         rewriter.insert(entry.key, entry.report);
-        assert_eq!(std::fs::read_to_string(&new.0).unwrap(), GOLDEN);
+        assert_eq!(std::fs::read_to_string(&new.0).unwrap(), GOLDEN_V2);
     }
 
     #[test]

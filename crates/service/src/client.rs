@@ -345,17 +345,6 @@ impl Client {
         }
     }
 
-    /// Fetch the daemon's metrics registry in the Prometheus text
-    /// exposition format (scrape-ready; same state as [`Self::metrics`]).
-    pub fn metrics_prom(&mut self) -> Result<String, ClientError> {
-        match self.request(&Request::MetricsProm)? {
-            Response::MetricsProm { text } => Ok(text),
-            other => Err(ClientError::Protocol(format!(
-                "metrics-prom answered with {other:?}"
-            ))),
-        }
-    }
-
     /// Drain the daemon's buffered span records (each drain hands over
     /// everything recorded since the previous drain).
     pub fn spans(&mut self) -> Result<Vec<WireSpan>, ClientError> {
@@ -569,11 +558,6 @@ impl ResilientClient {
     /// Fetch the daemon's metrics snapshot, retrying per policy.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.with_retry("metrics", |client| client.metrics())
-    }
-
-    /// Fetch the daemon's Prometheus exposition, retrying per policy.
-    pub fn metrics_prom(&mut self) -> Result<String, ClientError> {
-        self.with_retry("metrics-prom", |client| client.metrics_prom())
     }
 
     /// Drain the daemon's buffered spans, retrying per policy. Only the

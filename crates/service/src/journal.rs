@@ -5,9 +5,11 @@
 //! Every line is `{"crc":C,"<field>":R}\n`, where `R` is one serialized
 //! [`Record`], `<field>` is that record type's [`Record::FIELD`]
 //! (`"entry"` for cache entries, `"record"` for sweep records), and `C`
-//! is the FNV-1a 64 hash of `R`'s serialized bytes. Each append is
-//! written and flushed whole, so a `SIGKILL` costs at most the line
-//! being written.
+//! is the FNV-1a 64 hash of `R`'s bytes as they sit in the line. Each
+//! append is written and flushed whole, so a `SIGKILL` costs at most the
+//! line being written. Replay checks `C` against those bytes before it
+//! deserializes them, so a record written by a build whose payload type
+//! had a field more or less still replays.
 //!
 //! Replay reads records in file order and stops at the **first** line
 //! that is unterminated, not UTF-8, not JSON, or fails its checksum:
@@ -19,7 +21,7 @@
 use backfill_sim::canon::fnv1a_64;
 use obs::metrics::Counter;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::marker::PhantomData;
@@ -93,7 +95,8 @@ impl<R: Record> Journal<R> {
 
     /// Checksum, write and flush one record as a single line.
     pub fn append(&self, record: &R) -> io::Result<()> {
-        let (body, crc) = checksummed(record);
+        let body = serde_json::to_string(record).expect("journal records always serialize");
+        let crc = fnv1a_64(body.as_bytes());
         let line = format!("{{\"crc\":{crc},\"{}\":{body}}}\n", R::FIELD);
         let mut file = self.file.lock();
         file.write_all(line.as_bytes())?;
@@ -113,36 +116,21 @@ impl<R: Record> Journal<R> {
     }
 }
 
-/// A record's serialized bytes, as they sit in its line, and their
-/// FNV-1a 64 checksum.
-fn checksummed<R: Serialize>(record: &R) -> (String, u64) {
-    let body = serde_json::to_string(record).expect("journal records always serialize");
-    let crc = fnv1a_64(body.as_bytes());
-    (body, crc)
-}
-
-/// A parsed line: the stored checksum and the payload.
-struct Envelope<R> {
-    crc: u64,
-    record: R,
-}
-
-impl<R: Record> Deserialize for Envelope<R> {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(Envelope {
-            crc: u64::from_value(value.field("crc")?)?,
-            record: R::from_value(value.field(R::FIELD)?)?,
-        })
-    }
-}
-
-/// The record a line carries, or `None` when the line is torn.
+/// The record a line carries, or `None` when the line is torn. The
+/// payload is taken exactly as [`Journal::append`] wrote it, between
+/// `{"crc":C,"<field>":` and the closing `}`, and must hash to `C`.
 fn parse<R: Record>(line: &[u8]) -> Option<R> {
     let text = std::str::from_utf8(line).ok()?;
-    let Envelope { crc, record } = serde_json::from_str::<Envelope<R>>(text).ok()?;
-    // Recompute from the parsed record, so a payload that parses but
-    // does not re-serialize to its checksummed bytes is torn too.
-    (checksummed(&record).1 == crc).then_some(record)
+    let (crc, rest) = text.strip_prefix("{\"crc\":")?.split_once(',')?;
+    let body = rest
+        .strip_prefix('"')?
+        .strip_prefix(R::FIELD)?
+        .strip_prefix("\":")?
+        .strip_suffix('}')?;
+    if crc.parse::<u64>().ok()? != fnv1a_64(body.as_bytes()) {
+        return None;
+    }
+    serde_json::from_str(body).ok()
 }
 
 /// The good prefix of `path` and its length in bytes.
@@ -174,13 +162,51 @@ mod tests {
     use super::*;
     use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, Serialize, Deserialize)]
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
     struct Note {
         n: u64,
     }
 
     impl Record for Note {
         const FIELD: &'static str = "note";
+    }
+
+    /// `Note` as an older build wrote it, with one field more.
+    #[derive(Debug, Serialize, Deserialize)]
+    struct OldNote {
+        n: u64,
+        old: u64,
+    }
+
+    impl Record for OldNote {
+        const FIELD: &'static str = "note";
+    }
+
+    /// The checksum covers the bytes on disk, not a re-serialization:
+    /// a line whose payload type has since lost a field replays, and a
+    /// flipped payload byte is still torn.
+    #[test]
+    fn a_line_an_older_payload_type_wrote_replays() {
+        let path = std::env::temp_dir().join(format!(
+            "bfsim-journal-unit-{}-old-field.jsonl",
+            std::process::id()
+        ));
+        Journal::create(&path)
+            .unwrap()
+            .append(&OldNote { n: 1, old: 7 })
+            .unwrap();
+        let replay = Journal::<Note>::read(&path).unwrap();
+        assert_eq!(replay.records, [Note { n: 1 }]);
+        assert_eq!(replay.dropped_bytes, 0);
+
+        let line = std::fs::read_to_string(&path).unwrap();
+        let flipped = line.replace("\"n\":1", "\"n\":3");
+        assert_ne!(flipped, line);
+        std::fs::write(&path, &flipped).unwrap();
+        let replay = Journal::<Note>::read(&path).unwrap();
+        assert!(replay.records.is_empty());
+        assert_eq!(replay.dropped_bytes, flipped.len() as u64);
+        let _ = std::fs::remove_file(&path);
     }
 
     /// A replay that refuses the journal leaves the file as it found

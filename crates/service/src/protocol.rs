@@ -117,11 +117,6 @@ pub enum Request {
     /// Draining is destructive — the coordinator collects once per
     /// sweep — and spans are only buffered while traced submits arrive.
     Spans,
-    /// Fetch the daemon's metrics registry rendered in the Prometheus
-    /// text exposition format (counters, gauges, cumulative histogram
-    /// buckets). Same registry state as [`Request::Metrics`], different
-    /// serialization. Answered with [`Response::MetricsProm`].
-    MetricsProm,
     /// Stop accepting new `Submit`s but **stay alive**: in-flight work
     /// completes, and `Stats`/`Metrics`/`Health`/`Capabilities` keep
     /// answering so a coordinator can still harvest the shard's final
@@ -162,12 +157,6 @@ pub enum Response {
     Spans {
         /// Every span drained from the daemon's buffers, oldest first.
         spans: Vec<WireSpan>,
-    },
-    /// The Prometheus-rendered registry, answering
-    /// [`Request::MetricsProm`].
-    MetricsProm {
-        /// Prometheus text exposition format (`# TYPE` + samples).
-        text: String,
     },
     /// Acknowledges [`Request::Drain`]: the daemon refuses new submits
     /// from here on but stays alive for introspection verbs.
@@ -276,8 +265,9 @@ pub struct Capabilities {
 
 /// The protocol revision this build speaks (see [`Capabilities::proto`]).
 /// v3 added span tracing: the optional `trace` field on `Submit` and the
-/// `Spans` / `MetricsProm` verbs.
-pub const PROTO_VERSION: u32 = 3;
+/// `Spans` verb. v4 dropped the Prometheus-text metrics verb: clients
+/// render the `Metrics` document as Prometheus text themselves.
+pub const PROTO_VERSION: u32 = 4;
 
 /// A successful submit: the report plus cache provenance.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -424,7 +414,6 @@ mod tests {
             },
             Request::Stats,
             Request::Metrics,
-            Request::MetricsProm,
             Request::Health,
             Request::Capabilities,
             Request::Spans,
@@ -490,9 +479,6 @@ mod tests {
                     start_us: 120,
                     dur_us: 35,
                 }],
-            },
-            Response::MetricsProm {
-                text: "# TYPE service_submitted counter\nservice_submitted 1\n".into(),
             },
             Response::Draining,
             Response::Busy,

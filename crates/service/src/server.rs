@@ -337,13 +337,6 @@ impl Inner {
         self.registry.snapshot_json()
     }
 
-    /// Render the registry in the Prometheus text exposition format —
-    /// same state as [`Inner::metrics_snapshot`], scrape-ready.
-    fn metrics_prometheus(&self) -> String {
-        self.refresh_gauges();
-        obs::render_prometheus(&self.registry.snapshot())
-    }
-
     /// The sizing handshake answering [`Request::Capabilities`].
     fn capabilities(&self) -> Capabilities {
         let (_, _, cache_entries, _) = self.cache.stats();
@@ -778,9 +771,6 @@ fn serve(request: Request, inner: &Inner) -> Served {
             let spans = obs::span::drain().into_iter().map(Into::into).collect();
             Served::plain(Response::Spans { spans })
         }
-        Request::MetricsProm => Served::plain(Response::MetricsProm {
-            text: inner.metrics_prometheus(),
-        }),
         Request::Drain => {
             inner.refusing.store(true, Ordering::SeqCst);
             obs::info!(
