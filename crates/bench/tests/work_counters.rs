@@ -10,11 +10,15 @@
 //!   compression pass that probed every queued job on every early
 //!   completion made ~43 probes per event on this cell; rejecting jobs
 //!   wider than the free capacity without a probe brings it to ~10.
-//! * `tree_rebuilds` counts full re-derivations of the profile's index.
-//!   A per-segment tree re-derived its suffix on every boundary insert or
-//!   removal and on every trim: ~1.0 per reserve/release on this cell.
-//!   The chunked profile rebuilds its chunk tree only when the chunk
-//!   count changes.
+//! * `tree_rebuilds` counts changes of the profile's chunk count (a full
+//!   chunk split, or an emptied one dropped). A per-segment tree once
+//!   re-derived its suffix on every boundary insert or removal and on
+//!   every trim: ~1.0 per reserve/release on this cell. The chunked
+//!   profile's layout changes far more rarely. The same test pins
+//!   `(tree_descents, tree_rebuilds)` exactly: `tree_descents` counts the
+//!   anchor search's chunk leaps, so the literals show that a forward walk
+//!   over the chunk summaries leaps at exactly the points where the
+//!   min/max tree it replaced descended.
 //!
 //! A third gate pins the XFactor queue work exactly, on the same cell
 //! under EASY and Conservative: `queue_moves` counts the entries the
@@ -34,8 +38,14 @@ use backfill_sim::prelude::*;
 /// Most `find_anchor_calls` per delivered event.
 const PROBES_PER_EVENT: f64 = 15.0;
 
-/// Most `tree_rebuilds` per profile mutation (reserve or release).
+/// Most `tree_rebuilds` (chunk-count changes) per profile mutation
+/// (reserve or release).
 const REBUILDS_PER_MUTATION: f64 = 0.1;
+
+/// `(tree_descents, tree_rebuilds)` — chunk leaps and chunk-count
+/// changes — of the deep Conservative cell, per policy in
+/// [`Policy::PAPER`] order.
+const CONS_LEAPS_AND_SPLITS: [(u64, u64); 3] = [(530, 56), (393, 52), (438, 54)];
 
 /// The same cell as `alloc_budget.rs`: 3,000 CTC jobs at ρ = 2.2 with
 /// user estimates, so hundreds of jobs queue behind each hole.
@@ -81,7 +91,7 @@ fn deep_queue_conservative_probes_stay_proportional_to_the_hole() {
 #[test]
 fn deep_queue_conservative_rebuilds_the_index_only_on_chunk_count_changes() {
     let trace = deep_queue_trace();
-    for policy in Policy::PAPER {
+    for (policy, pinned) in Policy::PAPER.into_iter().zip(CONS_LEAPS_AND_SPLITS) {
         let schedule = simulate(&trace, SchedulerKind::Conservative, policy);
         let stats = schedule
             .profile_stats
@@ -89,9 +99,17 @@ fn deep_queue_conservative_rebuilds_the_index_only_on_chunk_count_changes() {
         let mutations = stats.reserves + stats.releases;
         let per_mutation = stats.tree_rebuilds as f64 / mutations.max(1) as f64;
         eprintln!(
-            "work counters {policy}: {} tree rebuilds / {mutations} reserves+releases = \
-             {per_mutation:.4}, {} path updates, peak {} segments",
-            stats.tree_rebuilds, stats.tree_incremental_updates, stats.peak_segments
+            "work counters {policy}: {} chunk-count changes / {mutations} reserves+releases = \
+             {per_mutation:.4}, {} summary changes, {} chunk leaps, peak {} segments",
+            stats.tree_rebuilds,
+            stats.tree_incremental_updates,
+            stats.tree_descents,
+            stats.peak_segments
+        );
+        assert_eq!(
+            (stats.tree_descents, stats.tree_rebuilds),
+            pinned,
+            "{policy}: chunk leaps or chunk-count changes moved"
         );
         assert!(
             stats.peak_segments > 4 * sched::Profile::CHUNK_SEGMENTS as u64,
@@ -99,7 +117,7 @@ fn deep_queue_conservative_rebuilds_the_index_only_on_chunk_count_changes() {
         );
         assert!(
             per_mutation <= REBUILDS_PER_MUTATION,
-            "{policy}: {per_mutation:.3} tree rebuilds per reserve/release > \
+            "{policy}: {per_mutation:.3} chunk-count changes per reserve/release > \
              {REBUILDS_PER_MUTATION}"
         );
     }

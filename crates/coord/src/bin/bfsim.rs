@@ -457,13 +457,13 @@ fn cmd_simulate(a: &Args) {
     }
     if let Some(p) = schedule.profile_stats {
         println!(
-            "profile ops: {} anchors ({:.1} segs/anchor, {} tree descents, \
-             {:.1} nodes/descent) | {} reserves | {} releases | \
+            "profile ops: {} anchors ({:.1} segs/anchor, {} chunk leaps, \
+             {:.1} chunks/leap) | {} reserves | {} releases | \
              {} compress passes | peak {} segments | {} queue moves",
             p.find_anchor_calls,
             p.segments_per_anchor(),
             p.tree_descents,
-            p.nodes_per_descent(),
+            p.chunks_per_leap(),
             p.reserves,
             p.releases,
             p.compress_passes,

@@ -179,6 +179,10 @@ pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
     registry
         .counter("sim.profile.segments_visited")
         .add(stats.segments_visited);
+    // The `tree.*` names outlived the min/max tree that once indexed the
+    // profile's chunk summaries; they count chunk leaps, the summaries
+    // those leaps read, summary changes and chunk-count changes (see
+    // `ProfileStats`).
     registry
         .counter("sim.profile.tree.descents")
         .add(stats.tree_descents);

@@ -1,15 +1,17 @@
 //! Differential test of incremental chunk-index maintenance under full
 //! simulations.
 //!
-//! The availability profile keeps its per-chunk min/max summaries and the
-//! tree over them synchronized incrementally (ancestor-path updates when
-//! summaries change, a rebuild when the chunk count does). In debug
-//! builds every mutation ends in `debug_assert!(invariants_ok())`, and
-//! `invariants_ok` compares **every chunk summary and tree node against a
-//! from-scratch build** — so simply driving whole simulations here exercises that
-//! comparison after every reserve/release/trim of every event, for every
-//! scheduler kind and policy. The explicit `invariants_ok` spot-checks
-//! below keep the test meaningful even if debug assertions are off.
+//! The availability profile's only index is the min/max summary each
+//! chunk keeps of its segments, refreshed incrementally by every edit
+//! (and carried along when a full chunk splits). In debug builds every
+//! mutation ends in `debug_assert!(invariants_ok())`, and `invariants_ok`
+//! compares **every chunk summary against a from-scratch refresh** — so
+//! simply driving whole simulations here exercises that comparison after
+//! every reserve/release/trim of every event, for every scheduler kind
+//! and policy. The explicit `invariants_ok` spot-checks below keep the
+//! test meaningful even if debug assertions are off. (The test names
+//! keep the word "tree" from the min/max tree that once sat over the
+//! summaries.)
 
 use backfill_sim::prelude::*;
 use proptest::prelude::*;
@@ -77,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Full simulations across all scheduler kinds and paper policies:
-    /// every profile mutation re-verifies the tree against a rebuild
+    /// every profile mutation re-verifies the summaries against a refresh
     /// (debug asserts), the audit validates the schedule, and the run is
     /// deterministic.
     #[test]
@@ -97,7 +99,7 @@ proptest! {
 
     /// The same maintenance story at the profile level, across several
     /// chunks: replay a long anchored-reservation history and spot-check
-    /// the tree-vs-rebuild comparison explicitly (not only via the
+    /// the summary-vs-refresh comparison explicitly (not only via the
     /// per-mutation debug asserts).
     #[test]
     fn large_profile_tree_matches_rebuild_at_every_checkpoint(
@@ -109,7 +111,7 @@ proptest! {
             let a = p.find_anchor(SimTime::new(earliest), dur, width);
             p.reserve(a, dur, width);
             if i % 16 == 0 {
-                prop_assert!(p.invariants_ok(), "tree desynced after {} reserves", i + 1);
+                prop_assert!(p.invariants_ok(), "summaries desynced after {} reserves", i + 1);
             }
         }
         prop_assert!(p.invariants_ok());

@@ -6,7 +6,6 @@
 //!   (SN/SW/LN/LW) and per-estimate-quality summaries;
 //! * [`welford`] — streaming mean/variance/min/max;
 //! * [`quantile`] — exact quantiles;
-//! * [`histogram`] — log-binned histograms;
 //! * [`capacity`] — loss-of-capacity breakdown (idle-while-waiting);
 //! * [`mod@fairness`] — Gini / max-stretch / overtake-rate fairness measures;
 //! * [`timeseries`] — binned utilization and queue-depth series;
@@ -18,7 +17,6 @@
 pub mod aggregate;
 pub mod capacity;
 pub mod fairness;
-pub mod histogram;
 pub mod outcome;
 pub mod quantile;
 pub mod report;
@@ -29,7 +27,6 @@ pub mod welford;
 pub use aggregate::{percent_change, MetricSummary, ScheduleStats};
 pub use capacity::{capacity_report, CapacityReport};
 pub use fairness::{fairness, gini, FairnessReport};
-pub use histogram::LogHistogram;
 pub use outcome::{JobOutcome, BOUNDED_SLOWDOWN_THRESHOLD_SECS};
 pub use quantile::Quantiles;
 pub use report::{fnum, fpct, Table};

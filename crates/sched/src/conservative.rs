@@ -558,7 +558,7 @@ impl ConservativeScheduler {
                     // job's own rectangle still in place proves the
                     // post-release anchor is `now` (release only adds
                     // capacity and the anchor can't move before `now`),
-                    // so the probe is one fits descent, not a round-trip.
+                    // so the probe is one fits lookup, not a round-trip.
                     if self.profile.fits(now, res.meta.estimate, res.meta.width) {
                         self.move_to_now(i, now);
                     } else {

@@ -20,26 +20,28 @@
 //! Segments are stored by value, in time order, in fixed-capacity
 //! **chunks** of [`Profile::CHUNK_SEGMENTS`] segments held in one flat
 //! `Vec<Chunk>`. Each chunk also carries the minimum and maximum free
-//! level of its segments, and a small augmented segment tree (`SegTree`)
-//! indexes those per-chunk summaries. A profile is therefore two levels:
-//! a handful of chunks, each a short sorted run of segments.
+//! level of its segments; these summaries are the profile's only index. A
+//! profile is therefore two levels: a handful of chunks, each a short
+//! sorted run of segments.
 //!
-//! Queries descend to a chunk and scan inside it. The anchor search
-//! needs two primitives, both "scan the rest of this chunk, then leap":
+//! The anchor search needs two primitives, both "scan the rest of this
+//! chunk, then leap":
 //!
 //! * *next feasible* — the first segment at or after a position with
 //!   `free >= width`: after the current chunk, chunks whose `max < width`
-//!   are skipped whole (one tree descent when the next chunk is no good);
+//!   are skipped whole;
 //! * *next blocker* — the first segment at or after a position with
 //!   `free < width` that opens before a window's end: chunks whose
 //!   `min >= width` are skipped whole, and the search stops as soon as a
 //!   chunk opens at or past the window's end.
 //!
-//! `find_anchor` alternates them (establish a candidate, look for the
-//! blocker inside its window, restart past the blocker), and `free_at` is
-//! a binary search over chunk starts plus one inside the chunk. A profile
-//! that fits in one chunk never touches the tree: its in-chunk scan *is*
-//! the small-profile path.
+//! A leap walks the chunk summaries forward, reading no segment, until a
+//! chunk can match. (A min/max segment tree over the summaries once made
+//! each leap a descent; leaps were rare and short, and the descents read
+//! more than the walk does — DESIGN.md §14.) `find_anchor` alternates the
+//! two primitives (establish a candidate, look for the blocker inside its
+//! window, restart past the blocker), and `free_at` is a binary search
+//! over chunk starts plus one inside the chunk.
 //!
 //! `fits` asks a narrower question — does a window opening at `from`
 //! stay at or above `width`? — and answers it from a memo of the prefix
@@ -52,12 +54,10 @@
 //! a coalescing removal shifts the segments of one chunk (≤ one chunk's
 //! worth of 16-byte moves), a reserve/release rewrites the levels of the
 //! chunks it spans, and `trim_before` shifts the surviving segments of
-//! its first chunk down. The touched chunks' summaries are refreshed and
-//! their O(log C) tree paths re-derived (C = chunk count). Only a change
-//! in the chunk count — a full chunk split in two, or a chunk emptied by
-//! coalescing or trimming and dropped — rebuilds the O(C) tree. Chunks
-//! are plain `Copy` arrays, so cloning a profile is a memcpy of the
-//! chunk vector.
+//! its first chunk down. Each edited chunk refreshes its own summary;
+//! nothing else is derived from them. A full chunk splits in two, and a
+//! chunk emptied by coalescing or trimming is dropped. Chunks are plain
+//! `Copy` arrays, so cloning a profile is a memcpy of the chunk vector.
 //!
 //! The plain segment-by-segment scan lives in test support
 //! (`tests/support/mod.rs`, over [`Profile::segments`]); differential
@@ -69,8 +69,8 @@
 //!
 //! Every profile keeps cheap operation counters ([`ProfileStats`]): anchor
 //! probes, segments visited by in-chunk scans and by the `fits` memo's
-//! reads, tree descents and nodes touched, chunk-tree path updates and
-//! rebuilds, reserve/release counts, compression passes, fits-memo hits
+//! reads, chunk leaps and the summaries they read, mutations that changed
+//! a summary or the chunk count, reserve/release counts, fits-memo hits
 //! and resets, and the peak segment count. Schedulers expose them
 //! via [`crate::Scheduler::profile_stats`] and the driver threads them into
 //! the final [`Schedule`](../core) for reports and benches.
@@ -78,8 +78,7 @@
 //! Invariants (checked by `debug_assert` internally and by property tests):
 //! segments are strictly ordered in time, free counts stay within
 //! `[0, capacity]`, adjacent segments always differ (coalesced), no chunk
-//! is empty, and every chunk summary and tree node equals a from-scratch
-//! build.
+//! is empty, and every chunk summary equals a from-scratch refresh.
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimSpan, SimTime};
@@ -195,30 +194,12 @@ const ORIGIN: Pos = Pos { c: 0, i: 0 };
 /// read `FitsCache` never reads on.
 const READ_ALL: SimTime = SimTime::new(u64::MAX);
 
-/// The chunks a mutation touched: the summary-changed range to path-update,
-/// or `structural` when the chunk count changed and the tree must be
-/// rebuilt.
+/// What a mutation did to the chunk layout: changed some chunk's summary,
+/// or changed the chunk count (a split, or an emptied chunk dropped).
+#[derive(Default)]
 struct Touched {
-    lo: usize,
-    hi: usize,
+    summary: bool,
     structural: bool,
-}
-
-impl Touched {
-    fn new() -> Self {
-        Touched {
-            lo: usize::MAX,
-            hi: 0,
-            structural: false,
-        }
-    }
-
-    fn chunk(&mut self, c: usize, changed: bool) {
-        if changed {
-            self.lo = self.lo.min(c);
-            self.hi = self.hi.max(c + 1);
-        }
-    }
 }
 
 /// Work done by one query, flushed into the `Cell` counters once per call
@@ -226,152 +207,8 @@ impl Touched {
 #[derive(Default)]
 struct Work {
     visited: u64,
-    descents: u64,
-    nodes: u64,
-}
-
-/// One chunk-tree node: the minimum and maximum free level over the
-/// chunks of its span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Node {
-    min: u32,
-    max: u32,
-}
-
-/// Padding value for leaves beyond the real chunk count: matches no
-/// feasibility predicate (`max >= width` needs `width >= 1`; `min < width`
-/// needs `width <= capacity < u32::MAX`), so queries never step off the
-/// real profile.
-const PAD: Node = Node {
-    min: u32::MAX,
-    max: 0,
-};
-
-/// The augmented segment tree over the per-chunk summaries.
-///
-/// Implicit array layout: the root is node 1, node `v`'s children are
-/// `2v` and `2v + 1`, and leaf `c` (chunk `c`) lives at `size + c` where
-/// `size` is the smallest power of two ≥ the chunk count. Each node
-/// aggregates the min/max free level of its leaves; unoccupied leaves
-/// hold [`PAD`]. A one-chunk profile keeps the tree empty.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SegTree {
-    /// Number of leaves backed by real chunks (0 for one chunk).
-    len: usize,
-    /// Leaf capacity: smallest power of two ≥ `len` (0 when empty).
-    size: usize,
-    /// `2 * size` nodes; index 0 is unused.
-    nodes: Vec<Node>,
-}
-
-impl SegTree {
-    fn leaf(chunk: &Chunk) -> Node {
-        Node {
-            min: chunk.min,
-            max: chunk.max,
-        }
-    }
-
-    fn merge(a: Node, b: Node) -> Node {
-        Node {
-            min: a.min.min(b.min),
-            max: a.max.max(b.max),
-        }
-    }
-
-    /// Rebuild from the chunk summaries: O(C). Empty for one chunk, where
-    /// no query ever leaves the chunk.
-    fn rebuild(&mut self, chunks: &[Chunk]) {
-        self.nodes.clear();
-        if chunks.len() <= 1 {
-            self.len = 0;
-            self.size = 0;
-            return;
-        }
-        self.len = chunks.len();
-        self.size = chunks.len().next_power_of_two();
-        self.nodes.resize(2 * self.size, PAD);
-        for (c, chunk) in chunks.iter().enumerate() {
-            self.nodes[self.size + c] = Self::leaf(chunk);
-        }
-        for v in (1..self.size).rev() {
-            self.nodes[v] = Self::merge(self.nodes[2 * v], self.nodes[2 * v + 1]);
-        }
-    }
-
-    /// Refresh leaves `[first, last)` after their chunks' summaries
-    /// changed (chunk count unchanged), then re-derive their O(log C)
-    /// ancestor paths.
-    fn update_range(&mut self, chunks: &[Chunk], first: usize, last: usize) {
-        debug_assert!(first < last && last <= self.len);
-        for (c, chunk) in chunks[first..last].iter().enumerate() {
-            self.nodes[self.size + first + c] = Self::leaf(chunk);
-        }
-        let mut l = self.size + first;
-        let mut r = self.size + last - 1;
-        while l > 1 {
-            l >>= 1;
-            r >>= 1;
-            for v in l..=r {
-                self.nodes[v] = Self::merge(self.nodes[2 * v], self.nodes[2 * v + 1]);
-            }
-        }
-    }
-
-    /// First chunk `>= from` holding a segment with `free >= width`.
-    fn first_at_least(&self, from: usize, width: u32, nodes: &mut u64) -> Option<usize> {
-        self.first_leaf(from, |n| n.max >= width, nodes)
-    }
-
-    /// First chunk `>= from` holding a segment with `free < width`.
-    fn first_below(&self, from: usize, width: u32, nodes: &mut u64) -> Option<usize> {
-        self.first_leaf(from, |n| n.min < width, nodes)
-    }
-
-    /// One O(log C) descent: the first leaf at or after `from` whose
-    /// aggregate satisfies `pred`. Climbs right from the starting leaf,
-    /// probing each next-subtree-to-the-right until one can contain a
-    /// match, then descends to its leftmost matching leaf.
-    fn first_leaf(
-        &self,
-        from: usize,
-        pred: impl Fn(&Node) -> bool,
-        count: &mut u64,
-    ) -> Option<usize> {
-        if from >= self.len {
-            return None;
-        }
-        let mut v = self.size + from;
-        *count += 1;
-        if pred(&self.nodes[v]) {
-            return Some(from);
-        }
-        loop {
-            // Climb while `v` is a right child; from a left child the next
-            // unexplored span is exactly the right sibling's subtree.
-            while v & 1 == 1 {
-                v >>= 1;
-            }
-            if v == 0 {
-                return None; // climbed past the root: nothing matches
-            }
-            v += 1;
-            *count += 1;
-            if !pred(&self.nodes[v]) {
-                continue;
-            }
-            // An aggregate match guarantees a matching leaf below; PAD
-            // leaves never match, so the leaf found is always real.
-            while v < self.size {
-                v <<= 1;
-                *count += 1;
-                if !pred(&self.nodes[v]) {
-                    v += 1;
-                }
-            }
-            return Some(v - self.size);
-        }
-    }
+    leaps: u64,
+    leap_reads: u64,
 }
 
 /// The prefix-minimum staircase of one left edge, read lazily: the memo
@@ -521,17 +358,21 @@ pub struct ProfileStats {
     /// reset without counting any of them; the two figures are not
     /// comparable across that change.)
     pub segments_visited: u64,
-    /// O(log C) chunk-tree descents: leaps over runs of chunks that hold
-    /// no feasible segment, or no blocking one.
+    /// Chunk leaps: anchor-search steps past the current chunk whose very
+    /// next chunk holds no feasible segment (or no blocking one), so the
+    /// search walked the chunk summaries beyond it. (The `tree_*` names
+    /// stay from the min/max tree that once indexed the summaries:
+    /// reports and the benchmark read them.)
     pub tree_descents: u64,
-    /// Tree nodes touched across all descents; divided by
-    /// `tree_descents` this is the realized descent depth.
+    /// Chunk summaries read by those leaps, the chunk they stop at
+    /// included; divided by `tree_descents` this is the realized leap
+    /// length.
     pub tree_nodes_visited: u64,
-    /// Mutations that changed some chunk summaries and re-derived only
-    /// their ancestor paths (chunk count unchanged).
+    /// Mutations that changed some chunk summary and left the chunk count
+    /// alone.
     pub tree_incremental_updates: u64,
-    /// Mutations that changed the chunk count (a chunk split, or an
-    /// emptied chunk dropped) and rebuilt the chunk tree.
+    /// Mutations that changed the chunk count: a full chunk split in two,
+    /// or an emptied chunk dropped.
     pub tree_rebuilds: u64,
     /// Calls to [`Profile::reserve`] that changed the profile.
     pub reserves: u64,
@@ -592,7 +433,7 @@ impl ProfileStats {
 
     /// Mean segments examined per anchor search (0 if none ran): the
     /// in-chunk scan work; chunk leaps are tracked by
-    /// [`ProfileStats::nodes_per_descent`].
+    /// [`ProfileStats::chunks_per_leap`].
     pub fn segments_per_anchor(&self) -> f64 {
         if self.find_anchor_calls == 0 {
             0.0
@@ -601,9 +442,8 @@ impl ProfileStats {
         }
     }
 
-    /// Mean tree nodes touched per descent (0 if none ran) — the
-    /// realized O(log C).
-    pub fn nodes_per_descent(&self) -> f64 {
+    /// Mean chunk summaries read per leap (0 if none ran).
+    pub fn chunks_per_leap(&self) -> f64 {
         if self.tree_descents == 0 {
             0.0
         } else {
@@ -658,9 +498,6 @@ pub struct Profile {
     chunks: Vec<Chunk>,
     /// Total live segments over all chunks.
     len: usize,
-    /// Min/max tree over the chunk summaries, kept synchronized by every
-    /// mutation (empty while the profile is one chunk).
-    tree: SegTree,
     /// Process-globally-unique silhouette token, refreshed from
     /// [`GENERATION`] on every mutation; validates `fits_cache`.
     generation: u64,
@@ -670,9 +507,9 @@ pub struct Profile {
 
 impl PartialEq for Profile {
     fn eq(&self, other: &Self) -> bool {
-        // The tree is a pure function of the segments, and the counters
-        // (plus how the segments happen to fall into chunks) are
-        // representation: the silhouette alone defines identity.
+        // The counters, the chunk summaries and how the segments happen
+        // to fall into chunks are representation: the silhouette alone
+        // defines identity.
         self.capacity == other.capacity
             && self.len == other.len
             && self.segs_from(ORIGIN).eq(other.segs_from(ORIGIN))
@@ -702,7 +539,6 @@ impl Profile {
             capacity,
             chunks: vec![chunk],
             len: 1,
-            tree: SegTree::default(),
             generation: next_generation(),
             fits_cache: RefCell::new(FitsCache::default()),
             stats: Counters::default(),
@@ -785,9 +621,9 @@ impl Profile {
 
     /// The first segment at or after `from` with `free < width` that
     /// opens before `until`. Scans the rest of `from`'s chunk, then leaps
-    /// chunks whose minimum admits `width` (one tree descent unless the
-    /// very next chunk holds a blocker), stopping at the first chunk that
-    /// opens at or past `until`.
+    /// chunks whose minimum admits `width` (a walk over their summaries
+    /// unless the very next chunk may hold a blocker), stopping at the
+    /// first chunk that opens at or past `until` without reading inside it.
     fn next_below(&self, from: Pos, width: u32, until: SimTime, w: &mut Work) -> Option<Pos> {
         let Pos { mut c, mut i } = from;
         loop {
@@ -810,15 +646,25 @@ impl Profile {
             c = if next.min < width {
                 c + 1
             } else {
-                w.descents += 1;
-                self.tree.first_below(c + 2, width, &mut w.nodes)?
+                w.leaps += 1;
+                let skipped = self.chunks[c + 2..].iter().position(|ch| {
+                    w.leap_reads += 1;
+                    ch.min < width || ch.first_start() >= until
+                })?;
+                let k = c + 2 + skipped;
+                if self.chunks[k].first_start() >= until {
+                    return None;
+                }
+                k
             };
             i = 0;
         }
     }
 
-    /// The first segment at or after `from` with `free >= width`. The
-    /// final segment is asserted wide enough, so one always exists.
+    /// The first segment at or after `from` with `free >= width`: the rest
+    /// of `from`'s chunk, then a leap over the summaries of chunks whose
+    /// maximum is below `width` unless the very next chunk may hold one.
+    /// The final segment is asserted wide enough, so one always exists.
     fn next_at_least(&self, from: Pos, width: u32, w: &mut Work) -> Pos {
         let Pos { mut c, mut i } = from;
         loop {
@@ -835,10 +681,12 @@ impl Profile {
             c = if self.chunks[c + 1].max >= width {
                 c + 1
             } else {
-                w.descents += 1;
-                self.tree
-                    .first_at_least(c + 2, width, &mut w.nodes)
-                    .expect("final segment narrower than asserted")
+                w.leaps += 1;
+                let skipped = self.chunks[c + 2..].iter().position(|ch| {
+                    w.leap_reads += 1;
+                    ch.max >= width
+                });
+                c + 2 + skipped.expect("final segment narrower than asserted")
             };
             i = 0;
         }
@@ -847,8 +695,8 @@ impl Profile {
     /// Flush one query's work into the counters.
     fn charge(&self, w: &Work) {
         bump(&self.stats.segments_visited, w.visited);
-        bump(&self.stats.tree_descents, w.descents);
-        bump(&self.stats.tree_nodes_visited, w.nodes);
+        bump(&self.stats.tree_descents, w.leaps);
+        bump(&self.stats.tree_nodes_visited, w.leap_reads);
     }
 
     /// Snapshot of the operation counters.
@@ -1015,21 +863,18 @@ impl Profile {
                 };
             }
         }
-        let changed = self.chunks[p.c].insert(p.i, seg);
-        touched.chunk(p.c, changed);
+        touched.summary |= self.chunks[p.c].insert(p.i, seg);
         self.len += 1;
         p
     }
 
     /// Remove the segment at `p`, dropping its chunk if that empties it.
     fn remove_at(&mut self, p: Pos, touched: &mut Touched) {
-        let changed = self.chunks[p.c].remove(p.i);
+        touched.summary |= self.chunks[p.c].remove(p.i);
         self.len -= 1;
         if self.chunks[p.c].len == 0 {
             self.chunks.remove(p.c);
             touched.structural = true;
-        } else {
-            touched.chunk(p.c, changed);
         }
     }
 
@@ -1082,8 +927,7 @@ impl Profile {
             let hi = if c == last.c { last.i } else { chunk.len() };
             if lo < hi {
                 chunk.segs[lo..hi].iter_mut().for_each(&mut f);
-                let changed = chunk.refresh();
-                touched.chunk(c, changed);
+                touched.summary |= chunk.refresh();
             }
         }
     }
@@ -1106,16 +950,13 @@ impl Profile {
     }
 
     /// Post-mutation bookkeeping: fresh generation token (invalidating
-    /// the fits memo), tree synchronization — path updates for the chunks
-    /// whose summaries changed, a rebuild when the chunk count changed —
-    /// and the peak gauge.
+    /// the fits memo), the layout counters and the peak gauge. The chunk
+    /// summaries are already current: each edit refreshed its own.
     fn after_mutation(&mut self, touched: Touched) {
         self.generation = next_generation();
         if touched.structural {
-            self.tree.rebuild(&self.chunks);
             bump(&self.stats.tree_rebuilds, 1);
-        } else if touched.lo < touched.hi && self.tree.len > 0 {
-            self.tree.update_range(&self.chunks, touched.lo, touched.hi);
+        } else if touched.summary {
             bump(&self.stats.tree_incremental_updates, 1);
         }
         let peak = self.stats.peak_segments.get().max(self.len as u64);
@@ -1126,7 +967,7 @@ impl Profile {
     /// Apply `f` to the level of every segment over `[start, end)`: split
     /// both boundaries, rewrite the levels between them, re-coalesce.
     fn apply(&mut self, start: SimTime, end: SimTime, f: impl FnMut(&mut Segment)) {
-        let mut touched = Touched::new();
+        let mut touched = Touched::default();
         let first = self.split_at(start, &mut touched);
         let last = self.split_at(end, &mut touched); // affected: first..last
                                                      // A split of `first`'s chunk may have moved it; nothing else can
@@ -1223,7 +1064,7 @@ impl Profile {
     pub fn trim_before(&mut self, now: SimTime) {
         match self.locate(now) {
             Some(host) if host != ORIGIN => {
-                let mut touched = Touched::new();
+                let mut touched = Touched::default();
                 if host.c > 0 {
                     self.len -= self.chunks[..host.c].iter().map(Chunk::len).sum::<usize>();
                     self.chunks.drain(..host.c);
@@ -1235,8 +1076,7 @@ impl Profile {
                     chunk.segs.copy_within(host.i..len, 0);
                     chunk.len -= host.i as u32;
                     self.len -= host.i;
-                    let changed = chunk.refresh();
-                    touched.chunk(0, changed);
+                    touched.summary |= chunk.refresh();
                 }
                 self.after_mutation(touched);
             }
@@ -1246,8 +1086,7 @@ impl Profile {
 
     /// Check structural invariants (used by tests; internal operations
     /// `debug_assert` it): segment ordering/coalescing/bounds, non-empty
-    /// chunks, and every chunk summary and tree node against a
-    /// from-scratch build.
+    /// chunks, and every chunk summary against a from-scratch build.
     pub fn invariants_ok(&self) -> bool {
         if self.chunks.is_empty()
             || self.chunks.iter().any(|ch| ch.len == 0 || ch.len() > CHUNK)
@@ -1263,15 +1102,10 @@ impl Profile {
         {
             return false;
         }
-        // Every summary and node aggregate must equal what a rebuild would
-        // compute — the incremental update paths may take no shortcuts.
+        // Every summary must equal what a refresh would compute — the
+        // incremental edits may take no shortcuts.
         let mut chunks = self.chunks.clone();
-        if chunks.iter_mut().any(|ch| ch.refresh()) {
-            return false;
-        }
-        let mut expect = SegTree::default();
-        expect.rebuild(&chunks);
-        self.tree == expect
+        !chunks.iter_mut().any(|ch| ch.refresh())
     }
 }
 
@@ -1596,22 +1430,22 @@ mod tests {
         assert!(p.chunks.len() > 1);
         reset_stats(&mut p);
         // Both boundaries exist and the level drops below the first
-        // chunk's minimum: a summary change, absorbed by a path update.
+        // chunk's minimum: a summary change, chunk count unchanged.
         p.reserve(t(0), d(50), 4);
         let s = p.stats();
         assert_eq!(s.tree_rebuilds, 0);
         assert_eq!(s.tree_incremental_updates, 1);
-        // Releasing it restores the old minimum: another path update.
+        // Releasing it restores the old minimum: another summary change.
         p.release(t(0), d(50), 4);
         assert_eq!(p.stats().tree_incremental_updates, 2);
         // A new boundary inside a chunk with room, at a level the chunk
-        // already holds, changes no summary: no tree work at all.
+        // already holds, changes no summary and is not counted.
         p.reserve(t(60), d(10), 1);
         let s = p.stats();
         assert_eq!((s.tree_rebuilds, s.tree_incremental_updates), (0, 2));
         assert!(p.invariants_ok());
-        // New boundaries in one chunk eventually split it: the chunk
-        // count changes and the tree is rebuilt.
+        // New boundaries in one chunk eventually split it: a chunk-count
+        // change.
         let chunks = p.chunks.len();
         let mut i = 0;
         while p.chunks.len() == chunks {
@@ -1626,8 +1460,8 @@ mod tests {
     #[test]
     fn single_chunk_profile_does_no_tree_work() {
         // Reserve/release/trim churn and queries that never grow the
-        // profile past one chunk: the in-chunk scan answers everything
-        // and the chunk tree is never built, updated or descended.
+        // profile past one chunk: the in-chunk scan answers everything,
+        // no search leaps and the chunk count never changes.
         let mut p = Profile::new(64);
         for i in 0..500u64 {
             let w = 1 + (i % 5) as u32;
@@ -1643,16 +1477,11 @@ mod tests {
         assert!(s.peak_segments <= CHUNK as u64);
         assert!(s.segments_visited > 0, "the in-chunk scan did the work");
         assert_eq!(
-            (
-                s.tree_rebuilds,
-                s.tree_incremental_updates,
-                s.tree_descents,
-                s.tree_nodes_visited
-            ),
-            (0, 0, 0, 0),
-            "a one-chunk profile must not touch the chunk tree"
+            (s.tree_rebuilds, s.tree_descents, s.tree_nodes_visited),
+            (0, 0, 0),
+            "a one-chunk profile must neither leap nor split"
         );
-        assert!(p.tree.nodes.is_empty());
+        assert!(s.tree_incremental_updates > 0, "its summary still moves");
     }
 
     #[test]
@@ -1671,11 +1500,9 @@ mod tests {
         assert!(s.segments_visited >= 2, "anchor scans examine segments");
         assert!(s.peak_segments >= 3);
         assert!(s.segments_per_anchor() > 0.0);
-        assert_eq!(
-            s.tree_incremental_updates + s.tree_rebuilds,
-            0,
-            "a one-chunk profile keeps no tree"
-        );
+        // Only the first reserve moves the chunk's minimum; one chunk
+        // never splits.
+        assert_eq!((s.tree_incremental_updates, s.tree_rebuilds), (1, 0));
         reset_stats(&mut p);
         let s = p.stats();
         assert_eq!(s.find_anchor_calls, 0);
@@ -1689,7 +1516,7 @@ mod tests {
         // Contiguous rectangles leaving 1 or 2 processors free, then a
         // free tail: every chunk of the congested stretch blocks a 3-wide
         // request and admits a 1-wide one, so both searches leap whole
-        // chunks through the tree once the profile is past one chunk.
+        // chunks by their summaries once the profile is past one chunk.
         let mut p = Profile::new(8);
         for i in 0..(8 * CHUNK as u64) {
             p.reserve(t(i * 100), d(100), 6 + (i % 2) as u32);
@@ -1702,7 +1529,7 @@ mod tests {
         let s = p.stats();
         assert!(s.tree_descents >= 2, "both searches must leap chunks");
         assert!(s.tree_nodes_visited >= s.tree_descents);
-        assert!(s.nodes_per_descent() > 0.0);
+        assert!(s.chunks_per_leap() > 0.0);
         assert!(
             s.segments_visited < 4 * CHUNK as u64,
             "leaps, not a scan of every chunk: {s:?}"

@@ -1,12 +1,12 @@
 //! Pinned edge cases of the anchor search and the fits memo.
 //!
 //! Each unit test nails one boundary the many-chunk path (chunk leaps
-//! through the tree), the one-chunk scan, and the linear oracle
+//! over the chunk summaries), the one-chunk scan, and the linear oracle
 //! (`support::linear_anchor`) must agree on: zero-width requests, zero-duration rectangles, and anchors exactly at the
 //! past-cutoff boundary `trim_before` leaves behind (the implicit
 //! fully-free region before the first segment). The property test at the
 //! bottom hammers the fits memo specifically *across* mutations: every
-//! `fits` answer — first probe after a mutation (tree-answered), repeat
+//! `fits` answer — first probe after a mutation (memo reset), repeat
 //! probe (memoized), repeat after another mutation — must equal the
 //! linear oracle's verdict.
 
@@ -25,7 +25,7 @@ fn d(s: u64) -> SimSpan {
 }
 
 /// A congested profile of many chunks (so `find_anchor` leaps chunks
-/// through the tree) and a trimmed past, leaving the
+/// by their summaries) and a trimmed past, leaving the
 /// implicit fully-free region before the first real segment.
 fn large_trimmed() -> Profile {
     let mut p = Profile::new(16);
@@ -44,7 +44,7 @@ fn large_trimmed() -> Profile {
     p
 }
 
-/// A small profile (one chunk, no tree) with the same trimmed shape.
+/// A small profile (one chunk, nothing to leap) with the same trimmed shape.
 fn small_trimmed() -> Profile {
     let mut p = Profile::new(16);
     p.reserve(t(1_000), d(500), 12);
@@ -109,10 +109,13 @@ fn window_crossing_the_cutoff_boundary_sees_the_first_segment() {
         // One second longer than the free prefix: the window now overlaps
         // the (partially blocked) first segment.
         let width = free0 + 1; // more than the first segment offers
-        let a_tree = p.find_anchor(e, d(101), width);
+        let a_chunked = p.find_anchor(e, d(101), width);
         let a_lin = linear_anchor(&p, e, d(101), width);
-        assert_eq!(a_tree, a_lin);
-        assert!(a_tree > e, "crossing window must not anchor in the prefix");
+        assert_eq!(a_chunked, a_lin);
+        assert!(
+            a_chunked > e,
+            "crossing window must not anchor in the prefix"
+        );
         assert!(!p.fits(e, d(101), width));
         // At a width the first segment can host, the crossing window
         // anchors at `e` on both paths.
@@ -163,7 +166,7 @@ fn anchor_in_implicit_region_agrees_between_paths() {
 /// Compression-shaped mutation + probe interleavings for the fits memo.
 ///
 /// The generation-token scheme has three observable states per (profile,
-/// left edge): tree-answered first miss, memoized repeat, invalidated by
+/// left edge): first miss (memo reset), memoized repeat, invalidated by
 /// mutation. The script below forces all the transitions a compression
 /// pass produces — probe, mutate, re-probe same edge, probe other edge,
 /// trim, probe again — and checks every single answer against the linear
@@ -210,7 +213,7 @@ proptest! {
         let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
         let check = |p: &Profile, from: SimTime, dur: SimSpan, width: u32| {
             let expect = linear_anchor(p, from, dur, width) == from;
-            // First call may be the tree-answered miss, the second the
+            // First call may be the memo-resetting miss, the second the
             // memoizing rebuild, the third the memo hit: all must agree.
             for round in 0..3 {
                 prop_assert_eq!(

@@ -1,7 +1,7 @@
 //! Differential tests of the chunk-indexed anchor search.
 //!
 //! `Profile::find_anchor` scans inside a chunk of segments and leaps
-//! whole chunks through a min/max tree over the chunk summaries;
+//! whole chunks by walking their min/max summaries;
 //! `support::linear_anchor` is the plain segment-by-segment scan over
 //! `Profile::segments()`. These properties drive both — plus a third,
 //! deliberately naive reference implemented here over the same segments
@@ -201,7 +201,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The same agreement on profiles of many chunks, so chunk leaps
-    /// through the tree and in-chunk scans are both the code under test.
+    /// over the summaries and in-chunk scans are both the code under test.
     /// (The naive reference is quadratic, so these big cases check indexed
     /// against linear, which the cases above tie to the reference.)
     #[test]
@@ -393,7 +393,7 @@ fn chunk_cases(default: u32) -> ProptestConfig {
 }
 
 /// Check `p` against the references after one operation: its invariants
-/// (every chunk summary and the chunk tree against a from-scratch build),
+/// (every chunk summary against a from-scratch refresh),
 /// then anchors, `fits` and `free_at` at instants on, just before and
 /// just after a spread of segment boundaries — wherever the chunk edges
 /// fall — with narrow to full widths and short to horizon-long windows.
@@ -474,7 +474,7 @@ fn comb(cap: u32, k: u64) -> Profile {
 
 #[test]
 fn exactly_one_full_chunk_and_one_more_segment() {
-    // B segments fill one chunk exactly: no split yet, no tree.
+    // B segments fill one chunk exactly: no split yet.
     let mut p = comb(8, B as u64 / 2);
     assert_eq!(p.segments().len(), B);
     assert_eq!(p.stats().tree_rebuilds, 0, "B segments must fit one chunk");

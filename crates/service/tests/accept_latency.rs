@@ -8,8 +8,9 @@ use service::{Client, Server, ServiceConfig};
 fn fresh_connections_are_accepted_without_a_poll_delay() {
     // The accept loop blocks in `accept`, so a client that connects right
     // after the previous one left is served at once. A polled listener
-    // paid up to its poll period per connection: 50 round trips took
-    // ~250 ms on a 2-vCPU VM, against ~3 ms for the blocking accept.
+    // paid up to its poll period per connection: a 5 ms poll made every
+    // round trip about 5 ms on a 2-vCPU VM, against ~0.25 ms for the
+    // blocking accept.
     let handle = Server::start(
         "127.0.0.1:0",
         ServiceConfig {
@@ -20,19 +21,27 @@ fn fresh_connections_are_accepted_without_a_poll_delay() {
     )
     .expect("start daemon");
     let addr = handle.addr();
-    let started = std::time::Instant::now();
-    for _ in 0..50 {
-        let mut client = Client::connect(addr).expect("connect");
-        assert!(client.health().expect("health").ready);
-    }
-    let elapsed = started.elapsed();
+    let mut laps: Vec<std::time::Duration> = (0..50)
+        .map(|_| {
+            let lap = std::time::Instant::now();
+            let mut client = Client::connect(addr).expect("connect");
+            assert!(client.health().expect("health").ready);
+            lap.elapsed()
+        })
+        .collect();
     Client::connect(addr)
         .expect("connect")
         .shutdown()
         .expect("shutdown");
     handle.join();
+    // The median lap, not the total: a noisy host stalls a few laps for
+    // tens of milliseconds, but a poll period is paid by every lap.
+    laps.sort_unstable();
+    let median = laps[laps.len() / 2];
     assert!(
-        elapsed < std::time::Duration::from_millis(100),
-        "50 fresh connect + health round trips took {elapsed:?} (budget 100 ms)"
+        median < std::time::Duration::from_millis(2),
+        "median fresh connect + health round trip took {median:?} (budget 2 ms); \
+         slowest {:?}",
+        laps[laps.len() - 1]
     );
 }
