@@ -7,9 +7,9 @@
 //! claim with a counting `#[global_allocator]`: the reservation-list family
 //! (Conservative, Selective(2), Slack(0.5)) on a deep-queue cell (the
 //! allocation-heaviest configuration — per-arrival reservations plus
-//! compression passes) and the EASY family (EASY, Depth(4), Preempt(5)) on
-//! a paper cell must stay under fixed allocations-per-event and
-//! bytes-per-event budgets under each of the paper's three policies.
+//! compression passes) and the EASY family (EASY, Depth(4), Preempt(5))
+//! and NoBF on a paper cell must stay under fixed allocations-per-event
+//! and bytes-per-event budgets under each of the paper's three policies.
 //!
 //! The budget is enforced in **release** builds only: debug builds run
 //! `debug_assert!(invariants_ok())` after every profile mutation and the
@@ -171,5 +171,20 @@ fn easy_family_stays_under_allocation_budget() {
         for policy in Policy::PAPER {
             assert_within_budget(&trace, kind, policy);
         }
+    }
+}
+
+/// NoBF on the same paper cell: its queues run deep at ρ = 0.9, and it
+/// hands its `starts` buffer back like every other kind, so its events
+/// allocate no more than theirs.
+#[test]
+fn no_backfill_stays_under_allocation_budget() {
+    let trace = Scenario::high_load(TraceSource::Ctc {
+        jobs: 3_000,
+        seed: 7,
+    })
+    .materialize();
+    for policy in Policy::PAPER {
+        assert_within_budget(&trace, SchedulerKind::NoBackfill, policy);
     }
 }

@@ -28,10 +28,12 @@
 //! either list's maintenance — or to the decisions — moves them.
 //!
 //! A fourth pins that the counters do not depend on the build profile:
-//! the reservation-depth schedulers' backfill passes and probes are
-//! literals that debug and release builds must both reproduce, although
-//! debug builds also check each pass's running profile against a
-//! rebuild.
+//! the reservation-depth schedulers' backfill passes, probes, reserves
+//! and releases are literals that debug and release builds must both
+//! reproduce, although debug builds also check each pass's running
+//! profile and held reservations against a rebuild. The reserves and
+//! releases also pin how much reservation work the passes save by
+//! keeping the reservations whose inputs did not change.
 
 use backfill_sim::prelude::*;
 
@@ -149,19 +151,28 @@ fn deep_queue_xfactor_moves_are_pinned() {
     }
 }
 
-/// `(compress_passes, find_anchor_calls)` of the seed-7 500-job cell
-/// under FCFS, per reservation-depth kind.
-const DEPTH_WORK: [(SchedulerKind, (u64, u64)); 3] = [
-    (SchedulerKind::Easy, (944, 2_010)),
-    (SchedulerKind::Depth { depth: 4 }, (944, 8_766)),
-    (SchedulerKind::Preemptive { threshold: 5.0 }, (951, 2_280)),
+/// `(compress_passes, find_anchor_calls, reserves, releases)` of the
+/// seed-7 500-job cell under FCFS, per reservation-depth kind. Passes
+/// keep the reservations whose inputs did not change, so the anchor
+/// searches, reserves and releases are those of the reservations that
+/// moved, plus the starts and the returned tails.
+const DEPTH_WORK: [(SchedulerKind, (u64, u64, u64, u64)); 3] = [
+    (SchedulerKind::Easy, (944, 1_496, 927, 871)),
+    (
+        SchedulerKind::Depth { depth: 4 },
+        (944, 7_181, 2_672, 2_616),
+    ),
+    (
+        SchedulerKind::Preemptive { threshold: 5.0 },
+        (951, 1_766, 1_037, 981),
+    ),
 ];
 
-/// The reservation-depth pass keeps its running profile incrementally;
-/// debug builds also check it against a rebuild, which must count
-/// nothing. EASY, Depth(k) and Preemptive therefore report the same
-/// counters in every build, so a debug daemon's reports equal a release
-/// daemon's.
+/// The reservation-depth pass keeps its running profile and its held
+/// reservations incrementally; debug builds also check both against a
+/// rebuild, which must count nothing. EASY, Depth(k) and Preemptive
+/// therefore report the same counters in every build, so a debug
+/// daemon's reports equal a release daemon's.
 #[test]
 fn reservation_depth_counters_match_in_every_build() {
     let trace = Scenario {
@@ -171,14 +182,18 @@ fn reservation_depth_counters_match_in_every_build() {
         load: Some(1.5),
     }
     .materialize();
-    for (kind, pinned) in DEPTH_WORK {
+    let got = DEPTH_WORK.map(|(kind, _)| {
         let stats = simulate(&trace, kind, Policy::Fcfs)
             .profile_stats
             .expect("reservation-depth schedulers keep a profile");
-        assert_eq!(
-            (stats.compress_passes, stats.find_anchor_calls),
-            pinned,
-            "{kind:?} work changed"
+        let work = (
+            stats.compress_passes,
+            stats.find_anchor_calls,
+            stats.reserves,
+            stats.releases,
         );
-    }
+        eprintln!("work counters {kind:?}/FCFS: (passes, anchors, reserves, releases) = {work:?}");
+        (kind, work)
+    });
+    assert_eq!(got, DEPTH_WORK, "reservation-depth work changed");
 }

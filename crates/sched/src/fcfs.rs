@@ -21,6 +21,9 @@ pub struct FcfsScheduler {
     free: u32,
     queue: SchedQueue,
     running: HashMap<JobId, u32>,
+    /// Recycled `starts` buffer from the previous event's [`Decisions`]
+    /// (handed back by the driver via [`Scheduler::recycle`]).
+    starts_scratch: Vec<JobId>,
 }
 
 impl FcfsScheduler {
@@ -33,12 +36,14 @@ impl FcfsScheduler {
             free: capacity,
             queue: SchedQueue::new(policy),
             running: HashMap::new(),
+            starts_scratch: Vec::new(),
         }
     }
 
     fn reschedule(&mut self, now: SimTime) -> Decisions {
         self.queue.prepare(now);
-        let mut starts = Vec::new();
+        let mut starts = std::mem::take(&mut self.starts_scratch);
+        debug_assert!(starts.is_empty());
         while let Some(head) = self.queue.front() {
             if head.width > self.free {
                 break; // strict: nothing may pass the blocked head
@@ -78,6 +83,12 @@ impl Scheduler for FcfsScheduler {
 
     fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    fn recycle(&mut self, spent: Decisions) {
+        let mut starts = spent.starts;
+        starts.clear();
+        self.starts_scratch = starts;
     }
 }
 

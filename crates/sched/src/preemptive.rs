@@ -45,6 +45,12 @@ pub struct PreemptiveScheduler {
     min_run: SimSpan,
     /// Per-job suspension cap.
     max_preemptions: u32,
+    /// Scratch for [`pick_victims`](Self::pick_victims): the runners that
+    /// may be suspended, and the ones it picks. Reused across events.
+    candidates: Vec<JobMeta>,
+    victims: Vec<JobId>,
+    /// Recycled `preempts` buffer from the previous event's [`Decisions`].
+    preempts_scratch: Vec<JobId>,
 }
 
 impl PreemptiveScheduler {
@@ -63,6 +69,9 @@ impl PreemptiveScheduler {
             threshold,
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
+            candidates: Vec::new(),
+            victims: Vec::new(),
+            preempts_scratch: Vec::new(),
         }
     }
 
@@ -74,53 +83,61 @@ impl PreemptiveScheduler {
     }
 
     /// Pick victims (lowest priority first) freeing enough processors for
-    /// `needed`, honouring the safeguards. Returns `None` if impossible.
-    fn pick_victims(&self, needed: u32, now: SimTime) -> Option<Vec<JobId>> {
-        let suspensions = |id: &JobId| self.suspended_count.get(id).copied().unwrap_or(0);
-        let mut candidates: Vec<&JobMeta> = self
-            .easy
-            .running
-            .values()
-            .filter(|r| {
-                now.since(r.started_at) >= self.min_run
-                    && suspensions(&r.meta.id) < self.max_preemptions
-            })
-            .map(|r| &r.meta)
-            .collect();
+    /// `needed`, honouring the safeguards, into `self.victims`. Returns
+    /// false if that is impossible.
+    fn pick_victims(&mut self, needed: u32, now: SimTime) -> bool {
+        let suspended_count = &self.suspended_count;
+        let suspensions = |id: &JobId| suspended_count.get(id).copied().unwrap_or(0);
+        self.candidates.clear();
+        self.candidates.extend(
+            self.easy
+                .running
+                .values()
+                .filter(|r| {
+                    now.since(r.started_at) >= self.min_run
+                        && suspensions(&r.meta.id) < self.max_preemptions
+                })
+                .map(|r| r.meta),
+        );
         // Lowest priority last in `compare` order; victimize from the back.
+        // `compare` is a total order over distinct jobs, so an unstable
+        // sort (which needs no merge buffer) gives the stable sort's order.
         let policy = self.easy.queue.policy();
-        candidates.sort_by(|a, b| policy.compare(a, b, now));
-        let mut victims = Vec::new();
+        self.candidates
+            .sort_unstable_by(|a, b| policy.compare(a, b, now));
+        self.victims.clear();
         let mut freed = self.easy.free;
-        for job in candidates.iter().rev() {
+        for job in self.candidates.iter().rev() {
             if freed >= needed {
                 break;
             }
-            victims.push(job.id);
+            self.victims.push(job.id);
             freed += job.width;
         }
-        (freed >= needed).then_some(victims)
+        freed >= needed
     }
 
     fn reschedule(&mut self, now: SimTime) -> Decisions {
         let mut starts = self.easy.start_heads(now);
-        let mut preempts = Vec::new();
+        let mut preempts = std::mem::take(&mut self.preempts_scratch);
+        debug_assert!(preempts.is_empty());
 
         // Preemption episode: if the blocked head is starving, displace the
         // least deserving runners and start it right away.
         if let Some(&head) = self.easy.queue.front() {
-            if self.threshold.is_finite() && Policy::xfactor(&head, now) >= self.threshold {
-                if let Some(victims) = self.pick_victims(head.width, now) {
-                    for id in victims {
-                        self.easy.finish(id, now);
-                        *self.suspended_count.entry(id).or_insert(0) += 1;
-                        preempts.push(id);
-                        // The driver answers with on_preempted, where the
-                        // job re-enters the queue with remaining estimate.
-                    }
-                    let head = self.easy.queue.pop_front().expect("front() was Some");
-                    self.easy.start(head, now, &mut starts);
+            if self.threshold.is_finite()
+                && Policy::xfactor(&head, now) >= self.threshold
+                && self.pick_victims(head.width, now)
+            {
+                for &id in &self.victims {
+                    self.easy.finish(id, now);
+                    *self.suspended_count.entry(id).or_insert(0) += 1;
+                    preempts.push(id);
+                    // The driver answers with on_preempted, where the
+                    // job re-enters the queue with remaining estimate.
                 }
+                let head = self.easy.queue.pop_front().expect("front() was Some");
+                self.easy.start(head, now, &mut starts);
             }
         }
 
@@ -197,7 +214,9 @@ impl Scheduler for PreemptiveScheduler {
         self.easy.set_phases(phases);
     }
 
-    fn recycle(&mut self, spent: Decisions) {
+    fn recycle(&mut self, mut spent: Decisions) {
+        spent.preempts.clear();
+        self.preempts_scratch = std::mem::take(&mut spent.preempts);
         self.easy.recycle(spent);
     }
 }
