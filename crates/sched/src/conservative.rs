@@ -144,6 +144,9 @@ pub struct ConservativeScheduler {
     /// buffer of the previous event's [`Decisions`] (handed back by the
     /// driver via [`Scheduler::recycle`]), whose capacity serves the next.
     starts: Vec<JobId>,
+    /// Scratch for [`Self::start_due`]: the queue indices of the due jobs
+    /// it starts. Reused across events.
+    due: Vec<usize>,
     /// Pass counters not kept by the profile itself.
     stats: ProfileStats,
 }
@@ -204,6 +207,7 @@ impl ConservativeScheduler {
             recorder: None,
             phases: None,
             starts: Vec::new(),
+            due: Vec::new(),
             stats: ProfileStats::default(),
         }
     }
@@ -234,17 +238,6 @@ impl ConservativeScheduler {
     /// True once `job` deserves a reservation.
     fn admitted(&self, job: &JobMeta, now: SimTime) -> bool {
         Policy::xfactor(job, now) >= self.threshold()
-    }
-
-    /// The instant `job`'s expansion factor reaches the threshold:
-    /// `xf(t) ≥ τ ⇔ t ≥ arrival + (τ − 1)·estimate`.
-    fn crossing_time(&self, job: &JobMeta) -> SimTime {
-        let threshold = self.threshold();
-        if threshold.is_infinite() {
-            return SimTime::FAR_FUTURE;
-        }
-        let est = job.estimate.as_secs().max(1) as f64;
-        job.arrival + SimSpan::new(((threshold - 1.0) * est).ceil() as u64)
     }
 
     /// Reserve `job` at its earliest anchor — for slack, at the first
@@ -356,19 +349,20 @@ impl ConservativeScheduler {
     /// A single ascending pass suffices: starting a job only *consumes*
     /// processors, so a job skipped earlier in the pass can never become
     /// startable later in the same pass — rescanning from the front would
-    /// find exactly the same starts in the same order.
+    /// find exactly the same starts in the same order. The pass reads the
+    /// contiguous queue, collecting the due jobs that fit, and then
+    /// removes only those.
     fn start_due(&mut self, now: SimTime, retry_same_instant: bool) -> Option<SimTime> {
         let mut deferred = false;
         let mut next_start: Option<SimTime> = None;
         let mut next_future: Option<SimTime> = None;
-        let mut i = 0;
-        while i < self.queue.len() {
-            let res = self.queue[i];
+        let mut free = self.free;
+        let mut due = std::mem::take(&mut self.due);
+        for (k, res) in self.queue.make_contiguous().iter().enumerate() {
             if res.start <= now {
-                if res.meta.width <= self.free {
-                    self.queue.remove(i);
-                    self.start_job(res.meta, now);
-                    // `remove` shifted the next candidate into slot `i`.
+                if res.meta.width <= free {
+                    free -= res.meta.width;
+                    due.push(k);
                     continue;
                 }
                 deferred = true;
@@ -376,8 +370,16 @@ impl ConservativeScheduler {
                 next_future = earliest(next_future, res.start);
             }
             next_start = earliest(next_start, res.start);
-            i += 1;
         }
+        for &k in &due {
+            self.start_job(self.queue[k].meta, now);
+        }
+        // From the back, so each index still names its entry.
+        for &k in due.iter().rev() {
+            self.queue.remove(k);
+        }
+        due.clear();
+        self.due = due;
         self.next_start = next_start;
         if deferred && retry_same_instant {
             Some(now)
@@ -411,32 +413,47 @@ impl ConservativeScheduler {
 
     /// Selective: start every unreserved job that fits now around the
     /// reservations, in priority order, and return the earliest future
-    /// threshold crossing among those left waiting.
+    /// threshold crossing among those left waiting. A read-only scan over
+    /// the contiguous queue rejects a job wider than the free processors,
+    /// or whose window ends past the profile's zero horizon, before any
+    /// `fits` probe; the horizon is recomputed after each start.
     fn backfill(&mut self, now: SimTime) -> Option<SimTime> {
+        let threshold = self.threshold();
         let mut crossing = None;
+        let mut horizon = None;
         let mut i = 0;
-        while i < self.unreserved.len() {
-            let job = self.unreserved[i];
-            if job.width <= self.free && self.profile.fits(now, job.estimate, job.width) {
-                self.profile.reserve(now, job.estimate, job.width);
-                self.unreserved.remove(i);
-                // The hole runs from `now` to the earliest reservation.
-                let hole = self.next_start.unwrap_or(SimTime::FAR_FUTURE).since(now);
-                self.record(
-                    now,
-                    job.id,
-                    TraceKind::Backfill {
-                        filled_hole: hole.as_secs(),
-                    },
-                );
-                self.start_job(job, now);
-            } else {
-                let t = self.crossing_time(&job);
+        'scan: loop {
+            let items = self.unreserved.make_contiguous();
+            let job = loop {
+                let Some(&job) = items.get(i) else {
+                    break 'scan;
+                };
+                if job.width <= self.free
+                    && now + job.estimate
+                        <= *horizon.get_or_insert_with(|| self.profile.zero_horizon(now))
+                    && self.profile.fits(now, job.estimate, job.width)
+                {
+                    break job;
+                }
+                let t = crossing_time(threshold, &job);
                 if t > now && t < SimTime::FAR_FUTURE {
                     crossing = earliest(crossing, t);
                 }
                 i += 1;
-            }
+            };
+            self.profile.reserve(now, job.estimate, job.width);
+            horizon = None;
+            self.unreserved.remove(i);
+            // The hole runs from `now` to the earliest reservation.
+            let hole = self.next_start.unwrap_or(SimTime::FAR_FUTURE).since(now);
+            self.record(
+                now,
+                job.id,
+                TraceKind::Backfill {
+                    filled_hole: hole.as_secs(),
+                },
+            );
+            self.start_job(job, now);
         }
         crossing
     }
@@ -475,12 +492,21 @@ impl ConservativeScheduler {
     /// restoring it is always possible — asserted below.
     ///
     /// The queue is in priority order on entry ([`Self::compress_pass`]).
-    /// In the start-now modes (`Backfill`/`HeadStart`), a job wider than
-    /// `cap` — the free level at `now` — is rejected in O(1): every probe
-    /// window opens at `now`, where the job's own rectangle (starting
-    /// after `now`) is not, so `fits` would fail on the level at `now`
-    /// alone. `cap` only falls during the pass, as moved jobs take their
-    /// rectangles.
+    /// A read-only scan over the contiguous queue settles every job that
+    /// cannot start now, cheapest test first, and stops at the first job
+    /// that needs a mutation. Every probe window opens at `now`, where the
+    /// job's own rectangle (starting after `now`) is not, so:
+    ///
+    /// * a job wider than `cap`, the free level at `now`, fails on that
+    ///   level alone;
+    /// * a window ending past the profile's zero horizon covers a level of
+    ///   0 and fails too (`Profile::zero_horizon`; computed on the first
+    ///   job no wider than `cap`);
+    /// * only a job passing both is probed with `fits`.
+    ///
+    /// Both bounds are refreshed after each move, the only edit that
+    /// changes the profile's silhouette: a `Reanchor` release and
+    /// re-reserve at the same anchor restores it exactly.
     ///
     /// Slack runs this pass on every event and starts jobs in it: a due
     /// job, or one that moves to `now`, starts at once if its processors
@@ -489,108 +515,115 @@ impl ConservativeScheduler {
     fn compress(&mut self, now: SimTime) {
         self.stats.compress_passes += 1;
         let eager = matches!(self.family, Family::Slack { .. });
+        let mode = self.mode;
+        // compress() is only reached when compression is enabled.
+        debug_assert!(mode != Compression::None, "compress called in None mode");
         let mut cap = self.profile.free_at(now);
+        let mut horizon = None;
         let mut i = 0;
-        while i < self.queue.len() {
-            let res = self.queue[i];
-            if res.start <= now {
-                // Already due: collect() starts it, or slack starts it here.
-                if eager && res.meta.width <= self.free {
-                    self.queue.remove(i);
-                    self.start_job(res.meta, now);
-                } else {
+        'pass: loop {
+            let items = self.queue.make_contiguous();
+            // The next job that needs a mutation, and whether it can
+            // start (or, already due, be started) now.
+            let (res, fits) = loop {
+                let Some(&res) = items.get(i) else {
+                    break 'pass;
+                };
+                let width = res.meta.width;
+                if res.start <= now {
+                    // Already due: collect() starts it, or slack starts it here.
+                    if eager && width <= self.free {
+                        break (res, true);
+                    }
                     i += 1;
+                    continue;
                 }
+                // "Can it start at `now`?" without mutating anything.
+                // `Reanchor` asks it of the whole rectangle: fitting at
+                // `now` with the job's own rectangle still in place
+                // proves the post-release anchor is `now` (release only
+                // adds capacity and the anchor can't move before `now`).
+                // The start-now modes ask the narrower question the
+                // release → find_anchor → reserve round-trip answers:
+                //
+                // * rectangle disjoint from the candidate window
+                //   (`res.start >= now + estimate`) — releasing it cannot
+                //   change the answer, so probe the full window as-is;
+                // * rectangle overlapping the window — after the release,
+                //   the overlap `[res.start, now + estimate)` holds the
+                //   job's own `width` back and is feasible by
+                //   construction, so the post-release anchor is `now`
+                //   exactly when `[now, res.start)` already has `width`
+                //   free *with the reservation still in place*.
+                //
+                // Each is decision-for-decision identical to the
+                // round-trip (the differential and compression property
+                // tests check this).
+                let window = if mode != Compression::Reanchor && res.start < now + res.meta.estimate
+                {
+                    res.start.since(now)
+                } else {
+                    res.meta.estimate
+                };
+                // A zero-length window always fits, whatever `cap`.
+                let fits = (!eager || width <= self.free)
+                    && (window.is_zero()
+                        || (width <= cap
+                            && now + window
+                                <= *horizon.get_or_insert_with(|| self.profile.zero_horizon(now))
+                            && self.profile.fits(now, window, width)));
+                match mode {
+                    _ if fits => break (res, true),
+                    Compression::Reanchor => break (res, false),
+                    // Strict priority: nothing may start ahead of a
+                    // blocked higher-priority job.
+                    Compression::HeadStart => break 'pass,
+                    _ => i += 1,
+                }
+            };
+            if res.start <= now {
+                self.queue.remove(i);
+                self.start_job(res.meta, now);
                 continue;
             }
-            match self.mode {
-                Compression::Backfill | Compression::HeadStart => {
-                    // "Can it start at `now`?" without mutating anything.
-                    // The release → find_anchor → reserve round-trip is
-                    // equivalent to a single read-only probe:
-                    //
-                    // * rectangle disjoint from the candidate window
-                    //   (`res.start >= now + estimate`) — releasing it
-                    //   cannot change the answer, so probe the full
-                    //   window as-is;
-                    // * rectangle overlapping the window — after the
-                    //   release, the overlap `[res.start, now + estimate)`
-                    //   holds the job's own `width` back and is feasible
-                    //   by construction, so the post-release anchor is
-                    //   `now` exactly when `[now, res.start)` already has
-                    //   `width` free *with the reservation still in
-                    //   place* (the rectangle starts strictly after `now`
-                    //   and cannot cover that prefix).
-                    //
-                    // Either way a failed probe mutates nothing: no
-                    // release/re-reserve pair, no fits-memo invalidation
-                    // — in a saturated system that is almost every probe
-                    // of the pass. Each branch is decision-for-decision
-                    // identical to the round-trip (the differential and
-                    // compression property tests check this).
-                    let window = if res.start < now + res.meta.estimate {
-                        res.start.since(now)
-                    } else {
-                        res.meta.estimate
-                    };
-                    // A zero-length window always fits, whatever `cap`.
-                    let moved = (!eager || res.meta.width <= self.free)
-                        && (res.meta.width <= cap || window.is_zero())
-                        && self.profile.fits(now, window, res.meta.width);
-                    if moved {
-                        self.move_to_now(i, now);
-                        cap = self.profile.free_at(now);
-                        if eager {
-                            self.queue.remove(i);
-                            self.start_job(res.meta, now);
-                            i = 0;
-                            continue;
-                        }
-                    }
-                    if self.mode == Compression::HeadStart && !moved {
-                        // Strict priority: nothing may start ahead of a
-                        // blocked higher-priority job.
-                        break;
-                    }
+            if fits {
+                self.move_to_now(i, now);
+                cap = self.profile.free_at(now);
+                horizon = None;
+                if eager {
+                    self.queue.remove(i);
+                    self.start_job(res.meta, now);
+                    i = 0;
+                    continue;
                 }
-                Compression::Reanchor => {
-                    // Same shortcut as above: fitting at `now` with the
-                    // job's own rectangle still in place proves the
-                    // post-release anchor is `now` (release only adds
-                    // capacity and the anchor can't move before `now`),
-                    // so the probe is one fits lookup, not a round-trip.
-                    if self.profile.fits(now, res.meta.estimate, res.meta.width) {
-                        self.move_to_now(i, now);
-                    } else {
-                        self.profile
-                            .release(res.start, res.meta.estimate, res.meta.width);
-                        let anchor =
-                            self.profile
-                                .find_anchor(now, res.meta.estimate, res.meta.width);
-                        assert!(
-                            anchor <= res.start,
-                            "compression pushed {} from {} to {}",
-                            res.meta.id,
-                            res.start,
-                            anchor
-                        );
-                        self.profile
-                            .reserve(anchor, res.meta.estimate, res.meta.width);
-                        self.queue[i].start = anchor;
-                        self.next_start = earliest(self.next_start, anchor);
-                        if anchor < res.start {
-                            self.record(
-                                now,
-                                res.meta.id,
-                                TraceKind::Compress {
-                                    moved: res.start.since(anchor).as_secs(),
-                                },
-                            );
-                        }
-                    }
+            } else {
+                self.profile
+                    .release(res.start, res.meta.estimate, res.meta.width);
+                let anchor = self
+                    .profile
+                    .find_anchor(now, res.meta.estimate, res.meta.width);
+                assert!(
+                    anchor <= res.start,
+                    "compression pushed {} from {} to {}",
+                    res.meta.id,
+                    res.start,
+                    anchor
+                );
+                self.profile
+                    .reserve(anchor, res.meta.estimate, res.meta.width);
+                if anchor < res.start {
+                    self.queue[i].start = anchor;
+                    self.next_start = earliest(self.next_start, anchor);
+                    cap = self.profile.free_at(now);
+                    horizon = None;
+                    self.record(
+                        now,
+                        res.meta.id,
+                        TraceKind::Compress {
+                            moved: res.start.since(anchor).as_secs(),
+                        },
+                    );
                 }
-                // compress() is only reached when compression is enabled.
-                Compression::None => unreachable!("compress called in None mode"),
             }
             i += 1;
         }
@@ -599,6 +632,16 @@ impl ConservativeScheduler {
             self.next_start = self.queue.iter().map(|r| r.start).min();
         }
     }
+}
+
+/// The instant `job`'s expansion factor reaches `threshold`:
+/// `xf(t) ≥ τ ⇔ t ≥ arrival + (τ − 1)·estimate`.
+fn crossing_time(threshold: f64, job: &JobMeta) -> SimTime {
+    if threshold.is_infinite() {
+        return SimTime::FAR_FUTURE;
+    }
+    let est = job.estimate.as_secs().max(1) as f64;
+    job.arrival + SimSpan::new(((threshold - 1.0) * est).ceil() as u64)
 }
 
 /// `current` lowered to `start` (the earliest of the two).
@@ -1016,12 +1059,10 @@ mod tests {
 
         #[test]
         fn crossing_time_formula() {
-            let s = ConservativeScheduler::selective(8, Policy::Fcfs, 3.0);
             let j = meta(1, 1000, 200, 1);
             // wait needed = (3-1)*200 = 400 -> crossing at 1400.
-            assert_eq!(s.crossing_time(&j), SimTime::new(1400));
-            let s = ConservativeScheduler::selective(8, Policy::Fcfs, f64::INFINITY);
-            assert_eq!(s.crossing_time(&j), SimTime::FAR_FUTURE);
+            assert_eq!(crossing_time(3.0, &j), SimTime::new(1400));
+            assert_eq!(crossing_time(f64::INFINITY, &j), SimTime::FAR_FUTURE);
         }
 
         #[test]

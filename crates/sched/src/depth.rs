@@ -307,30 +307,41 @@ impl DepthScheduler {
         self.released.clear();
 
         // Backfill the rest in priority order. Accepted backfills start,
-        // so they enter the profile and later candidates see them.
+        // so they enter the profile and later candidates see them. A
+        // read-only scan over the contiguous queue rejects, before any
+        // probe, a candidate wider than the free processors or one whose
+        // window ends past the profile's zero horizon (computed on the
+        // first candidate no wider, again after each start).
         let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
         let mut i = self.held.len();
-        while i < self.queue.len() {
-            let cand = self.queue[i];
-            if cand.width <= self.free && self.cached.fits(now, cand.estimate, cand.width) {
-                self.queue.remove(i);
-                if let Some(rec) = &self.recorder {
-                    // The hole this candidate slotted into runs from `now`
-                    // to the earliest protected anchor.
-                    rec.borrow_mut().record(
-                        now.as_secs(),
-                        cand.id.0 as u64,
-                        TraceKind::Backfill {
-                            filled_hole: hole_end.since(now).as_secs(),
-                        },
-                    );
-                }
-                // It fit around every held rectangle, so they stay.
-                self.cached.reserve(now, cand.estimate, cand.width);
-                self.run(cand, now, starts);
-            } else {
-                i += 1;
+        let mut horizon = None;
+        loop {
+            let fits_now = |cand: &JobMeta| {
+                cand.width <= self.free
+                    && now + cand.estimate
+                        <= *horizon.get_or_insert_with(|| self.cached.zero_horizon(now))
+                    && self.cached.fits(now, cand.estimate, cand.width)
+            };
+            let Some(k) = self.queue.make_contiguous()[i..].iter().position(fits_now) else {
+                break;
+            };
+            i += k;
+            let cand = self.queue.remove(i);
+            if let Some(rec) = &self.recorder {
+                // The hole this candidate slotted into runs from `now`
+                // to the earliest protected anchor.
+                rec.borrow_mut().record(
+                    now.as_secs(),
+                    cand.id.0 as u64,
+                    TraceKind::Backfill {
+                        filled_hole: hole_end.since(now).as_secs(),
+                    },
+                );
             }
+            // It fit around every held rectangle, so they stay.
+            self.cached.reserve(now, cand.estimate, cand.width);
+            horizon = None;
+            self.run(cand, now, starts);
         }
         obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
     }

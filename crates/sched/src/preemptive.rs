@@ -34,10 +34,12 @@ pub struct PreemptiveScheduler {
     /// backfill pass. Its queued `estimate`s are *remaining* estimates for
     /// previously preempted jobs.
     easy: DepthScheduler,
-    /// Times a job has been suspended so far (sticky across resumes).
+    /// Times a job has been suspended so far (sticky across resumes;
+    /// dropped when it completes).
     suspended_count: HashMap<JobId, u32>,
-    /// Every job's original meta, as first submitted — needed to rebuild
-    /// the remaining estimate when a preempted job re-enters the queue.
+    /// Each queued or running job's original meta, as first submitted —
+    /// needed to rebuild the remaining estimate when a preempted job
+    /// re-enters the queue. Dropped when the job completes.
     original: HashMap<JobId, JobMeta>,
     /// Expansion-factor threshold that triggers preemption.
     threshold: f64,
@@ -179,6 +181,10 @@ impl Scheduler for PreemptiveScheduler {
 
     fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
         self.easy.finish(id, now);
+        // A completed job is never suspended or re-queued again: both maps
+        // hold only the jobs still queued or running.
+        self.original.remove(&id);
+        self.suspended_count.remove(&id);
         self.reschedule(now)
     }
 
@@ -291,6 +297,21 @@ mod tests {
         s.on_arrival(meta(2, 152, 100, 8), SimTime::new(152));
         let d = s.on_wake(SimTime::new(252));
         assert!(d.preempts.is_empty(), "second suspension must be refused");
+    }
+
+    #[test]
+    fn completed_jobs_leave_the_bookkeeping() {
+        let mut s = sched(1.5).with_safeguards(SimSpan::ZERO, 2);
+        s.on_arrival(meta(0, 0, 10_000, 8), SimTime::ZERO);
+        s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+        let d = s.on_wake(SimTime::new(51));
+        assert_eq!(d.preempts, vec![JobId(0)]);
+        s.on_preempted(JobId(0), SimSpan::new(51), SimTime::new(51));
+        assert_eq!((s.original.len(), s.suspended_count.len()), (2, 1));
+        s.on_completion(JobId(1), SimTime::new(151)); // the hog resumes
+        assert_eq!((s.original.len(), s.suspended_count.len()), (1, 1));
+        s.on_completion(JobId(0), SimTime::new(10_000));
+        assert!(s.original.is_empty() && s.suspended_count.is_empty());
     }
 
     #[test]

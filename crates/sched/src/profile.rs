@@ -48,7 +48,10 @@
 //! minimum from `from`, a staircase of a few drops that is read lazily,
 //! segment by segment, only as far as the queries against it reach (see
 //! `FitsCache`). A mutation or a new left edge resets the memo with one
-//! `locate`; nothing is rebuilt eagerly.
+//! `locate`; nothing is rebuilt eagerly. `zero_horizon` runs the blocker
+//! search at width 1 to find the first instant with no free processor:
+//! no window of positive length that ends past it can `fit`, which lets
+//! the schedulers' start-now scans reject most jobs without a probe.
 //!
 //! A mutation edits at most a few chunks in place: a boundary insert or
 //! a coalescing removal shifts the segments of one chunk (≤ one chunk's
@@ -83,7 +86,6 @@
 use serde::{Deserialize, Serialize};
 use simcore::{SimSpan, SimTime};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One step of the free-capacity silhouette: `free` processors are
 /// available from `start` until the next segment's start.
@@ -97,17 +99,6 @@ pub struct Segment {
 
 /// Segments per chunk (see [`Profile::CHUNK_SEGMENTS`]).
 const CHUNK: usize = 32;
-
-/// Process-wide generation counter for silhouette tokens. Every profile
-/// mutation — on any profile, including clones — draws a fresh value, so
-/// two distinct silhouettes can never share a generation and a stale
-/// `FitsCache` can never be accepted (the old scheme's per-profile
-/// `version: u64` could collide across clones in principle).
-static GENERATION: AtomicU64 = AtomicU64::new(1);
-
-fn next_generation() -> u64 {
-    GENERATION.fetch_add(1, Ordering::Relaxed)
-}
 
 /// A run of up to [`CHUNK`] consecutive segments, stored by value, plus
 /// the minimum and maximum free level over them.
@@ -230,27 +221,24 @@ struct Work {
 /// query ending at or before the horizon is a lookup among the drops; a
 /// query no wider than `min` there is `true` in O(1). A query ending past
 /// the horizon reads on, and stops at its end or at the first level below
-/// its width. A reset (new generation or left edge) costs one `locate`.
+/// its width. A reset (after a mutation, or at a new left edge) costs one
+/// `locate`.
 ///
-/// Validity is keyed on the profile's process-globally-unique generation
-/// token, which also guards the read position: `next` indexes the
-/// chunks, so it is only meaningful against the silhouette it was read
-/// from. A memo carried along by [`Profile::clone`] can never be mistaken
-/// for current after either copy mutates; debug builds additionally pin a
-/// silhouette checksum and assert it on every hit.
+/// The memo lives inside its profile, and every mutation clears it
+/// ([`Profile::after_mutation`]): an empty memo holds no drops, and every
+/// reset records at least one. That also guards the read position: `next`
+/// indexes the chunks, so it is only meaningful against the silhouette it
+/// was read from. A memo carried along by [`Profile::clone`] describes the
+/// clone's identical silhouette, and either copy's mutation clears only
+/// its own.
 #[derive(Debug, Clone, Default)]
 struct FitsCache {
-    /// Generation the staircase was read against.
-    generation: u64,
     /// Query left edge the staircase is anchored at.
     from: SimTime,
-    /// Silhouette checksum at reset (debug builds only; 0 in release),
-    /// asserted on every hit: a stale memo must be impossible, not just
-    /// unlikely.
-    checksum: u64,
     /// The drops, in time order with strictly falling levels. The first
     /// is the level at `from` (its `start` is `from` itself); each later
-    /// one is the segment that set a new minimum.
+    /// one is the segment that set a new minimum. Empty when the memo is
+    /// clear.
     drops: Vec<Segment>,
     /// First unread segment.
     next: Pos,
@@ -264,13 +252,7 @@ impl FitsCache {
     /// Re-anchor the staircase at `from` against `profile`'s current
     /// silhouette, with nothing past the host segment read yet.
     fn reset(&mut self, profile: &Profile, from: SimTime) {
-        self.generation = profile.generation;
         self.from = from;
-        self.checksum = if cfg!(debug_assertions) {
-            profile.silhouette_checksum()
-        } else {
-            0
-        };
         // The window opens in the segment hosting `from`, or in the
         // implicit fully-free prefix before the first boundary.
         let (level, next) = match profile.locate(from) {
@@ -349,20 +331,25 @@ impl FitsCache {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct ProfileStats {
-    /// Calls to [`Profile::find_anchor`] (including via `fits`).
+    /// Calls to [`Profile::find_anchor`] and [`Profile::fits`]. The
+    /// schedulers' start-now scans ask `fits` only of candidates their
+    /// O(1) tests leave open (no wider than the free level, a window
+    /// ending by [`Profile::zero_horizon`]), so this counts the probes
+    /// made after those rejections.
     pub find_anchor_calls: u64,
     /// Segments examined one by one: by the in-chunk scans of
-    /// `find_anchor`, and by the `fits` memo as it reads past its horizon.
+    /// `find_anchor` and `zero_horizon`, and by the `fits` memo as it reads
+    /// past its horizon.
     /// (Before the memo read lazily it rebuilt its whole prefix table,
     /// every segment from the left edge to the end of the profile, on each
     /// reset without counting any of them; the two figures are not
     /// comparable across that change.)
     pub segments_visited: u64,
-    /// Chunk leaps: anchor-search steps past the current chunk whose very
-    /// next chunk holds no feasible segment (or no blocking one), so the
-    /// search walked the chunk summaries beyond it. (The `tree_*` names
-    /// stay from the min/max tree that once indexed the summaries:
-    /// reports and the benchmark read them.)
+    /// Chunk leaps: anchor-search (and `zero_horizon`) steps past the
+    /// current chunk whose very next chunk holds no feasible segment (or
+    /// no blocking one), so the search walked the chunk summaries beyond
+    /// it. (The `tree_*` names stay from the min/max tree that once
+    /// indexed the summaries: reports and the benchmark read them.)
     pub tree_descents: u64,
     /// Chunk summaries read by those leaps, the chunk they stop at
     /// included; divided by `tree_descents` this is the realized leap
@@ -498,9 +485,7 @@ pub struct Profile {
     chunks: Vec<Chunk>,
     /// Total live segments over all chunks.
     len: usize,
-    /// Process-globally-unique silhouette token, refreshed from
-    /// [`GENERATION`] on every mutation; validates `fits_cache`.
-    generation: u64,
+    /// The `fits` memo, cleared by every mutation.
     fits_cache: RefCell<FitsCache>,
     stats: Counters,
 }
@@ -539,7 +524,6 @@ impl Profile {
             capacity,
             chunks: vec![chunk],
             len: 1,
-            generation: next_generation(),
             fits_cache: RefCell::new(FitsCache::default()),
             stats: Counters::default(),
         };
@@ -717,24 +701,6 @@ impl Profile {
         }
     }
 
-    /// FNV-1a over the silhouette (capacity + every boundary/level pair).
-    /// Debug builds pin this into the `FitsCache` and assert it on every
-    /// hit, so an incorrectly accepted stale cache fails loudly instead of
-    /// silently corrupting decisions.
-    fn silhouette_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h ^= x;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(self.capacity as u64);
-        for s in self.segs_from(ORIGIN) {
-            mix(s.start.as_secs());
-            mix(s.free as u64);
-        }
-        h
-    }
-
     /// Free processors at instant `t`.
     pub fn free_at(&self, t: SimTime) -> u32 {
         // Before all segments the profile began fully free.
@@ -746,7 +712,7 @@ impl Profile {
     /// capacity over `[start, start + duration)` is at least `width`.
     ///
     /// Every answer comes from the `FitsCache` staircase for `start`,
-    /// reset when the profile has mutated or the left edge moved. A reset
+    /// reset when a mutation cleared it or the left edge moved. A reset
     /// reads nothing past the segment hosting `start`; each query reads
     /// on only as far as its own window needs, so a compression pass that
     /// mutates between probes pays for the few segments each probe reads,
@@ -758,12 +724,7 @@ impl Profile {
         }
         bump(&self.stats.find_anchor_calls, 1);
         let mut cache = self.fits_cache.borrow_mut();
-        if cache.generation == self.generation && cache.from == start {
-            debug_assert_eq!(
-                cache.checksum,
-                self.silhouette_checksum(),
-                "stale fits cache accepted: generation token collision"
-            );
+        if !cache.drops.is_empty() && cache.from == start {
             bump(&self.stats.fits_cache_hits, 1);
         } else {
             bump(&self.stats.fits_cache_misses, 1);
@@ -773,6 +734,32 @@ impl Profile {
         let ok = cache.admits(self, start + duration, width, &mut visited);
         bump(&self.stats.segments_visited, visited);
         ok
+    }
+
+    /// The first instant at or after `from` with no free processor — where
+    /// the `fits` staircase at `from` drops to 0 — or `SimTime::new(u64::MAX)`
+    /// if the free level never reaches 0 there.
+    ///
+    /// Every window `[from, from + d)` with `d > 0` that ends past it
+    /// covers a zero level, so `fits(from, d, width)` is false for every
+    /// `width >= 1`: a scan that asks "can it start now?" of many jobs
+    /// against one profile rejects each such window in O(1) without a
+    /// probe. Found with the blocker search's chunk leaps (`next_below` at
+    /// width 1); its reads are charged to `segments_visited`,
+    /// `tree_descents` and `tree_nodes_visited` like a probe's.
+    pub fn zero_horizon(&self, from: SimTime) -> SimTime {
+        let mut w = Work::default();
+        let next = match self.locate(from) {
+            // The implicit fully-free prefix before the first boundary.
+            None => ORIGIN,
+            Some(host) if self.at(host).free == 0 => return from,
+            Some(host) => self.succ(host),
+        };
+        let horizon = self
+            .next_below(next, 1, READ_ALL, &mut w)
+            .map_or(READ_ALL, |p| self.at(p).start);
+        self.charge(&w);
+        horizon
     }
 
     fn assert_possible(&self, width: u32) {
@@ -949,11 +936,11 @@ impl Profile {
         }
     }
 
-    /// Post-mutation bookkeeping: fresh generation token (invalidating
-    /// the fits memo), the layout counters and the peak gauge. The chunk
-    /// summaries are already current: each edit refreshed its own.
+    /// Post-mutation bookkeeping: clear the fits memo, count the layout
+    /// change and update the peak gauge. The chunk summaries are already
+    /// current: each edit refreshed its own.
     fn after_mutation(&mut self, touched: Touched) {
-        self.generation = next_generation();
+        self.fits_cache.get_mut().drops.clear();
         if touched.structural {
             bump(&self.stats.tree_rebuilds, 1);
         } else if touched.summary {
@@ -1356,9 +1343,9 @@ mod tests {
 
     #[test]
     fn cloned_profiles_never_share_stale_fits_answers() {
-        // The memo travels with `clone`; a mutation of either copy draws a
-        // process-globally fresh generation, so neither can ever accept
-        // the other's (or its own pre-mutation) cached minima.
+        // The memo travels with `clone`; a mutation of either copy clears
+        // that copy's memo, so neither can ever accept the other's (or its
+        // own pre-mutation) cached minima.
         let mut p = Profile::new(8);
         p.reserve(t(0), d(100), 4);
         assert!(p.fits(t(0), d(50), 4)); // warm the memo (4 free on [0,100))

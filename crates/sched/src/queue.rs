@@ -165,6 +165,13 @@ impl<T: Queued> SchedQueue<T> {
         self.items.iter()
     }
 
+    /// The queue in its current order as one contiguous slice, for scans
+    /// that read many entries between two edits. Rotates the ring buffer
+    /// when it wraps; the order is unchanged.
+    pub(crate) fn make_contiguous(&mut self) -> &[T] {
+        self.items.make_contiguous()
+    }
+
     /// Operation counters since creation.
     pub fn counters(&self) -> QueueCounters {
         self.counters

@@ -5,6 +5,57 @@ use proptest::prelude::*;
 use sched::Profile;
 use simcore::{SimSpan, SimTime};
 
+/// One step of a random history: reserve at an anchor, release the tail
+/// of a live reservation, or trim the past away.
+fn history_op() -> impl Strategy<Value = (u8, u64, u64, u32)> {
+    (0u8..6, 0u64..6_000, 1u64..400, 1u32..=8)
+}
+
+/// Apply `ops` to a fresh profile of `cap` processors. Releases give back
+/// tails of still-live reservations; trims never pass a live
+/// reservation's start, whose tail may still be released.
+fn build_history(cap: u32, ops: &[(u8, u64, u64, u32)]) -> Profile {
+    let mut p = Profile::new(cap);
+    let mut live: Vec<(SimTime, SimSpan, u32)> = Vec::new();
+    for &(kind, a, b, w) in ops {
+        let width = w.min(cap);
+        match kind {
+            0..=2 => {
+                let dur = SimSpan::new(b);
+                let anchor = p.find_anchor(SimTime::new(a), dur, width);
+                p.reserve(anchor, dur, width);
+                live.push((anchor, dur, width));
+            }
+            3 | 4 if !live.is_empty() => {
+                let (start, dur, w) = live.remove(a as usize % live.len());
+                let keep = SimSpan::new(b % dur.as_secs());
+                p.release(start + keep, dur - keep, w);
+                if !keep.is_zero() {
+                    live.push((start, keep, w));
+                }
+            }
+            _ => {
+                let first_live = live.iter().map(|&(start, _, _)| start).min();
+                let cut = SimTime::new(a % 3_000);
+                p.trim_before(first_live.map_or(cut, |t| t.min(cut)));
+            }
+        }
+    }
+    p
+}
+
+/// The first instant at or after `t` with no free processor, by a plain
+/// walk of the segments (`u64::MAX` if there is none).
+fn naive_zero_horizon(p: &Profile, t: SimTime) -> SimTime {
+    if p.free_at(t) == 0 {
+        return t;
+    }
+    p.segments()
+        .into_iter()
+        .find(|s| s.start > t && s.free == 0)
+        .map_or(SimTime::new(u64::MAX), |s| s.start)
+}
+
 /// A random rectangle that always fits an empty machine of `cap`.
 fn rect(cap: u32) -> impl Strategy<Value = (u64, u64, u32)> {
     (0u64..5_000, 1u64..2_000, 1u32..=cap.max(1))
@@ -147,5 +198,48 @@ proptest! {
         b.reserve(SimTime::new(s2), SimSpan::new(d2), w2);
         b.reserve(SimTime::new(s1), SimSpan::new(d1), w1);
         prop_assert_eq!(a, b);
+    }
+
+    /// `zero_horizon` equals a plain walk of the segments, and the lemma
+    /// the start-now scans rest on holds: a window of positive length
+    /// that ends past the horizon never fits, at any width. Histories on
+    /// narrow machines reach level 0 often, horizons fall at the query
+    /// instant itself (every segment start is queried), and the machine
+    /// with no history never reaches 0. Long histories span several
+    /// chunks, so the horizon search leaps chunk summaries.
+    #[test]
+    fn zero_horizon_matches_a_segment_walk_and_bounds_fits(
+        cap in 1u32..=8,
+        ops in proptest::collection::vec(history_op(), 0..160),
+        queries in proptest::collection::vec((0u64..8_000, 1u64..1_500, 1u32..=8), 1..24),
+    ) {
+        let p = build_history(cap, &ops);
+        let instants: Vec<SimTime> = queries
+            .iter()
+            .map(|&(t, _, _)| SimTime::new(t))
+            .chain(p.segments().iter().map(|s| s.start))
+            .collect();
+        for (k, &now) in instants.iter().enumerate() {
+            let horizon = p.zero_horizon(now);
+            prop_assert_eq!(horizon, naive_zero_horizon(&p, now), "at {}", now);
+            prop_assert!(horizon >= now);
+            let (_, d, w) = queries[k % queries.len()];
+            let width = w.min(cap);
+            // Durations that end just past the horizon, and the query's own.
+            let past = horizon.since(now).as_secs().saturating_add(1);
+            for dur in [d, past, past.saturating_add(d)] {
+                let dur = SimSpan::new(dur);
+                if now + dur > horizon {
+                    prop_assert!(
+                        !p.fits(now, dur, width),
+                        "fits({}, {:?}, {}) past the horizon {}",
+                        now,
+                        dur,
+                        width,
+                        horizon
+                    );
+                }
+            }
+        }
     }
 }
