@@ -45,12 +45,6 @@ impl Estimate {
             replicates: n,
         }
     }
-
-    /// True when the two estimates' CIs do not overlap — a conservative
-    /// "significantly different" check.
-    pub fn clearly_below(&self, other: &Estimate) -> bool {
-        self.mean + self.ci95 < other.mean - other.ci95
-    }
 }
 
 impl std::fmt::Display for Estimate {
@@ -180,28 +174,6 @@ mod tests {
     fn display_includes_ci_for_replicates() {
         let e = Estimate::from_samples(&[1.0, 2.0]);
         assert!(e.to_string().contains('±'));
-    }
-
-    #[test]
-    fn clearly_below_requires_separation() {
-        let low = Estimate {
-            mean: 5.0,
-            ci95: 1.0,
-            replicates: 3,
-        };
-        let high = Estimate {
-            mean: 10.0,
-            ci95: 2.0,
-            replicates: 3,
-        };
-        assert!(low.clearly_below(&high));
-        assert!(!high.clearly_below(&low));
-        let wide = Estimate {
-            mean: 7.0,
-            ci95: 3.0,
-            replicates: 3,
-        };
-        assert!(!low.clearly_below(&wide), "overlapping CIs are not 'clear'");
     }
 
     #[test]

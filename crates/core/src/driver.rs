@@ -1,11 +1,14 @@
 //! The simulation driver: feeds a trace through a scheduler on a machine.
 //!
-//! The driver is the only component that knows jobs' **actual** runtimes.
-//! It primes the event engine with every arrival, relays events to the
-//! scheduler, physically allocates/releases processors on the [`Machine`]
-//! for every start the scheduler orders (so over-subscription is caught at
-//! the moment it happens, not post-hoc), and schedules each started job's
-//! completion at `start + runtime`.
+//! The driver is the only component that knows jobs' **actual** runtimes,
+//! and it is the simulation's one event loop and one processor ledger. It
+//! pops a [`simcore::EventQueue`] until it drains, relays each event to the
+//! scheduler, and applies the starts and preemptions the scheduler orders:
+//! each start adds the job's width to the processors in use (a start that
+//! does not fit panics on the spot, as does a second start of a running
+//! job), each completion or suspension takes it back off, and each start
+//! schedules the job's completion at `start + runtime`. A run ends with
+//! every job completed, the queue empty and no processor in use.
 //!
 //! Simultaneous events process in a fixed class order — completions, then
 //! arrivals, then scheduler wake-ups — so that a job ending at instant *t*
@@ -19,7 +22,7 @@ use sched::conservative::Compression;
 use sched::{ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler};
 use sched::{Decisions, JobMeta, Policy, ProfileStats, Scheduler};
 use serde::{Deserialize, Serialize};
-use simcore::{Actor, Ctx, Engine, EventClass, JobId, Machine, SimSpan, SimTime};
+use simcore::{EventClass, EventQueue, JobId, SimSpan, SimTime};
 use workload::{Category, CategoryCriteria, Trace};
 
 /// Which scheduling strategy to simulate.
@@ -239,10 +242,26 @@ enum Ev {
     Wake,
 }
 
+impl Ev {
+    /// The top-level phase that handling this event is timed under.
+    fn phase(self) -> obs::Phase {
+        match self {
+            Ev::Arrive(_) => obs::Phase::Arrival,
+            Ev::Complete(..) => obs::Phase::Completion,
+            Ev::Wake => obs::Phase::Wake,
+        }
+    }
+}
+
 struct Driver<'a> {
     trace: &'a Trace,
     scheduler: Box<dyn Scheduler>,
-    machine: Machine,
+    /// Pending events: the next arrival plus in-flight completions and
+    /// wake-ups.
+    queue: EventQueue<Ev>,
+    /// Processors held by running jobs: the sum of the widths of the jobs
+    /// whose `running_since` is set.
+    in_use: u32,
     /// First start per job.
     starts: Vec<Option<SimTime>>,
     /// Final completion per job.
@@ -263,14 +282,6 @@ struct Driver<'a> {
     events: u64,
     /// Opt-in decision-trace recorder (shared with the scheduler).
     recorder: Option<SharedRecorder>,
-    /// Opt-in per-phase timing accumulator (shared with the scheduler).
-    phases: Option<obs::SharedPhases>,
-    /// When profiling: the phase class of the event being handled,
-    /// shared with the engine-loop timing hook in `simulate_observed`.
-    /// The handler writes the tag (an enum store, no clock read); the
-    /// hook reads the clock once per loop boundary and attributes the
-    /// handler interval to whatever the tag says.
-    phase_tag: Option<std::rc::Rc<std::cell::Cell<obs::Phase>>>,
     /// Criteria used to tag trace events with the paper category. Only
     /// the driver may categorize: assignment uses the actual runtime,
     /// which schedulers never see.
@@ -285,11 +296,46 @@ struct Driver<'a> {
     /// Index of the next trace arrival to seed. Arrivals enter the event
     /// queue one at a time — each delivered arrival schedules the next —
     /// so the pending set stays shallow instead of holding the whole
-    /// trace up front (see the seeding comment in `simulate_observed`).
+    /// trace up front (see the seeding comment in `simulate_with`).
     next_arrival: u32,
 }
 
 impl Driver<'_> {
+    /// Pop and handle events until none remain. With a phase accumulator,
+    /// each event costs two chained fast-clock reads: one after the pop
+    /// (closing the pop interval) and one after the handler (closing the
+    /// handler interval, attributed to the popped event's phase, and
+    /// opening the next pop's). The four top-level phases (pop, arrival,
+    /// completion, wake) thereby tile the loop's wall time; the
+    /// schedulers' nested phases are attribution inside them, never
+    /// additional to them. The untimed loop carries no timing branch, and
+    /// both loops hand the handler the same events in the same order.
+    fn run(&mut self, phases: Option<&obs::SharedPhases>) {
+        let Some(phases) = phases else {
+            while let Some((now, event)) = self.queue.pop() {
+                self.handle(event, now);
+            }
+            return;
+        };
+        let mut last = obs::span::clock_ticks();
+        let mut mark = |phase| {
+            let now = obs::span::clock_ticks();
+            phases
+                .borrow_mut()
+                .record(phase, obs::span::ticks_to_ns(now.saturating_sub(last)));
+            last = now;
+        };
+        loop {
+            let popped = self.queue.pop();
+            mark(obs::Phase::EventPop);
+            let Some((now, event)) = popped else {
+                return;
+            };
+            self.handle(event, now);
+            mark(event.phase());
+        }
+    }
+
     /// Record one decision-trace event, if a recorder is attached.
     fn trace_event(&self, now: SimTime, id: JobId, kind: TraceKind) {
         if let Some(rec) = &self.recorder {
@@ -297,8 +343,7 @@ impl Driver<'_> {
         }
     }
 
-    fn apply(&mut self, decisions: Decisions, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
+    fn apply(&mut self, decisions: Decisions, now: SimTime) {
         for &id in &decisions.preempts {
             let i = id.0 as usize;
             let seg_start = self.running_since[i]
@@ -314,9 +359,7 @@ impl Driver<'_> {
             debug_assert!(ran_now <= self.remaining[i], "{id} ran past its runtime");
             self.remaining[i] = self.remaining[i] - ran_now;
             self.epoch[i] += 1; // invalidates the pending completion event
-            self.machine
-                .release(id, now)
-                .expect("preempt of unallocated job");
+            self.in_use -= job.width;
             self.segments.push(simcore::PlacedJob {
                 id: id.0,
                 arrival: job.arrival,
@@ -336,15 +379,21 @@ impl Driver<'_> {
                 "{id} started while already running or done ({})",
                 self.scheduler.name()
             );
-            self.machine
-                .allocate(id, job.width, now)
-                .unwrap_or_else(|e| panic!("{} oversubscribed: {e}", self.scheduler.name()));
+            let free = self.trace.nodes() - self.in_use;
+            if job.width > free {
+                panic!(
+                    "{} oversubscribed: {id} requested {} processors but only {free} are free",
+                    self.scheduler.name(),
+                    job.width
+                );
+            }
+            self.in_use += job.width;
             if self.starts[i].is_none() {
                 self.starts[i] = Some(now);
             }
             self.running_since[i] = Some(now);
             self.trace_event(now, id, TraceKind::Start);
-            ctx.schedule_classed(
+            self.queue.push_classed(
                 now + self.remaining[i],
                 CLASS_COMPLETION,
                 Ev::Complete(id, self.epoch[i]),
@@ -355,32 +404,16 @@ impl Driver<'_> {
             let at = at.max(now);
             if self.pending_wakes.range(..=at).next().is_none() {
                 self.pending_wakes.insert(at);
-                ctx.schedule_classed(at, CLASS_WAKE, Ev::Wake);
+                self.queue.push_classed(at, CLASS_WAKE, Ev::Wake);
             }
         }
         // Hand the spent buffers back so the scheduler can reuse their
         // capacity on the next event.
         self.scheduler.recycle(decisions);
     }
-}
 
-impl Actor<Ev> for Driver<'_> {
-    fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
+    fn handle(&mut self, event: Ev, now: SimTime) {
         self.events += 1;
-        // Per-phase self-profiling: tag the handler with the event's
-        // class; the engine-loop hook times the whole handler interval
-        // and attributes it to the tag. The four top-level phases (pop +
-        // these three) tile the event loop's wall time; the schedulers'
-        // nested phases are attribution inside these, never additional
-        // to them.
-        if let Some(tag) = &self.phase_tag {
-            tag.set(match event {
-                Ev::Arrive(_) => obs::Phase::Arrival,
-                Ev::Complete(..) => obs::Phase::Completion,
-                Ev::Wake => obs::Phase::Wake,
-            });
-        }
         let decisions = match event {
             Ev::Arrive(idx) => {
                 // Seed the successor before anything else this instant
@@ -389,7 +422,7 @@ impl Actor<Ev> for Driver<'_> {
                 let next = self.next_arrival as usize;
                 if next < self.trace.jobs().len() {
                     self.next_arrival += 1;
-                    ctx.schedule_classed(
+                    self.queue.push_classed(
                         self.trace.jobs()[next].arrival,
                         CLASS_ARRIVAL,
                         Ev::Arrive(next as u32),
@@ -430,9 +463,7 @@ impl Actor<Ev> for Driver<'_> {
                     .take()
                     .expect("completion of idle job");
                 let job = self.trace.job(id);
-                self.machine
-                    .release(id, now)
-                    .expect("completion without allocation");
+                self.in_use -= job.width;
                 self.segments.push(simcore::PlacedJob {
                     id: id.0,
                     arrival: job.arrival,
@@ -457,7 +488,7 @@ impl Actor<Ev> for Driver<'_> {
                 self.scheduler.on_wake(now)
             }
         };
-        self.apply(decisions, ctx);
+        self.apply(decisions, now);
     }
 }
 
@@ -483,7 +514,16 @@ pub fn simulate_observed(
     policy: Policy,
     options: SimOptions,
 ) -> (Schedule, ()) {
-    let mut scheduler = kind.build(trace.nodes(), policy);
+    let scheduler = kind.build(trace.nodes(), policy);
+    (simulate_with(trace, scheduler, options), ())
+}
+
+/// Run `trace` through `scheduler` and check that it drained.
+fn simulate_with(
+    trace: &Trace,
+    mut scheduler: Box<dyn Scheduler>,
+    options: SimOptions,
+) -> Schedule {
     if let Some(rec) = &options.recorder {
         scheduler.set_recorder(rec.clone());
     }
@@ -494,7 +534,8 @@ pub fn simulate_observed(
     let mut driver = Driver {
         trace,
         scheduler,
-        machine: Machine::new(trace.nodes()),
+        queue: EventQueue::new(),
+        in_use: 0,
         starts: vec![None; trace.len()],
         ends: vec![None; trace.len()],
         remaining: trace.jobs().iter().map(|j| j.runtime).collect(),
@@ -504,13 +545,10 @@ pub fn simulate_observed(
         completions: 0,
         events: 0,
         recorder: options.recorder,
-        phases: options.phases,
-        phase_tag: None,
         criteria: CategoryCriteria::default(),
         pending_wakes: std::collections::BTreeSet::new(),
         next_arrival: 1,
     };
-    let mut engine = Engine::new();
     // Arrivals are seeded lazily: prime only the first, and each arrival
     // schedules its successor (the trace is sorted by arrival, so the
     // successor is never in the past). The pending-event set then holds
@@ -520,30 +558,11 @@ pub fn simulate_observed(
     // insertion order, and cross-class ties at an instant are decided by
     // `EventClass`, not insertion sequence.
     if let Some(first) = trace.jobs().first() {
-        engine.prime_classed(first.arrival, CLASS_ARRIVAL, Ev::Arrive(first.id.0));
+        driver
+            .queue
+            .push_classed(first.arrival, CLASS_ARRIVAL, Ev::Arrive(first.id.0));
     }
-    match driver.phases.clone() {
-        Some(phases) => {
-            // Chained boundary timing: one fast-clock read per engine
-            // hook (two per event), with the handler-end reading doubling
-            // as the next pop's start. The driver tags each handler with
-            // its phase class; the hook attributes the interval.
-            let tag = std::rc::Rc::new(std::cell::Cell::new(obs::Phase::EventPop));
-            driver.phase_tag = Some(tag.clone());
-            let mut last = obs::span::clock_ticks();
-            engine.run_hooked(&mut driver, &mut |hook| {
-                let now = obs::span::clock_ticks();
-                let ns = obs::span::ticks_to_ns(now.saturating_sub(last));
-                last = now;
-                let phase = match hook {
-                    simcore::Hook::Popped => obs::Phase::EventPop,
-                    simcore::Hook::Handled => tag.get(),
-                };
-                phases.borrow_mut().record(phase, ns);
-            });
-        }
-        None => engine.run(&mut driver),
-    }
+    driver.run(options.phases.as_ref());
 
     assert_eq!(
         driver.completions,
@@ -552,7 +571,7 @@ pub fn simulate_observed(
         trace.len() as u32 - driver.completions,
         trace.len()
     );
-    assert_eq!(driver.machine.in_use(), 0, "{name}: machine not drained");
+    assert_eq!(driver.in_use, 0, "{name}: machine not drained");
     assert_eq!(
         driver.scheduler.queue_len(),
         0,
@@ -570,15 +589,14 @@ pub fn simulate_observed(
             JobOutcome::with_end(*job, start, end)
         })
         .collect();
-    let schedule = Schedule {
+    Schedule {
         scheduler: name,
         nodes: trace.nodes(),
         outcomes,
         run_segments: driver.segments,
         profile_stats: driver.scheduler.profile_stats(),
         events: driver.events,
-    };
-    (schedule, ())
+    }
 }
 
 #[cfg(test)]
@@ -734,6 +752,101 @@ mod tests {
         let trace = Trace::new("empty", 4, vec![]).unwrap();
         let s = simulate(&trace, SchedulerKind::Easy, Policy::Fcfs);
         assert!(s.outcomes.is_empty());
+    }
+
+    /// Starts whatever its script names on each arrival, leaving every
+    /// guard to the driver.
+    struct Scripted(fn(JobId) -> Vec<JobId>);
+
+    impl Scheduler for Scripted {
+        fn name(&self) -> String {
+            "Scripted".into()
+        }
+        fn on_arrival(&mut self, job: JobMeta, _: SimTime) -> Decisions {
+            Decisions::start((self.0)(job.id))
+        }
+        fn on_completion(&mut self, _: JobId, _: SimTime) -> Decisions {
+            Decisions::none()
+        }
+        fn on_wake(&mut self, _: SimTime) -> Decisions {
+            Decisions::none()
+        }
+        fn queue_len(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "Scripted oversubscribed: job#1 requested 4 processors but only 2 are free"
+    )]
+    fn start_beyond_the_free_processors_panics() {
+        // 6 + 4 processors on a machine of 8, both running from 10 s.
+        let trace = Trace::new(
+            "over",
+            8,
+            vec![job(0, 0, 100, 100, 6), job(1, 10, 100, 100, 4)],
+        )
+        .unwrap();
+        simulate_with(
+            &trace,
+            Box::new(Scripted(|id| vec![id])),
+            SimOptions::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "job#0 started while already running")]
+    fn second_start_of_a_running_job_panics() {
+        let trace = Trace::new(
+            "twice",
+            8,
+            vec![job(0, 0, 100, 100, 2), job(1, 10, 100, 100, 2)],
+        )
+        .unwrap();
+        simulate_with(
+            &trace,
+            Box::new(Scripted(|_| vec![JobId(0)])),
+            SimOptions::default(),
+        );
+    }
+
+    #[test]
+    fn timed_loop_matches_the_untimed_loop_and_times_every_event() {
+        let trace = tiny_trace();
+        for kind in [
+            SchedulerKind::Conservative,
+            SchedulerKind::Easy,
+            SchedulerKind::Preemptive { threshold: 1.5 },
+        ] {
+            let plain = simulate(&trace, kind, Policy::Fcfs);
+            let phases = std::rc::Rc::new(std::cell::RefCell::new(obs::PhaseAcc::new()));
+            let (timed, ()) = simulate_observed(
+                &trace,
+                kind,
+                Policy::Fcfs,
+                SimOptions::with_phases(phases.clone()),
+            );
+            assert_eq!(
+                timed.fingerprint(),
+                plain.fingerprint(),
+                "{}",
+                plain.scheduler
+            );
+            assert_eq!(timed.events, plain.events, "{}", plain.scheduler);
+            let acc = phases.borrow();
+            let count = |phase| acc.histogram(phase).count();
+            // One pop per event plus the final pop that finds nothing;
+            // one handler interval per event, under the event's phase.
+            assert_eq!(count(obs::Phase::EventPop), plain.events + 1);
+            assert_eq!(count(obs::Phase::Arrival), trace.len() as u64);
+            assert_eq!(
+                count(obs::Phase::Arrival)
+                    + count(obs::Phase::Completion)
+                    + count(obs::Phase::Wake),
+                plain.events
+            );
+        }
     }
 
     #[test]

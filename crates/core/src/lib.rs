@@ -30,7 +30,8 @@
 //! * [`campaign`] — multi-seed replication with confidence intervals;
 //! * [`schedule`] — the simulated schedule, auditing, fingerprints;
 //! * re-exported substrates: `sched` (policies), `workload` (traces,
-//!   estimate models), `metrics` (statistics), `simcore` (engine).
+//!   estimate models), `metrics` (statistics), `simcore` (clock, event
+//!   queue, RNG).
 
 #![warn(missing_docs)]
 

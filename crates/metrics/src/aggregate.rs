@@ -115,47 +115,6 @@ impl ScheduleStats {
         stats
     }
 
-    /// Aggregate with warm-up/cool-down trimming: jobs arriving within the
-    /// first `warmup` or last `cooldown` fraction of the arrival span are
-    /// excluded from the *metrics* (they still shaped the schedule). The
-    /// standard guard against boundary effects — an empty machine at the
-    /// start and a draining queue at the end bias steady-state averages.
-    pub fn from_outcomes_trimmed(
-        outcomes: &[JobOutcome],
-        nodes: u32,
-        criteria: &CategoryCriteria,
-        warmup: f64,
-        cooldown: f64,
-    ) -> Self {
-        assert!(
-            (0.0..1.0).contains(&warmup) && (0.0..1.0).contains(&cooldown),
-            "trim fractions must be in [0, 1)"
-        );
-        assert!(warmup + cooldown < 1.0, "trims must leave a window");
-        if outcomes.is_empty() {
-            return Self::from_outcomes(outcomes, nodes, criteria);
-        }
-        let first = outcomes
-            .iter()
-            .map(|o| o.job.arrival)
-            .min()
-            .expect("non-empty");
-        let last = outcomes
-            .iter()
-            .map(|o| o.job.arrival)
-            .max()
-            .expect("non-empty");
-        let span = last.since(first).as_secs() as f64;
-        let lo = first + simcore::SimSpan::new((span * warmup) as u64);
-        let hi = first + simcore::SimSpan::new((span * (1.0 - cooldown)) as u64);
-        let kept: Vec<JobOutcome> = outcomes
-            .iter()
-            .filter(|o| o.job.arrival >= lo && o.job.arrival <= hi)
-            .copied()
-            .collect();
-        Self::from_outcomes(&kept, nodes, criteria)
-    }
-
     /// Summary for one category.
     pub fn category(&self, cat: Category) -> &MetricSummary {
         &self.by_category[cat as usize]
@@ -266,47 +225,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), 2);
         assert!((a.avg_slowdown() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trimming_excludes_boundary_jobs() {
-        // Arrivals at 0, 250, 500, 750, 1000: 10% trims drop 0 and 1000.
-        let outcomes: Vec<JobOutcome> = (0..5)
-            .map(|i| outcome(i * 250, 100, 100, 1, i * 250))
-            .collect();
-        let full = ScheduleStats::from_outcomes(&outcomes, 8, &CategoryCriteria::default());
-        let trimmed = ScheduleStats::from_outcomes_trimmed(
-            &outcomes,
-            8,
-            &CategoryCriteria::default(),
-            0.1,
-            0.1,
-        );
-        assert_eq!(full.overall.count(), 5);
-        assert_eq!(trimmed.overall.count(), 3);
-    }
-
-    #[test]
-    fn zero_trims_equal_untrimmed() {
-        let outcomes: Vec<JobOutcome> = (0..5)
-            .map(|i| outcome(i * 100, 50, 50, 2, i * 100 + 10))
-            .collect();
-        let a = ScheduleStats::from_outcomes(&outcomes, 8, &CategoryCriteria::default());
-        let b = ScheduleStats::from_outcomes_trimmed(
-            &outcomes,
-            8,
-            &CategoryCriteria::default(),
-            0.0,
-            0.0,
-        );
-        assert_eq!(a.overall.count(), b.overall.count());
-        assert_eq!(a.overall.avg_slowdown(), b.overall.avg_slowdown());
-    }
-
-    #[test]
-    #[should_panic(expected = "leave a window")]
-    fn rejects_total_trim() {
-        ScheduleStats::from_outcomes_trimmed(&[], 8, &CategoryCriteria::default(), 0.6, 0.6);
     }
 
     #[test]

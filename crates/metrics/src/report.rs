@@ -83,24 +83,6 @@ impl Table {
         out
     }
 
-    /// Render as a GitHub-flavored Markdown table (first column
-    /// left-aligned, the rest right-aligned).
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            out.push_str(&format!("**{}**\n\n", self.title));
-        }
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        let aligns: Vec<&str> = (0..self.headers.len())
-            .map(|i| if i == 0 { ":--" } else { "--:" })
-            .collect();
-        out.push_str(&format!("| {} |\n", aligns.join(" | ")));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
-
     /// Render as CSV (headers + rows, comma-separated, quotes around cells
     /// containing commas).
     pub fn to_csv(&self) -> String {
@@ -193,17 +175,6 @@ mod tests {
         assert!(t.is_empty());
         t.row(vec!["1".into()]);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn markdown_output() {
-        let mut t = Table::new("Demo", &["scheme", "slowdown"]);
-        t.row(vec!["EASY".into(), "3.20".into()]);
-        let md = t.to_markdown();
-        assert!(md.starts_with("**Demo**"));
-        assert!(md.contains("| scheme | slowdown |"));
-        assert!(md.contains("| :-- | --: |"));
-        assert!(md.contains("| EASY | 3.20 |"));
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl Gauge {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Subtract one.
-    #[inline]
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Set to an absolute value.
     #[inline]
     pub fn set(&self, v: i64) {
@@ -586,8 +580,7 @@ mod tests {
         let g = Gauge::new();
         g.inc();
         g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
+        assert_eq!(g.get(), 2);
         g.set(-7);
         assert_eq!(g.get(), -7);
     }

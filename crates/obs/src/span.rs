@@ -460,15 +460,15 @@ pub fn render_chrome_trace(sources: &[SpanSource]) -> String {
 // ---------------------------------------------------------------------
 
 /// The simulator's instrumented phases. The first four are the driver's
-/// **top-level** phases — between them they tile the whole engine loop,
-/// so their sums account for a run's wall time. The rest are nested
+/// **top-level** phases — between them they tile the driver's whole
+/// event loop, so their sums account for a run's wall time. The rest are nested
 /// attribution inside the dispatch phases (a backfill pass runs *inside*
 /// an arrival) and are excluded from [`PhaseAcc::top_level_sum_ns`] to
 /// avoid double counting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Popping the next event off the engine queue.
+    /// Popping the next event off the driver's event queue.
     EventPop = 0,
     /// Handling one arrival event (scheduler `on_arrival` + apply).
     Arrival = 1,
@@ -527,7 +527,7 @@ impl Phase {
     }
 
     /// True for the mutually exclusive driver phases whose sums tile the
-    /// engine loop's wall time.
+    /// driver's event-loop wall time.
     pub fn top_level(self) -> bool {
         matches!(
             self,

@@ -43,7 +43,7 @@ use crate::queue::{Queued, SchedQueue};
 use crate::scheduler::{Decisions, JobMeta, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
-use simcore::{JobId, SimSpan, SimTime};
+use simcore::{JobId, SimTime};
 use std::collections::HashMap;
 
 /// What happens to queued jobs' reservations when a hole opens (a running
@@ -435,7 +435,7 @@ impl ConservativeScheduler {
                 {
                     break job;
                 }
-                let t = crossing_time(threshold, &job);
+                let t = Policy::crossing_time(threshold, &job);
                 if t > now && t < SimTime::FAR_FUTURE {
                     crossing = earliest(crossing, t);
                 }
@@ -632,16 +632,6 @@ impl ConservativeScheduler {
             self.next_start = self.queue.iter().map(|r| r.start).min();
         }
     }
-}
-
-/// The instant `job`'s expansion factor reaches `threshold`:
-/// `xf(t) ≥ τ ⇔ t ≥ arrival + (τ − 1)·estimate`.
-fn crossing_time(threshold: f64, job: &JobMeta) -> SimTime {
-    if threshold.is_infinite() {
-        return SimTime::FAR_FUTURE;
-    }
-    let est = job.estimate.as_secs().max(1) as f64;
-    job.arrival + SimSpan::new(((threshold - 1.0) * est).ceil() as u64)
 }
 
 /// `current` lowered to `start` (the earliest of the two).
@@ -1061,8 +1051,11 @@ mod tests {
         fn crossing_time_formula() {
             let j = meta(1, 1000, 200, 1);
             // wait needed = (3-1)*200 = 400 -> crossing at 1400.
-            assert_eq!(crossing_time(3.0, &j), SimTime::new(1400));
-            assert_eq!(crossing_time(f64::INFINITY, &j), SimTime::FAR_FUTURE);
+            assert_eq!(Policy::crossing_time(3.0, &j), SimTime::new(1400));
+            assert_eq!(
+                Policy::crossing_time(f64::INFINITY, &j),
+                SimTime::FAR_FUTURE
+            );
         }
 
         #[test]

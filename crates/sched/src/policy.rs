@@ -19,7 +19,7 @@
 
 use crate::scheduler::JobMeta;
 use serde::{Deserialize, Serialize};
-use simcore::SimTime;
+use simcore::{SimSpan, SimTime};
 use std::cmp::Ordering;
 
 /// A queue-priority policy.
@@ -71,6 +71,17 @@ impl Policy {
         let wait = now.since(job.arrival).as_secs_f64();
         let est = job.estimate.as_secs().max(1) as f64;
         (wait + est) / est
+    }
+
+    /// The instant `job`'s expansion factor reaches `threshold`:
+    /// `xf(t) ≥ τ ⇔ t ≥ arrival + (τ − 1)·max(estimate, 1)`, rounded up
+    /// to the second; [`SimTime::FAR_FUTURE`] for an infinite threshold.
+    pub fn crossing_time(threshold: f64, job: &JobMeta) -> SimTime {
+        if threshold.is_infinite() {
+            return SimTime::FAR_FUTURE;
+        }
+        let est = job.estimate.as_secs().max(1) as f64;
+        job.arrival + SimSpan::new(((threshold - 1.0) * est).ceil() as u64)
     }
 
     /// Compare two queued jobs at time `now`; `Less` means `a` has higher

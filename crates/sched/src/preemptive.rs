@@ -149,9 +149,7 @@ impl PreemptiveScheduler {
         // machine still triggers the episode).
         let wakeup = match self.easy.queue.front() {
             Some(head) if self.threshold.is_finite() => {
-                let est = head.estimate.as_secs().max(1) as f64;
-                let cross =
-                    head.arrival + SimSpan::new(((self.threshold - 1.0) * est).ceil() as u64);
+                let cross = Policy::crossing_time(self.threshold, head);
                 (cross > now).then_some(cross)
             }
             _ => None,

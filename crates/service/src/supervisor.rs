@@ -210,11 +210,6 @@ impl Supervisor {
         self.stop.store(true, Ordering::SeqCst);
     }
 
-    /// The shared stop flag (e.g. to set from a signal handler).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
     /// Snapshot every child's current state.
     pub fn children(&self) -> Vec<ChildView> {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).clone()

@@ -2,35 +2,11 @@
 
 use std::fmt;
 
-/// Errors surfaced by the substrate. Most indicate scheduler bugs (the
-/// simulator is deterministic, so none of these are "operational" errors),
-/// which is why the driver treats them as fatal.
+/// Errors the schedule audit ([`crate::validate_schedule`]) reports. Each
+/// indicates a scheduler bug (the simulator is deterministic, so none of
+/// these are "operational" errors).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A job asked for more processors than are currently free.
-    OverSubscribed {
-        /// The offending job.
-        job: u32,
-        /// Processors requested.
-        requested: u32,
-        /// Processors actually free.
-        free: u32,
-    },
-    /// A job asked for zero processors.
-    ZeroWidthAllocation {
-        /// The offending job.
-        job: u32,
-    },
-    /// A job was allocated twice without an intervening release.
-    DoubleAllocation {
-        /// The offending job.
-        job: u32,
-    },
-    /// A job released processors it never held.
-    ReleaseWithoutAllocation {
-        /// The offending job.
-        job: u32,
-    },
     /// A job requests more processors than the machine has in total, so it
     /// can never be scheduled.
     JobWiderThanMachine {
@@ -48,23 +24,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::OverSubscribed {
-                job,
-                requested,
-                free,
-            } => write!(
-                f,
-                "job#{job} requested {requested} processors but only {free} are free"
-            ),
-            SimError::ZeroWidthAllocation { job } => {
-                write!(f, "job#{job} requested zero processors")
-            }
-            SimError::DoubleAllocation { job } => {
-                write!(f, "job#{job} allocated twice without release")
-            }
-            SimError::ReleaseWithoutAllocation { job } => {
-                write!(f, "job#{job} released processors it never held")
-            }
             SimError::JobWiderThanMachine {
                 job,
                 width,
@@ -86,20 +45,14 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = SimError::OverSubscribed {
-            job: 3,
-            requested: 8,
-            free: 2,
-        };
-        assert!(e.to_string().contains("job#3"));
-        assert!(e.to_string().contains("8"));
-        assert!(e.to_string().contains("2"));
         let e = SimError::JobWiderThanMachine {
             job: 1,
             width: 600,
             machine: 430,
         };
+        assert!(e.to_string().contains("job#1"));
         assert!(e.to_string().contains("600"));
+        assert!(e.to_string().contains("430"));
         let e = SimError::AuditFailure("cap".into());
         assert!(e.to_string().contains("cap"));
     }
@@ -107,6 +60,6 @@ mod tests {
     #[test]
     fn implements_error_trait() {
         fn takes_error<E: std::error::Error>(_: E) {}
-        takes_error(SimError::ZeroWidthAllocation { job: 0 });
+        takes_error(SimError::AuditFailure(String::new()));
     }
 }

@@ -1,4 +1,4 @@
-//! The pending-event set of the discrete-event engine.
+//! The pending-event set drained by the simulation driver's event loop.
 //!
 //! [`EventQueue`] is a priority queue keyed by `(time, class, seq)`:
 //!

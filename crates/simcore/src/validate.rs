@@ -86,31 +86,6 @@ pub fn validate_schedule(jobs: &[PlacedJob], capacity: u32) -> Result<(), SimErr
     Ok(())
 }
 
-/// Compute machine utilization of a schedule over `[window_start, window_end]`.
-///
-/// Returns busy processor-seconds (clipped to the window) divided by
-/// `capacity * window`. Returns 0 for an empty window.
-pub fn schedule_utilization(
-    jobs: &[PlacedJob],
-    capacity: u32,
-    window_start: SimTime,
-    window_end: SimTime,
-) -> f64 {
-    let window = window_end.since(window_start).as_secs();
-    if window == 0 {
-        return 0.0;
-    }
-    let mut busy: u128 = 0;
-    for j in jobs {
-        let s = j.start.max(window_start);
-        let e = j.end.min(window_end);
-        if e > s {
-            busy += j.width as u128 * e.since(s).as_secs() as u128;
-        }
-    }
-    busy as f64 / (capacity as f64 * window as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,30 +157,5 @@ mod tests {
     #[test]
     fn empty_schedule_is_valid() {
         assert!(validate_schedule(&[], 1).is_ok());
-    }
-
-    #[test]
-    fn utilization_full_and_half() {
-        let jobs = [pj(1, 0, 0, 10, 8)];
-        let u = schedule_utilization(&jobs, 8, SimTime::new(0), SimTime::new(10));
-        assert!((u - 1.0).abs() < 1e-12);
-        let u = schedule_utilization(&jobs, 8, SimTime::new(0), SimTime::new(20));
-        assert!((u - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_clips_to_window() {
-        let jobs = [pj(1, 0, 0, 100, 4)];
-        // Window [50, 60]: 4 procs busy the whole time out of 8.
-        let u = schedule_utilization(&jobs, 8, SimTime::new(50), SimTime::new(60));
-        assert!((u - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_empty_window_is_zero() {
-        assert_eq!(
-            schedule_utilization(&[], 8, SimTime::new(5), SimTime::new(5)),
-            0.0
-        );
     }
 }

@@ -3,11 +3,12 @@
 //!
 //! The reference is a `Vec` of `(time, class, seq, payload)` whose pop
 //! removes the minimum `(time, class, seq)` by linear scan — the total
-//! order the engine relies on, written out with no structure at all. For
-//! every operation sequence, every pop must return the same
-//! `(time, payload)` from both — including same-instant ties broken by
-//! `(class, seq)`, gaps far longer than a minute, and zero-delay pushes at
-//! the current watermark. `PROPTEST_CASES` raises the case count.
+//! order the driver's event loop relies on, written out with no
+//! structure at all. For every operation sequence, every pop must return
+//! the same `(time, payload)` from both — including same-instant ties
+//! broken by `(class, seq)`, gaps far longer than a minute, and
+//! zero-delay pushes at the current watermark. `PROPTEST_CASES` raises
+//! the case count.
 
 use proptest::prelude::*;
 use simcore::{EventClass, EventQueue, SimTime};

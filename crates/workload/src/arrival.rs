@@ -53,19 +53,14 @@ impl ArrivalProcess for Poisson {
     }
 }
 
-/// Non-homogeneous Poisson process with a 24-hour rate profile (and an
-/// optional weekend damping factor), sampled by thinning against the
-/// profile's peak rate.
+/// Non-homogeneous Poisson process with a 24-hour rate profile, sampled by
+/// thinning against the profile's peak rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalPoisson {
     /// Base mean gap (as if the rate were flat at its average).
     mean_gap: f64,
     /// 24 multiplicative weights, one per hour of day, mean-normalized.
     hourly: [f64; 24],
-    /// Rate multiplier on days 0–4 of each 7-day week.
-    weekday_mult: f64,
-    /// Rate multiplier on days 5–6 of each 7-day week.
-    weekend_mult: f64,
     /// max rate multiplier — the thinning envelope.
     peak: f64,
 }
@@ -89,28 +84,8 @@ impl DiurnalPoisson {
         DiurnalPoisson {
             mean_gap: mean_gap_secs,
             hourly,
-            weekday_mult: 1.0,
-            weekend_mult: 1.0,
             peak,
         }
-    }
-
-    /// Add a weekly cycle: days 5–6 of each 7-day week run at `factor`
-    /// times the weekday rate (e.g. `0.4` for quiet weekends). Multipliers
-    /// are renormalized so the overall mean gap is preserved:
-    /// `(5·wd + 2·we)/7 = 1` with `we = factor·wd`.
-    #[must_use]
-    pub fn with_weekend_factor(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "weekend factor must be positive, got {factor}"
-        );
-        let wd = 7.0 / (5.0 + 2.0 * factor);
-        self.weekday_mult = wd;
-        self.weekend_mult = factor * wd;
-        let hour_peak = self.hourly.iter().cloned().fold(0.0, f64::max);
-        self.peak = hour_peak * self.weekday_mult.max(self.weekend_mult);
-        self
     }
 
     /// The default working-hours profile: low overnight, ramping from 08:00,
@@ -128,13 +103,7 @@ impl DiurnalPoisson {
 
     fn rate_multiplier(&self, t: SimTime) -> f64 {
         let hour = (t.as_secs() / 3600) % 24;
-        let day_of_week = (t.as_secs() / 86_400) % 7;
-        let weekly = if day_of_week >= 5 {
-            self.weekend_mult
-        } else {
-            self.weekday_mult
-        };
-        self.hourly[hour as usize] * weekly
+        self.hourly[hour as usize]
     }
 }
 
@@ -235,46 +204,6 @@ mod tests {
         for w in arrivals.windows(2) {
             assert!(w[1] > w[0]);
         }
-    }
-
-    #[test]
-    fn weekend_factor_damps_weekend_arrivals() {
-        let d = DiurnalPoisson::working_hours(60.0).with_weekend_factor(0.3);
-        let mut rng = SimRng::seed_from_u64(21);
-        let arrivals = d.generate(200_000, &mut rng);
-        let mut weekday = 0u64;
-        let mut weekend = 0u64;
-        for a in &arrivals {
-            if (a.as_secs() / 86_400) % 7 >= 5 {
-                weekend += 1;
-            } else {
-                weekday += 1;
-            }
-        }
-        // Per-day rates: weekend days should see ~0.3x the weekday rate.
-        let per_weekday = weekday as f64 / 5.0;
-        let per_weekend = weekend as f64 / 2.0;
-        let ratio = per_weekend / per_weekday;
-        assert!((ratio - 0.3).abs() < 0.05, "weekend/weekday ratio {ratio}");
-    }
-
-    #[test]
-    fn weekend_factor_preserves_mean_gap() {
-        let d = DiurnalPoisson::working_hours(120.0).with_weekend_factor(0.4);
-        let mut rng = SimRng::seed_from_u64(22);
-        let n = 50_000;
-        let arrivals = d.generate(n, &mut rng);
-        let mean_gap = arrivals.last().unwrap().as_secs() as f64 / n as f64;
-        assert!(
-            (mean_gap - 120.0).abs() / 120.0 < 0.08,
-            "mean gap {mean_gap}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "weekend factor must be positive")]
-    fn weekend_factor_rejects_zero() {
-        let _ = DiurnalPoisson::working_hours(60.0).with_weekend_factor(0.0);
     }
 
     #[test]

@@ -25,16 +25,6 @@ pub struct Job {
 }
 
 impl Job {
-    /// Estimated completion if started at `start`.
-    pub fn estimated_end(&self, start: SimTime) -> SimTime {
-        start + self.estimate
-    }
-
-    /// Actual completion if started at `start`.
-    pub fn actual_end(&self, start: SimTime) -> SimTime {
-        start + self.runtime
-    }
-
     /// Processor-seconds of real work (`width × runtime`).
     pub fn area(&self) -> u128 {
         self.width as u128 * self.runtime.as_secs() as u128
@@ -109,13 +99,6 @@ mod tests {
             estimate: SimSpan::new(estimate),
             width,
         }
-    }
-
-    #[test]
-    fn ends_are_offset_by_runtime_and_estimate() {
-        let j = job(50, 80, 4);
-        assert_eq!(j.actual_end(SimTime::new(10)), SimTime::new(60));
-        assert_eq!(j.estimated_end(SimTime::new(10)), SimTime::new(90));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use crate::job::Job;
 use crate::trace::Trace;
-use simcore::SimSpan;
 
 /// Scale all inter-arrival gaps by `factor` (`< 1` compresses ⇒ higher
 /// load, `> 1` dilates ⇒ lower load). The first arrival stays fixed; each
@@ -47,18 +46,10 @@ pub fn scale_to_load(trace: &Trace, target_rho: f64) -> Trace {
     scale_interarrival(trace, current / target_rho)
 }
 
-/// The mean inter-arrival gap of a trace (zero if fewer than two jobs).
-pub fn mean_interarrival(trace: &Trace) -> SimSpan {
-    if trace.len() < 2 {
-        return SimSpan::ZERO;
-    }
-    SimSpan::new(trace.arrival_span().as_secs() / (trace.len() as u64 - 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::{JobId, SimTime};
+    use simcore::{JobId, SimSpan, SimTime};
 
     fn trace_with_arrivals(arrivals: &[u64]) -> Trace {
         let jobs = arrivals
@@ -127,14 +118,6 @@ mod tests {
         let rho = t.offered_load();
         let cool = scale_to_load(&t, rho / 2.0);
         assert!((cool.offered_load() - rho / 2.0).abs() / rho < 0.01);
-    }
-
-    #[test]
-    fn mean_interarrival_basics() {
-        let t = trace_with_arrivals(&[0, 100, 300]);
-        assert_eq!(mean_interarrival(&t), SimSpan::new(150));
-        let t1 = trace_with_arrivals(&[50]);
-        assert_eq!(mean_interarrival(&t1), SimSpan::ZERO);
     }
 
     #[test]

@@ -235,11 +235,6 @@ fn opt(v: i64) -> Option<i64> {
 /// Raw records, header pairs, and the malformed-line report of one parse.
 pub type RawParse = (Vec<SwfRecord>, BTreeMap<String, String>, ParseReport);
 
-/// Parse raw SWF text into records and header pairs ([`ParseMode::Strict`]).
-pub fn parse_records(input: &str) -> Result<(Vec<SwfRecord>, BTreeMap<String, String>), SwfError> {
-    parse_records_with(input, ParseMode::Strict).map(|(records, header, _)| (records, header))
-}
-
 /// Parse raw SWF text into records, header pairs and a [`ParseReport`].
 ///
 /// Under [`ParseMode::Strict`] the report is always all-zero (the first
@@ -430,7 +425,7 @@ mod tests {
 
     #[test]
     fn parses_header_pairs() {
-        let (_, header) = parse_records(SAMPLE).unwrap();
+        let (_, header, _) = parse_records_with(SAMPLE, ParseMode::Strict).unwrap();
         assert_eq!(header.get("MaxProcs").unwrap(), "128");
         assert_eq!(header.get("Computer").unwrap(), "Test SP2");
     }

@@ -93,26 +93,6 @@ impl Trace {
         })
     }
 
-    /// Build a trace, silently dropping defective records (the standard
-    /// cleaning step applied to real archive logs). Returns the trace and
-    /// the number of records dropped.
-    pub fn new_lossy(
-        name: impl Into<String>,
-        nodes: u32,
-        jobs: Vec<Job>,
-    ) -> Result<(Self, usize), TraceError> {
-        if nodes == 0 {
-            return Err(TraceError::NoNodes);
-        }
-        let before = jobs.len();
-        let kept: Vec<Job> = jobs
-            .into_iter()
-            .filter(|j| j.validate().is_ok() && j.width <= nodes)
-            .collect();
-        let dropped = before - kept.len();
-        Ok((Trace::new(name, nodes, kept)?, dropped))
-    }
-
     /// Trace name (e.g. `"CTC-syn"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -259,23 +239,6 @@ mod tests {
             Trace::new("t", 0, vec![]),
             Err(TraceError::NoNodes)
         ));
-    }
-
-    #[test]
-    fn lossy_construction_drops_and_counts() {
-        let (t, dropped) = Trace::new_lossy(
-            "t",
-            8,
-            vec![
-                raw(0, 1, 1, 1),
-                raw(1, 0, 1, 1),
-                raw(2, 1, 1, 20),
-                raw(3, 2, 2, 2),
-            ],
-        )
-        .unwrap();
-        assert_eq!(t.len(), 2);
-        assert_eq!(dropped, 2);
     }
 
     #[test]
