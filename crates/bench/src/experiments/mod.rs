@@ -138,12 +138,15 @@ fn estimate_seed_for(source: TraceSource) -> u64 {
     }
 }
 
-/// Merge per-seed schedules into one pooled [`ScheduleStats`].
+/// Merge per-seed schedules into one pooled [`ScheduleStats`]: job
+/// statistics pooled over every job, utilization the mean over seeds,
+/// makespan the longest.
 pub fn pooled_stats(schedules: &[Schedule]) -> ScheduleStats {
     let criteria = CategoryCriteria::default();
     let mut iter = schedules.iter();
     let first = iter.next().expect("at least one schedule");
     let mut acc = first.stats(&criteria);
+    let mut utilization = acc.utilization;
     for s in iter {
         let stats = s.stats(&criteria);
         acc.overall.merge(&stats.overall);
@@ -153,10 +156,10 @@ pub fn pooled_stats(schedules: &[Schedule]) -> ScheduleStats {
         for q in 0..2 {
             acc.by_quality[q].merge(&stats.by_quality[q]);
         }
-        // Utilization/makespan: keep the mean across seeds.
-        acc.utilization = (acc.utilization + stats.utilization) / 2.0;
+        utilization += stats.utilization;
         acc.makespan = acc.makespan.max(stats.makespan);
     }
+    acc.utilization = utilization / schedules.len() as f64;
     acc
 }
 
@@ -222,6 +225,30 @@ mod tests {
         let res = sweep(&opts, &opts.ctc_sources(), &grid, EstimateModel::Exact);
         let pooled = pooled_stats(&res[0]);
         assert_eq!(pooled.overall.count(), 400);
+    }
+
+    #[test]
+    fn pooled_utilization_is_the_mean_over_seeds() {
+        let opts = Opts {
+            jobs: 200,
+            seeds: vec![1, 2, 3],
+            load: 0.9,
+            threads: None,
+        };
+        let grid = [(SchedulerKind::Easy, Policy::Fcfs)];
+        let res = sweep(&opts, &opts.ctc_sources(), &grid, EstimateModel::Exact);
+        let criteria = CategoryCriteria::default();
+        let each: Vec<f64> = res[0]
+            .iter()
+            .map(|s| s.stats(&criteria).utilization)
+            .collect();
+        assert!(
+            each[0] != each[1] && each[1] != each[2] && each[0] != each[2],
+            "seeds should differ: {each:?}"
+        );
+        let mean = each.iter().sum::<f64>() / 3.0;
+        let pooled = pooled_stats(&res[0]).utilization;
+        assert!((pooled - mean).abs() < 1e-12, "{pooled} vs mean {mean}");
     }
 
     #[test]

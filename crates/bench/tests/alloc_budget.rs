@@ -2,14 +2,19 @@
 //!
 //! The allocation-free event path (DESIGN.md §16) claims the simulator's
 //! steady state stops allocating per event: the event heap keeps its
-//! capacity, the profile edits its segment chunks in place, and schedulers
-//! reuse their `starts`/sort scratch buffers across events. This harness pins that
+//! capacity, the profile edits its segment chunks in place, the driver
+//! hands every event the one decision buffer it clears and reuses, and
+//! schedulers reuse their sort and scan scratch. This harness pins that
 //! claim with a counting `#[global_allocator]`: the reservation-list family
 //! (Conservative, Selective(2), Slack(0.5)) on a deep-queue cell (the
 //! allocation-heaviest configuration — per-arrival reservations plus
 //! compression passes) and the EASY family (EASY, Depth(4), Preempt(5))
 //! and NoBF on a paper cell must stay under fixed allocations-per-event
 //! and bytes-per-event budgets under each of the paper's three policies.
+//! What a whole run allocates — the trace-sized vectors, container growth
+//! — comes to about 0.01 allocations and 60–90 B per event on these
+//! cells, so the budgets sit at under 4× that: one allocation per start
+//! (about 0.5 per event) fails them by an order of magnitude.
 //!
 //! The budget is enforced in **release** builds only: debug builds run
 //! `debug_assert!(invariants_ok())` after every profile mutation and the
@@ -73,15 +78,16 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     (out, ALLOCS.with(Cell::get), BYTES.with(Cell::get))
 }
 
-/// Per-event budgets, enforced in release builds. The steady-state event
-/// path allocates only for amortized container growth (chunk, queue and
-/// event-heap Vecs): measured 0.03 allocs/event and about 80 B/event
-/// on each of these cells. The bounds leave headroom for allocator-pattern
-/// drift without letting a per-event regression (a clone, a collect, a
-/// fresh scratch, a stable sort's merge buffer — which cost this FCFS cell
-/// ~830 B/event while compression passes re-sorted the queue) back in.
-const ALLOCS_PER_EVENT: f64 = 4.0;
-const BYTES_PER_EVENT: f64 = 512.0;
+/// Per-event budgets, enforced in release builds. A run allocates only
+/// its trace-sized vectors and amortized container growth (chunk, queue
+/// and event-heap Vecs): measured at most 0.0081 allocs/event and 89
+/// B/event over these cells (Preempt(5)/FCFS, whose run-segment list
+/// outgrows its trace-sized capacity). The bounds are under 4× that, so
+/// a per-event regression (a fresh `starts` vector, a clone, a collect, a
+/// stable sort's merge buffer — which cost this FCFS cell ~830 B/event
+/// while compression passes re-sorted the queue) fails them.
+const ALLOCS_PER_EVENT: f64 = 0.03;
+const BYTES_PER_EVENT: f64 = 350.0;
 
 /// Simulate one cell under the counting allocator and hold it to the
 /// per-event budgets (release builds only).
@@ -97,7 +103,7 @@ fn assert_within_budget(trace: &Trace, kind: SchedulerKind, policy: Policy) {
     let bytes_per_event = bytes as f64 / events as f64;
     eprintln!(
         "alloc budget {label}: {allocs} allocations / {events} events = \
-         {per_event:.2} allocs/event ({bytes_per_event:.0} B/event), \
+         {per_event:.4} allocs/event ({bytes_per_event:.0} B/event), \
          fingerprint {fingerprint:#018x}"
     );
 
@@ -113,7 +119,7 @@ fn assert_within_budget(trace: &Trace, kind: SchedulerKind, policy: Policy) {
     }
     assert!(
         per_event <= ALLOCS_PER_EVENT,
-        "{label}: allocation budget blown: {per_event:.2} allocs/event > \
+        "{label}: allocation budget blown: {per_event:.4} allocs/event > \
          {ALLOCS_PER_EVENT} ({allocs} allocs over {events} events)"
     );
     assert!(
@@ -175,8 +181,8 @@ fn easy_family_stays_under_allocation_budget() {
 }
 
 /// NoBF on the same paper cell: its queues run deep at ρ = 0.9, and it
-/// hands its `starts` buffer back like every other kind, so its events
-/// allocate no more than theirs.
+/// answers in the driver's decision buffer like every other kind, so its
+/// events allocate no more than theirs.
 #[test]
 fn no_backfill_stays_under_allocation_budget() {
     let trace = Scenario::high_load(TraceSource::Ctc {

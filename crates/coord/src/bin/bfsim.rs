@@ -470,7 +470,6 @@ fn cmd_simulate(a: &Args) {
             p.peak_segments,
             p.queue_moves
         );
-        println!("alloc path:  {} scratch reuses", p.scratch_reuses);
     }
     if a.on(&FAIRNESS) {
         let f = fairness(&schedule.outcomes);

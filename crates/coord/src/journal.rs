@@ -584,27 +584,30 @@ mod tests {
         }
     }
 
-    /// A sweep-journal header and `Done` line written by an earlier
-    /// build, whose profile counters included two since-deleted fields:
+    /// Sweep journals written by earlier builds, whose profile counters
+    /// included since-deleted fields (two in the oldest, one more in v2):
     /// both still replay, and appending the replayed records writes the
-    /// pinned current lines (the `Done` line less those two keys, with
-    /// its own checksum; the header unchanged).
+    /// pinned current lines (each `Done` line less those keys, with its
+    /// own checksum; the header unchanged).
     #[test]
     fn golden_journal_lines_replay_and_rewrite_byte_identically() {
         const GOLDEN: &str = include_str!("../tests/golden/sweep_journal.jsonl");
         const GOLDEN_V2: &str = include_str!("../tests/golden/sweep_journal_v2.jsonl");
-        let old = tmp("golden-old");
-        fs::write(&old, GOLDEN).unwrap();
-        let stats = SweepJournal::inspect(&old).unwrap();
-        assert_eq!((stats.cells, stats.done, stats.dropped_bytes), (6, 1, 0));
+        const GOLDEN_V3: &str = include_str!("../tests/golden/sweep_journal_v3.jsonl");
+        for (name, golden) in [("golden-v1", GOLDEN), ("golden-v2", GOLDEN_V2)] {
+            let old = tmp(name);
+            fs::write(&old, golden).unwrap();
+            let stats = SweepJournal::inspect(&old).unwrap();
+            assert_eq!((stats.cells, stats.done, stats.dropped_bytes), (6, 1, 0));
 
-        let new = tmp("golden-new");
-        let rewriter = Journal::<SweepRecord>::create(&new).unwrap();
-        for record in Journal::<SweepRecord>::read(&old).unwrap().records {
-            rewriter.append(&record).unwrap();
+            let new = tmp("golden-new");
+            let rewriter = Journal::<SweepRecord>::create(&new).unwrap();
+            for record in Journal::<SweepRecord>::read(&old).unwrap().records {
+                rewriter.append(&record).unwrap();
+            }
+            assert_eq!(fs::read_to_string(&new).unwrap(), GOLDEN_V3, "{name}");
+            let _ = fs::remove_file(&old);
+            let _ = fs::remove_file(&new);
         }
-        assert_eq!(fs::read_to_string(&new).unwrap(), GOLDEN_V2);
-        let _ = fs::remove_file(&old);
-        let _ = fs::remove_file(&new);
     }
 }

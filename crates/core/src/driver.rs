@@ -1,14 +1,23 @@
 //! The simulation driver: feeds a trace through a scheduler on a machine.
 //!
 //! The driver is the only component that knows jobs' **actual** runtimes,
-//! and it is the simulation's one event loop and one processor ledger. It
-//! pops a [`simcore::EventQueue`] until it drains, relays each event to the
-//! scheduler, and applies the starts and preemptions the scheduler orders:
-//! each start adds the job's width to the processors in use (a start that
-//! does not fit panics on the spot, as does a second start of a running
-//! job), each completion or suspension takes it back off, and each start
-//! schedules the job's completion at `start + runtime`. A run ends with
-//! every job completed, the queue empty and no processor in use.
+//! and it is the simulation's one event loop, one processor ledger and one
+//! keeper of job records. It pops a [`simcore::EventQueue`] until it
+//! drains, relays each event to the scheduler, and applies the starts and
+//! preemptions the scheduler orders: each start adds the job's width to
+//! the processors in use (a start that does not fit panics on the spot, as
+//! does a second start of a running job), each completion or suspension
+//! takes it back off, and each start schedules the job's completion at
+//! `start + runtime`. A run ends with every job completed, the queue empty
+//! and no processor in use.
+//!
+//! The scheduler answers every event in one [`Decisions`] buffer the driver
+//! owns and clears before each event, so the event path allocates nothing
+//! for it once the buffer has grown. The driver also tracks each job's
+//! remaining work and current run: a completion hands the scheduler the
+//! job's [`Running`] record, and a suspended job is re-announced with its
+//! remaining estimate, `max(estimate − total ran, 1 s)`, worked out here
+//! and nowhere else.
 //!
 //! Simultaneous events process in a fixed class order — completions, then
 //! arrivals, then scheduler wake-ups — so that a job ending at instant *t*
@@ -20,7 +29,7 @@ use metrics::JobOutcome;
 use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
 use sched::{ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler};
-use sched::{Decisions, JobMeta, Policy, ProfileStats, Scheduler};
+use sched::{Decisions, JobMeta, Policy, ProfileStats, Running, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::{EventClass, EventQueue, JobId, SimSpan, SimTime};
 use workload::{Category, CategoryCriteria, Trace};
@@ -217,13 +226,16 @@ pub fn flush_profile_stats(registry: &obs::Registry, stats: &ProfileStats) {
         .counter("sim.queue.sorts_avoided")
         .add(stats.queue_sorts_avoided);
     registry.counter("sim.queue.moves").add(stats.queue_moves);
-    registry
-        .counter("sim.scratch_reuses")
-        .add(stats.scratch_reuses);
     let peak = registry.gauge("sim.profile.peak_segments");
     if stats.peak_segments as i64 > peak.get() {
         peak.set(stats.peak_segments as i64);
     }
+}
+
+/// A suspended job's remaining estimate: its estimate less the total it
+/// ran, floored at 1 s.
+fn remaining_estimate(estimate: SimSpan, ran: SimSpan) -> SimSpan {
+    (estimate - ran).max(SimSpan::SECOND)
 }
 
 /// Event classes: completions release processors before anything else at
@@ -271,7 +283,7 @@ struct Driver<'a> {
     /// Start of the current run segment, when running.
     running_since: Vec<Option<SimTime>>,
     /// Run-epoch per job; bumped on every preemption to invalidate the
-    /// pending completion event.
+    /// pending completion event. Nonzero once the job has been suspended.
     epoch: Vec<u32>,
     /// Completed run segments, for capacity auditing of preemptive
     /// schedules (a suspended job holds no processors).
@@ -311,9 +323,11 @@ impl Driver<'_> {
     /// additional to them. The untimed loop carries no timing branch, and
     /// both loops hand the handler the same events in the same order.
     fn run(&mut self, phases: Option<&obs::SharedPhases>) {
+        // The one decision buffer: every handler answers into it.
+        let mut out = Decisions::default();
         let Some(phases) = phases else {
             while let Some((now, event)) = self.queue.pop() {
-                self.handle(event, now);
+                self.handle(event, now, &mut out);
             }
             return;
         };
@@ -331,7 +345,7 @@ impl Driver<'_> {
             let Some((now, event)) = popped else {
                 return;
             };
-            self.handle(event, now);
+            self.handle(event, now, &mut out);
             mark(event.phase());
         }
     }
@@ -343,7 +357,25 @@ impl Driver<'_> {
         }
     }
 
-    fn apply(&mut self, decisions: Decisions, now: SimTime) {
+    /// Job `id` as the scheduler knows it: once the job has been
+    /// suspended, with its remaining estimate.
+    fn meta(&self, id: JobId) -> JobMeta {
+        let i = id.0 as usize;
+        let job = self.trace.job(id);
+        let estimate = if self.epoch[i] == 0 {
+            job.estimate
+        } else {
+            remaining_estimate(job.estimate, job.runtime - self.remaining[i])
+        };
+        JobMeta {
+            id,
+            arrival: job.arrival,
+            estimate,
+            width: job.width,
+        }
+    }
+
+    fn apply(&mut self, decisions: &Decisions, now: SimTime) {
         for &id in &decisions.preempts {
             let i = id.0 as usize;
             let seg_start = self.running_since[i]
@@ -367,8 +399,8 @@ impl Driver<'_> {
                 end: now,
                 width: job.width,
             });
-            let total_ran = job.runtime - self.remaining[i];
-            self.scheduler.on_preempted(id, total_ran, now);
+            let requeued = self.meta(id);
+            self.scheduler.on_preempted(requeued);
             self.trace_event(now, id, TraceKind::Preempt);
         }
         for &id in &decisions.starts {
@@ -407,14 +439,12 @@ impl Driver<'_> {
                 self.queue.push_classed(at, CLASS_WAKE, Ev::Wake);
             }
         }
-        // Hand the spent buffers back so the scheduler can reuse their
-        // capacity on the next event.
-        self.scheduler.recycle(decisions);
     }
 
-    fn handle(&mut self, event: Ev, now: SimTime) {
+    fn handle(&mut self, event: Ev, now: SimTime, out: &mut Decisions) {
         self.events += 1;
-        let decisions = match event {
+        out.clear();
+        match event {
             Ev::Arrive(idx) => {
                 // Seed the successor before anything else this instant
                 // can be scheduled; arrivals thereby keep ascending
@@ -444,13 +474,8 @@ impl Driver<'_> {
                         },
                     );
                 }
-                let meta = JobMeta {
-                    id: job.id,
-                    arrival: job.arrival,
-                    estimate: job.estimate,
-                    width: job.width,
-                };
-                self.scheduler.on_arrival(meta, now)
+                let meta = self.meta(job.id);
+                self.scheduler.on_arrival(meta, now, out);
             }
             Ev::Complete(id, epoch) => {
                 let i = id.0 as usize;
@@ -462,6 +487,12 @@ impl Driver<'_> {
                 let seg_start = self.running_since[i]
                     .take()
                     .expect("completion of idle job");
+                // The record before the remaining work is zeroed: its
+                // estimate is the one this run started with.
+                let record = Running {
+                    meta: self.meta(id),
+                    started_at: seg_start,
+                };
                 let job = self.trace.job(id);
                 self.in_use -= job.width;
                 self.segments.push(simcore::PlacedJob {
@@ -481,14 +512,14 @@ impl Driver<'_> {
                         overestimate_factor: job.overestimation(),
                     },
                 );
-                self.scheduler.on_completion(id, now)
+                self.scheduler.on_completion(record, now, out);
             }
             Ev::Wake => {
                 self.pending_wakes.remove(&now);
-                self.scheduler.on_wake(now)
+                self.scheduler.on_wake(now, out);
             }
-        };
-        self.apply(decisions, now);
+        }
+        self.apply(out, now);
     }
 }
 
@@ -602,7 +633,9 @@ fn simulate_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::SimSpan;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
     use workload::Job;
 
     fn job(id: u32, arrival: u64, runtime: u64, estimate: u64, width: u32) -> Job {
@@ -754,26 +787,130 @@ mod tests {
         assert!(s.outcomes.is_empty());
     }
 
-    /// Starts whatever its script names on each arrival, leaving every
-    /// guard to the driver.
-    struct Scripted(fn(JobId) -> Vec<JobId>);
+    /// What the driver handed a [`Scripted`] scheduler: the requeued
+    /// metas and the completion records, in order.
+    type Handed = Rc<RefCell<(Vec<JobMeta>, Vec<Running>)>>;
+
+    /// Starts whatever its script names on each arrival, and preempts and
+    /// starts on cue, leaving every guard to the driver.
+    struct Scripted {
+        on_arrival: fn(JobId) -> Vec<JobId>,
+        /// `(at, preempts, starts)` in time order: the first event at or
+        /// after `at` applies the step, and a wake-up asks for the next.
+        steps: VecDeque<(u64, Vec<u32>, Vec<u32>)>,
+        handed: Handed,
+    }
+
+    impl Scripted {
+        fn starting(on_arrival: fn(JobId) -> Vec<JobId>) -> Self {
+            Scripted {
+                on_arrival,
+                steps: VecDeque::new(),
+                handed: Handed::default(),
+            }
+        }
+
+        fn play(&mut self, now: SimTime, out: &mut Decisions) {
+            while self
+                .steps
+                .front()
+                .is_some_and(|&(at, ..)| SimTime::new(at) <= now)
+            {
+                let (_, preempts, starts) = self.steps.pop_front().unwrap();
+                out.preempts.extend(preempts.into_iter().map(JobId));
+                out.starts.extend(starts.into_iter().map(JobId));
+            }
+            out.wakeup = self.steps.front().map(|&(at, ..)| SimTime::new(at));
+        }
+    }
 
     impl Scheduler for Scripted {
         fn name(&self) -> String {
             "Scripted".into()
         }
-        fn on_arrival(&mut self, job: JobMeta, _: SimTime) -> Decisions {
-            Decisions::start((self.0)(job.id))
+        fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
+            out.starts.extend((self.on_arrival)(job.id));
+            self.play(now, out);
         }
-        fn on_completion(&mut self, _: JobId, _: SimTime) -> Decisions {
-            Decisions::none()
+        fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
+            self.handed.borrow_mut().1.push(job);
+            self.play(now, out);
         }
-        fn on_wake(&mut self, _: SimTime) -> Decisions {
-            Decisions::none()
+        fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
+            self.play(now, out);
+        }
+        fn on_preempted(&mut self, job: JobMeta) {
+            self.handed.borrow_mut().0.push(job);
         }
         fn queue_len(&self) -> usize {
             0
         }
+    }
+
+    #[test]
+    fn suspended_jobs_come_back_with_their_remaining_estimate() {
+        // Job 0 (estimate 100, runtime 60) runs [0, 20) and [30, 55), is
+        // suspended after each, and finishes its last 15 s from 90. Job 2
+        // (estimate = runtime = 50) is suspended at 50, the instant its
+        // run ends, behind job 1's completion: it ran its whole estimate,
+        // so it comes back with the 1 s floor and completes on restart.
+        let trace = Trace::new(
+            "suspend",
+            8,
+            vec![
+                job(0, 0, 60, 100, 4),
+                job(1, 0, 50, 50, 2),
+                job(2, 0, 50, 50, 2),
+            ],
+        )
+        .unwrap();
+        let mut scripted = Scripted::starting(|id| vec![id]);
+        scripted.steps = VecDeque::from([
+            (20, vec![0], vec![]),
+            (30, vec![], vec![0]),
+            (50, vec![2], vec![]),
+            (55, vec![0], vec![]),
+            (70, vec![], vec![2]),
+            (90, vec![], vec![0]),
+        ]);
+        let handed = scripted.handed.clone();
+        let schedule = simulate_with(&trace, Box::new(scripted), SimOptions::default());
+        let meta = |id: u32, estimate: u64| JobMeta {
+            id: JobId(id),
+            arrival: SimTime::ZERO,
+            estimate: SimSpan::new(estimate),
+            width: trace.job(JobId(id)).width,
+        };
+        let record = |id, estimate, started_at| Running {
+            meta: meta(id, estimate),
+            started_at: SimTime::new(started_at),
+        };
+        let (requeued, completed) = &*handed.borrow();
+        // 100 − 20, 50 − 50 floored to 1, 100 − (20 + 25).
+        assert_eq!(requeued, &[meta(0, 80), meta(2, 1), meta(0, 55)]);
+        // Each record carries the estimate last requeued and the start of
+        // the final run.
+        assert_eq!(
+            completed,
+            &[record(1, 50, 0), record(2, 1, 70), record(0, 55, 90)]
+        );
+        let ends: Vec<u64> = schedule
+            .outcomes
+            .iter()
+            .map(|o| o.end().as_secs())
+            .collect();
+        assert_eq!(ends, [105, 50, 70]);
+    }
+
+    #[test]
+    fn remaining_estimate_is_floored_at_one_second() {
+        let rest = |estimate, ran| remaining_estimate(SimSpan::new(estimate), SimSpan::new(ran));
+        assert_eq!(rest(100, 45), SimSpan::new(55));
+        assert_eq!(rest(50, 50), SimSpan::SECOND);
+        // A job that ran past its estimate, and a zero-estimate job.
+        assert_eq!(rest(50, 70), SimSpan::SECOND);
+        assert_eq!(rest(0, 0), SimSpan::SECOND);
+        assert_eq!(rest(0, 10), SimSpan::SECOND);
     }
 
     #[test]
@@ -790,7 +927,7 @@ mod tests {
         .unwrap();
         simulate_with(
             &trace,
-            Box::new(Scripted(|id| vec![id])),
+            Box::new(Scripted::starting(|id| vec![id])),
             SimOptions::default(),
         );
     }
@@ -806,7 +943,7 @@ mod tests {
         .unwrap();
         simulate_with(
             &trace,
-            Box::new(Scripted(|_| vec![JobId(0)])),
+            Box::new(Scripted::starting(|_| vec![JobId(0)])),
             SimOptions::default(),
         );
     }
@@ -875,7 +1012,6 @@ mod tests {
                 "sim.queue.moves",
                 "sim.queue.sorts",
                 "sim.queue.sorts_avoided",
-                "sim.scratch_reuses",
             ]
         );
         // Every name is a counter but the peak, which is a high-water gauge.

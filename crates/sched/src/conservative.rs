@@ -40,11 +40,10 @@
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::{Queued, SchedQueue};
-use crate::scheduler::{Decisions, JobMeta, Scheduler};
+use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
 use simcore::{JobId, SimTime};
-use std::collections::HashMap;
 
 /// What happens to queued jobs' reservations when a hole opens (a running
 /// job completed earlier than its estimate).
@@ -100,12 +99,6 @@ impl Queued for Reservation {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Running {
-    width: u32,
-    est_end: SimTime,
-}
-
 /// The reservation-list scheduler: conservative, selective or slack-based
 /// backfilling, depending on the constructor.
 #[derive(Debug, Clone)]
@@ -127,7 +120,6 @@ pub struct ConservativeScheduler {
     /// Selective only: jobs whose expansion factor has not yet reached the
     /// threshold. They hold no reservation and backfill freely.
     unreserved: SchedQueue,
-    running: HashMap<JobId, Running>,
     /// Processors actually free *right now*. The profile alone is not
     /// enough: at an instant with several simultaneous completions, the
     /// profile already shows all of them done while the driver is still
@@ -140,10 +132,6 @@ pub struct ConservativeScheduler {
     recorder: Option<SharedRecorder>,
     /// Opt-in per-phase profiling accumulator (strictly observational).
     phases: Option<obs::SharedPhases>,
-    /// The current event's starts. Between events it holds the recycled
-    /// buffer of the previous event's [`Decisions`] (handed back by the
-    /// driver via [`Scheduler::recycle`]), whose capacity serves the next.
-    starts: Vec<JobId>,
     /// Scratch for [`Self::start_due`]: the queue indices of the due jobs
     /// it starts. Reused across events.
     due: Vec<usize>,
@@ -201,12 +189,10 @@ impl ConservativeScheduler {
             queue: SchedQueue::new(policy),
             next_start: None,
             unreserved: SchedQueue::new(policy),
-            running: HashMap::new(),
             free: capacity,
             mode,
             recorder: None,
             phases: None,
-            starts: Vec::new(),
             due: Vec::new(),
             stats: ProfileStats::default(),
         }
@@ -269,16 +255,9 @@ impl ConservativeScheduler {
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
     }
 
-    fn start_job(&mut self, job: JobMeta, now: SimTime) {
+    fn start_job(&mut self, job: JobMeta, starts: &mut Vec<JobId>) {
         self.free -= job.width;
-        self.running.insert(
-            job.id,
-            Running {
-                width: job.width,
-                est_end: now + job.estimate,
-            },
-        );
-        self.starts.push(job.id);
+        starts.push(job.id);
         // A reserved job's rectangle simply becomes the running occupancy;
         // the profile needs no update. This relies on the job starting at
         // its reserved instant: on valid traces (runtime <= estimate) a due
@@ -306,13 +285,9 @@ impl ConservativeScheduler {
     /// When `next_start` lies after `now`, no reservation is due: the scan
     /// would start nothing and defer nothing, and the reservations' wake-up
     /// is `next_start` itself, so the scan is skipped.
-    fn collect(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
-        debug_assert!(self.starts.is_empty());
-        if self.starts.capacity() > 0 {
-            self.stats.scratch_reuses += 1;
-        }
+    fn collect(&mut self, now: SimTime, retry_same_instant: bool, out: &mut Decisions) {
         if matches!(self.family, Family::Slack { .. }) && !self.queue.is_empty() {
-            self.compress_pass(now);
+            self.compress_pass(now, &mut out.starts);
         }
         if !self.unreserved.is_empty() {
             self.promote(now);
@@ -323,24 +298,20 @@ impl ConservativeScheduler {
             "next_start out of step with the queue"
         );
         let mut wakeup = match self.next_start {
-            Some(next) if next <= now => self.start_due(now, retry_same_instant),
+            Some(next) if next <= now => self.start_due(now, retry_same_instant, &mut out.starts),
             // Nothing due: every reservation starts after `now`.
             next => next,
         };
         if !self.unreserved.is_empty() {
             let t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
-            let crossing = self.backfill(now);
+            let crossing = self.backfill(now, &mut out.starts);
             obs::span::finish_nested(&self.phases, obs::Phase::Backfill, t0);
             if wakeup != Some(now) {
                 wakeup = wakeup.into_iter().chain(crossing).min();
             }
         }
         self.profile.trim_before(now);
-        Decisions {
-            preempts: Vec::new(),
-            starts: std::mem::take(&mut self.starts),
-            wakeup,
-        }
+        out.wakeup = wakeup;
     }
 
     /// `collect()`'s scan: start the due jobs that fit, recompute
@@ -352,7 +323,12 @@ impl ConservativeScheduler {
     /// find exactly the same starts in the same order. The pass reads the
     /// contiguous queue, collecting the due jobs that fit, and then
     /// removes only those.
-    fn start_due(&mut self, now: SimTime, retry_same_instant: bool) -> Option<SimTime> {
+    fn start_due(
+        &mut self,
+        now: SimTime,
+        retry_same_instant: bool,
+        starts: &mut Vec<JobId>,
+    ) -> Option<SimTime> {
         let mut deferred = false;
         let mut next_start: Option<SimTime> = None;
         let mut next_future: Option<SimTime> = None;
@@ -372,7 +348,7 @@ impl ConservativeScheduler {
             next_start = earliest(next_start, res.start);
         }
         for &k in &due {
-            self.start_job(self.queue[k].meta, now);
+            self.start_job(self.queue[k].meta, starts);
         }
         // From the back, so each index still names its entry.
         for &k in due.iter().rev() {
@@ -417,7 +393,7 @@ impl ConservativeScheduler {
     /// the contiguous queue rejects a job wider than the free processors,
     /// or whose window ends past the profile's zero horizon, before any
     /// `fits` probe; the horizon is recomputed after each start.
-    fn backfill(&mut self, now: SimTime) -> Option<SimTime> {
+    fn backfill(&mut self, now: SimTime, starts: &mut Vec<JobId>) -> Option<SimTime> {
         let threshold = self.threshold();
         let mut crossing = None;
         let mut horizon = None;
@@ -453,18 +429,18 @@ impl ConservativeScheduler {
                     filled_hole: hole.as_secs(),
                 },
             );
-            self.start_job(job, now);
+            self.start_job(job, starts);
         }
         crossing
     }
 
     /// Order the reservation list, then compress it, each under its phase.
-    fn compress_pass(&mut self, now: SimTime) {
+    fn compress_pass(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
         let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
         self.queue.prepare(now);
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         let t0 = obs::span::start_nested(&self.phases, obs::Phase::Compress);
-        self.compress(now);
+        self.compress(now, starts);
         obs::span::finish_nested(&self.phases, obs::Phase::Compress, t0);
     }
 
@@ -512,7 +488,7 @@ impl ConservativeScheduler {
     /// job, or one that moves to `now`, starts at once if its processors
     /// are physically free, and each move rescans from the head — the
     /// rectangle it vacated may now let a job already passed over start.
-    fn compress(&mut self, now: SimTime) {
+    fn compress(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
         self.stats.compress_passes += 1;
         let eager = matches!(self.family, Family::Slack { .. });
         let mode = self.mode;
@@ -583,7 +559,7 @@ impl ConservativeScheduler {
             };
             if res.start <= now {
                 self.queue.remove(i);
-                self.start_job(res.meta, now);
+                self.start_job(res.meta, starts);
                 continue;
             }
             if fits {
@@ -592,7 +568,7 @@ impl ConservativeScheduler {
                 horizon = None;
                 if eager {
                     self.queue.remove(i);
-                    self.start_job(res.meta, now);
+                    self.start_job(res.meta, starts);
                     i = 0;
                     continue;
                 }
@@ -651,7 +627,7 @@ impl Scheduler for ConservativeScheduler {
         }
     }
 
-    fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
+    fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
         assert!(
             job.width <= self.profile.capacity(),
             "{} wider than machine",
@@ -664,31 +640,29 @@ impl Scheduler for ConservativeScheduler {
             self.unreserved.push(job);
             obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         }
-        self.collect(now, true)
+        self.collect(now, true, out);
     }
 
-    fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        let run = self
-            .running
-            .remove(&id)
-            .expect("completion for unknown job");
-        self.free += run.width;
-        if now < run.est_end {
+    fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
+        let width = job.meta.width;
+        self.free += width;
+        let est_end = job.est_end();
+        if now < est_end {
             // Early completion: return the unused tail of the rectangle and
             // let queued jobs compress into the hole (slack's collect runs
             // its pass on every event anyway).
-            self.profile.release(now, run.est_end.since(now), run.width);
+            self.profile.release(now, est_end.since(now), width);
             if self.mode != Compression::None && !matches!(self.family, Family::Slack { .. }) {
-                self.compress_pass(now);
+                self.compress_pass(now, &mut out.starts);
             }
         }
-        self.collect(now, true)
+        self.collect(now, true, out);
     }
 
-    fn on_wake(&mut self, now: SimTime) -> Decisions {
+    fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
         // Wakes fire after all same-instant completions and arrivals:
         // a deferral observed here cannot resolve at this instant.
-        self.collect(now, false)
+        self.collect(now, false, out);
     }
 
     fn queue_len(&self) -> usize {
@@ -710,17 +684,12 @@ impl Scheduler for ConservativeScheduler {
     fn set_phases(&mut self, phases: obs::SharedPhases) {
         self.phases = Some(phases);
     }
-
-    fn recycle(&mut self, spent: Decisions) {
-        let mut starts = spent.starts;
-        starts.clear();
-        self.starts = starts;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::testing::Harness;
     use simcore::SimSpan;
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
@@ -734,32 +703,32 @@ mod tests {
 
     #[test]
     fn immediate_start_on_idle_machine() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        let d = s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        let d = s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
         assert_eq!(d.starts, vec![JobId(0)]);
     }
 
     #[test]
     fn narrow_job_backfills_past_blocked_wide_job() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // runs [0,100) on 6
-                                                         // Wide job 1 can't fit until 100: reserved at 100.
-        let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // runs [0,100) on 6
+                                                     // Wide job 1 can't fit until 100: reserved at 100.
+        let d = s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
         assert!(d.starts.is_empty());
         assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(100)));
         // Narrow short job 2 fits in the 2-proc sliver before 100: backfills.
-        let d = s.on_arrival(meta(2, 2, 50, 2), SimTime::new(2));
+        let d = s.arrive(meta(2, 2, 50, 2), SimTime::new(2));
         assert_eq!(d.starts, vec![JobId(2)]);
     }
 
     #[test]
     fn backfill_may_not_delay_existing_guarantee() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // reserved [100,150)
-                                                          // Job 2 (2 procs, 200 s) would overlap job 1's reservation if
-                                                          // started now: must be anchored after 1's rectangle instead.
-        let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+        s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // reserved [100,150)
+                                                      // Job 2 (2 procs, 200 s) would overlap job 1's reservation if
+                                                      // started now: must be anchored after 1's rectangle instead.
+        let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2));
         assert!(d.starts.is_empty());
         let g2 = s.guarantee(JobId(2)).unwrap();
         assert!(
@@ -771,23 +740,23 @@ mod tests {
 
     #[test]
     fn reservation_fires_via_wakeup() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-        let d = s.on_arrival(meta(1, 1, 10, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+        let d = s.arrive(meta(1, 1, 10, 8), SimTime::new(1));
         assert_eq!(d.wakeup, Some(SimTime::new(100)));
         // Exact completion at the estimate: the queued job starts.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
     }
 
     #[test]
     fn early_completion_compresses_guarantees() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 10, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 10, 8), SimTime::new(1));
         assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1000)));
         // Job 0 finishes at 400, far before its estimate.
-        let d = s.on_completion(JobId(0), SimTime::new(400));
+        let d = s.complete(JobId(0), SimTime::new(400));
         assert_eq!(
             d.starts,
             vec![JobId(1)],
@@ -797,16 +766,16 @@ mod tests {
 
     #[test]
     fn compression_respects_priority_order() {
-        let mut s = ConservativeScheduler::new(8, Policy::Sjf);
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Sjf));
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
         // Arrival order: long job 1 first, short job 2 second.
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // reserved [1000,1500)
-        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // reserved [1500,1600)
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // reserved [1000,1500)
+        s.arrive(meta(2, 2, 100, 8), SimTime::new(2)); // reserved [1500,1600)
         assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1000)));
         assert_eq!(s.guarantee(JobId(2)), Some(SimTime::new(1500)));
         // Early completion at 100: SJF considers the *short* job first, and
         // it starts in the hole.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(2)]);
         // Paper semantics (Backfill): the long job cannot start now (the
         // short job holds the machine), so it keeps its original guarantee.
@@ -815,11 +784,15 @@ mod tests {
 
     #[test]
     fn reanchor_mode_also_improves_future_guarantees() {
-        let mut s = ConservativeScheduler::with_compression(8, Policy::Sjf, Compression::Reanchor);
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // reserved [1000,1500)
-        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // reserved [1500,1600)
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let mut s = Harness::new(ConservativeScheduler::with_compression(
+            8,
+            Policy::Sjf,
+            Compression::Reanchor,
+        ));
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // reserved [1000,1500)
+        s.arrive(meta(2, 2, 100, 8), SimTime::new(2)); // reserved [1500,1600)
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(2)]);
         // Full re-anchoring: the long job's guarantee moves up to follow the
         // short job, even though it cannot start yet.
@@ -828,11 +801,11 @@ mod tests {
 
     #[test]
     fn compression_under_fcfs_keeps_arrival_order() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1));
-        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2));
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1));
+        s.arrive(meta(2, 2, 100, 8), SimTime::new(2));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(
             d.starts,
             vec![JobId(1)],
@@ -843,23 +816,23 @@ mod tests {
     #[test]
     fn accurate_estimates_never_compress() {
         // With exact completions there are no holes; guarantees are final.
-        let mut s = ConservativeScheduler::new(4, Policy::XFactor);
-        s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
-        s.on_arrival(meta(1, 0, 100, 4), SimTime::ZERO);
-        s.on_arrival(meta(2, 0, 100, 4), SimTime::ZERO);
+        let mut s = Harness::new(ConservativeScheduler::new(4, Policy::XFactor));
+        s.arrive(meta(0, 0, 100, 4), SimTime::ZERO);
+        s.arrive(meta(1, 0, 100, 4), SimTime::ZERO);
+        s.arrive(meta(2, 0, 100, 4), SimTime::ZERO);
         assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(100)));
         assert_eq!(s.guarantee(JobId(2)), Some(SimTime::new(200)));
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
         assert_eq!(s.guarantee(JobId(2)), Some(SimTime::new(200)));
     }
 
     #[test]
     fn queue_len_tracks_waiting_jobs() {
-        let mut s = ConservativeScheduler::new(4, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
+        let mut s = Harness::new(ConservativeScheduler::new(4, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 4), SimTime::ZERO);
         assert_eq!(s.queue_len(), 0);
-        s.on_arrival(meta(1, 1, 100, 4), SimTime::new(1));
+        s.arrive(meta(1, 1, 100, 4), SimTime::new(1));
         assert_eq!(s.queue_len(), 1);
     }
 
@@ -879,13 +852,13 @@ mod tests {
         // last event class at its instant, so answering it with
         // `wakeup = Some(now)` can never make progress — it used to spin
         // the event loop at that instant forever.
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
-        let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
+        let d = s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
         assert_eq!(d.wakeup, Some(SimTime::new(100)));
         // Job 0 never completes by 150: job 1 is due but the machine is
         // still occupied when the (stale) wake fires.
-        let d = s.on_wake(SimTime::new(150));
+        let d = s.wake(SimTime::new(150));
         assert!(d.starts.is_empty());
         assert_ne!(
             d.wakeup,
@@ -893,11 +866,11 @@ mod tests {
             "same-instant wake-up after a wake-up would spin forever"
         );
         // Repeated wakes stay stable (no wake-up churn)...
-        let d = s.on_wake(SimTime::new(151));
+        let d = s.wake(SimTime::new(151));
         assert!(d.starts.is_empty());
         assert_ne!(d.wakeup, Some(SimTime::new(151)));
         // ...and the eventual completion still starts the deferred job.
-        let d = s.on_completion(JobId(0), SimTime::new(200));
+        let d = s.complete(JobId(0), SimTime::new(200));
         assert_eq!(d.starts, vec![JobId(1)]);
         assert_eq!(s.queue_len(), 0);
     }
@@ -909,14 +882,14 @@ mod tests {
         // completions at the *same* instant, so it starts at exactly
         // `res.start` and consumes precisely the rectangle the profile
         // already carries.
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
-        s.on_arrival(meta(1, 0, 100, 4), SimTime::ZERO);
-        let d = s.on_arrival(meta(2, 1, 50, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 4), SimTime::ZERO);
+        s.arrive(meta(1, 0, 100, 4), SimTime::ZERO);
+        let d = s.arrive(meta(2, 1, 50, 8), SimTime::new(1));
         assert_eq!(d.wakeup, Some(SimTime::new(100)));
         // First of two simultaneous completions: only 4 procs free, so the
         // due reservation defers with a same-instant retry.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert!(d.starts.is_empty(), "only half the processors are free");
         assert_eq!(
             d.wakeup,
@@ -925,7 +898,7 @@ mod tests {
         );
         // Second completion at the same instant: the job starts at exactly
         // its reserved time.
-        let d = s.on_completion(JobId(1), SimTime::new(100));
+        let d = s.complete(JobId(1), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(2)]);
         // The profile still shows job 2's rectangle [100, 150) — full, then
         // free — with no post-start fixup.
@@ -940,11 +913,11 @@ mod tests {
         // start later than its reservation (overrun scenario), the `free`
         // gate — not the profile — is what prevents overcommitting the
         // machine.
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // reserved [100,150)
-                                                          // Job 0 overruns; its completion arrives at 120.
-        let d = s.on_completion(JobId(0), SimTime::new(120));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // reserved [100,150)
+                                                      // Job 0 overruns; its completion arrives at 120.
+        let d = s.complete(JobId(0), SimTime::new(120));
         assert_eq!(
             d.starts,
             vec![JobId(1)],
@@ -952,20 +925,20 @@ mod tests {
         );
         // A new arrival while job 1 runs [120, 170): must defer to the free
         // gate even though the stale profile shows capacity from 150.
-        let d = s.on_arrival(meta(2, 121, 10, 8), SimTime::new(121));
+        let d = s.arrive(meta(2, 121, 10, 8), SimTime::new(121));
         assert!(d.starts.is_empty(), "no processors are physically free");
-        let d = s.on_completion(JobId(1), SimTime::new(170));
+        let d = s.complete(JobId(1), SimTime::new(170));
         assert_eq!(d.starts, vec![JobId(2)]);
     }
 
     #[test]
     fn recorder_sees_reserves_and_compressions() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
         let rec = obs::trace::shared(64);
         s.set_recorder(rec.clone());
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 10, 8), SimTime::new(1)); // anchored at 1000
-        s.on_completion(JobId(0), SimTime::new(400)); // hole: job 1 moves to 400
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 10, 8), SimTime::new(1)); // anchored at 1000
+        s.complete(JobId(0), SimTime::new(400)); // hole: job 1 moves to 400
         let events = rec.borrow().events();
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
         assert_eq!(kinds[0], (0, &TraceKind::Reserve { anchor: 0 }));
@@ -976,14 +949,14 @@ mod tests {
 
     #[test]
     fn profile_stats_are_exposed_and_grow() {
-        let mut s = ConservativeScheduler::new(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 1000, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 10, 8), SimTime::new(1));
+        let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
+        s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 10, 8), SimTime::new(1));
         let before = s.profile_stats().expect("conservative keeps a profile");
         assert!(before.find_anchor_calls >= 2);
         assert!(before.reserves >= 2);
         assert_eq!(before.compress_passes, 0);
-        s.on_completion(JobId(0), SimTime::new(400)); // early → compress
+        s.complete(JobId(0), SimTime::new(400)); // early → compress
         let after = s.profile_stats().unwrap();
         assert_eq!(after.compress_passes, 1);
         assert!(after.releases > before.releases);
@@ -1002,22 +975,23 @@ mod tests {
             ConservativeScheduler::slack(8, Policy::Fcfs, 0.0),
             ConservativeScheduler::slack(8, Policy::Fcfs, 0.5),
         ];
-        for mut s in schedulers {
+        for s in schedulers {
+            let mut s = Harness::new(s);
             let name = s.name();
-            s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
-            s.on_arrival(meta(9, 0, 1000, 4), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 10, 4), SimTime::new(1));
+            s.arrive(meta(0, 0, 100, 4), SimTime::ZERO);
+            s.arrive(meta(9, 0, 1000, 4), SimTime::ZERO);
+            s.arrive(meta(1, 1, 10, 4), SimTime::new(1));
             let reserved = s.guarantee(JobId(1)).expect("job 1 is reserved");
             assert!(
                 reserved >= SimTime::new(100),
                 "{name}: reserved at {reserved}"
             );
-            let d = s.on_wake(reserved);
+            let d = s.wake(reserved);
             assert!(
                 d.starts.is_empty(),
                 "{name}: job 0 still holds its processors"
             );
-            let d = s.on_completion(JobId(9), SimTime::new(150));
+            let d = s.complete(JobId(9), SimTime::new(150));
             assert_eq!(d.starts, vec![JobId(1)], "{name}");
             assert_eq!(s.queue_len(), 0, "{name}");
         }
@@ -1029,20 +1003,20 @@ mod tests {
 
         #[test]
         fn idle_machine_starts_immediately() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 2.0);
-            let d = s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 2.0));
+            let d = s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
             assert_eq!(d.starts, vec![JobId(0)]);
         }
 
         #[test]
         fn unprotected_jobs_backfill_freely() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 100.0);
-            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // waits, unreserved
-                                                               // A long 2-wide job backfills at once — EASY would refuse it
-                                                               // (it would delay job 1's reservation); selective has none to
-                                                               // delay.
-            let d = s.on_arrival(meta(2, 2, 9_000, 2), SimTime::new(2));
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 100.0));
+            s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // waits, unreserved
+                                                           // A long 2-wide job backfills at once — EASY would refuse it
+                                                           // (it would delay job 1's reservation); selective has none to
+                                                           // delay.
+            let d = s.arrive(meta(2, 2, 9_000, 2), SimTime::new(2));
             assert_eq!(d.starts, vec![JobId(2)]);
             assert_eq!(s.guarantee(JobId(1)), None);
         }
@@ -1060,21 +1034,21 @@ mod tests {
 
         #[test]
         fn job_gets_reservation_once_threshold_crossed() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 2.0);
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 2.0));
             let rec = obs::trace::shared(64);
             s.set_recorder(rec.clone());
-            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
             // Job 1 (est 100): crosses at t = 1 + 100 = 101.
-            let d = s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            let d = s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
             assert_eq!(d.wakeup, Some(SimTime::new(101)), "wake at the crossing");
-            let d = s.on_wake(SimTime::new(101));
+            let d = s.wake(SimTime::new(101));
             assert!(d.starts.is_empty());
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1_000)));
             // Now protected: a new job that would delay it must not backfill.
-            let d = s.on_arrival(meta(2, 102, 2_000, 8), SimTime::new(102));
+            let d = s.arrive(meta(2, 102, 2_000, 8), SimTime::new(102));
             assert!(d.starts.is_empty());
             // At job 0's (exact) completion, the protected job starts first.
-            let d = s.on_completion(JobId(0), SimTime::new(1_000));
+            let d = s.complete(JobId(0), SimTime::new(1_000));
             assert_eq!(d.starts, vec![JobId(1)]);
             let events = rec.borrow().events();
             let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
@@ -1094,30 +1068,34 @@ mod tests {
 
         #[test]
         fn threshold_one_reserves_on_arrival() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
-            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1));
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 1.0));
+            s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.arrive(meta(1, 1, 500, 8), SimTime::new(1));
             // Like conservative: job 2 anchored after job 1's rectangle, so
             // a conflicting backfill is refused.
-            let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+            let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2));
             assert!(d.starts.is_empty());
             assert_eq!(s.queue_len(), 2);
         }
 
         #[test]
         fn early_completion_compresses_protected_jobs() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
-            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
-            let d = s.on_completion(JobId(0), SimTime::new(300));
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 1.0));
+            s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
+            let d = s.complete(JobId(0), SimTime::new(300));
             assert_eq!(d.starts, vec![JobId(1)]);
         }
 
         #[test]
         fn infinite_threshold_never_reserves() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, f64::INFINITY);
-            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
-            let d = s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
+            let mut s = Harness::new(ConservativeScheduler::selective(
+                8,
+                Policy::Fcfs,
+                f64::INFINITY,
+            ));
+            s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            let d = s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
             assert_eq!(d.wakeup, None, "no reservations, no crossings, no wake-ups");
             assert_eq!(s.name(), "Selective(∞)/FCFS");
             assert_eq!(
@@ -1143,29 +1121,29 @@ mod tests {
             // A protected job whose reservation is due but whose processors
             // are held by an overrunning job must not answer a wake-up with
             // another same-instant wake-up (nothing else can happen then).
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
-            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // protected at 100
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 1.0));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
+            let d = s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // protected at 100
             assert_eq!(d.wakeup, Some(SimTime::new(100)));
             // Job 0 overruns its estimate; the wake at 150 finds the machine
             // busy.
-            let d = s.on_wake(SimTime::new(150));
+            let d = s.wake(SimTime::new(150));
             assert!(d.starts.is_empty());
             assert_ne!(
                 d.wakeup,
                 Some(SimTime::new(150)),
                 "would spin the event loop"
             );
-            let d = s.on_completion(JobId(0), SimTime::new(200));
+            let d = s.complete(JobId(0), SimTime::new(200));
             assert_eq!(d.starts, vec![JobId(1)]);
         }
 
         #[test]
         fn exposes_profile_stats() {
-            let mut s = ConservativeScheduler::selective(8, Policy::Fcfs, 1.0);
-            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1));
-            s.on_completion(JobId(0), SimTime::new(300)); // early → compress
+            let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 1.0));
+            s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
+            s.complete(JobId(0), SimTime::new(300)); // early → compress
             let stats = s.profile_stats().expect("selective keeps a profile");
             assert!(stats.find_anchor_calls > 0);
             assert_eq!(stats.compress_passes, 1);
@@ -1176,22 +1154,22 @@ mod tests {
     mod slack {
         use super::*;
 
-        fn sched(factor: f64) -> ConservativeScheduler {
-            ConservativeScheduler::slack(8, Policy::Fcfs, factor)
+        fn sched(factor: f64) -> Harness<ConservativeScheduler> {
+            Harness::new(ConservativeScheduler::slack(8, Policy::Fcfs, factor))
         }
 
         #[test]
         fn idle_machine_starts_immediately_regardless_of_slack() {
             let mut s = sched(10.0);
-            let d = s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
+            let d = s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
             assert_eq!(d.starts, vec![JobId(0)]);
         }
 
         #[test]
         fn promise_is_anchor_plus_slack() {
             let mut s = sched(10.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0,100)
-            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0,100)
+            let d = s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
             assert!(d.starts.is_empty());
             // Earliest anchor 100, slack 10 × 50 = 500 -> promise at 600.
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(600)));
@@ -1200,10 +1178,10 @@ mod tests {
         #[test]
         fn job_starts_at_earliest_opportunity_not_at_promise() {
             let mut s = sched(10.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // promised 600
-                                                              // Machine frees at 100: job 1 starts right away, well before 600.
-            let d = s.on_completion(JobId(0), SimTime::new(100));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // promised 600
+                                                          // Machine frees at 100: job 1 starts right away, well before 600.
+            let d = s.complete(JobId(0), SimTime::new(100));
             assert_eq!(d.starts, vec![JobId(1)]);
         }
 
@@ -1214,9 +1192,9 @@ mod tests {
             // job 1's rectangle sits at 600, so the long narrow job
             // backfills at once.
             let mut s = sched(10.0);
-            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
-            let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+            s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+            s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
+            let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2));
             assert_eq!(
                 d.starts,
                 vec![JobId(2)],
@@ -1230,28 +1208,28 @@ mod tests {
             // by its promise: the rectangle at the promise was never given
             // away.
             let mut s = sched(1.0);
-            s.on_arrival(meta(0, 0, 1_000, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1)); // promise 1100
+            s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 100, 8), SimTime::new(1)); // promise 1100
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(1_100)));
             // Exact completion at 1000; job 1 starts at 1000 (early) or by
             // its promise at the latest.
-            let d = s.on_completion(JobId(0), SimTime::new(1_000));
+            let d = s.complete(JobId(0), SimTime::new(1_000));
             assert_eq!(d.starts, vec![JobId(1)]);
         }
 
         #[test]
         fn zero_slack_promise_equals_conservative_anchor() {
             let mut s = sched(0.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(100)));
         }
 
         #[test]
         fn proportional_slack_scales_with_estimate() {
             let mut s = sched(2.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
             // anchor 100 + 2*50 = 200.
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(200)));
         }
@@ -1263,14 +1241,14 @@ mod tests {
             // frees up, so job 1 — ranked first, passed over once — starts
             // in the same pass, ahead of job 3.
             let mut s = sched(1.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0, 100)
-            s.on_arrival(meta(1, 1, 150, 4), SimTime::new(1)); // promise 250
-            s.on_arrival(meta(2, 2, 50, 4), SimTime::new(2)); // promise 150
-            s.on_arrival(meta(3, 3, 50, 4), SimTime::new(3)); // promise 150
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // runs [0, 100)
+            s.arrive(meta(1, 1, 150, 4), SimTime::new(1)); // promise 250
+            s.arrive(meta(2, 2, 50, 4), SimTime::new(2)); // promise 150
+            s.arrive(meta(3, 3, 50, 4), SimTime::new(3)); // promise 150
             assert_eq!(s.guarantee(JobId(1)), Some(SimTime::new(250)));
             assert_eq!(s.guarantee(JobId(2)), Some(SimTime::new(150)));
             assert_eq!(s.guarantee(JobId(3)), Some(SimTime::new(150)));
-            let d = s.on_completion(JobId(0), SimTime::new(40));
+            let d = s.complete(JobId(0), SimTime::new(40));
             assert_eq!(d.starts, vec![JobId(2), JobId(1)]);
             assert_eq!(s.guarantee(JobId(3)), Some(SimTime::new(150)));
         }
@@ -1295,11 +1273,11 @@ mod tests {
         #[test]
         fn due_promise_does_not_spin_same_instant_wakeups() {
             let mut s = sched(0.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
-            let d = s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // promised 100
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // starts; est_end 100
+            let d = s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // promised 100
             assert_eq!(d.wakeup, Some(SimTime::new(100)));
             // Job 0 overruns; the wake at 150 finds the machine still busy.
-            let d = s.on_wake(SimTime::new(150));
+            let d = s.wake(SimTime::new(150));
             assert!(d.starts.is_empty());
             assert_ne!(
                 d.wakeup,
@@ -1311,8 +1289,8 @@ mod tests {
         #[test]
         fn exposes_profile_stats() {
             let mut s = sched(10.0);
-            s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-            s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+            s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+            s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
             let stats = s.profile_stats().expect("slack keeps a profile");
             assert!(stats.find_anchor_calls >= 2);
             assert!(stats.reserves >= 2);

@@ -45,26 +45,10 @@
 use crate::policy::Policy;
 use crate::profile::{Profile, ProfileStats};
 use crate::queue::SchedQueue;
-use crate::scheduler::{Decisions, JobMeta, Scheduler};
+use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use simcore::{JobId, SimTime};
 use std::collections::HashMap;
-
-/// A job holding processors.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Running {
-    /// The job as it started; a resumed job's `estimate` is its remaining
-    /// estimate.
-    pub(crate) meta: JobMeta,
-    /// Start of the current run.
-    pub(crate) started_at: SimTime,
-}
-
-impl Running {
-    fn est_end(&self) -> SimTime {
-        self.started_at + self.meta.estimate
-    }
-}
 
 /// Depth-`k` reservation backfilling scheduler (EASY at `k = 1`).
 #[derive(Debug, Clone)]
@@ -74,6 +58,10 @@ pub struct DepthScheduler {
     capacity: u32,
     pub(crate) free: u32,
     pub(crate) queue: SchedQueue,
+    /// The running jobs' records. The driver hands a completing job's
+    /// record back, so the scheduler needs none of its own: the map is
+    /// kept because [`PreemptiveScheduler`](crate::PreemptiveScheduler)
+    /// picks its victims from it (the debug-mode rebuild reads it too).
     pub(crate) running: HashMap<JobId, Running>,
     /// The running set's remaining estimated occupancy plus the live held
     /// reservations, updated on every start, finish and pass instead of
@@ -95,9 +83,6 @@ pub struct DepthScheduler {
     /// `Reserve` trace event only when its pair is not among them (a kept
     /// reservation is never placed again).
     released: Vec<(JobId, SimTime)>,
-    /// Recycled `starts` buffer from the previous event's [`Decisions`]
-    /// (handed back by the driver via [`Scheduler::recycle`]).
-    starts_scratch: Vec<JobId>,
 }
 
 impl DepthScheduler {
@@ -119,7 +104,6 @@ impl DepthScheduler {
             phases: None,
             held: Vec::new(),
             released: Vec::new(),
-            starts_scratch: Vec::new(),
         }
     }
 
@@ -164,16 +148,17 @@ impl DepthScheduler {
     /// the profile, releasing the held reservations first (room freed
     /// early may move them). An overrun job (`est_end <= now`) holds
     /// nothing in the profile's future and leaves them in place.
-    pub(crate) fn finish(&mut self, id: JobId, now: SimTime) {
-        let run = self
+    pub(crate) fn finish(&mut self, job: Running, now: SimTime) {
+        let started = self
             .running
-            .remove(&id)
+            .remove(&job.meta.id)
             .expect("completion for unknown job");
-        self.free += run.meta.width;
-        let est_end = run.est_end();
+        debug_assert_eq!(started, job, "record of {} differs", job.meta.id);
+        self.free += job.meta.width;
+        let est_end = job.est_end();
         if est_end > now {
             self.release_held_from(0);
-            self.cached.release(now, est_end.since(now), run.meta.width);
+            self.cached.release(now, est_end.since(now), job.meta.width);
         }
     }
 
@@ -217,13 +202,8 @@ impl DepthScheduler {
     }
 
     /// Open an event: bring the profile and the queue up to `now`, then
-    /// start jobs from the head while they fit. Returns the starts so far.
-    pub(crate) fn start_heads(&mut self, now: SimTime) -> Vec<JobId> {
-        let mut starts = std::mem::take(&mut self.starts_scratch);
-        debug_assert!(starts.is_empty());
-        if starts.capacity() > 0 {
-            self.stats.scratch_reuses += 1;
-        }
+    /// start jobs from the head while they fit.
+    pub(crate) fn start_heads(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
         // Trimming drops the part of a rectangle before `now`, so a held
         // reservation whose anchor time has passed is released first, with
         // every one placed after it.
@@ -239,9 +219,8 @@ impl DepthScheduler {
                 break;
             }
             let head = self.queue.pop_front().expect("front() was Some");
-            self.start(head, now, &mut starts);
+            self.start(head, now, starts);
         }
-        starts
     }
 
     /// The backfill pass: hold reservations for the top `depth` queued
@@ -346,10 +325,9 @@ impl DepthScheduler {
         obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
     }
 
-    fn reschedule(&mut self, now: SimTime) -> Decisions {
-        let mut starts = self.start_heads(now);
-        self.backfill(now, &mut starts);
-        Decisions::start(starts)
+    fn reschedule(&mut self, now: SimTime, out: &mut Decisions) {
+        self.start_heads(now, &mut out.starts);
+        self.backfill(now, &mut out.starts);
     }
 }
 
@@ -362,18 +340,18 @@ impl Scheduler for DepthScheduler {
         }
     }
 
-    fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
+    fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
         self.enqueue(job);
-        self.reschedule(now)
+        self.reschedule(now, out);
     }
 
-    fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
-        self.finish(id, now);
-        self.reschedule(now)
+    fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
+        self.finish(job, now);
+        self.reschedule(now, out);
     }
 
-    fn on_wake(&mut self, now: SimTime) -> Decisions {
-        self.reschedule(now)
+    fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
+        self.reschedule(now, out);
     }
 
     fn queue_len(&self) -> usize {
@@ -394,17 +372,12 @@ impl Scheduler for DepthScheduler {
     fn set_phases(&mut self, phases: obs::SharedPhases) {
         self.phases = Some(phases);
     }
-
-    fn recycle(&mut self, spent: Decisions) {
-        let mut starts = spent.starts;
-        starts.clear();
-        self.starts_scratch = starts;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::testing::Harness;
     use simcore::SimSpan;
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
@@ -416,57 +389,61 @@ mod tests {
         }
     }
 
-    fn easy(capacity: u32, policy: Policy) -> DepthScheduler {
-        DepthScheduler::new(capacity, policy, 1)
+    fn easy(capacity: u32, policy: Policy) -> Harness<DepthScheduler> {
+        depth(capacity, policy, 1)
+    }
+
+    fn depth(capacity: u32, policy: Policy, k: usize) -> Harness<DepthScheduler> {
+        Harness::new(DepthScheduler::new(capacity, policy, k))
     }
 
     #[test]
     fn short_job_backfills_without_delaying_pivot() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
-                                                           // 2 procs free until 100. Job 2: 2 procs, 90 s -> ends at 92 < 100.
-        let d = s.on_arrival(meta(2, 2, 90, 2), SimTime::new(2));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
+                                                       // 2 procs free until 100. Job 2: 2 procs, 90 s -> ends at 92 < 100.
+        let d = s.arrive(meta(2, 2, 90, 2), SimTime::new(2));
         assert_eq!(d.starts, vec![JobId(2)]);
     }
 
     #[test]
     fn backfill_that_would_delay_pivot_is_refused_then_sidestepped() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // pivot at 100
-                                                           // Job 2 wants 2 procs for 200 s: would run past 100 using procs the
-                                                           // pivot needs (pivot needs all 8). Refused.
-        let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot at 100
+                                                       // Job 2 wants 2 procs for 200 s: would run past 100 using procs the
+                                                       // pivot needs (pivot needs all 8). Refused.
+        let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2));
         assert!(d.starts.is_empty());
     }
 
     #[test]
     fn long_backfill_on_pivot_spare_processors_is_allowed() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 500, 6), SimTime::new(1)); // pivot: 6 procs at 100
-                                                           // Job 2: 2 procs for 1000 s. Pivot leaves 2 spare procs, so running
-                                                           // past the pivot's start is fine — the EASY "extra processors" rule.
-        let d = s.on_arrival(meta(2, 2, 1000, 2), SimTime::new(2));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+        s.arrive(meta(1, 1, 500, 6), SimTime::new(1)); // pivot: 6 procs at 100
+                                                       // Job 2: 2 procs for 1000 s. Pivot leaves 2 spare procs, so running
+                                                       // past the pivot's start is fine — the EASY "extra processors" rule.
+        let d = s.arrive(meta(2, 2, 1000, 2), SimTime::new(2));
         assert_eq!(d.starts, vec![JobId(2)]);
     }
 
     #[test]
     fn only_head_is_protected_under_fcfs() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1)); // pivot at 100
-        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // second in queue: no guarantee
-                                                           // Job 3 (1 proc, 95 s) fits before the pivot's anchor: backfills,
-                                                           // even though it may delay job 2.
-        let d = s.on_arrival(meta(3, 3, 95, 1), SimTime::new(3));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 100, 8), SimTime::new(1)); // pivot at 100
+        s.arrive(meta(2, 2, 100, 8), SimTime::new(2)); // second in queue: no guarantee
+                                                       // Job 3 (1 proc, 95 s) fits before the pivot's anchor: backfills,
+                                                       // even though it may delay job 2.
+        let d = s.arrive(meta(3, 3, 95, 1), SimTime::new(3));
         assert!(
             d.starts.is_empty(),
             "8-wide pivot needs the whole machine; nothing is free"
         );
         // Free the machine at 100; pivot starts; job 2 becomes pivot.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
         assert_eq!(s.queue_len(), 2);
     }
@@ -474,39 +451,39 @@ mod tests {
     #[test]
     fn sjf_picks_new_head_dynamically() {
         let mut s = easy(8, Policy::Sjf);
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 900, 8), SimTime::new(1));
-        s.on_arrival(meta(2, 2, 50, 8), SimTime::new(2));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO);
+        s.arrive(meta(1, 1, 900, 8), SimTime::new(1));
+        s.arrive(meta(2, 2, 50, 8), SimTime::new(2));
         // At completion, SJF queue is [2 (50 s), 1 (900 s)]: job 2 starts.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(2)]);
     }
 
     #[test]
     fn xfactor_ages_long_waiters_to_the_front() {
         let mut s = easy(8, Policy::XFactor);
-        s.on_arrival(meta(0, 0, 10_000, 8), SimTime::ZERO);
+        s.arrive(meta(0, 0, 10_000, 8), SimTime::ZERO);
         // Long job waits from t=0; short job arrives much later.
-        s.on_arrival(meta(1, 0, 10_000, 8), SimTime::ZERO);
-        s.on_arrival(meta(2, 9_999, 100, 8), SimTime::new(9_999));
+        s.arrive(meta(1, 0, 10_000, 8), SimTime::ZERO);
+        s.arrive(meta(2, 9_999, 100, 8), SimTime::new(9_999));
         // At t=10000: xf(1) = (10000+10000)/10000 = 2;
         // xf(2) = (1+100)/100 = 1.01. Job 1 leads despite being long.
-        let d = s.on_completion(JobId(0), SimTime::new(10_000));
+        let d = s.complete(JobId(0), SimTime::new(10_000));
         assert_eq!(d.starts, vec![JobId(1)]);
     }
 
     #[test]
     fn multiple_backfills_stack_correctly() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // pivot at 100
-                                                           // Two 1-proc 50 s jobs both fit before 100.
-        let d = s.on_arrival(meta(2, 2, 50, 1), SimTime::new(2));
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot at 100
+                                                       // Two 1-proc 50 s jobs both fit before 100.
+        let d = s.arrive(meta(2, 2, 50, 1), SimTime::new(2));
         assert_eq!(d.starts, vec![JobId(2)]);
-        let d = s.on_arrival(meta(3, 3, 50, 1), SimTime::new(3));
+        let d = s.arrive(meta(3, 3, 50, 1), SimTime::new(3));
         assert_eq!(d.starts, vec![JobId(3)]);
         // A third would exceed the 2 free procs.
-        let d = s.on_arrival(meta(4, 4, 50, 1), SimTime::new(4));
+        let d = s.arrive(meta(4, 4, 50, 1), SimTime::new(4));
         assert!(d.starts.is_empty());
     }
 
@@ -516,9 +493,9 @@ mod tests {
         let mut s = easy(8, Policy::Fcfs);
         let rec = obs::trace::shared(64);
         s.set_recorder(rec.clone());
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // starts immediately
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
-        s.on_arrival(meta(2, 2, 90, 2), SimTime::new(2)); // backfills before 100
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // starts immediately
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
+        s.arrive(meta(2, 2, 90, 2), SimTime::new(2)); // backfills before 100
         let events = rec.borrow().events();
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
         assert_eq!(
@@ -536,19 +513,19 @@ mod tests {
     #[test]
     fn recorder_dedups_reserves_per_job_at_depth_two() {
         use obs::trace::TraceKind;
-        let mut s = DepthScheduler::new(8, Policy::Fcfs, 2);
+        let mut s = depth(8, Policy::Fcfs, 2);
         let rec = obs::trace::shared(64);
         s.set_recorder(rec.clone());
-        s.on_arrival(meta(0, 0, 100, 8), SimTime::ZERO); // running [0,100)
-        s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1)); // anchor 100
-        s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // anchor 150
-                                                           // Job 0 ends on time: job 1 starts, and job 2 moves up to the
-                                                           // first slot with its anchor unchanged, so it gets no new Reserve.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // running [0,100)
+        s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // anchor 100
+        s.arrive(meta(2, 2, 100, 8), SimTime::new(2)); // anchor 150
+                                                       // Job 0 ends on time: job 1 starts, and job 2 moves up to the
+                                                       // first slot with its anchor unchanged, so it gets no new Reserve.
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
-        s.on_arrival(meta(3, 101, 10, 8), SimTime::new(101)); // anchor 250
-                                                              // Job 1 ends early: job 2 starts and job 3's reservation moves.
-        let d = s.on_completion(JobId(1), SimTime::new(120));
+        s.arrive(meta(3, 101, 10, 8), SimTime::new(101)); // anchor 250
+                                                          // Job 1 ends early: job 2 starts and job 3's reservation moves.
+        let d = s.complete(JobId(1), SimTime::new(120));
         assert_eq!(d.starts, vec![JobId(2)]);
         let events = rec.borrow().events();
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
@@ -566,9 +543,9 @@ mod tests {
     #[test]
     fn held_pivot_is_kept_between_events_and_becomes_the_running_job() {
         let mut s = easy(8, Policy::Fcfs);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
-        s.on_arrival(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
-        let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2)); // refused
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
+        s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
+        let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2)); // refused
         assert!(d.starts.is_empty());
         let stats = s.profile_stats().unwrap();
         // Job 0's start and one pivot: the second pass kept the pivot.
@@ -576,7 +553,7 @@ mod tests {
         // Job 0 ends on its estimate, so nothing is returned and the
         // pivot starts at its own anchor: its reservation becomes its
         // running rectangle. Job 2 becomes the pivot at 600.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
         let stats = s.profile_stats().unwrap();
         assert_eq!(
@@ -591,26 +568,30 @@ mod tests {
         // is protected, not backfilled, so it is reserved at t=2 and not
         // started. By t=10 its anchor lies in the past: it is released
         // before the profile is trimmed and placed again at 10.
-        let mut s = DepthScheduler::new(8, Policy::Fcfs, 2);
-        s.on_arrival(meta(0, 0, 100, 4), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 100, 8), SimTime::new(1)); // anchor 100
-        let d = s.on_arrival(meta(2, 2, 50, 2), SimTime::new(2)); // anchor 2
+        let mut s = depth(8, Policy::Fcfs, 2);
+        s.arrive(meta(0, 0, 100, 4), SimTime::ZERO);
+        s.arrive(meta(1, 1, 100, 8), SimTime::new(1)); // anchor 100
+        let d = s.arrive(meta(2, 2, 50, 2), SimTime::new(2)); // anchor 2
         assert!(d.starts.is_empty());
-        let d = s.on_wake(SimTime::new(10));
+        let d = s.wake(SimTime::new(10));
         assert!(d.starts.is_empty());
         let stats = s.profile_stats().unwrap();
         // Starts: job 0. Reservations: job 1 once, job 2 at 2 and at 10.
         assert_eq!((stats.reserves, stats.releases), (4, 1));
         // The head is job 0's successor at 100; job 2 still waits.
-        let d = s.on_completion(JobId(0), SimTime::new(100));
+        let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
     }
 
     #[test]
     fn completion_for_unknown_job_panics() {
-        let mut s = easy(8, Policy::Fcfs);
+        let mut s = DepthScheduler::new(8, Policy::Fcfs, 1);
+        let job = Running {
+            meta: meta(9, 0, 10, 1),
+            started_at: SimTime::ZERO,
+        };
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.on_completion(JobId(9), SimTime::ZERO)
+            s.on_completion(job, SimTime::ZERO, &mut Decisions::default())
         }));
         assert!(r.is_err());
     }
@@ -628,14 +609,14 @@ mod tests {
         // (harmless at depth 1) but overlaps the 8-wide reservation at
         // [200, 253) — exactly what depth 2 must refuse.
         let setup = |depth| {
-            let mut s = DepthScheduler::new(8, Policy::Fcfs, depth);
-            s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
-            s.on_arrival(meta(1, 1, 100, 6), SimTime::new(1)); // anchor 100, spare 2
-            s.on_arrival(meta(2, 2, 100, 8), SimTime::new(2)); // anchor 200
+            let mut s = self::depth(8, Policy::Fcfs, depth);
+            s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // running [0,100)
+            s.arrive(meta(1, 1, 100, 6), SimTime::new(1)); // anchor 100, spare 2
+            s.arrive(meta(2, 2, 100, 8), SimTime::new(2)); // anchor 200
             s
         };
         let mut d1 = setup(1);
-        let got = d1.on_arrival(meta(3, 3, 250, 2), SimTime::new(3));
+        let got = d1.arrive(meta(3, 3, 250, 2), SimTime::new(3));
         assert_eq!(
             got.starts,
             vec![JobId(3)],
@@ -643,7 +624,7 @@ mod tests {
         );
 
         let mut d2 = setup(2);
-        let got = d2.on_arrival(meta(3, 3, 250, 2), SimTime::new(3));
+        let got = d2.arrive(meta(3, 3, 250, 2), SimTime::new(3));
         assert!(
             got.starts.is_empty(),
             "depth 2 must protect the second reservation"
@@ -652,11 +633,11 @@ mod tests {
 
     #[test]
     fn large_depth_protects_everyone() {
-        let mut s = DepthScheduler::new(8, Policy::Fcfs, usize::MAX);
-        s.on_arrival(meta(0, 0, 100, 6), SimTime::ZERO);
-        s.on_arrival(meta(1, 1, 50, 8), SimTime::new(1));
+        let mut s = depth(8, Policy::Fcfs, usize::MAX);
+        s.arrive(meta(0, 0, 100, 6), SimTime::ZERO);
+        s.arrive(meta(1, 1, 50, 8), SimTime::new(1));
         // Like conservative: a 200 s 2-wide job would delay job 1 -> refused.
-        let d = s.on_arrival(meta(2, 2, 200, 2), SimTime::new(2));
+        let d = s.arrive(meta(2, 2, 200, 2), SimTime::new(2));
         assert!(d.starts.is_empty());
     }
 

@@ -42,4 +42,4 @@ pub use policy::Policy;
 pub use preemptive::PreemptiveScheduler;
 pub use profile::{Profile, ProfileStats, Segment};
 pub use queue::{QueueCounters, SchedQueue};
-pub use scheduler::{Decisions, JobMeta, Scheduler};
+pub use scheduler::{Decisions, JobMeta, Running, Scheduler};

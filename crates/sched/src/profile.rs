@@ -389,10 +389,6 @@ pub struct ProfileStats {
     /// Memo resets: `fits` queries that found the profile mutated or the
     /// left edge moved, and re-anchored the memo before answering.
     pub fits_cache_misses: u64,
-    /// Scheduler scratch buffers reused across events instead of being
-    /// freshly allocated. Counted by the owning scheduler, never by the
-    /// profile itself.
-    pub scratch_reuses: u64,
 }
 
 impl ProfileStats {
@@ -415,7 +411,6 @@ impl ProfileStats {
         self.queue_moves += other.queue_moves;
         self.fits_cache_hits += other.fits_cache_hits;
         self.fits_cache_misses += other.fits_cache_misses;
-        self.scratch_reuses += other.scratch_reuses;
     }
 
     /// Mean segments examined per anchor search (0 if none ran): the

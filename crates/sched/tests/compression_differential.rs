@@ -19,7 +19,9 @@
 //! for the same wake-up, and hold the same guarantee for every queued job.
 
 use proptest::prelude::*;
-use sched::{Compression, ConservativeScheduler, JobMeta, Policy, Profile, Scheduler};
+use sched::{
+    Compression, ConservativeScheduler, Decisions, JobMeta, Policy, Profile, Running, Scheduler,
+};
 use simcore::{JobId, SimSpan, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
@@ -221,27 +223,36 @@ fn lockstep(trace: &[Job], policy: Policy, mode: Compression) -> Result<(), Test
         .collect();
     let mut queued: BTreeSet<u32> = BTreeSet::new();
     let mut started = 0;
+    let mut started_at = vec![SimTime::ZERO; trace.len()];
+    let mut d = Decisions::default();
     while let Some((now, event)) = events.pop_first() {
-        let (d, (ref_starts, ref_wakeup)) = match event {
+        d.clear();
+        let (ref_starts, ref_wakeup) = match event {
             Event::Arrive(i) => {
                 queued.insert(i);
                 let job = trace[i as usize].meta;
-                (fast.on_arrival(job, now), reference.on_arrival(job, now))
+                fast.on_arrival(job, now, &mut d);
+                reference.on_arrival(job, now)
             }
             Event::Complete(i) => {
-                let id = JobId(i);
-                (
-                    fast.on_completion(id, now),
-                    reference.on_completion(id, now),
-                )
+                let record = Running {
+                    meta: trace[i as usize].meta,
+                    started_at: started_at[i as usize],
+                };
+                fast.on_completion(record, now, &mut d);
+                reference.on_completion(JobId(i), now)
             }
-            Event::Wake => (fast.on_wake(now), reference.on_wake(now)),
+            Event::Wake => {
+                fast.on_wake(now, &mut d);
+                reference.on_wake(now)
+            }
         };
         let at = format!("{policy}/{mode:?} at {now} after {event:?}");
         prop_assert_eq!(&d.starts, &ref_starts, "starts diverged: {}", at);
         prop_assert_eq!(d.wakeup, ref_wakeup, "wake-ups diverged: {}", at);
         for &id in &d.starts {
             queued.remove(&id.0);
+            started_at[id.0 as usize] = now;
             started += 1;
             let end = now + trace[id.0 as usize].runtime;
             events.insert((end, Event::Complete(id.0)));
@@ -260,7 +271,6 @@ fn lockstep(trace: &[Job], policy: Policy, mode: Compression) -> Result<(), Test
         if let Some(wake) = d.wakeup {
             events.insert((wake, Event::Wake));
         }
-        fast.recycle(d);
     }
     prop_assert_eq!(
         started,

@@ -17,7 +17,7 @@
 //! any guarantee.
 
 use proptest::prelude::*;
-use sched::{Compression, ConservativeScheduler, JobMeta, Policy, Scheduler};
+use sched::{Compression, ConservativeScheduler, Decisions, JobMeta, Policy, Running, Scheduler};
 use simcore::{JobId, SimSpan, SimTime};
 
 proptest! {
@@ -44,7 +44,8 @@ proptest! {
             width: first_width,
         };
         for s in &mut scheds {
-            let d = s.on_arrival(j0, SimTime::ZERO);
+            let mut d = Decisions::default();
+            s.on_arrival(j0, SimTime::ZERO, &mut d);
             prop_assert_eq!(&d.starts, &vec![JobId(0)]);
         }
 
@@ -60,7 +61,8 @@ proptest! {
             };
             let mut first_starts: Option<Vec<JobId>> = None;
             for s in &mut scheds {
-                let d = s.on_arrival(m, now);
+                let mut d = Decisions::default();
+                s.on_arrival(m, now, &mut d);
                 match &first_starts {
                     None => first_starts = Some(d.starts),
                     Some(prev) => {
@@ -84,7 +86,12 @@ proptest! {
         // mode compresses its own way.
         let hole = SimTime::new(jobs.len() as u64 + 1);
         for (s, &mode) in scheds.iter_mut().zip(&modes) {
-            let d = s.on_completion(JobId(0), hole);
+            let mut d = Decisions::default();
+            let record = Running {
+                meta: j0,
+                started_at: SimTime::ZERO,
+            };
+            s.on_completion(record, hole, &mut d);
             for (&id, &before) in ids.iter().zip(&g_before) {
                 let Some(before) = before else {
                     continue; // started on arrival; was never queued

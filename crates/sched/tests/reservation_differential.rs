@@ -23,7 +23,9 @@
 //! up as a diverging start.
 
 use proptest::prelude::*;
-use sched::{DepthScheduler, JobMeta, Policy, PreemptiveScheduler, Profile, Scheduler};
+use sched::{
+    Decisions, DepthScheduler, JobMeta, Policy, PreemptiveScheduler, Profile, Running, Scheduler,
+};
 use simcore::{JobId, SimSpan, SimTime};
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -229,20 +231,28 @@ fn lockstep(
         }
     }
     let mut started = 0;
+    let mut started_at = vec![SimTime::ZERO; jobs.len()];
+    let mut decisions = Decisions::default();
     while let Some(Reverse((now, class, _, i))) = events.pop() {
         let job = jobs[i];
-        let (decisions, expected, what) = match class {
-            ARRIVE => (
-                shipped.on_arrival(job.meta, now),
-                reference.arrive(job.meta, now),
-                "arrival",
-            ),
-            COMPLETE => (
-                shipped.on_completion(job.meta.id, now),
-                reference.complete(job.meta.id, now),
-                "completion",
-            ),
-            _ => (shipped.on_wake(now), reference.reschedule(now), "wake-up"),
+        decisions.clear();
+        let (expected, what) = match class {
+            ARRIVE => {
+                shipped.on_arrival(job.meta, now, &mut decisions);
+                (reference.arrive(job.meta, now), "arrival")
+            }
+            COMPLETE => {
+                let record = Running {
+                    meta: job.meta,
+                    started_at: started_at[i],
+                };
+                shipped.on_completion(record, now, &mut decisions);
+                (reference.complete(job.meta.id, now), "completion")
+            }
+            _ => {
+                shipped.on_wake(now, &mut decisions);
+                (reference.reschedule(now), "wake-up")
+            }
         };
         prop_assert_eq!(
             &decisions.starts,
@@ -262,10 +272,10 @@ fn lockstep(
         for &id in &decisions.starts {
             let end = now + jobs[id.0 as usize].runtime;
             events.push(Reverse((end, COMPLETE, seq, id.0 as usize)));
+            started_at[id.0 as usize] = now;
             seq += 1;
             started += 1;
         }
-        shipped.recycle(decisions);
     }
     prop_assert_eq!(started, jobs.len(), "every job starts exactly once");
     prop_assert_eq!(shipped.queue_len(), 0);

@@ -19,7 +19,7 @@
 //! queued job's promise must agree too.
 
 use proptest::prelude::*;
-use sched::{ConservativeScheduler, JobMeta, Policy, Scheduler};
+use sched::{ConservativeScheduler, Decisions, JobMeta, Policy, Running, Scheduler};
 use simcore::{JobId, SimSpan, SimTime};
 use std::collections::BTreeSet;
 
@@ -95,8 +95,6 @@ mod selective_ref {
         /// scheduler: the profile runs ahead of the event stream at instants
         /// with several simultaneous completions).
         free: u32,
-        /// Recycled `starts` buffer from the previous event's [`Decisions`].
-        starts_scratch: Vec<JobId>,
     }
 
     impl SelectiveScheduler {
@@ -116,7 +114,6 @@ mod selective_ref {
                 unreserved: SchedQueue::new(policy),
                 running: HashMap::new(),
                 free: capacity,
-                starts_scratch: Vec::new(),
             }
         }
 
@@ -188,8 +185,7 @@ mod selective_ref {
         /// observed during `on_wake` cannot resolve at `now` and asking for a
         /// same-instant wake-up again would spin forever.
         fn reschedule(&mut self, now: SimTime, retry_same_instant: bool) -> Decisions {
-            let mut starts = std::mem::take(&mut self.starts_scratch);
-            debug_assert!(starts.is_empty());
+            let mut starts = Vec::new();
 
             // Promote jobs whose expansion factor crossed the threshold, in
             // priority order (simultaneous crossers are anchored best-first).
@@ -274,31 +270,31 @@ mod selective_ref {
             }
         }
 
-        fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
+        fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
             assert!(
                 job.width <= self.profile.capacity(),
                 "{} wider than machine",
                 job.id
             );
             self.unreserved.push(job);
-            self.reschedule(now, true)
+            *out = self.reschedule(now, true);
         }
 
-        fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
+        fn on_completion(&mut self, job: sched::Running, now: SimTime, out: &mut Decisions) {
             let run = self
                 .running
-                .remove(&id)
+                .remove(&job.meta.id)
                 .expect("completion for unknown job");
             self.free += run.width;
             if now < run.est_end {
                 self.profile.release(now, run.est_end.since(now), run.width);
                 self.compress(now);
             }
-            self.reschedule(now, true)
+            *out = self.reschedule(now, true);
         }
 
-        fn on_wake(&mut self, now: SimTime) -> Decisions {
-            self.reschedule(now, false)
+        fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
+            *out = self.reschedule(now, false);
         }
 
         fn queue_len(&self) -> usize {
@@ -309,12 +305,6 @@ mod selective_ref {
             let mut stats = self.profile.stats();
             self.unreserved.counters().merge_into(&mut stats);
             Some(stats)
-        }
-
-        fn recycle(&mut self, spent: Decisions) {
-            let mut starts = spent.starts;
-            starts.clear();
-            self.starts_scratch = starts;
         }
     }
 }
@@ -517,7 +507,7 @@ mod slack_ref {
             }
         }
 
-        fn on_arrival(&mut self, job: JobMeta, now: SimTime) -> Decisions {
+        fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
             assert!(
                 job.width <= self.profile.capacity(),
                 "{} wider than machine",
@@ -538,23 +528,23 @@ mod slack_ref {
                 meta: job,
                 start: promise,
             });
-            self.collect(now, true)
+            *out = self.collect(now, true);
         }
 
-        fn on_completion(&mut self, id: JobId, now: SimTime) -> Decisions {
+        fn on_completion(&mut self, job: sched::Running, now: SimTime, out: &mut Decisions) {
             let run = self
                 .running
-                .remove(&id)
+                .remove(&job.meta.id)
                 .expect("completion for unknown job");
             self.free += run.width;
             if now < run.est_end {
                 self.profile.release(now, run.est_end.since(now), run.width);
             }
-            self.collect(now, true)
+            *out = self.collect(now, true);
         }
 
-        fn on_wake(&mut self, now: SimTime) -> Decisions {
-            self.collect(now, false)
+        fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
+            *out = self.collect(now, false);
         }
 
         fn queue_len(&self) -> usize {
@@ -673,28 +663,38 @@ fn lockstep<R: Scheduler>(
         .collect();
     let mut queued: BTreeSet<u32> = BTreeSet::new();
     let mut started = 0;
+    let mut started_at = vec![SimTime::ZERO; trace.len()];
+    let (mut d, mut expected) = (Decisions::default(), Decisions::default());
     while let Some((now, event)) = events.pop_first() {
-        let (d, expected) = match event {
+        d.clear();
+        expected.clear();
+        match event {
             Event::Arrive(i) => {
                 queued.insert(i);
                 let job = trace[i as usize].meta;
-                (shipped.on_arrival(job, now), reference.on_arrival(job, now))
+                shipped.on_arrival(job, now, &mut d);
+                reference.on_arrival(job, now, &mut expected);
             }
             Event::Complete(i) => {
-                let id = JobId(i);
-                (
-                    shipped.on_completion(id, now),
-                    reference.on_completion(id, now),
-                )
+                let record = Running {
+                    meta: trace[i as usize].meta,
+                    started_at: started_at[i as usize],
+                };
+                shipped.on_completion(record, now, &mut d);
+                reference.on_completion(record, now, &mut expected);
             }
-            Event::Wake => (shipped.on_wake(now), reference.on_wake(now)),
-        };
+            Event::Wake => {
+                shipped.on_wake(now, &mut d);
+                reference.on_wake(now, &mut expected);
+            }
+        }
         let at = format!("{label} at {now} after {event:?}");
         prop_assert_eq!(&d.starts, &expected.starts, "starts diverged: {}", at);
         prop_assert_eq!(d.wakeup, expected.wakeup, "wake-ups diverged: {}", at);
         prop_assert!(d.preempts.is_empty());
         for &id in &d.starts {
             queued.remove(&id.0);
+            started_at[id.0 as usize] = now;
             started += 1;
             let end = now + trace[id.0 as usize].runtime;
             events.insert((end, Event::Complete(id.0)));
@@ -714,7 +714,6 @@ fn lockstep<R: Scheduler>(
         if let Some(wake) = d.wakeup {
             events.insert((wake, Event::Wake));
         }
-        shipped.recycle(d);
     }
     prop_assert_eq!(started, trace.len(), "not every job ran ({})", label);
     Ok(())

@@ -340,27 +340,35 @@ mod tests {
         );
     }
 
-    /// A cache-journal line written by an earlier build, whose profile
-    /// counters included two since-deleted fields: it still replays, and
-    /// the cache writes the replayed entry back as the pinned current
-    /// line (the old one less those two keys, with its own checksum).
+    /// Cache-journal lines written by earlier builds, whose profile
+    /// counters included since-deleted fields (two in the oldest, one more
+    /// in v2): each still replays, and the cache writes the replayed entry
+    /// back as the pinned current line (less those keys, with its own
+    /// checksum).
     #[test]
     fn golden_journal_line_replays_and_rewrites_byte_identically() {
         const GOLDEN: &str = include_str!("../tests/golden/cache_journal.jsonl");
         const GOLDEN_V2: &str = include_str!("../tests/golden/cache_journal_v2.jsonl");
-        let old = TempJournal::new("golden-old");
-        std::fs::write(&old.0, GOLDEN).unwrap();
-        let cache = ResultCache::with_journal(8, &old.0).unwrap();
-        let health = cache.journal_health().unwrap();
-        assert_eq!((health.replayed, health.truncated), (1, false));
-        let entry = Journal::<Entry>::read(&old.0).unwrap().records.remove(0);
-        assert!(entry.key.starts_with("{\"kind\":\"Easy\""));
-        assert!(matches!(cache.lookup(&entry.key), Lookup::Hit { .. }));
+        const GOLDEN_V3: &str = include_str!("../tests/golden/cache_journal_v3.jsonl");
+        for (name, golden) in [("golden-v1", GOLDEN), ("golden-v2", GOLDEN_V2)] {
+            let old = TempJournal::new(name);
+            std::fs::write(&old.0, golden).unwrap();
+            let cache = ResultCache::with_journal(8, &old.0).unwrap();
+            let health = cache.journal_health().unwrap();
+            assert_eq!((health.replayed, health.truncated), (1, false), "{name}");
+            let entry = Journal::<Entry>::read(&old.0).unwrap().records.remove(0);
+            assert!(entry.key.starts_with("{\"kind\":\"Easy\""));
+            assert!(matches!(cache.lookup(&entry.key), Lookup::Hit { .. }));
 
-        let new = TempJournal::new("golden-new");
-        let rewriter = ResultCache::with_journal(8, &new.0).unwrap();
-        rewriter.insert(entry.key, entry.report);
-        assert_eq!(std::fs::read_to_string(&new.0).unwrap(), GOLDEN_V2);
+            let new = TempJournal::new("golden-new");
+            let rewriter = ResultCache::with_journal(8, &new.0).unwrap();
+            rewriter.insert(entry.key, entry.report);
+            assert_eq!(
+                std::fs::read_to_string(&new.0).unwrap(),
+                GOLDEN_V3,
+                "{name}"
+            );
+        }
     }
 
     #[test]
