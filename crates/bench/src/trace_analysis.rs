@@ -1,7 +1,7 @@
 //! Reconstruct per-job timelines from a decision-trace JSONL file.
 //!
-//! The `--trace-out` flag of `bfsim simulate`/`bfsim bench` dumps the
-//! recorder's events (see `obs::trace` for the schema). This module
+//! The `--trace-out` flag of `bfsim simulate`/`bfsim bench` streams the
+//! recorder's events (schema and reader in `obs::trace`). This module
 //! joins each job's `Arrive`/`Start`/`Complete` events back into a
 //! timeline and aggregates mean wait and mean bounded slowdown per
 //! paper category — the same numbers `metrics::aggregate` computes from
@@ -15,6 +15,7 @@
 //! practice, but the exactness guarantee holds only for non-preemptive
 //! runs.
 
+pub use obs::trace::parse_jsonl;
 use obs::trace::{TraceCategory, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 
@@ -100,9 +101,6 @@ pub struct TraceAnalysis {
     pub overall: GroupSummary,
     /// `(category, summary)` for each category that appeared.
     pub per_category: Vec<(TraceCategory, GroupSummary)>,
-    /// Jobs with an `Arrive` but no `Complete` (truncated trace / ring
-    /// overflow); excluded from every summary.
-    pub incomplete: u64,
 }
 
 impl TraceAnalysis {
@@ -115,24 +113,11 @@ impl TraceAnalysis {
     }
 }
 
-/// Parse a whole JSONL document (one event per non-empty line).
-pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(i, line)| {
-            TraceEvent::parse_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))
-        })
-        .collect()
-}
-
-/// Join events into per-job timelines and aggregate per category.
-///
-/// Events may arrive in any order (the recorder emits them in time
-/// order, but a ring overflow can drop prefixes); a job missing its
-/// `Arrive` or `Complete` is counted in [`TraceAnalysis::incomplete`]
-/// rather than guessed at.
-pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
+/// Join events, in any order, into per-job timelines and aggregate per
+/// category. The trace must be one whole run: the error names the first
+/// job missing its `Arrive`, `Start` or `Complete` (a truncated file),
+/// arriving twice (two runs in one file) or out of order.
+pub fn analyze(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
     #[derive(Default)]
     struct Partial {
         category: Option<TraceCategory>,
@@ -152,6 +137,12 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
         }
         match &ev.kind {
             TraceKind::Arrive { estimate, .. } => {
+                if let Some(first) = p.arrive {
+                    return Err(format!(
+                        "job {} arrives twice (t={first} and t={}): two runs in one file?",
+                        ev.job, ev.time
+                    ));
+                }
                 p.arrive = Some(ev.time);
                 p.estimate = Some(*estimate);
             }
@@ -175,11 +166,17 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
     }
 
     let mut analysis = TraceAnalysis::default();
+    let mut incomplete = Vec::new();
     for (job, p) in jobs {
         let (Some(arrive), Some(start), Some(complete)) = (p.arrive, p.start, p.complete) else {
-            analysis.incomplete += 1;
+            incomplete.push(job);
             continue;
         };
+        if !(arrive <= start && start <= complete) {
+            return Err(format!(
+                "job {job} is out of order: arrive t={arrive}, start t={start}, complete t={complete}"
+            ));
+        }
         let runtime = if p.preempted {
             // Recover the true runtime from the overestimation factor
             // (estimate ÷ runtime); `complete − start` would include
@@ -215,7 +212,15 @@ pub fn analyze(events: &[TraceEvent]) -> TraceAnalysis {
         }
         analysis.timelines.push(timeline);
     }
-    analysis
+    if let Some(job) = incomplete.first() {
+        return Err(format!(
+            "not one whole run: {} completed jobs, {} incomplete (job {job} lacks an \
+             Arrive, Start or Complete): a truncated trace?",
+            analysis.overall.count,
+            incomplete.len()
+        ));
+    }
+    Ok(analysis)
 }
 
 #[cfg(test)]
@@ -255,7 +260,7 @@ mod tests {
                 },
             ),
         ];
-        let analysis = analyze(&events);
+        let analysis = analyze(&events).unwrap();
         assert_eq!(analysis.overall.count, 1);
         assert!((analysis.overall.mean_wait() - 50.0).abs() < 1e-12);
         assert!((analysis.overall.mean_slowdown() - 1.5).abs() < 1e-12);
@@ -286,25 +291,67 @@ mod tests {
                 },
             ),
         ];
-        let analysis = analyze(&events);
+        let analysis = analyze(&events).unwrap();
         assert!((analysis.overall.mean_slowdown() - 10.8).abs() < 1e-12);
+    }
+
+    /// `job`'s whole lifecycle: arrive at `t`, start 10 s later, run
+    /// 100 s.
+    fn lifecycle(t: u64, job: u64) -> Vec<TraceEvent> {
+        vec![
+            ev(
+                t,
+                job,
+                TraceCategory::LW,
+                TraceKind::Arrive {
+                    estimate: 100,
+                    width: 8,
+                },
+            ),
+            ev(t + 10, job, TraceCategory::LW, TraceKind::Start),
+            ev(
+                t + 110,
+                job,
+                TraceCategory::LW,
+                TraceKind::Complete {
+                    overestimate_factor: 1.0,
+                },
+            ),
+        ]
     }
 
     #[test]
     fn incomplete_jobs_are_counted_not_guessed() {
-        let events = vec![ev(
-            0,
-            1,
-            TraceCategory::LW,
-            TraceKind::Arrive {
-                estimate: 100,
-                width: 8,
-            },
-        )];
-        let analysis = analyze(&events);
-        assert_eq!(analysis.incomplete, 1);
-        assert_eq!(analysis.overall.count, 0);
-        assert!(analysis.timelines.is_empty());
+        // Job 2 arrives and starts, but the file ends before it
+        // completes; job 3 has only its Complete.
+        let mut events = lifecycle(0, 1);
+        events.extend(lifecycle(5, 2).into_iter().take(2));
+        events.extend(lifecycle(7, 3).into_iter().skip(2));
+        let err = analyze(&events).unwrap_err();
+        assert!(
+            err.contains("1 completed jobs, 2 incomplete (job 2 "),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn a_second_arrive_for_one_job_is_refused() {
+        // Two runs appended to one file: the same ids arrive again.
+        let mut events = lifecycle(0, 1);
+        events.extend(lifecycle(0, 1));
+        let err = analyze(&events).unwrap_err();
+        assert!(err.contains("job 1 arrives twice"), "got {err}");
+    }
+
+    #[test]
+    fn a_complete_before_its_start_is_refused() {
+        let mut events = lifecycle(0, 1);
+        events[1].time = 500;
+        let err = analyze(&events).unwrap_err();
+        assert!(
+            err.contains("job 1 is out of order: arrive t=0, start t=500, complete t=110"),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -333,7 +380,7 @@ mod tests {
                 },
             ),
         ];
-        let analysis = analyze(&events);
+        let analysis = analyze(&events).unwrap();
         let t = analysis.timelines[0];
         assert!(t.preempted);
         assert_eq!(t.runtime, 100);

@@ -1,9 +1,14 @@
 //! The command lines of `repro` and `trace-summary`: their generated
 //! `--help` against the golden file `bfsim`'s tests regenerate (see
-//! `crates/coord/tests/cli_surface.rs`), and a usage error that used to
-//! panic.
+//! `crates/coord/tests/cli_surface.rs`), a usage error that used to
+//! panic, and the exit code of a truncated trace.
 
+use backfill_sim::prelude::*;
+use obs::trace::Recorder;
+use std::cell::RefCell;
+use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::rc::Rc;
 
 const GOLDEN: &str = include_str!("../../coord/tests/golden/cli_help.txt");
 
@@ -46,6 +51,47 @@ fn repro_rejects_zero_jobs_with_exit_2() {
     assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
     assert!(
         stderr.contains("bad --jobs \"0\"") && !stderr.contains("panicked"),
+        "stderr: {stderr}"
+    );
+}
+
+/// A truncated trace is a bad data file: trace-summary reads a whole
+/// trace with exit 0 and exits 6 on its first 1,000 lines.
+#[test]
+fn trace_summary_refuses_a_truncated_trace_with_exit_6() {
+    let trace = Scenario::high_load(TraceSource::Ctc { jobs: 500, seed: 7 }).materialize();
+    let rec = Rc::new(RefCell::new(Recorder::new(Vec::new())));
+    simulate_observed(
+        &trace,
+        SchedulerKind::Easy,
+        Policy::Fcfs,
+        SimOptions::with_recorder(rec.clone()),
+    );
+    let text = String::from_utf8(rec.borrow().sink().clone()).expect("UTF-8 trace");
+    assert!(
+        text.lines().count() > 1_000,
+        "the trace is too short to cut"
+    );
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (whole, head) = (dir.join("whole.jsonl"), dir.join("head.jsonl"));
+    std::fs::write(&whole, &text).unwrap();
+    let first_lines: String = text.lines().take(1_000).map(|l| format!("{l}\n")).collect();
+    std::fs::write(&head, first_lines).unwrap();
+    let summary = env!("CARGO_BIN_EXE_trace-summary");
+
+    let out = run(summary, &[whole.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(
+        stdout.contains(" 500 completed jobs, 0 incomplete\n"),
+        "stdout: {stdout}"
+    );
+
+    let out = run(summary, &[head.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(6), "stderr: {stderr}");
+    assert!(
+        stderr.contains("incomplete") && out.stdout.is_empty(),
         "stderr: {stderr}"
     );
 }

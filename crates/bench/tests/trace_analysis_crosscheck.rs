@@ -23,7 +23,7 @@ fn assert_close(label: &str, a: f64, b: f64) {
 
 fn crosscheck(kind: SchedulerKind, policy: Policy, scenario: Scenario) {
     let trace = scenario.materialize();
-    let recorder = Rc::new(RefCell::new(Recorder::new(1 << 17)));
+    let recorder = Rc::new(RefCell::new(Recorder::new(Vec::new())));
     let (schedule, _) = simulate_observed(
         &trace,
         kind,
@@ -33,14 +33,11 @@ fn crosscheck(kind: SchedulerKind, policy: Policy, scenario: Scenario) {
     schedule.validate().expect("valid schedule");
     let stats = schedule.stats(&CategoryCriteria::default());
 
-    // Round-trip through the wire format, as a real consumer would.
-    let mut jsonl = Vec::new();
-    recorder.borrow().write_jsonl(&mut jsonl).unwrap();
-    assert_eq!(recorder.borrow().dropped(), 0, "ring too small for test");
-    let events = parse_jsonl(std::str::from_utf8(&jsonl).unwrap()).expect("parse trace");
-    let analysis = analyze(&events);
+    // Read the wire format back, as a real consumer would.
+    let events =
+        parse_jsonl(std::str::from_utf8(recorder.borrow().sink()).unwrap()).expect("parse trace");
+    let analysis = analyze(&events).expect("one whole run");
 
-    assert_eq!(analysis.incomplete, 0);
     assert_eq!(analysis.overall.count, trace.jobs().len() as u64);
     assert_close(
         "overall wait",

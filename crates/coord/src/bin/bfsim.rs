@@ -85,7 +85,7 @@ use bench_lib::sweep::{bench_cells, SweepSpec};
 use coord::{run_sweep_recoverable, SweepError, SweepJournal, SweepOptions, SweepReplay};
 use metrics::{fairness, queue_depth_series, utilization_series, viz};
 use obs::cli::Args;
-use obs::trace::Recorder;
+use obs::trace::{Recorder, SharedRecorder};
 use sched::ProfileStats;
 use serde::{Deserialize, Serialize};
 use service::{
@@ -244,6 +244,7 @@ mod table {
     pub static SERIES: Flag<bool> = Flag::switch("--series", "print utilization and queue-depth sparklines");
     pub static FAIRNESS: Flag<bool> = Flag::switch("--fairness", "print fairness metrics");
     pub static TRACE_OUT: Flag<String> = Flag::new("--trace-out", "OUT.jsonl", "", "write the decision trace (decision-neutral)", text);
+    pub static BENCH_TRACE_OUT: Flag<String> = Flag::new("--trace-out", "DIR", "", "write one decision trace per cell, DIR/<cell index>.jsonl (decision-neutral)", text);
     pub static OUT: Flag<String> = Flag::new("-o, --out", "FILE", "", "output file", text);
     pub static SEEDS: Flag<Vec<u64>> = Flag::new("--seeds", "a,b,c", "42,1337,2002", "campaign seeds", list);
     pub static ADDR: Flag<String> = Flag::new("--addr", "HOST:PORT", "127.0.0.1:7411", "the bfsimd to talk to", text);
@@ -287,7 +288,7 @@ mod table {
     static OUTPUT: Group = Group { title: "output", flags: &[&OUT] };
     static COMPARE: Group = Group { title: "campaign", flags: &[&SEEDS] };
     static METRICS: Group = Group { title: "output", flags: &[&FORMAT] };
-    static BENCH_RUN: Group = Group { title: "bench", flags: &[&OUT, &BASELINE, &ENFORCE_PARITY, &TINY, &REPS, &TRACE_OUT] };
+    static BENCH_RUN: Group = Group { title: "bench", flags: &[&OUT, &BASELINE, &ENFORCE_PARITY, &TINY, &REPS, &BENCH_TRACE_OUT] };
     static SWEEP: Group = Group { title: "sweep", flags: &[&SHARDS, &SPEC, &TINY, &BENCH, &WINDOW, &NO_STEAL, &MAX_REQUEUES, &SPANS, &SWEEP_JOURNAL, &RESUME, &REPROBE, &CANONICAL_OUT, &OUT] };
     static FLEET: Group = Group { title: "fleet", flags: &[&COUNT, &BASE_PORT, &BFSIMD, &CACHE_JOURNAL_DIR, &FAULT_PLAN, &RESTART_LIMIT, &STABLE_MS, &RETRY_BASE, &RETRY_SEED] };
     static TIMELINE: Group = Group { title: "files", flags: &[&IN, &OUT] };
@@ -400,33 +401,33 @@ fn build_trace(a: &Args) -> Trace {
     scale_to_load(&estimated, rho)
 }
 
-/// Drain `recorder` to `path` as JSONL, reporting drops.
-fn write_trace_out(recorder: &Rc<RefCell<Recorder>>, path: &str) {
-    let rec = recorder.borrow();
-    let mut out = Vec::new();
-    rec.write_jsonl(&mut out)
-        .expect("writing JSONL to a Vec cannot fail");
-    std::fs::write(path, out).unwrap_or_else(|e| die(&format!("writing {path}: {e}")));
-    if rec.dropped() > 0 {
-        obs::warn!(target: "bfsim",
-            "trace ring dropped {} oldest events (raise the cap?)", rec.dropped());
-    }
-    println!("trace: {} events -> {path}", rec.len());
+/// A recorder streaming the decision trace to a new file at `path`.
+fn trace_recorder(path: &Path) -> SharedRecorder {
+    let file = std::fs::File::create(path)
+        .unwrap_or_else(|e| die(&format!("creating {}: {e}", path.display())));
+    Rc::new(RefCell::new(Recorder::new(std::io::BufWriter::new(file))))
+}
+
+/// Flush a finished run's trace to `path`; any write error exits 2.
+fn finish_trace(recorder: &SharedRecorder, path: &Path) {
+    recorder
+        .borrow_mut()
+        .finish()
+        .unwrap_or_else(|e| die(&format!("writing {}: {e}", path.display())));
 }
 
 fn cmd_simulate(a: &Args) {
     let trace = build_trace(a);
-    let trace_out = a.opt(&TRACE_OUT);
-    let recorder = trace_out
-        .as_ref()
-        .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
+    let trace_out = a.opt(&TRACE_OUT).map(PathBuf::from);
+    let recorder = trace_out.as_deref().map(trace_recorder);
     let options = SimOptions {
         recorder: recorder.clone(),
         phases: None,
     };
     let (schedule, ()) = simulate_observed(&trace, a.get(&SCHEDULER), a.get(&POLICY), options);
     if let (Some(path), Some(recorder)) = (&trace_out, &recorder) {
-        write_trace_out(recorder, path);
+        finish_trace(recorder, path);
+        println!("trace -> {}", path.display());
     }
     schedule
         .validate()
@@ -783,24 +784,29 @@ fn cmd_bench(a: &Args) {
     // Wall time on a shared machine is one-sided noise (contention only
     // slows a run down), so each cell keeps its best-of-`reps` time.
     let repeats = a.opt(&REPS).unwrap_or(if tiny { 1 } else { 2 });
-    let trace_out = a.opt(&TRACE_OUT);
+    let trace_dir = a.opt(&BENCH_TRACE_OUT).map(PathBuf::from);
+    if let Some(dir) = &trace_dir {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| die(&format!("creating {}: {e}", dir.display())));
+    }
     let mut cells = Vec::with_capacity(configs.len());
-    let mut trace_file = trace_out.as_ref().map(|path| {
-        std::fs::File::create(path).unwrap_or_else(|e| die(&format!("creating {path}: {e}")))
-    });
-    for config in &configs {
+    for (index, config) in configs.iter().enumerate() {
         // Materialize once, outside the timed region: the bench measures
         // the event loop, not the workload generator.
         let trace = config.scenario.materialize();
+        let trace_path = trace_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("{index}.jsonl")));
         let mut best: Option<(f64, Schedule)> = None;
-        let mut recorded: Option<Rc<RefCell<Recorder>>> = None;
-        for _ in 0..repeats {
-            // With --trace-out the timed run itself carries the
-            // recorder: the emitted fingerprints then prove it is
-            // decision-neutral against a plain bench run.
-            let recorder = trace_out
-                .as_ref()
-                .map(|_| obs::trace::shared(obs::trace::DEFAULT_TRACE_CAP.max(trace.len() * 8)));
+        for rep in 0..repeats {
+            // With --trace-out every timed run carries a recorder, so the
+            // emitted fingerprints prove it is decision-neutral against a
+            // plain bench run. Runs are deterministic: the first writes
+            // the cell's file, the others an identical stream to nowhere.
+            let recorder: Option<SharedRecorder> = trace_path.as_deref().map(|path| match rep {
+                0 => trace_recorder(path),
+                _ => Rc::new(RefCell::new(Recorder::new(std::io::sink()))),
+            });
             let t0 = std::time::Instant::now();
             let options = SimOptions {
                 recorder: recorder.clone(),
@@ -808,17 +814,14 @@ fn cmd_bench(a: &Args) {
             };
             let (schedule, ()) = simulate_observed(&trace, config.kind, config.policy, options);
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if let (Some(path), Some(recorder)) = (&trace_path, &recorder) {
+                finish_trace(recorder, path);
+            }
             if best.as_ref().is_none_or(|(b, _)| wall_ms < *b) {
                 best = Some((wall_ms, schedule));
-                recorded = recorder;
             }
         }
         let (wall_ms, schedule) = best.expect("repeats >= 1");
-        if let (Some(file), Some(rec)) = (trace_file.as_mut(), &recorded) {
-            rec.borrow()
-                .write_jsonl(file)
-                .unwrap_or_else(|e| die(&format!("writing trace events: {e}")));
-        }
         let events_per_sec = if wall_ms > 0.0 {
             schedule.events as f64 / (wall_ms / 1e3)
         } else {

@@ -694,16 +694,15 @@ mod tests {
     #[test]
     fn journal_records_full_causal_history() {
         let trace = tiny_trace();
-        let recorder = obs::trace::shared(1 << 10);
+        let recorder = Rc::new(RefCell::new(obs::Recorder::new(Vec::new())));
         let (schedule, ()) = simulate_observed(
             &trace,
             SchedulerKind::Easy,
             Policy::Fcfs,
             SimOptions::with_recorder(recorder.clone()),
         );
-        let rec = recorder.borrow();
-        assert_eq!(rec.dropped(), 0);
-        let events = rec.events();
+        let text = String::from_utf8(recorder.borrow().sink().clone()).unwrap();
+        let events = obs::trace::parse_jsonl(&text).unwrap();
         // Times are non-decreasing in processing order.
         for w in events.windows(2) {
             assert!(w[0].time <= w[1].time, "{:?} before {:?}", w[0], w[1]);

@@ -6,9 +6,22 @@
 //! event vocabulary and ordering stay stable.
 
 use backfill_sim::prelude::*;
-use obs::trace::{Recorder, TraceKind};
+use obs::trace::{Recorder, TraceEvent, TraceKind};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+type MemRecorder = Rc<RefCell<Recorder<Vec<u8>>>>;
+
+fn mem_recorder() -> MemRecorder {
+    Rc::new(RefCell::new(Recorder::new(Vec::new())))
+}
+
+/// The JSONL lines `rec` has written.
+fn lines(rec: &MemRecorder) -> Vec<String> {
+    let rec = rec.borrow();
+    let text = std::str::from_utf8(rec.sink()).expect("the trace is UTF-8");
+    text.lines().map(str::to_string).collect()
+}
 
 fn kinds() -> Vec<SchedulerKind> {
     vec![
@@ -41,7 +54,7 @@ fn recorder_is_decision_neutral() {
     for kind in kinds() {
         for policy in [Policy::Fcfs, Policy::Sjf, Policy::XFactor] {
             let plain = simulate(&trace, kind, policy);
-            let recorder = Rc::new(RefCell::new(Recorder::new(1 << 12)));
+            let recorder = mem_recorder();
             let phases = Rc::new(RefCell::new(obs::PhaseAcc::new()));
             let options = SimOptions {
                 recorder: Some(recorder.clone()),
@@ -54,7 +67,7 @@ fn recorder_is_decision_neutral() {
                 "recorder or phase accumulator changed decisions for {kind:?}/{policy:?}"
             );
             assert!(
-                !recorder.borrow().events().is_empty(),
+                !recorder.borrow().sink().is_empty(),
                 "recorder saw no events for {kind:?}/{policy:?}"
             );
             assert!(
@@ -68,7 +81,7 @@ fn recorder_is_decision_neutral() {
 #[test]
 fn every_job_gets_arrive_start_complete() {
     let trace = noisy_trace();
-    let recorder = Rc::new(RefCell::new(Recorder::new(1 << 16)));
+    let recorder = mem_recorder();
     let (schedule, _) = simulate_observed(
         &trace,
         SchedulerKind::Easy,
@@ -77,13 +90,14 @@ fn every_job_gets_arrive_start_complete() {
     );
     schedule.validate().expect("valid schedule");
 
-    let rec = recorder.borrow();
-    assert_eq!(rec.dropped(), 0, "ring too small for test workload");
     let mut arrives = 0u64;
     let mut starts = 0u64;
     let mut completes = 0u64;
-    for ev in rec.events() {
-        match ev.kind {
+    for line in lines(&recorder) {
+        match TraceEvent::parse_json_line(&line)
+            .expect("parseable line")
+            .kind
+        {
             TraceKind::Arrive { .. } => arrives += 1,
             TraceKind::Start => starts += 1,
             TraceKind::Complete { .. } => completes += 1,
@@ -106,7 +120,7 @@ fn every_job_gets_arrive_start_complete() {
 #[test]
 fn golden_trace_tiny_easy_run() {
     let trace = Scenario::high_load(TraceSource::Ctc { jobs: 12, seed: 7 }).materialize();
-    let recorder = Rc::new(RefCell::new(Recorder::new(1 << 12)));
+    let recorder = mem_recorder();
     let (schedule, _) = simulate_observed(
         &trace,
         SchedulerKind::Easy,
@@ -115,21 +129,20 @@ fn golden_trace_tiny_easy_run() {
     );
     schedule.validate().expect("valid schedule");
 
-    let rec = recorder.borrow();
-    let actual: Vec<String> = rec.events().iter().map(|e| e.to_json_line()).collect();
+    let actual = lines(&recorder);
 
     // Golden capture: regenerate by printing `actual` below on mismatch.
     let sketch: Vec<String> = actual
         .iter()
         .map(|line| {
-            let ev = obs::trace::TraceEvent::parse_json_line(line).expect("round-trip");
+            let ev = TraceEvent::parse_json_line(line).expect("round-trip");
             format!("{}:{}:{}", ev.time, ev.job, ev.kind.name())
         })
         .collect();
 
     // Every line must round-trip through the JSONL parser.
     for line in &actual {
-        let ev = obs::trace::TraceEvent::parse_json_line(line).expect("parseable golden line");
+        let ev = TraceEvent::parse_json_line(line).expect("parseable golden line");
         assert_eq!(&ev.to_json_line(), line);
     }
 
@@ -143,22 +156,20 @@ fn golden_trace_tiny_easy_run() {
 
     // The very first event is always an arrival: nothing can start or
     // complete before the first job enters the system.
-    let first = obs::trace::TraceEvent::parse_json_line(&actual[0]).unwrap();
+    let first = TraceEvent::parse_json_line(&actual[0]).unwrap();
     assert!(matches!(first.kind, TraceKind::Arrive { .. }));
 
     // Re-running produces the identical byte-for-byte trace.
-    let recorder2 = Rc::new(RefCell::new(Recorder::new(1 << 12)));
+    let recorder2 = mem_recorder();
     let _ = simulate_observed(
         &trace,
         SchedulerKind::Easy,
         Policy::Fcfs,
         SimOptions::with_recorder(recorder2.clone()),
     );
-    let again: Vec<String> = recorder2
-        .borrow()
-        .events()
-        .iter()
-        .map(|e| e.to_json_line())
-        .collect();
-    assert_eq!(actual, again, "trace not deterministic across reruns");
+    assert_eq!(
+        actual,
+        lines(&recorder2),
+        "trace not deterministic across reruns"
+    );
 }

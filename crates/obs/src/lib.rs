@@ -19,10 +19,10 @@
 //!   monotonic clock, bounded per-thread buffers) plus the simulator's
 //!   per-phase self-profiling accumulator; drained spans merge across
 //!   processes into one Chrome-trace timeline per cell.
-//! * [`mod@trace`] — a bounded ring buffer of typed scheduler decisions
-//!   (`Arrive`, `Reserve`, `Backfill`, `Start`, `Complete`, `Compress`,
-//!   `Preempt`) tagged with job id and paper category, flushable to
-//!   JSONL and re-parseable for offline analysis.
+//! * [`mod@trace`] — typed scheduler decisions (`Arrive`, `Reserve`,
+//!   `Backfill`, `Start`, `Complete`, `Compress`, `Preempt`) tagged with
+//!   job id and paper category, streamed to a `Write` sink as JSONL and
+//!   re-parseable for offline analysis.
 //!
 //! Everything here is **decision-neutral**: recording observes the
 //! simulation, it never feeds back into it. The core test suite asserts

@@ -1,13 +1,15 @@
 //! Opt-in decision-trace recording.
 //!
-//! A [`Recorder`] is a bounded ring buffer of typed scheduler events,
-//! each tagged with the job id and the paper's workload category
-//! (SN/SW/LN/LW). The driver tags every job at arrival and emits the
-//! lifecycle events (`Arrive`, `Start`, `Complete`, `Preempt`);
-//! schedulers that hold an availability profile additionally emit their
-//! decisions (`Reserve`, `Backfill`, `Compress`). Recording is strictly
-//! observational: nothing in here feeds back into scheduling, so traces
-//! are decision-neutral by construction.
+//! A [`Recorder`] streams typed scheduler events to a `Write` sink as
+//! JSONL, one line per event as it happens, each tagged with the job id
+//! and the paper's workload category (SN/SW/LN/LW). Nothing is held back
+//! beyond the sink's own buffer, so a trace is lossless at any scale.
+//! The driver tags every job at arrival and emits the lifecycle events
+//! (`Arrive`, `Start`, `Complete`, `Preempt`); schedulers that hold an
+//! availability profile additionally emit their decisions (`Reserve`,
+//! `Backfill`, `Compress`). Recording is strictly observational: nothing
+//! in here feeds back into scheduling, so traces are decision-neutral by
+//! construction.
 //!
 //! # JSONL schema
 //!
@@ -28,13 +30,9 @@
 use crate::json::{push_f64, push_str_literal, FlatObject};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::rc::Rc;
-
-/// Default ring capacity: enough for every event of a paper-scale run
-/// (~5 events per job × 10 000 jobs) without unbounded growth.
-pub const DEFAULT_TRACE_CAP: usize = 1 << 16;
 
 /// The paper's four workload categories (Short/Long × Narrow/Wide), plus
 /// `Unknown` for events recorded before the job was tagged.
@@ -233,54 +231,46 @@ impl TraceEvent {
     }
 }
 
-/// A bounded ring buffer of [`TraceEvent`]s plus the job→category tag
-/// map. Once `cap` events are held, each new event overwrites the oldest
-/// (`dropped` counts the overwritten ones), so a runaway run can never
-/// exhaust memory.
-#[derive(Debug)]
-pub struct Recorder {
-    cap: usize,
-    /// Ring storage; grows to `cap` then wraps.
-    buf: Vec<TraceEvent>,
-    /// Index the next event is written to once the ring is full.
-    next: usize,
-    dropped: u64,
-    tags: HashMap<u64, TraceCategory>,
+/// Parse a whole JSONL document (one event per non-empty line).
+pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            TraceEvent::parse_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))
+        })
+        .collect()
 }
 
-impl Recorder {
-    /// A recorder holding at most `cap` events (minimum 1).
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
+/// Writes each recorded event to its sink as one JSONL line
+/// ([`TraceEvent::to_json_line`] plus `\n`) the moment it is recorded,
+/// and keeps the category tags of the jobs alive now: a job is tagged at
+/// arrival and its tag is dropped at its `Complete`. Memory is therefore
+/// bounded by the live jobs, whatever the run's length, and every event
+/// reaches the sink.
+///
+/// The first write error is kept and nothing more is written after it;
+/// [`Recorder::finish`] flushes the sink and returns that error, so a
+/// failing sink is reported, never silently truncated.
+pub struct Recorder<W: Write + ?Sized = dyn Write> {
+    tags: HashMap<u64, TraceCategory>,
+    error: Option<io::Error>,
+    sink: W,
+}
+
+impl<W: Write> Recorder<W> {
+    /// A recorder writing to `sink`: a `BufWriter<File>` for a trace
+    /// file, a `Vec<u8>` to read the trace back in memory.
+    pub fn new(sink: W) -> Self {
         Recorder {
-            cap,
-            buf: Vec::new(),
-            next: 0,
-            dropped: 0,
             tags: HashMap::new(),
+            error: None,
+            sink,
         }
     }
+}
 
-    /// Maximum events held.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Events currently held (≤ cap).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
+impl<W: Write + ?Sized> Recorder<W> {
     /// Associate `job` with its paper category (the driver calls this at
     /// arrival; category assignment uses the actual runtime, which
     /// schedulers never see — tagging lives with the driver on purpose).
@@ -288,60 +278,58 @@ impl Recorder {
         self.tags.insert(job, category);
     }
 
-    /// The category `job` was tagged with (or `Unknown`).
-    pub fn category_of(&self, job: u64) -> TraceCategory {
-        self.tags
-            .get(&job)
-            .copied()
-            .unwrap_or(TraceCategory::Unknown)
-    }
-
-    /// Record one event, tagging it from the category map.
+    /// Record one event, tagged from the category map, and write its
+    /// line to the sink. A `Complete` is the job's last event, so it
+    /// takes the job's tag out of the map.
     pub fn record(&mut self, time: u64, job: u64, kind: TraceKind) {
-        let event = TraceEvent {
+        let category = match kind {
+            TraceKind::Complete { .. } => self.tags.remove(&job),
+            _ => self.tags.get(&job).copied(),
+        };
+        if self.error.is_some() {
+            return;
+        }
+        let mut line = TraceEvent {
             time,
             job,
-            category: self.category_of(job),
+            category: category.unwrap_or(TraceCategory::Unknown),
             kind,
-        };
-        if self.buf.len() < self.cap {
-            self.buf.push(event);
-        } else {
-            self.buf[self.next] = event;
-            self.next = (self.next + 1) % self.cap;
-            self.dropped += 1;
+        }
+        .to_json_line();
+        line.push('\n');
+        if let Err(e) = self.sink.write_all(line.as_bytes()) {
+            self.error = Some(e);
         }
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.next..]);
-        out.extend_from_slice(&self.buf[..self.next]);
-        out
+    /// Flush the sink; the first write error, if any, instead.
+    pub fn finish(&mut self) -> io::Result<()> {
+        match self.error.take() {
+            Some(e) => Err(e),
+            None => self.sink.flush(),
+        }
     }
 
-    /// Write the retained events as JSONL, oldest first, straight from
-    /// the ring (no copy of the events).
-    pub fn write_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let (newer, older) = self.buf.split_at(self.next);
-        for event in older.iter().chain(newer) {
-            w.write_all(event.to_json_line().as_bytes())?;
-            w.write_all(b"\n")?;
-        }
-        Ok(())
+    /// The sink the events were written to.
+    pub fn sink(&self) -> &W {
+        &self.sink
+    }
+}
+
+impl<W: Write + ?Sized> fmt::Debug for Recorder<W> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Recorder")
+            .field("live_jobs", &self.tags.len())
+            .field("error", &self.error)
+            .finish_non_exhaustive()
     }
 }
 
 /// The recorder handle threaded through driver and scheduler. A run is
-/// single-threaded, so `Rc<RefCell<…>>` suffices; service workers each
-/// own their recorder.
+/// single-threaded, so `Rc<RefCell<…>>` suffices. A typed handle such as
+/// `Rc<RefCell<Recorder<Vec<u8>>>>` coerces to it, so its owner can read
+/// the sink back after the run.
 pub type SharedRecorder = Rc<RefCell<Recorder>>;
-
-/// Convenience constructor for a [`SharedRecorder`].
-pub fn shared(cap: usize) -> SharedRecorder {
-    Rc::new(RefCell::new(Recorder::new(cap)))
-}
 
 #[cfg(test)]
 mod tests {
@@ -414,57 +402,95 @@ mod tests {
         assert!(TraceEvent::parse_json_line(r#"{"t":1,"job":2,"cat":"XX","ev":"Start"}"#).is_err());
     }
 
-    #[test]
-    fn ring_wraps_at_cap() {
-        let mut rec = Recorder::new(4);
-        for i in 0..10u64 {
-            rec.record(i, i, TraceKind::Start);
-        }
-        assert_eq!(rec.len(), 4);
-        assert_eq!(rec.dropped(), 6);
-        let times: Vec<u64> = rec.events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![6, 7, 8, 9], "oldest events are overwritten");
-        // The JSONL writer reads the wrapped ring in place, oldest first.
-        let mut out = Vec::new();
-        rec.write_jsonl(&mut out).unwrap();
-        let written: Vec<u64> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| TraceEvent::parse_json_line(l).unwrap().time)
-            .collect();
-        assert_eq!(written, times);
+    /// The events a recorder wrote to its in-memory sink.
+    fn written(rec: &Recorder<Vec<u8>>) -> Vec<TraceEvent> {
+        parse_jsonl(std::str::from_utf8(rec.sink()).unwrap()).unwrap()
     }
 
     #[test]
     fn category_tagging() {
-        let mut rec = Recorder::new(8);
+        let mut rec = Recorder::new(Vec::new());
         rec.tag(1, TraceCategory::LW);
         rec.record(0, 1, TraceKind::Start);
         rec.record(0, 2, TraceKind::Start);
-        let events = rec.events();
+        let events = written(&rec);
         assert_eq!(events[0].category, TraceCategory::LW);
         assert_eq!(events[1].category, TraceCategory::Unknown);
     }
 
     #[test]
-    fn write_jsonl_emits_one_line_per_event() {
-        let mut rec = Recorder::new(8);
+    fn record_writes_one_line_per_event() {
+        let mut rec = Recorder::new(Vec::new());
         rec.tag(1, TraceCategory::SN);
         rec.record(10, 1, TraceKind::Start);
-        rec.record(
-            20,
-            1,
-            TraceKind::Complete {
-                overestimate_factor: 1.0,
-            },
-        );
-        let mut out = Vec::new();
-        rec.write_jsonl(&mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let complete = TraceKind::Complete {
+            overestimate_factor: 1.0,
+        };
+        rec.record(20, 1, complete.clone());
+        rec.finish().unwrap();
+        let text = std::str::from_utf8(rec.sink()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        for line in lines {
-            TraceEvent::parse_json_line(line).unwrap();
+        assert!(text.ends_with('\n'));
+        let events = written(&rec);
+        assert_eq!(
+            lines[1],
+            events[1].to_json_line(),
+            "the wire line is to_json_line"
+        );
+        assert_eq!(
+            events[1],
+            TraceEvent {
+                time: 20,
+                job: 1,
+                category: TraceCategory::SN,
+                kind: complete,
+            }
+        );
+    }
+
+    #[test]
+    fn complete_drops_the_jobs_tag() {
+        let mut rec = Recorder::new(Vec::new());
+        rec.tag(4, TraceCategory::SW);
+        let complete = TraceKind::Complete {
+            overestimate_factor: 2.0,
+        };
+        rec.record(5, 4, complete.clone());
+        rec.record(6, 4, complete);
+        let cats: Vec<TraceCategory> = written(&rec).iter().map(|e| e.category).collect();
+        assert_eq!(cats, [TraceCategory::SW, TraceCategory::Unknown]);
+        assert!(format!("{rec:?}").contains("live_jobs: 0"), "{rec:?}");
+    }
+
+    /// A sink that accepts `room` bytes, then fails every write.
+    struct Failing {
+        room: usize,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "sink full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
         }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn finish_surfaces_the_first_write_error() {
+        let mut rec = Recorder::new(Failing { room: 10 });
+        for t in 0..3 {
+            rec.record(t, 1, TraceKind::Start);
+        }
+        let err = rec.finish().expect_err("the sink failed mid-trace");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        assert_eq!(rec.sink().room, 0);
     }
 }

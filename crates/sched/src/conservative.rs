@@ -689,7 +689,7 @@ impl Scheduler for ConservativeScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testing::Harness;
+    use crate::scheduler::testing::{recorded, recorder, Harness};
     use simcore::SimSpan;
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
@@ -934,12 +934,12 @@ mod tests {
     #[test]
     fn recorder_sees_reserves_and_compressions() {
         let mut s = Harness::new(ConservativeScheduler::new(8, Policy::Fcfs));
-        let rec = obs::trace::shared(64);
+        let rec = recorder();
         s.set_recorder(rec.clone());
         s.arrive(meta(0, 0, 1000, 8), SimTime::ZERO);
         s.arrive(meta(1, 1, 10, 8), SimTime::new(1)); // anchored at 1000
         s.complete(JobId(0), SimTime::new(400)); // hole: job 1 moves to 400
-        let events = rec.borrow().events();
+        let events = recorded(&rec);
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
         assert_eq!(kinds[0], (0, &TraceKind::Reserve { anchor: 0 }));
         assert_eq!(kinds[1], (1, &TraceKind::Reserve { anchor: 1000 }));
@@ -1035,7 +1035,7 @@ mod tests {
         #[test]
         fn job_gets_reservation_once_threshold_crossed() {
             let mut s = Harness::new(ConservativeScheduler::selective(8, Policy::Fcfs, 2.0));
-            let rec = obs::trace::shared(64);
+            let rec = recorder();
             s.set_recorder(rec.clone());
             s.arrive(meta(0, 0, 1_000, 8), SimTime::ZERO);
             // Job 1 (est 100): crosses at t = 1 + 100 = 101.
@@ -1050,7 +1050,7 @@ mod tests {
             // At job 0's (exact) completion, the protected job starts first.
             let d = s.complete(JobId(0), SimTime::new(1_000));
             assert_eq!(d.starts, vec![JobId(1)]);
-            let events = rec.borrow().events();
+            let events = recorded(&rec);
             let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
             assert_eq!(
                 kinds,

@@ -377,7 +377,7 @@ impl Scheduler for DepthScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::testing::Harness;
+    use crate::scheduler::testing::{recorded, recorder, Harness};
     use simcore::SimSpan;
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
@@ -491,12 +491,12 @@ mod tests {
     fn recorder_sees_pivot_reserve_and_backfill() {
         use obs::trace::TraceKind;
         let mut s = easy(8, Policy::Fcfs);
-        let rec = obs::trace::shared(64);
+        let rec = recorder();
         s.set_recorder(rec.clone());
         s.arrive(meta(0, 0, 100, 6), SimTime::ZERO); // starts immediately
         s.arrive(meta(1, 1, 500, 8), SimTime::new(1)); // pivot, anchor 100
         s.arrive(meta(2, 2, 90, 2), SimTime::new(2)); // backfills before 100
-        let events = rec.borrow().events();
+        let events = recorded(&rec);
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
         assert_eq!(
             kinds,
@@ -514,7 +514,7 @@ mod tests {
     fn recorder_dedups_reserves_per_job_at_depth_two() {
         use obs::trace::TraceKind;
         let mut s = depth(8, Policy::Fcfs, 2);
-        let rec = obs::trace::shared(64);
+        let rec = recorder();
         s.set_recorder(rec.clone());
         s.arrive(meta(0, 0, 100, 8), SimTime::ZERO); // running [0,100)
         s.arrive(meta(1, 1, 50, 8), SimTime::new(1)); // anchor 100
@@ -527,7 +527,7 @@ mod tests {
                                                           // Job 1 ends early: job 2 starts and job 3's reservation moves.
         let d = s.complete(JobId(1), SimTime::new(120));
         assert_eq!(d.starts, vec![JobId(2)]);
-        let events = rec.borrow().events();
+        let events = recorded(&rec);
         let kinds: Vec<(u64, &TraceKind)> = events.iter().map(|e| (e.job, &e.kind)).collect();
         assert_eq!(
             kinds,

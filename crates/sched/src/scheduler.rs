@@ -237,6 +237,18 @@ pub(crate) mod testing {
             &mut self.sched
         }
     }
+
+    /// A decision-trace recorder writing to memory.
+    pub(crate) type MemRecorder = std::rc::Rc<std::cell::RefCell<obs::Recorder<Vec<u8>>>>;
+
+    pub(crate) fn recorder() -> MemRecorder {
+        std::rc::Rc::new(std::cell::RefCell::new(obs::Recorder::new(Vec::new())))
+    }
+
+    /// The events `rec` has written so far.
+    pub(crate) fn recorded(rec: &MemRecorder) -> Vec<obs::TraceEvent> {
+        obs::trace::parse_jsonl(std::str::from_utf8(rec.borrow().sink()).unwrap()).unwrap()
+    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,8 @@
 //! preemption (the authors' companion ICPP 2002 strategy).
 
 use backfill_sim::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn job(id: u32, arrival: u64, runtime: u64, estimate: u64, width: u32) -> Job {
     Job {
@@ -97,17 +99,17 @@ fn journal_shows_preempt_between_starts() {
         vec![job(0, 0, 50_000, 50_000, 8), job(1, 10, 1_000, 1_000, 8)],
     )
     .unwrap();
-    let recorder = obs::trace::shared(1 << 10);
+    let recorder = Rc::new(RefCell::new(obs::Recorder::new(Vec::new())));
     simulate_observed(
         &trace,
         SchedulerKind::Preemptive { threshold: 2.0 },
         Policy::Fcfs,
         SimOptions::with_recorder(recorder.clone()),
     );
-    let kinds: Vec<&str> = recorder
-        .borrow()
-        .events()
-        .iter()
+    let text = String::from_utf8(recorder.borrow().sink().clone()).unwrap();
+    let kinds: Vec<&str> = obs::trace::parse_jsonl(&text)
+        .unwrap()
+        .into_iter()
         .filter(|e| e.job == 0)
         .map(|e| e.kind.name())
         .filter(|k| ["Arrive", "Start", "Preempt", "Complete"].contains(k))
