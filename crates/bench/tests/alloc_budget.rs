@@ -12,14 +12,13 @@
 //! and NoBF on a paper cell must stay under fixed allocations-per-event
 //! and bytes-per-event budgets under each of the paper's three policies.
 //! What a whole run allocates — the trace-sized vectors, container growth
-//! — comes to about 0.01 allocations and 60–90 B per event on these
-//! cells, so the budgets sit at under 4× that: one allocation per start
+//! — comes to about 0.01 allocations and 50–66 B per event on these
+//! cells, so the budgets sit at 3–5× that: one allocation per start
 //! (about 0.5 per event) fails them by an order of magnitude.
 //!
 //! The budget is enforced in **release** builds only: debug builds run
-//! `debug_assert!(invariants_ok())` after every profile mutation and the
-//! EASY differential profile rebuild, both of which allocate deliberately
-//! and would swamp the measurement. CI runs this test with `--release` in
+//! `debug_assert!(invariants_ok())` after every profile mutation, which
+//! allocates deliberately and would swamp the measurement. CI runs this test with `--release` in
 //! the perf-smoke job.
 
 use backfill_sim::prelude::*;
@@ -80,12 +79,12 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 
 /// Per-event budgets, enforced in release builds. A run allocates only
 /// its trace-sized vectors and amortized container growth (chunk, queue
-/// and event-heap Vecs): measured at most 0.0081 allocs/event and 89
-/// B/event over these cells (Preempt(5)/FCFS, whose run-segment list
-/// outgrows its trace-sized capacity). The bounds are under 4× that, so
-/// a per-event regression (a fresh `starts` vector, a clone, a collect, a
-/// stable sort's merge buffer — which cost this FCFS cell ~830 B/event
-/// while compression passes re-sorted the queue) fails them.
+/// and event-heap Vecs, the suspended jobs' runs): measured at most
+/// 0.0103 allocs/event (Preempt(5)/XF) and 66 B/event (NoBF/FCFS) over
+/// these cells. The bounds sit at about 3× and 5× that, so a per-event
+/// regression (a fresh `starts` vector, a clone, a collect, a stable
+/// sort's merge buffer — which cost this FCFS cell ~830 B/event while
+/// compression passes re-sorted the queue) fails them.
 const ALLOCS_PER_EVENT: f64 = 0.03;
 const BYTES_PER_EVENT: f64 = 350.0;
 
@@ -112,7 +111,7 @@ fn assert_within_budget(trace: &Trace, kind: SchedulerKind, policy: Policy) {
     assert!(allocs > 0, "counting allocator observed nothing");
 
     if cfg!(debug_assertions) {
-        // Debug builds allocate inside debug_assert-guarded differential
+        // Debug builds allocate inside debug_assert-guarded invariant
         // checks; the pinned budget would measure those, not the hot
         // path. The release CI run enforces it.
         return;

@@ -26,8 +26,8 @@
 //! change fails here.
 //!
 //! Release builds only (`cargo test -p bench --release --test
-//! depth_trace_parity`): in debug builds the per-pass profile checks make
-//! the 81 cells take minutes.
+//! depth_trace_parity`): in debug builds the profile's invariant checks,
+//! run after every mutation, make the 81 cells take minutes.
 
 use backfill_sim::prelude::*;
 use obs::trace::Recorder;

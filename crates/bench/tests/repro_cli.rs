@@ -1,13 +1,14 @@
 //! The command lines of `repro` and `trace-summary`: their generated
 //! `--help` against the golden file `bfsim`'s tests regenerate (see
 //! `crates/coord/tests/cli_surface.rs`), a usage error that used to
-//! panic, and the exit code of a truncated trace.
+//! panic, the exit code of a truncated trace, and a reader that closes
+//! trace-summary's stdout early.
 
 use backfill_sim::prelude::*;
 use obs::trace::Recorder;
 use std::cell::RefCell;
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::rc::Rc;
 
 const GOLDEN: &str = include_str!("../../coord/tests/golden/cli_help.txt");
@@ -94,4 +95,36 @@ fn trace_summary_refuses_a_truncated_trace_with_exit_6() {
         stderr.contains("incomplete") && out.stdout.is_empty(),
         "stderr: {stderr}"
     );
+}
+
+/// A reader that leaves before the summary is written (`trace-summary F |
+/// head -0`) ends the summary, not the process with a panic (exit 101).
+#[test]
+fn trace_summary_exits_0_when_its_reader_leaves() {
+    let trace = Scenario::high_load(TraceSource::Ctc {
+        jobs: 5_000,
+        seed: 7,
+    })
+    .materialize();
+    let rec = Rc::new(RefCell::new(Recorder::new(Vec::new())));
+    simulate_observed(
+        &trace,
+        SchedulerKind::Easy,
+        Policy::Fcfs,
+        SimOptions::with_recorder(rec.clone()),
+    );
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("closed_pipe.jsonl");
+    std::fs::write(&path, rec.borrow().sink()).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_trace-summary"))
+        .arg(&path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    // Close the read end while the child still parses the trace.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }

@@ -33,8 +33,8 @@
 //! A fourth pins that the counters do not depend on the build profile:
 //! the reservation-depth schedulers' backfill passes, probes, reserves
 //! and releases are literals that debug and release builds must both
-//! reproduce, although debug builds also check each pass's running
-//! profile and held reservations against a rebuild. The reserves and
+//! reproduce, although debug builds also check the profile's invariants
+//! after every mutation. The reserves and
 //! releases also pin how much reservation work the passes save by
 //! keeping the reservations whose inputs did not change.
 
@@ -172,10 +172,10 @@ const DEPTH_WORK: [(SchedulerKind, (u64, u64, u64, u64)); 3] = [
 ];
 
 /// The reservation-depth pass keeps its running profile and its held
-/// reservations incrementally; debug builds also check both against a
-/// rebuild, which must count nothing. EASY, Depth(k) and Preemptive
-/// therefore report the same counters in every build, so a debug
-/// daemon's reports equal a release daemon's.
+/// reservations incrementally, and no build does profile work of its own
+/// that a counter would see. EASY, Depth(k) and Preemptive therefore
+/// report the same counters in every build, so a debug daemon's reports
+/// equal a release daemon's.
 #[test]
 fn reservation_depth_counters_match_in_every_build() {
     let trace = Scenario {

@@ -14,17 +14,17 @@
 //! The scheduler answers every event in one [`Decisions`] buffer the driver
 //! owns and clears before each event, so the event path allocates nothing
 //! for it once the buffer has grown. The driver also tracks each job's
-//! remaining work and current run: a completion hands the scheduler the
-//! job's [`Running`] record, and a suspended job is re-announced with its
-//! remaining estimate, `max(estimate − total ran, 1 s)`, worked out here
-//! and nowhere else.
+//! remaining work and current run: each applied start hands the scheduler
+//! the run's [`Running`] record, a completion hands the same record back,
+//! and a suspended job is re-announced with its remaining estimate,
+//! `max(estimate − total ran, 1 s)`, worked out here and nowhere else.
 //!
 //! Simultaneous events process in a fixed class order — completions, then
 //! arrivals, then scheduler wake-ups — so that a job ending at instant *t*
 //! frees its processors before anything else at *t* is considered, and
 //! wake-ups observe fully updated state.
 
-use crate::schedule::Schedule;
+use crate::schedule::{RunLog, Schedule};
 use metrics::JobOutcome;
 use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
@@ -285,9 +285,10 @@ struct Driver<'a> {
     /// Run-epoch per job; bumped on every preemption to invalidate the
     /// pending completion event. Nonzero once the job has been suspended.
     epoch: Vec<u32>,
-    /// Completed run segments, for capacity auditing of preemptive
-    /// schedules (a suspended job holds no processors).
-    segments: Vec<simcore::PlacedJob>,
+    /// The finished runs of every job that was ever suspended, for the
+    /// capacity audit (a suspended job holds no processors). Every other
+    /// job ran once, over its outcome's `[start, end)`.
+    suspended_runs: RunLog,
     completions: u32,
     /// Discrete events delivered (arrivals, completions — stale ones
     /// included — and wake-ups): the denominator of events/sec throughput.
@@ -375,14 +376,32 @@ impl Driver<'_> {
         }
     }
 
+    /// Take job `id` off the machine at `now` and return the start of the
+    /// run that ends. The runs of a job that has been suspended go to the
+    /// audit trail; any other job's one run is its outcome.
+    fn end_run(&mut self, id: JobId, now: SimTime) -> SimTime {
+        let start = self.running_since[id.0 as usize]
+            .take()
+            .unwrap_or_else(|| panic!("{id} left the machine while not running"));
+        let job = self.trace.job(id);
+        self.in_use -= job.width;
+        if self.epoch[id.0 as usize] > 0 {
+            self.suspended_runs.push(simcore::PlacedJob {
+                id: id.0,
+                arrival: job.arrival,
+                start,
+                end: now,
+                width: job.width,
+            });
+        }
+        start
+    }
+
     fn apply(&mut self, decisions: &Decisions, now: SimTime) {
         for &id in &decisions.preempts {
             let i = id.0 as usize;
-            let seg_start = self.running_since[i]
-                .take()
-                .unwrap_or_else(|| panic!("{id} preempted while not running"));
-            let job = self.trace.job(id);
-            let ran_now = now.since(seg_start);
+            self.epoch[i] += 1; // invalidates the pending completion event
+            let ran_now = now.since(self.end_run(id, now));
             // ran_now == remaining is possible: the victim's completion is
             // pending at this very instant behind the event that decided
             // the preemption. The suspension wins (epoch bump voids the
@@ -390,15 +409,6 @@ impl Driver<'_> {
             // and completes immediately on restart.
             debug_assert!(ran_now <= self.remaining[i], "{id} ran past its runtime");
             self.remaining[i] = self.remaining[i] - ran_now;
-            self.epoch[i] += 1; // invalidates the pending completion event
-            self.in_use -= job.width;
-            self.segments.push(simcore::PlacedJob {
-                id: id.0,
-                arrival: job.arrival,
-                start: seg_start,
-                end: now,
-                width: job.width,
-            });
             let requeued = self.meta(id);
             self.scheduler.on_preempted(requeued);
             self.trace_event(now, id, TraceKind::Preempt);
@@ -430,6 +440,11 @@ impl Driver<'_> {
                 CLASS_COMPLETION,
                 Ev::Complete(id, self.epoch[i]),
             );
+            let record = Running {
+                meta: self.meta(id),
+                started_at: now,
+            };
+            self.scheduler.on_started(record);
         }
         if let Some(at) = decisions.wakeup {
             debug_assert!(at >= now, "wake-up scheduled in the past");
@@ -484,24 +499,13 @@ impl Driver<'_> {
                     // scheduled; its resume scheduled a fresh one.
                     return;
                 }
-                let seg_start = self.running_since[i]
-                    .take()
-                    .expect("completion of idle job");
                 // The record before the remaining work is zeroed: its
                 // estimate is the one this run started with.
                 let record = Running {
                     meta: self.meta(id),
-                    started_at: seg_start,
+                    started_at: self.end_run(id, now),
                 };
                 let job = self.trace.job(id);
-                self.in_use -= job.width;
-                self.segments.push(simcore::PlacedJob {
-                    id: id.0,
-                    arrival: job.arrival,
-                    start: seg_start,
-                    end: now,
-                    width: job.width,
-                });
                 self.remaining[i] = SimSpan::ZERO;
                 self.ends[i] = Some(now);
                 self.completions += 1;
@@ -572,7 +576,7 @@ fn simulate_with(
         remaining: trace.jobs().iter().map(|j| j.runtime).collect(),
         running_since: vec![None; trace.len()],
         epoch: vec![0; trace.len()],
-        segments: Vec::with_capacity(trace.len()),
+        suspended_runs: RunLog::default(),
         completions: 0,
         events: 0,
         recorder: options.recorder,
@@ -624,7 +628,7 @@ fn simulate_with(
         scheduler: name,
         nodes: trace.nodes(),
         outcomes,
-        run_segments: driver.segments,
+        suspended_runs: driver.suspended_runs,
         profile_stats: driver.scheduler.profile_stats(),
         events: driver.events,
     }
@@ -786,9 +790,13 @@ mod tests {
         assert!(s.outcomes.is_empty());
     }
 
-    /// What the driver handed a [`Scripted`] scheduler: the requeued
-    /// metas and the completion records, in order.
-    type Handed = Rc<RefCell<(Vec<JobMeta>, Vec<Running>)>>;
+    /// What the driver handed a [`Scripted`] scheduler, in order.
+    #[derive(Default)]
+    struct Handed {
+        requeued: Vec<JobMeta>,
+        started: Vec<Running>,
+        completed: Vec<Running>,
+    }
 
     /// Starts whatever its script names on each arrival, and preempts and
     /// starts on cue, leaving every guard to the driver.
@@ -797,7 +805,7 @@ mod tests {
         /// `(at, preempts, starts)` in time order: the first event at or
         /// after `at` applies the step, and a wake-up asks for the next.
         steps: VecDeque<(u64, Vec<u32>, Vec<u32>)>,
-        handed: Handed,
+        handed: Rc<RefCell<Handed>>,
     }
 
     impl Scripted {
@@ -805,7 +813,7 @@ mod tests {
             Scripted {
                 on_arrival,
                 steps: VecDeque::new(),
-                handed: Handed::default(),
+                handed: Rc::default(),
             }
         }
 
@@ -832,14 +840,17 @@ mod tests {
             self.play(now, out);
         }
         fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
-            self.handed.borrow_mut().1.push(job);
+            self.handed.borrow_mut().completed.push(job);
             self.play(now, out);
         }
         fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
             self.play(now, out);
         }
+        fn on_started(&mut self, job: Running) {
+            self.handed.borrow_mut().started.push(job);
+        }
         fn on_preempted(&mut self, job: JobMeta) {
-            self.handed.borrow_mut().0.push(job);
+            self.handed.borrow_mut().requeued.push(job);
         }
         fn queue_len(&self) -> usize {
             0
@@ -884,15 +895,33 @@ mod tests {
             meta: meta(id, estimate),
             started_at: SimTime::new(started_at),
         };
-        let (requeued, completed) = &*handed.borrow();
+        let handed = handed.borrow();
         // 100 − 20, 50 − 50 floored to 1, 100 − (20 + 25).
-        assert_eq!(requeued, &[meta(0, 80), meta(2, 1), meta(0, 55)]);
+        assert_eq!(handed.requeued, [meta(0, 80), meta(2, 1), meta(0, 55)]);
         // Each record carries the estimate last requeued and the start of
         // the final run.
         assert_eq!(
-            completed,
-            &[record(1, 50, 0), record(2, 1, 70), record(0, 55, 90)]
+            handed.completed,
+            [record(1, 50, 0), record(2, 1, 70), record(0, 55, 90)]
         );
+        // Every applied start is reported with its run's record, resumed
+        // runs with their remaining estimate ...
+        assert_eq!(
+            handed.started,
+            [
+                record(0, 100, 0),
+                record(1, 50, 0),
+                record(2, 50, 0),
+                record(0, 80, 30),
+                record(2, 1, 70),
+                record(0, 55, 90),
+            ]
+        );
+        // ... and a completion hands back the record of the run it ends.
+        for done in &handed.completed {
+            let last = handed.started.iter().rfind(|r| r.meta.id == done.meta.id);
+            assert_eq!(last, Some(done));
+        }
         let ends: Vec<u64> = schedule
             .outcomes
             .iter()

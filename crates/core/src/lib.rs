@@ -48,7 +48,7 @@ pub use driver::{flush_profile_stats, simulate, simulate_observed, SchedulerKind
 pub use runner::{
     materialize_caught, run_all, run_all_checked, run_cell_on, CellError, RunResult, SweepSharing,
 };
-pub use schedule::Schedule;
+pub use schedule::{RunLog, Schedule};
 
 /// Everything a typical experiment needs, in one import.
 pub mod prelude {

@@ -14,10 +14,10 @@ pub struct Schedule {
     pub nodes: u32,
     /// Per-job outcomes, indexed by job id.
     pub outcomes: Vec<JobOutcome>,
-    /// Contiguous run segments (one per job for non-preemptive schedules;
-    /// one per run for preemptive ones). This, not `outcomes`, is what
-    /// capacity auditing sweeps — a suspended job holds no processors.
-    pub run_segments: Vec<PlacedJob>,
+    /// Every run of each job that was ever suspended, in the order they
+    /// ended (a suspended job holds no processors). Any other job ran once,
+    /// over its outcome's `[start, end)`.
+    pub suspended_runs: RunLog,
     /// Availability-profile operation counters accumulated by the
     /// scheduler over the run, if it maintains a profile (`None` for
     /// profile-free schedulers such as plain FCFS).
@@ -36,13 +36,29 @@ impl Schedule {
     }
 
     /// Audit the schedule against machine capacity, independent of the
-    /// scheduler's own bookkeeping. Sweeps the run segments, and checks
-    /// that each job's segments cover exactly its runtime within its
-    /// `[start, end]` outcome window.
+    /// scheduler's own bookkeeping. Sweeps every run — the suspended jobs'
+    /// runs and one `[start, end)` run per other job — and checks that
+    /// each job's runs cover exactly its runtime within its `[start, end]`
+    /// outcome window.
     pub fn validate(&self) -> Result<(), SimError> {
-        validate_schedule(&self.run_segments, self.nodes)?;
+        let mut runs: Vec<PlacedJob> = self.suspended_runs.iter().copied().collect();
+        let mut suspended = vec![false; self.outcomes.len()];
+        runs.iter().for_each(|r| suspended[r.id as usize] = true);
+        runs.extend(
+            self.outcomes
+                .iter()
+                .filter(|o| !suspended[o.id().0 as usize])
+                .map(|o| PlacedJob {
+                    id: o.id().0,
+                    arrival: o.job.arrival,
+                    start: o.start,
+                    end: o.end(),
+                    width: o.job.width,
+                }),
+        );
+        validate_schedule(&runs, self.nodes)?;
         let mut covered = vec![0u64; self.outcomes.len()];
-        for seg in &self.run_segments {
+        for seg in &runs {
             let o = &self.outcomes[seg.id as usize];
             if seg.start < o.start || seg.end > o.end() {
                 return Err(SimError::AuditFailure(format!(
@@ -94,6 +110,27 @@ impl Schedule {
     }
 }
 
+/// An append-only list of runs in chunks of 128 (4 KiB), so that it grows
+/// without copying: a doubling `Vec` would allocate about twice what it
+/// ends up holding.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunLog(Vec<Vec<PlacedJob>>);
+
+impl RunLog {
+    /// Append `run`.
+    pub fn push(&mut self, run: PlacedJob) {
+        if self.0.last().is_none_or(|chunk| chunk.len() == 128) {
+            self.0.push(Vec::with_capacity(128));
+        }
+        self.0.last_mut().expect("a chunk with room").push(run);
+    }
+
+    /// The runs in the order they were appended.
+    pub fn iter(&self) -> impl Iterator<Item = &PlacedJob> {
+        self.0.iter().flatten()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,23 +151,23 @@ mod tests {
     }
 
     fn schedule(outcomes: Vec<JobOutcome>) -> Schedule {
-        let run_segments = outcomes
-            .iter()
-            .map(|o| PlacedJob {
-                id: o.id().0,
-                arrival: o.job.arrival,
-                start: o.start,
-                end: o.end(),
-                width: o.job.width,
-            })
-            .collect();
         Schedule {
             scheduler: "test".into(),
             nodes: 8,
             outcomes,
-            run_segments,
+            suspended_runs: RunLog::default(),
             profile_stats: None,
             events: 0,
+        }
+    }
+
+    fn run(id: u32, start: u64, end: u64, width: u32) -> PlacedJob {
+        PlacedJob {
+            id,
+            arrival: SimTime::ZERO,
+            start: SimTime::new(start),
+            end: SimTime::new(end),
+            width,
         }
     }
 
@@ -145,6 +182,45 @@ mod tests {
     fn oversubscribed_schedule_fails_audit() {
         let s = schedule(vec![outcome(0, 0, 100, 6, 0), outcome(1, 0, 100, 6, 50)]);
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn suspended_runs_are_audited_beside_the_other_outcomes() {
+        // Job 0 (runtime 100) runs [0, 40), is suspended while job 1
+        // holds the whole machine over [40, 90), and runs [90, 150).
+        let mut s = schedule(vec![
+            JobOutcome::with_end(
+                outcome(0, 0, 100, 6, 0).job,
+                SimTime::ZERO,
+                SimTime::new(150),
+            ),
+            outcome(1, 0, 50, 8, 40),
+        ]);
+        let log = |runs: &[PlacedJob]| {
+            let mut log = RunLog::default();
+            runs.iter().for_each(|&r| log.push(r));
+            log
+        };
+        s.suspended_runs = log(&[run(0, 0, 40, 6), run(0, 90, 150, 6)]);
+        // Its outcome window overlaps job 1's run: only the runs count.
+        assert!(s.validate().is_ok());
+        // A lost run leaves the runtime uncovered.
+        s.suspended_runs = log(&[run(0, 0, 40, 6)]);
+        let err = s.validate().unwrap_err().to_string();
+        assert!(err.contains("ran 40 s of its"), "{err}");
+        // A run overlapping job 1 oversubscribes the machine.
+        s.suspended_runs = log(&[run(0, 0, 50, 6), run(0, 90, 140, 6)]);
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn run_log_keeps_order_across_chunks() {
+        let mut log = RunLog::default();
+        for id in 0..3 * 128 + 1 {
+            log.push(run(id, 0, 1, 1));
+        }
+        assert!(log.iter().map(|r| r.id).eq(0..3 * 128 + 1));
+        assert!(log.0.iter().all(|chunk| chunk.capacity() == 128));
     }
 
     #[test]

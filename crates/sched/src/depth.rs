@@ -48,7 +48,6 @@ use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use simcore::{JobId, SimTime};
-use std::collections::HashMap;
 
 /// Depth-`k` reservation backfilling scheduler (EASY at `k = 1`).
 #[derive(Debug, Clone)]
@@ -58,15 +57,11 @@ pub struct DepthScheduler {
     capacity: u32,
     pub(crate) free: u32,
     pub(crate) queue: SchedQueue,
-    /// The running jobs' records. The driver hands a completing job's
-    /// record back, so the scheduler needs none of its own: the map is
-    /// kept because [`PreemptiveScheduler`](crate::PreemptiveScheduler)
-    /// picks its victims from it (the debug-mode rebuild reads it too).
-    pub(crate) running: HashMap<JobId, Running>,
     /// The running set's remaining estimated occupancy plus the live held
     /// reservations, updated on every start, finish and pass instead of
-    /// rebuilt per event. The rebuild stays as a debug-mode differential
-    /// reference.
+    /// rebuilt per event; the scheduler keeps no record of the running
+    /// jobs. Its from-scratch rebuild is the test-only reference of
+    /// `sched/tests/reservation_differential.rs`.
     cached: Profile,
     /// Pass counters not kept by the profile itself.
     stats: ProfileStats,
@@ -97,7 +92,6 @@ impl DepthScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
-            running: HashMap::new(),
             cached: Profile::new(capacity),
             stats: ProfileStats::default(),
             recorder: None,
@@ -126,20 +120,13 @@ impl DepthScheduler {
             self.release_held_from(0);
             self.cached.reserve(now, job.estimate, job.width);
         }
-        self.run(job, now, starts);
+        self.run(job, starts);
     }
 
     /// Put `job`, whose rectangle is already in `cached`, on the machine.
-    fn run(&mut self, job: JobMeta, now: SimTime, starts: &mut Vec<JobId>) {
+    fn run(&mut self, job: JobMeta, starts: &mut Vec<JobId>) {
         debug_assert!(job.width <= self.free);
         self.free -= job.width;
-        self.running.insert(
-            job.id,
-            Running {
-                meta: job,
-                started_at: now,
-            },
-        );
         starts.push(job.id);
     }
 
@@ -147,14 +134,15 @@ impl DepthScheduler {
     /// and return the not-yet-elapsed tail of its estimated occupancy to
     /// the profile, releasing the held reservations first (room freed
     /// early may move them). An overrun job (`est_end <= now`) holds
-    /// nothing in the profile's future and leaves them in place.
+    /// nothing in the profile's future and leaves them in place. `job` is
+    /// the record the driver kept since the start.
     pub(crate) fn finish(&mut self, job: Running, now: SimTime) {
-        let started = self
-            .running
-            .remove(&job.meta.id)
-            .expect("completion for unknown job");
-        debug_assert_eq!(started, job, "record of {} differs", job.meta.id);
         self.free += job.meta.width;
+        debug_assert!(
+            self.free <= self.capacity,
+            "{} held no processors",
+            job.meta.id
+        );
         let est_end = job.est_end();
         if est_end > now {
             self.release_held_from(0);
@@ -171,34 +159,6 @@ impl DepthScheduler {
             }
         }
         self.held.truncate(from);
-    }
-
-    /// Rebuild the running jobs' remaining estimated occupancy plus the
-    /// held reservations from scratch, checking that each held anchor is
-    /// where a fresh search puts it, and compare the result with `cached`.
-    /// The rebuild is a profile of its own, so it counts nothing.
-    #[cfg(debug_assertions)]
-    fn check_cached(&self, now: SimTime) {
-        let mut p = Profile::new(self.capacity);
-        for run in self.running.values() {
-            let est_end = run.est_end();
-            if est_end > now {
-                p.reserve(now, est_end.since(now), run.meta.width);
-            }
-        }
-        for &(job, anchor) in &self.held {
-            let fresh = p.find_anchor(now, job.estimate, job.width);
-            assert_eq!(
-                fresh, anchor,
-                "held reservation of {} moved at {now}",
-                job.id
-            );
-            p.reserve(anchor, job.estimate, job.width);
-        }
-        assert!(
-            self.cached.same_future(&p, now),
-            "cached running profile diverged from rebuild at {now}"
-        );
     }
 
     /// Open an event: bring the profile and the queue up to `now`, then
@@ -232,9 +192,7 @@ impl DepthScheduler {
         if self.queue.is_empty() {
             return;
         }
-        // One backfill pass per event. The debug rebuild below is not
-        // counted: counters are functions of the schedule, the same in
-        // every build.
+        // One backfill pass per event.
         self.stats.compress_passes += 1;
         // A whole-`JobMeta` match: a re-queued victim's shorter remaining
         // estimate makes it a different rectangle.
@@ -246,8 +204,6 @@ impl DepthScheduler {
             .count();
         self.release_held_from(kept);
         self.released.sort_unstable_by_key(|&(id, _)| id);
-        #[cfg(debug_assertions)]
-        self.check_cached(now);
 
         // `anchor == now` is possible even for the head, which did not
         // start: the profile (built from *estimated* ends) may already
@@ -320,7 +276,7 @@ impl DepthScheduler {
             // It fit around every held rectangle, so they stay.
             self.cached.reserve(now, cand.estimate, cand.width);
             horizon = None;
-            self.run(cand, now, starts);
+            self.run(cand, starts);
         }
         obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
     }
@@ -581,19 +537,6 @@ mod tests {
         // The head is job 0's successor at 100; job 2 still waits.
         let d = s.complete(JobId(0), SimTime::new(100));
         assert_eq!(d.starts, vec![JobId(1)]);
-    }
-
-    #[test]
-    fn completion_for_unknown_job_panics() {
-        let mut s = DepthScheduler::new(8, Policy::Fcfs, 1);
-        let job = Running {
-            meta: meta(9, 0, 10, 1),
-            started_at: SimTime::ZERO,
-        };
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            s.on_completion(job, SimTime::ZERO, &mut Decisions::default())
-        }));
-        assert!(r.is_err());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! * only the *highest-priority* starving job triggers preemption;
 //! * victims are chosen lowest-priority-first among jobs that have run at
-//!   least `min_run` (no sniping of fresh starts);
+//!   least `min_run` (no sniping of fresh starts) — the running jobs the
+//!   driver reported through [`Scheduler::on_started`], so a job started
+//!   earlier in the same event is never a candidate;
 //! * a job is suspended at most `max_preemptions` times, guaranteeing
 //!   global progress.
 //!
@@ -30,10 +32,15 @@ use std::collections::HashMap;
 /// EASY backfilling with selective preemption of running jobs.
 #[derive(Debug, Clone)]
 pub struct PreemptiveScheduler {
-    /// The EASY (depth-1) scheduler underneath: queue, running set and
-    /// backfill pass. Its queued `estimate`s are *remaining* estimates for
-    /// previously preempted jobs, as the driver re-announced them.
+    /// The EASY (depth-1) scheduler underneath: queue, running profile
+    /// and backfill pass. Its queued `estimate`s are *remaining* estimates
+    /// for previously preempted jobs, as the driver re-announced them.
     easy: DepthScheduler,
+    /// The victim set: every running job, as the driver reported its
+    /// start, until it completes or is picked. Its order never reaches a
+    /// decision, because [`pick_victims`](Self::pick_victims) sorts the
+    /// candidates by the policy's total order.
+    running: Vec<Running>,
     /// Times a job has been suspended so far (sticky across resumes;
     /// dropped when it completes).
     suspended_count: HashMap<JobId, u32>,
@@ -60,6 +67,7 @@ impl PreemptiveScheduler {
         );
         PreemptiveScheduler {
             easy: DepthScheduler::new(capacity, policy, 1),
+            running: Vec::new(),
             suspended_count: HashMap::new(),
             threshold,
             min_run: SimSpan::from_mins(10),
@@ -67,13 +75,6 @@ impl PreemptiveScheduler {
             candidates: Vec::new(),
             victims: Vec::new(),
         }
-    }
-
-    /// Override the anti-thrashing safeguards.
-    pub fn with_safeguards(mut self, min_run: SimSpan, max_preemptions: u32) -> Self {
-        self.min_run = min_run;
-        self.max_preemptions = max_preemptions;
-        self
     }
 
     /// Pick victims (lowest priority first) freeing enough processors for
@@ -84,9 +85,8 @@ impl PreemptiveScheduler {
         let suspensions = |id: &JobId| suspended_count.get(id).copied().unwrap_or(0);
         self.candidates.clear();
         self.candidates.extend(
-            self.easy
-                .running
-                .values()
+            self.running
+                .iter()
                 .filter(|r| {
                     now.since(r.started_at) >= self.min_run
                         && suspensions(&r.meta.id) < self.max_preemptions
@@ -121,6 +121,8 @@ impl PreemptiveScheduler {
                 && Policy::xfactor(&head, now) >= self.threshold
                 && self.pick_victims(head.width, now)
             {
+                let victims = &self.victims;
+                self.running.retain(|r| !victims.contains(r));
                 for &job in &self.victims {
                     self.easy.finish(job, now);
                     *self.suspended_count.entry(job.meta.id).or_insert(0) += 1;
@@ -162,6 +164,7 @@ impl Scheduler for PreemptiveScheduler {
     }
 
     fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
+        self.running.retain(|r| r.meta.id != job.meta.id);
         self.easy.finish(job, now);
         // A completed job is never suspended again: the map holds only
         // jobs still queued or running.
@@ -171,6 +174,10 @@ impl Scheduler for PreemptiveScheduler {
 
     fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
         self.reschedule(now, out);
+    }
+
+    fn on_started(&mut self, job: Running) {
+        self.running.push(job);
     }
 
     fn on_preempted(&mut self, job: JobMeta) {
@@ -215,9 +222,10 @@ mod tests {
     }
 
     fn guarded(threshold: f64, min_run: SimSpan, max: u32) -> Harness<PreemptiveScheduler> {
-        Harness::new(
-            PreemptiveScheduler::new(8, Policy::Fcfs, threshold).with_safeguards(min_run, max),
-        )
+        let mut s = PreemptiveScheduler::new(8, Policy::Fcfs, threshold);
+        s.min_run = min_run;
+        s.max_preemptions = max;
+        Harness::new(s)
     }
 
     #[test]
@@ -273,6 +281,27 @@ mod tests {
         s.arrive(meta(2, 152, 100, 8), SimTime::new(152));
         let d = s.wake(SimTime::new(252));
         assert!(d.preempts.is_empty(), "second suspension must be refused");
+    }
+
+    #[test]
+    fn a_job_started_in_the_same_event_is_no_victim() {
+        // With no minimum run, only the victim set's origin keeps a job
+        // that the event's head-start step just started out of the
+        // episode that follows it.
+        let mut s = guarded(2.0, SimSpan::ZERO, 2);
+        s.arrive(meta(0, 0, 10_000, 4), SimTime::ZERO); // R
+        s.arrive(meta(1, 0, 100, 4), SimTime::ZERO); // X
+        s.arrive(meta(2, 1, 10_000, 4), SimTime::new(1)); // A
+        s.arrive(meta(3, 2, 10, 8), SimTime::new(2)); // B
+                                                      // X ends: A starts from the head, then B (xf 10.8) starves, but
+                                                      // R alone frees only 4 of its 8 processors.
+        let d = s.complete(JobId(1), SimTime::new(100));
+        assert_eq!(d.starts, vec![JobId(2)]);
+        assert!(d.preempts.is_empty(), "A was preempted: {:?}", d.preempts);
+        // A reached the victim set once the start was applied.
+        let d = s.wake(SimTime::new(101));
+        assert_eq!(d.preempts, vec![JobId(2), JobId(0)]);
+        assert_eq!(d.starts, vec![JobId(3)]);
     }
 
     #[test]

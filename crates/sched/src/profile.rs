@@ -1013,31 +1013,6 @@ impl Profile {
         });
     }
 
-    /// True iff `self` and `other` describe the same free-capacity step
-    /// function over `[from, ∞)`. Segment *boundaries* may differ (a
-    /// differently trimmed past, a redundant boundary below `from`); only
-    /// the silhouette the anchor search actually sees matters. This is the
-    /// equivalence the cached-running-profile schedulers rely on: their
-    /// incrementally maintained profile is `same_future` with a scratch
-    /// rebuild at every event (asserted in debug builds), which makes every
-    /// `find_anchor`/`fits` answer — and hence every scheduling decision —
-    /// identical.
-    pub fn same_future(&self, other: &Profile, from: SimTime) -> bool {
-        if self.capacity != other.capacity {
-            return false;
-        }
-        // Two step functions are equal over [from, ∞) iff they agree at
-        // `from` and at every boundary of either that lies beyond it.
-        let boundaries = self
-            .segs_from(ORIGIN)
-            .chain(other.segs_from(ORIGIN))
-            .map(|s| s.start)
-            .filter(|&s| s > from);
-        std::iter::once(from)
-            .chain(boundaries)
-            .all(|t| self.free_at(t) == other.free_at(t))
-    }
-
     /// Drop segment boundaries strictly before `now` (they can never matter
     /// again), keeping the level at `now` intact — the segment hosting
     /// `now` keeps its own start, which may lie before `now`. Whole chunks
@@ -1583,25 +1558,6 @@ mod tests {
         assert_eq!(p.free_at(t(50)), f50);
         assert!(p.invariants_ok());
         assert!(p.segments().len() <= 3);
-    }
-
-    #[test]
-    fn same_future_ignores_past_and_segmentation() {
-        let mut a = Profile::new(8);
-        a.reserve(t(0), d(10), 3); // past noise
-        a.reserve(t(100), d(50), 4);
-        let mut b = Profile::new(8);
-        b.reserve(t(100), d(50), 4);
-        assert!(!a.same_future(&b, t(5)), "pasts differ at t=5");
-        assert!(a.same_future(&b, t(10)), "futures agree from t=10");
-        b.trim_before(t(120)); // drops the boundary at 100, keeps the level
-        assert!(
-            a.same_future(&b, t(120)),
-            "trimming must not break equality"
-        );
-        b.reserve(t(130), d(5), 1);
-        assert!(!a.same_future(&b, t(120)));
-        assert!(!a.same_future(&Profile::new(16), t(0)), "capacity differs");
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! [`JobMeta`] carrying only what a real scheduler would know (arrival,
 //! *estimated* runtime, width) — never the actual runtime. The driver alone
 //! knows when jobs will really complete. The machine's state is the
-//! driver's too: it keeps which jobs run and since when, hands a finished
-//! job's [`Running`] record back with its completion, and works out a
-//! suspended job's remaining estimate. A scheduler keeps only its policy
-//! state (queues, reservations, its profile).
+//! driver's too: it keeps which jobs run and since when, tells the
+//! scheduler each start it applied ([`Scheduler::on_started`]), hands a
+//! finished job's [`Running`] record back with its completion, and works
+//! out a suspended job's remaining estimate. A scheduler keeps only its
+//! policy state (queues, reservations, its profile, preemption's victim
+//! set built from those calls).
 
 use crate::profile::ProfileStats;
 use obs::trace::SharedRecorder;
@@ -35,8 +37,8 @@ pub struct JobMeta {
     pub width: u32,
 }
 
-/// A job holding processors, as the driver hands it back when the job
-/// completes.
+/// A job holding processors, as the driver hands it to the scheduler
+/// when it applies the start and again when the job completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Running {
     /// The job as the scheduler last saw it: a resumed job's `estimate`
@@ -108,6 +110,14 @@ pub trait Scheduler {
     /// A timer requested via [`Decisions::wakeup`] fired.
     fn on_wake(&mut self, now: SimTime, out: &mut Decisions);
 
+    /// The driver applied a start this scheduler ordered, after the
+    /// event's handler returned: `job` is the record
+    /// [`on_completion`](Self::on_completion) later gets for this run.
+    /// Default: nothing; only preemption chooses among running jobs.
+    fn on_started(&mut self, job: Running) {
+        let _ = job;
+    }
+
     /// A job this scheduler asked to preempt has been suspended and must be
     /// requeued. `job` keeps its arrival and width; its `estimate` is the
     /// remaining estimate the driver worked out, `max(estimate − total
@@ -152,8 +162,9 @@ pub trait Scheduler {
 }
 
 /// The driver's side of the contract, for the schedulers' unit tests: it
-/// keeps each running job's record, as the simulation driver does, so a
-/// test names a completing job by its id.
+/// keeps each running job's record, as the simulation driver does, hands
+/// it to `on_started` when it applies the start, and so lets a test name
+/// a completing job by its id.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
@@ -211,15 +222,13 @@ pub(crate) mod testing {
                 self.running.remove(id).expect("preempted an idle job");
             }
             for &id in &out.starts {
-                let meta = self.seen[&id];
-                let prev = self.running.insert(
-                    id,
-                    Running {
-                        meta,
-                        started_at: now,
-                    },
-                );
+                let record = Running {
+                    meta: self.seen[&id],
+                    started_at: now,
+                };
+                let prev = self.running.insert(id, record);
                 assert!(prev.is_none(), "{id} started twice");
+                self.sched.on_started(record);
             }
             out.clone()
         }

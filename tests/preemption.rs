@@ -51,11 +51,13 @@ fn starving_job_preempts_and_hog_resumes() {
     assert!(!starved.was_preempted());
     // Work conservation shows up as end - start > runtime for the hog.
     assert!(hog.end() > hog.start + hog.job.runtime);
-    // Both segments of the hog appear in the run-segment audit trail.
-    let hog_segments = schedule.run_segments.iter().filter(|s| s.id == 0).count();
+    // Both runs of the hog, and only its, appear in the audit trail.
+    let hog_runs = schedule.suspended_runs.iter().filter(|s| s.id == 0).count();
+    assert_eq!(hog_runs, 2, "one run before and one after suspension");
     assert_eq!(
-        hog_segments, 2,
-        "one segment before and one after suspension"
+        schedule.suspended_runs.iter().count(),
+        2,
+        "the starving job ran once"
     );
 }
 
@@ -83,10 +85,9 @@ fn infinite_threshold_is_easy() {
         Policy::Sjf,
     );
     assert_eq!(easy.fingerprint(), pre.fingerprint());
-    assert_eq!(
-        pre.run_segments.len(),
-        4,
-        "one segment per job, no suspensions"
+    assert!(
+        pre.suspended_runs.iter().next().is_none(),
+        "no suspensions, so every job's one run is its outcome"
     );
 }
 
