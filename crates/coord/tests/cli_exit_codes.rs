@@ -9,8 +9,9 @@
 //! in-process daemons. Also pins exit 6 for `coord-status --journal` on
 //! a journal `--resume` would refuse, exit 2 (usage) for cell parameters
 //! the schedulers would reject and for malformed command lines, exit 6
-//! for a `--spec` holding such a cell, and exit 0 with the usage line for
-//! `--help`/`-h` wherever it appears.
+//! for a `--spec` holding such a cell, exit 0 with the usage line for
+//! `--help`/`-h` wherever it appears, and exit 0 without a panic when
+//! stdout has no reader.
 
 use backfill_sim::SchedulerKind;
 use bench_lib::sweep::{SweepSpec, TraceModel};
@@ -649,6 +650,25 @@ fn out_of_range_spec_cells_exit_6_before_dispatch() {
         let stderr = stderr_of(&out);
         assert_eq!(out.status.code(), Some(6), "{name}: stderr: {stderr}");
         assert!(stderr.contains(want), "{name}: stderr: {stderr}");
+    }
+}
+
+/// A reader that leaves early (`bfsim simulate … | head -1`) ends the
+/// output, not the run: with stdout a pipe nobody reads, `simulate` and
+/// `--help` still exit 0, and nothing panics.
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    for args in [&["simulate", "--jobs", "300"][..], &["--help"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = bfsim()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn bfsim");
+        let stderr = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
     }
 }
 

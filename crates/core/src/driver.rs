@@ -443,6 +443,7 @@ impl Driver<'_> {
             let record = Running {
                 meta: self.meta(id),
                 started_at: now,
+                suspensions: self.epoch[i],
             };
             self.scheduler.on_started(record);
         }
@@ -504,6 +505,7 @@ impl Driver<'_> {
                 let record = Running {
                     meta: self.meta(id),
                     started_at: self.end_run(id, now),
+                    suspensions: self.epoch[i],
                 };
                 let job = self.trace.job(id);
                 self.remaining[i] = SimSpan::ZERO;
@@ -891,30 +893,35 @@ mod tests {
             estimate: SimSpan::new(estimate),
             width: trace.job(JobId(id)).width,
         };
-        let record = |id, estimate, started_at| Running {
+        let record = |id, estimate, started_at, suspensions| Running {
             meta: meta(id, estimate),
             started_at: SimTime::new(started_at),
+            suspensions,
         };
         let handed = handed.borrow();
         // 100 − 20, 50 − 50 floored to 1, 100 − (20 + 25).
         assert_eq!(handed.requeued, [meta(0, 80), meta(2, 1), meta(0, 55)]);
-        // Each record carries the estimate last requeued and the start of
-        // the final run.
+        // Each record carries the estimate last requeued, the start of the
+        // final run and the suspensions before it.
         assert_eq!(
             handed.completed,
-            [record(1, 50, 0), record(2, 1, 70), record(0, 55, 90)]
+            [
+                record(1, 50, 0, 0),
+                record(2, 1, 70, 1),
+                record(0, 55, 90, 2)
+            ]
         );
         // Every applied start is reported with its run's record, resumed
         // runs with their remaining estimate ...
         assert_eq!(
             handed.started,
             [
-                record(0, 100, 0),
-                record(1, 50, 0),
-                record(2, 50, 0),
-                record(0, 80, 30),
-                record(2, 1, 70),
-                record(0, 55, 90),
+                record(0, 100, 0, 0),
+                record(1, 50, 0, 0),
+                record(2, 50, 0, 0),
+                record(0, 80, 30, 1),
+                record(2, 1, 70, 1),
+                record(0, 55, 90, 2),
             ]
         );
         // ... and a completion hands back the record of the run it ends.

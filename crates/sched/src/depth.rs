@@ -48,6 +48,7 @@ use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use simcore::{JobId, SimTime};
+use std::cell::Cell;
 
 /// Depth-`k` reservation backfilling scheduler (EASY at `k = 1`).
 #[derive(Debug, Clone)]
@@ -243,25 +244,36 @@ impl DepthScheduler {
 
         // Backfill the rest in priority order. Accepted backfills start,
         // so they enter the profile and later candidates see them. A
-        // read-only scan over the contiguous queue rejects, before any
-        // probe, a candidate wider than the free processors or one whose
-        // window ends past the profile's zero horizon (computed on the
-        // first candidate no wider, again after each start).
+        // read-only scan rejects, before any probe, a candidate wider than
+        // the free processors or one whose window ends past the profile's
+        // zero horizon (computed on the first candidate no wider, again
+        // after each start), and passes over a whole block whose summary
+        // rejects all of its candidates the same way.
         let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
-        let mut i = self.held.len();
-        let mut horizon = None;
+        let mut at = self.queue.pos_of(self.held.len());
+        let horizon = Cell::new(None);
         loop {
-            let fits_now = |cand: &JobMeta| {
-                cand.width <= self.free
-                    && now + cand.estimate
-                        <= *horizon.get_or_insert_with(|| self.cached.zero_horizon(now))
-                    && self.cached.fits(now, cand.estimate, cand.width)
+            let (free, cached) = (self.free, &self.cached);
+            let zero_horizon = || {
+                horizon.get().unwrap_or_else(|| {
+                    let h = cached.zero_horizon(now);
+                    horizon.set(Some(h));
+                    h
+                })
             };
-            let Some(k) = self.queue.make_contiguous()[i..].iter().position(fits_now) else {
+            let Some(found) = self.queue.find(
+                at,
+                |sum| sum.rules_out_backfill(now, free, horizon.get()),
+                |cand| {
+                    cand.width <= free
+                        && now + cand.estimate <= zero_horizon()
+                        && cached.fits(now, cand.estimate, cand.width)
+                },
+            ) else {
                 break;
             };
-            i += k;
-            let cand = self.queue.remove(i);
+            let cand = self.queue.remove_at(found);
+            at = found;
             if let Some(rec) = &self.recorder {
                 // The hole this candidate slotted into runs from `now`
                 // to the earliest protected anchor.
@@ -275,7 +287,7 @@ impl DepthScheduler {
             }
             // It fit around every held rectangle, so they stay.
             self.cached.reserve(now, cand.estimate, cand.width);
-            horizon = None;
+            horizon.set(None);
             self.run(cand, starts);
         }
         obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);

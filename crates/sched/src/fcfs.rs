@@ -19,6 +19,8 @@ pub struct FcfsScheduler {
     capacity: u32,
     free: u32,
     queue: SchedQueue,
+    /// Opt-in per-phase profiling accumulator (strictly observational).
+    phases: Option<obs::SharedPhases>,
 }
 
 impl FcfsScheduler {
@@ -30,11 +32,14 @@ impl FcfsScheduler {
             capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
+            phases: None,
         }
     }
 
     fn reschedule(&mut self, now: SimTime, out: &mut Decisions) {
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
         self.queue.prepare(now);
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         while let Some(head) = self.queue.front() {
             if head.width > self.free {
                 break; // strict: nothing may pass the blocked head
@@ -53,7 +58,9 @@ impl Scheduler for FcfsScheduler {
 
     fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
         assert!(job.width <= self.capacity, "{} wider than machine", job.id);
+        let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
         self.queue.push(job);
+        obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         self.reschedule(now, out);
     }
 
@@ -68,6 +75,10 @@ impl Scheduler for FcfsScheduler {
 
     fn queue_len(&self) -> usize {
         self.queue.len()
+    }
+
+    fn set_phases(&mut self, phases: obs::SharedPhases) {
+        self.phases = Some(phases);
     }
 }
 

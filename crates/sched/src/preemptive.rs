@@ -26,8 +26,7 @@ use crate::policy::Policy;
 use crate::profile::ProfileStats;
 use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::SharedRecorder;
-use simcore::{JobId, SimSpan, SimTime};
-use std::collections::HashMap;
+use simcore::{SimSpan, SimTime};
 
 /// EASY backfilling with selective preemption of running jobs.
 #[derive(Debug, Clone)]
@@ -37,13 +36,11 @@ pub struct PreemptiveScheduler {
     /// for previously preempted jobs, as the driver re-announced them.
     easy: DepthScheduler,
     /// The victim set: every running job, as the driver reported its
-    /// start, until it completes or is picked. Its order never reaches a
-    /// decision, because [`pick_victims`](Self::pick_victims) sorts the
-    /// candidates by the policy's total order.
+    /// start (with the suspensions before the run), until it completes or
+    /// is picked. Its order never reaches a decision, because
+    /// [`pick_victims`](Self::pick_victims) sorts the candidates by the
+    /// policy's total order.
     running: Vec<Running>,
-    /// Times a job has been suspended so far (sticky across resumes;
-    /// dropped when it completes).
-    suspended_count: HashMap<JobId, u32>,
     /// Expansion-factor threshold that triggers preemption.
     threshold: f64,
     /// Minimum uninterrupted runtime before a job may be victimized.
@@ -68,7 +65,6 @@ impl PreemptiveScheduler {
         PreemptiveScheduler {
             easy: DepthScheduler::new(capacity, policy, 1),
             running: Vec::new(),
-            suspended_count: HashMap::new(),
             threshold,
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
@@ -81,15 +77,12 @@ impl PreemptiveScheduler {
     /// `needed`, honouring the safeguards, into `self.victims`. Returns
     /// false if that is impossible.
     fn pick_victims(&mut self, needed: u32, now: SimTime) -> bool {
-        let suspended_count = &self.suspended_count;
-        let suspensions = |id: &JobId| suspended_count.get(id).copied().unwrap_or(0);
         self.candidates.clear();
         self.candidates.extend(
             self.running
                 .iter()
                 .filter(|r| {
-                    now.since(r.started_at) >= self.min_run
-                        && suspensions(&r.meta.id) < self.max_preemptions
+                    now.since(r.started_at) >= self.min_run && r.suspensions < self.max_preemptions
                 })
                 .copied(),
         );
@@ -125,7 +118,6 @@ impl PreemptiveScheduler {
                 self.running.retain(|r| !victims.contains(r));
                 for &job in &self.victims {
                     self.easy.finish(job, now);
-                    *self.suspended_count.entry(job.meta.id).or_insert(0) += 1;
                     out.preempts.push(job.meta.id);
                     // The driver answers with on_preempted, where the
                     // job re-enters the queue with remaining estimate.
@@ -166,9 +158,6 @@ impl Scheduler for PreemptiveScheduler {
     fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
         self.running.retain(|r| r.meta.id != job.meta.id);
         self.easy.finish(job, now);
-        // A completed job is never suspended again: the map holds only
-        // jobs still queued or running.
-        self.suspended_count.remove(&job.meta.id);
         self.reschedule(now, out);
     }
 
@@ -207,6 +196,7 @@ impl Scheduler for PreemptiveScheduler {
 mod tests {
     use super::*;
     use crate::scheduler::testing::Harness;
+    use simcore::JobId;
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
         JobMeta {
@@ -311,12 +301,21 @@ mod tests {
         s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
         let d = s.wake(SimTime::new(51));
         assert_eq!(d.preempts, vec![JobId(0)]);
+        assert_eq!(s.running.len(), 1, "the victim left the victim set");
         s.requeue(meta(0, 0, 10_000 - 51, 8));
-        assert_eq!(s.suspended_count.len(), 1);
         s.complete(JobId(1), SimTime::new(151)); // the hog resumes
-        assert_eq!(s.suspended_count.len(), 1);
+        let suspensions: Vec<_> = s
+            .running
+            .iter()
+            .map(|r| (r.meta.id, r.suspensions))
+            .collect();
+        assert_eq!(
+            suspensions,
+            [(JobId(0), 1)],
+            "the resumed run counts its suspension"
+        );
         s.complete(JobId(0), SimTime::new(10_000));
-        assert!(s.suspended_count.is_empty());
+        assert!(s.running.is_empty());
     }
 
     #[test]

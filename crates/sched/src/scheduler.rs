@@ -15,9 +15,10 @@
 //! driver's too: it keeps which jobs run and since when, tells the
 //! scheduler each start it applied ([`Scheduler::on_started`]), hands a
 //! finished job's [`Running`] record back with its completion, and works
-//! out a suspended job's remaining estimate. A scheduler keeps only its
-//! policy state (queues, reservations, its profile, preemption's victim
-//! set built from those calls).
+//! out a suspended job's remaining estimate and how often it was
+//! suspended. A scheduler keeps only its policy state (queues,
+//! reservations, its profile, preemption's victim set built from those
+//! calls).
 
 use crate::profile::ProfileStats;
 use obs::trace::SharedRecorder;
@@ -46,6 +47,8 @@ pub struct Running {
     pub meta: JobMeta,
     /// Start of the current run.
     pub started_at: SimTime,
+    /// Times the job was suspended before this run.
+    pub suspensions: u32,
 }
 
 impl Running {
@@ -178,6 +181,8 @@ pub(crate) mod testing {
         /// Every job announced so far, as last announced.
         seen: HashMap<JobId, JobMeta>,
         running: HashMap<JobId, Running>,
+        /// Times each job has been suspended.
+        suspensions: HashMap<JobId, u32>,
     }
 
     impl<S: Scheduler> Harness<S> {
@@ -186,6 +191,7 @@ pub(crate) mod testing {
                 sched,
                 seen: HashMap::new(),
                 running: HashMap::new(),
+                suspensions: HashMap::new(),
             }
         }
 
@@ -220,11 +226,13 @@ pub(crate) mod testing {
         fn apply(&mut self, out: &Decisions, now: SimTime) -> Decisions {
             for id in &out.preempts {
                 self.running.remove(id).expect("preempted an idle job");
+                *self.suspensions.entry(*id).or_default() += 1;
             }
             for &id in &out.starts {
                 let record = Running {
                     meta: self.seen[&id],
                     started_at: now,
+                    suspensions: self.suspensions.get(&id).copied().unwrap_or(0),
                 };
                 let prev = self.running.insert(id, record);
                 assert!(prev.is_none(), "{id} started twice");

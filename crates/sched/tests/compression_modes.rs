@@ -90,6 +90,7 @@ proptest! {
             let record = Running {
                 meta: j0,
                 started_at: SimTime::ZERO,
+                suspensions: 0,
             };
             s.on_completion(record, hole, &mut d);
             for (&id, &before) in ids.iter().zip(&g_before) {
