@@ -37,6 +37,13 @@
 //! after every mutation. The reserves and
 //! releases also pin how much reservation work the passes save by
 //! keeping the reservations whose inputs did not change.
+//!
+//! A fifth does the same for the reservation-list kinds whose start-now
+//! scans walk the queue, pass over blocks and probe the zero horizon:
+//! Selective(2), Slack(0.5) and the `Reanchor` and `HeadStart`
+//! compression modes. Their probes, the segments those read and the
+//! chunk leaps of the anchor and zero-horizon searches are literals, so a
+//! scan that computes the horizon or probes at a different entry fails.
 
 use backfill_sim::prelude::*;
 
@@ -199,4 +206,54 @@ fn reservation_depth_counters_match_in_every_build() {
         (kind, work)
     });
     assert_eq!(got, DEPTH_WORK, "reservation-depth work changed");
+}
+
+/// `(compress_passes, find_anchor_calls, segments_visited,
+/// tree_descents)` of the same seed-7 500-job cell under FCFS, per
+/// reservation-list kind whose start-now scans skip blocks, walk the
+/// queue and probe the zero horizon: Selective's backfill, Slack's eager
+/// pass and the `Reanchor`/`HeadStart` compression passes. Each counter
+/// is a function of the schedule and of where the scans probe, so a
+/// scan that probes one entry more or one less moves it.
+const RESERVATION_LIST_WORK: [(SchedulerKind, (u64, u64, u64, u64)); 4] = [
+    (
+        SchedulerKind::Selective { threshold: 2.0 },
+        (444, 5_283, 55_866, 567),
+    ),
+    (
+        SchedulerKind::Slack { slack_factor: 0.5 },
+        (1_009, 2_969, 9_604, 901),
+    ),
+    (
+        SchedulerKind::ConservativeReanchor,
+        (444, 9_668, 152_199, 1_904),
+    ),
+    (SchedulerKind::ConservativeHeadStart, (444, 658, 5_304, 19)),
+];
+
+/// The reservation-list schedulers report the same scan work in every
+/// build.
+#[test]
+fn reservation_list_counters_match_in_every_build() {
+    let trace = Scenario {
+        source: TraceSource::Ctc { jobs: 500, seed: 7 },
+        estimate: EstimateModel::User(UserModelParams::capped(SimSpan::from_hours(18))),
+        estimate_seed: 7,
+        load: Some(1.5),
+    }
+    .materialize();
+    let got = RESERVATION_LIST_WORK.map(|(kind, _)| {
+        let stats = simulate(&trace, kind, Policy::Fcfs)
+            .profile_stats
+            .expect("reservation-list schedulers keep a profile");
+        let work = (
+            stats.compress_passes,
+            stats.find_anchor_calls,
+            stats.segments_visited,
+            stats.tree_descents,
+        );
+        eprintln!("work counters {kind:?}/FCFS: (passes, anchors, segments, descents) = {work:?}");
+        (kind, work)
+    });
+    assert_eq!(got, RESERVATION_LIST_WORK, "reservation-list work changed");
 }
