@@ -44,6 +44,14 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Print to stdout. Once its reader has left (`repro | head -1`), the
+/// rest is dropped and the experiments run on to exit 0.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = obs::cli::write_stdout(args) {
+        die(&format!("stdout: {e}"));
+    }
+}
+
 type Experiment = fn(&Opts) -> Vec<Table>;
 
 /// Every experiment, in paper order.
@@ -110,15 +118,15 @@ fn main() {
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("--csv {dir}: {e}")));
     }
-    println!(
-        "# backfill-sim repro — jobs={} seeds={:?} load={}\n",
+    emit(format_args!(
+        "# backfill-sim repro — jobs={} seeds={:?} load={}\n\n",
         opts.jobs, opts.seeds, opts.load
-    );
+    ));
     for (name, experiment) in experiments {
         let t0 = std::time::Instant::now();
         let tables = experiment(&opts);
         for (i, table) in tables.iter().enumerate() {
-            println!("{}", table.render());
+            emit(format_args!("{}\n", table.render()));
             if let Some(dir) = &csv_dir {
                 let suffix = if tables.len() > 1 {
                     format!("-{}", i + 1)

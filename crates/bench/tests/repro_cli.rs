@@ -2,7 +2,7 @@
 //! `--help` against the golden file `bfsim`'s tests regenerate (see
 //! `crates/coord/tests/cli_surface.rs`), a usage error that used to
 //! panic, the exit code of a truncated trace, and a reader that closes
-//! trace-summary's stdout early.
+//! either binary's stdout early.
 
 use backfill_sim::prelude::*;
 use obs::trace::Recorder;
@@ -122,6 +122,23 @@ fn trace_summary_exits_0_when_its_reader_leaves() {
         .spawn()
         .expect("spawn");
     // Close the read end while the child still parses the trace.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+}
+
+/// A reader that leaves before anything is written (`repro | head -0`)
+/// ends repro's output, not the process with a panic (exit 101).
+#[test]
+fn repro_exits_0_when_its_reader_leaves() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--quick", "table1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("wait");
     let stderr = String::from_utf8_lossy(&out.stderr);

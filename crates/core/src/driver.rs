@@ -28,7 +28,7 @@ use crate::schedule::{RunLog, Schedule};
 use metrics::JobOutcome;
 use obs::trace::{SharedRecorder, TraceCategory, TraceKind};
 use sched::conservative::Compression;
-use sched::{ConservativeScheduler, DepthScheduler, FcfsScheduler, PreemptiveScheduler};
+use sched::{ConservativeScheduler, DepthScheduler, FcfsScheduler};
 use sched::{Decisions, JobMeta, Policy, ProfileStats, Running, Scheduler};
 use serde::{Deserialize, Serialize};
 use simcore::{EventClass, EventQueue, JobId, SimSpan, SimTime};
@@ -112,7 +112,7 @@ impl SchedulerKind {
                 Box::new(DepthScheduler::new(capacity, policy, depth))
             }
             SchedulerKind::Preemptive { threshold } => {
-                Box::new(PreemptiveScheduler::new(capacity, policy, threshold))
+                Box::new(DepthScheduler::preemptive(capacity, policy, threshold))
             }
         }
     }
@@ -351,13 +351,6 @@ impl Driver<'_> {
         }
     }
 
-    /// Record one decision-trace event, if a recorder is attached.
-    fn trace_event(&self, now: SimTime, id: JobId, kind: TraceKind) {
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().record(now.as_secs(), id.0 as u64, kind);
-        }
-    }
-
     /// Job `id` as the scheduler knows it: once the job has been
     /// suspended, with its remaining estimate.
     fn meta(&self, id: JobId) -> JobMeta {
@@ -411,7 +404,12 @@ impl Driver<'_> {
             self.remaining[i] = self.remaining[i] - ran_now;
             let requeued = self.meta(id);
             self.scheduler.on_preempted(requeued);
-            self.trace_event(now, id, TraceKind::Preempt);
+            obs::trace::record(
+                &self.recorder,
+                now.as_secs(),
+                id.0 as u64,
+                TraceKind::Preempt,
+            );
         }
         for &id in &decisions.starts {
             let i = id.0 as usize;
@@ -434,7 +432,7 @@ impl Driver<'_> {
                 self.starts[i] = Some(now);
             }
             self.running_since[i] = Some(now);
-            self.trace_event(now, id, TraceKind::Start);
+            obs::trace::record(&self.recorder, now.as_secs(), id.0 as u64, TraceKind::Start);
             self.queue.push_classed(
                 now + self.remaining[i],
                 CLASS_COMPLETION,
@@ -511,9 +509,10 @@ impl Driver<'_> {
                 self.remaining[i] = SimSpan::ZERO;
                 self.ends[i] = Some(now);
                 self.completions += 1;
-                self.trace_event(
-                    now,
-                    id,
+                obs::trace::record(
+                    &self.recorder,
+                    now.as_secs(),
+                    id.0 as u64,
                     TraceKind::Complete {
                         overestimate_factor: job.overestimation(),
                     },

@@ -331,6 +331,15 @@ impl<W: Write + ?Sized> fmt::Debug for Recorder<W> {
 /// the sink back after the run.
 pub type SharedRecorder = Rc<RefCell<Recorder>>;
 
+/// Record one event into `recorder`, if one is attached: the one call
+/// the driver and the schedulers make for each decision they trace.
+#[inline]
+pub fn record(recorder: &Option<SharedRecorder>, time: u64, job: u64, kind: TraceKind) {
+    if let Some(rec) = recorder {
+        rec.borrow_mut().record(time, job, kind);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,12 +38,12 @@
 //!   conservative backfilling on exact estimates.
 
 use crate::policy::Policy;
-use crate::profile::{Profile, ProfileStats};
+use crate::profile::{Horizon, Profile, ProfileStats};
 use crate::queue::{Pos, Queued, SchedQueue, Summary};
 use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use serde::{Deserialize, Serialize};
-use simcore::{JobId, SimSpan, SimTime};
+use simcore::{JobId, SimTime};
 use std::cell::Cell;
 
 /// What happens to queued jobs' reservations when a hole opens (a running
@@ -203,13 +203,6 @@ impl ConservativeScheduler {
         }
     }
 
-    /// Record one decision event, if a recorder is attached.
-    fn record(&self, now: SimTime, id: JobId, kind: TraceKind) {
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().record(now.as_secs(), id.0 as u64, kind);
-        }
-    }
-
     /// The currently guaranteed (for slack: promised) start time of a
     /// reserved job (tests/metrics).
     pub fn guarantee(&self, id: JobId) -> Option<SimTime> {
@@ -245,9 +238,10 @@ impl ConservativeScheduler {
         }
         self.profile.reserve(anchor, job.estimate, job.width);
         self.next_start = earliest(self.next_start, anchor);
-        self.record(
-            now,
-            job.id,
+        obs::trace::record(
+            &self.recorder,
+            now.as_secs(),
+            job.id.0 as u64,
             TraceKind::Reserve {
                 anchor: anchor.as_secs(),
             },
@@ -392,9 +386,9 @@ impl ConservativeScheduler {
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
         let threshold = self.threshold();
         let mut at = Pos::HEAD;
-        while let Some(found) = self
-            .unreserved
-            .scan(at, |job| Policy::xfactor(job, now) >= threshold)
+        while let Some(found) =
+            self.unreserved
+                .find(at, |_| false, |job| Policy::xfactor(job, now) >= threshold)
         {
             let job = self.unreserved.remove_at(found);
             self.reserve(job, now);
@@ -407,19 +401,17 @@ impl ConservativeScheduler {
     /// threshold crossing among those left waiting. A read-only scan
     /// rejects a job wider than the free processors, or whose window ends
     /// past the profile's zero horizon, before any `fits` probe; the
-    /// horizon is recomputed after each start.
+    /// horizon is recomputed after each start. The scan reads every job,
+    /// since each one it rejects folds its crossing into the wake-up.
     fn backfill(&mut self, now: SimTime, starts: &mut Vec<JobId>) -> Option<SimTime> {
         let threshold = self.threshold();
         let mut crossing = None;
-        let mut horizon = None;
+        let mut horizon = Horizon::new(now);
         let mut at = Pos::HEAD;
         loop {
             let (free, profile) = (self.free, &self.profile);
             let fits_now = |job: &JobMeta| {
-                let fits = job.width <= free
-                    && now + job.estimate
-                        <= *horizon.get_or_insert_with(|| profile.zero_horizon(now))
-                    && profile.fits(now, job.estimate, job.width);
+                let fits = job.width <= free && horizon.fits(profile, job.estimate, job.width);
                 if !fits {
                     let t = Policy::crossing_time(threshold, job);
                     if t > now && t < SimTime::FAR_FUTURE {
@@ -428,18 +420,19 @@ impl ConservativeScheduler {
                 }
                 fits
             };
-            let Some(found) = self.unreserved.scan(at, fits_now) else {
+            let Some(found) = self.unreserved.find(at, |_| false, fits_now) else {
                 break;
             };
             let job = self.unreserved.remove_at(found);
             at = found;
             self.profile.reserve(now, job.estimate, job.width);
-            horizon = None;
+            horizon.forget();
             // The hole runs from `now` to the earliest reservation.
             let hole = self.next_start.unwrap_or(SimTime::FAR_FUTURE).since(now);
-            self.record(
-                now,
-                job.id,
+            obs::trace::record(
+                &self.recorder,
+                now.as_secs(),
+                job.id.0 as u64,
                 TraceKind::Backfill {
                     filled_hole: hole.as_secs(),
                 },
@@ -467,9 +460,10 @@ impl ConservativeScheduler {
         self.profile.reserve(now, res.meta.estimate, res.meta.width);
         self.queue.update_at(at, |r| r.start = now);
         self.next_start = earliest(self.next_start, now);
-        self.record(
-            now,
-            res.meta.id,
+        obs::trace::record(
+            &self.recorder,
+            now.as_secs(),
+            res.meta.id.0 as u64,
             TraceKind::Compress {
                 moved: res.start.since(now).as_secs(),
             },
@@ -498,7 +492,7 @@ impl ConservativeScheduler {
     /// In `Backfill` mode, where a job that fails them is passed over, the
     /// scan of a pass that starts nothing (not slack's) passes over a whole
     /// block whose summary fails every job the same way
-    /// ([`idle_for_compress`]) without reading it.
+    /// ([`Summary::rules_out`]) without reading it.
     ///
     /// Both bounds are refreshed after each move, the only edit that
     /// changes the profile's silhouette: a `Reanchor` release and
@@ -519,21 +513,14 @@ impl ConservativeScheduler {
         // for failing the O(1) tests alone, so only it can pass over a
         // block for its summary.
         let skips = mode == Compression::Backfill && !eager;
-        let horizon = Cell::new(None);
+        let mut horizon = Horizon::new(now);
         let mut at = Pos::HEAD;
         loop {
             // The next job that needs a mutation, and whether it can
             // start (or, already due, be started) now.
             let fits = Cell::new(false);
             let (free, profile) = (self.free, &self.profile);
-            let zero_horizon = || {
-                horizon.get().unwrap_or_else(|| {
-                    let h = profile.zero_horizon(now);
-                    horizon.set(Some(h));
-                    h
-                })
-            };
-            let idle = |sum: &Summary| idle_for_compress(sum, now, cap, horizon.get());
+            let idle = |sum: &Summary| skips && sum.rules_out(now, cap, horizon.known());
             let needs_mutation = |res: &Reservation| {
                 let width = res.meta.width;
                 if res.start <= now {
@@ -572,19 +559,13 @@ impl ConservativeScheduler {
                 fits.set(
                     (!eager || width <= free)
                         && (window.is_zero()
-                            || (width <= cap
-                                && now + window <= zero_horizon()
-                                && profile.fits(now, window, width))),
+                            || (width <= cap && horizon.fits(profile, window, width))),
                 );
                 // `Backfill` passes over a job that cannot start now;
                 // `Reanchor` re-anchors it, and `HeadStart` stops at it.
                 fits.get() || mode != Compression::Backfill
             };
-            let found = match skips {
-                true => self.queue.find(at, idle, needs_mutation),
-                false => self.queue.scan(at, needs_mutation),
-            };
-            let Some(found) = found else {
+            let Some(found) = self.queue.find(at, idle, needs_mutation) else {
                 break;
             };
             let (res, fits) = (*self.queue.get(found), fits.get());
@@ -602,7 +583,7 @@ impl ConservativeScheduler {
             if fits {
                 self.move_to_now(found, now);
                 cap = self.profile.free_at(now);
-                horizon.set(None);
+                horizon.forget();
                 if eager {
                     self.queue.remove_at(found);
                     self.start_job(res.meta, starts);
@@ -628,10 +609,11 @@ impl ConservativeScheduler {
                     self.queue.update_at(found, |r| r.start = anchor);
                     self.next_start = earliest(self.next_start, anchor);
                     cap = self.profile.free_at(now);
-                    horizon.set(None);
-                    self.record(
-                        now,
-                        res.meta.id,
+                    horizon.forget();
+                    obs::trace::record(
+                        &self.recorder,
+                        now.as_secs(),
+                        res.meta.id.0 as u64,
                         TraceKind::Compress {
                             moved: res.start.since(anchor).as_secs(),
                         },
@@ -645,24 +627,6 @@ impl ConservativeScheduler {
             self.next_start = self.queue.iter().map(|r| r.start).min();
         }
     }
-}
-
-/// True when no reservation of a block with summary `sum` needs a mutation
-/// in a `Backfill`-mode compression pass that starts nothing, at `now`,
-/// given the free level `cap` at `now` and the zero `horizon`, if known.
-/// A due reservation needs none there; one after `now` needs one only if
-/// it passes the pass's O(1) tests: no wider than `cap`, and a window —
-/// from `now` to the earlier of its start and `now` plus its estimate —
-/// ending by the horizon. A zero estimate always fits, so a block holding
-/// one is always read.
-fn idle_for_compress(sum: &Summary, now: SimTime, cap: u32, horizon: Option<SimTime>) -> bool {
-    if sum.zero_estimate {
-        return false;
-    }
-    // Every window ends at the earlier of its start (after `now`) and
-    // `now` plus its estimate.
-    let earliest_end = (sum.min_due.max(now + SimSpan::SECOND)).min(now + sum.min_estimate);
-    sum.min_width > cap || horizon.is_some_and(|h| earliest_end > h)
 }
 
 /// `current` lowered to `start` (the earliest of the two).

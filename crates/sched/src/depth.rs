@@ -39,25 +39,27 @@
 //! the running jobs, the reservations and the backfills accepted earlier
 //! in the pass. DESIGN.md §11.2 gives the argument in full.
 //!
-//! [`PreemptiveScheduler`](crate::PreemptiveScheduler) runs the same
-//! steps at depth 1 around its preemption episodes.
+//! [`DepthScheduler::preemptive`] adds one rule at depth 1, selective
+//! preemption (the authors' companion strategy, their reference \[6\]):
+//! between steps 2 and 3 a starving head may suspend running jobs and
+//! start at once, and the scheduler asks to be woken when the head will
+//! cross its threshold (the crate's private `preemptive` module).
 
 use crate::policy::Policy;
-use crate::profile::{Profile, ProfileStats};
+use crate::preemptive::Preemption;
+use crate::profile::{Horizon, Profile, ProfileStats};
 use crate::queue::SchedQueue;
 use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
 use obs::trace::{SharedRecorder, TraceKind};
 use simcore::{JobId, SimTime};
-use std::cell::Cell;
 
-/// Depth-`k` reservation backfilling scheduler (EASY at `k = 1`).
+/// Depth-`k` reservation backfilling scheduler (EASY at `k = 1`), with
+/// selective preemption when built by [`DepthScheduler::preemptive`].
 #[derive(Debug, Clone)]
 pub struct DepthScheduler {
-    policy: Policy,
     depth: usize,
-    capacity: u32,
-    pub(crate) free: u32,
-    pub(crate) queue: SchedQueue,
+    free: u32,
+    queue: SchedQueue,
     /// The running set's remaining estimated occupancy plus the live held
     /// reservations, updated on every start, finish and pass instead of
     /// rebuilt per event; the scheduler keeps no record of the running
@@ -79,6 +81,8 @@ pub struct DepthScheduler {
     /// `Reserve` trace event only when its pair is not among them (a kept
     /// reservation is never placed again).
     released: Vec<(JobId, SimTime)>,
+    /// The preemption rule of a [`DepthScheduler::preemptive`] instance.
+    preemption: Option<Preemption>,
 }
 
 impl DepthScheduler {
@@ -88,9 +92,7 @@ impl DepthScheduler {
         assert!(capacity > 0, "capacity must be positive");
         assert!(depth >= 1, "reservation depth must be at least 1");
         DepthScheduler {
-            policy,
             depth,
-            capacity,
             free: capacity,
             queue: SchedQueue::new(policy),
             cached: Profile::new(capacity),
@@ -99,12 +101,25 @@ impl DepthScheduler {
             phases: None,
             held: Vec::new(),
             released: Vec::new(),
+            preemption: None,
+        }
+    }
+
+    /// EASY with selective preemption, for a machine with `capacity`
+    /// processors: a blocked head whose expansion factor reaches
+    /// `threshold` (≥ 1; infinity never preempts, yielding EASY) may
+    /// suspend running jobs to start at once.
+    pub fn preemptive(capacity: u32, policy: Policy, threshold: f64) -> Self {
+        DepthScheduler {
+            preemption: Some(Preemption::new(threshold)),
+            ..Self::new(capacity, policy, 1)
         }
     }
 
     /// Queue an arriving (or re-queued) job.
-    pub(crate) fn enqueue(&mut self, job: JobMeta) {
-        assert!(job.width <= self.capacity, "{} wider than machine", job.id);
+    fn enqueue(&mut self, job: JobMeta) {
+        let capacity = self.cached.capacity();
+        assert!(job.width <= capacity, "{} wider than machine", job.id);
         let t0 = obs::span::start_nested(&self.phases, obs::Phase::QueueOps);
         self.queue.push(job);
         obs::span::finish_nested(&self.phases, obs::Phase::QueueOps, t0);
@@ -114,7 +129,7 @@ impl DepthScheduler {
     /// at its own anchor turns its reservation into its running rectangle,
     /// which is the same rectangle; any other start releases the held
     /// reservations first (the next pass places them again).
-    pub(crate) fn start(&mut self, job: JobMeta, now: SimTime, starts: &mut Vec<JobId>) {
+    fn start(&mut self, job: JobMeta, now: SimTime, starts: &mut Vec<JobId>) {
         if self.held.first() == Some(&(job, now)) {
             self.held.remove(0);
         } else {
@@ -137,10 +152,10 @@ impl DepthScheduler {
     /// early may move them). An overrun job (`est_end <= now`) holds
     /// nothing in the profile's future and leaves them in place. `job` is
     /// the record the driver kept since the start.
-    pub(crate) fn finish(&mut self, job: Running, now: SimTime) {
+    fn finish(&mut self, job: Running, now: SimTime) {
         self.free += job.meta.width;
         debug_assert!(
-            self.free <= self.capacity,
+            self.free <= self.cached.capacity(),
             "{} held no processors",
             job.meta.id
         );
@@ -164,7 +179,7 @@ impl DepthScheduler {
 
     /// Open an event: bring the profile and the queue up to `now`, then
     /// start jobs from the head while they fit.
-    pub(crate) fn start_heads(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
+    fn start_heads(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
         // Trimming drops the part of a rectangle before `now`, so a held
         // reservation whose anchor time has passed is released first, with
         // every one placed after it.
@@ -189,7 +204,7 @@ impl DepthScheduler {
     /// now around them. Held reservations whose jobs still head the queue
     /// in order stay where they are; the rest are released and placed
     /// again.
-    pub(crate) fn backfill(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
+    fn backfill(&mut self, now: SimTime, starts: &mut Vec<JobId>) {
         if self.queue.is_empty() {
             return;
         }
@@ -222,21 +237,21 @@ impl DepthScheduler {
             self.cached.reserve(anchor, job.estimate, job.width);
             self.held.push((job, anchor));
             hole_end = hole_end.min(anchor);
-            if let Some(rec) = &self.recorder {
-                // One Reserve per distinct reservation, not per pass.
-                let unchanged = self
-                    .released
-                    .binary_search_by_key(&job.id, |&(id, _)| id)
-                    .is_ok_and(|i| self.released[i].1 == anchor);
-                if !unchanged {
-                    rec.borrow_mut().record(
-                        now.as_secs(),
-                        job.id.0 as u64,
-                        TraceKind::Reserve {
-                            anchor: anchor.as_secs(),
-                        },
-                    );
-                }
+            // One Reserve per distinct reservation, not per pass
+            // (`released` is empty unless recording).
+            let unchanged = self
+                .released
+                .binary_search_by_key(&job.id, |&(id, _)| id)
+                .is_ok_and(|i| self.released[i].1 == anchor);
+            if !unchanged {
+                obs::trace::record(
+                    &self.recorder,
+                    now.as_secs(),
+                    job.id.0 as u64,
+                    TraceKind::Reserve {
+                        anchor: anchor.as_secs(),
+                    },
+                );
             }
         }
         // `held` is this pass's list: the kept prefix, then what it placed.
@@ -251,43 +266,31 @@ impl DepthScheduler {
         // rejects all of its candidates the same way.
         let scan_t0 = obs::span::start_nested(&self.phases, obs::Phase::Backfill);
         let mut at = self.queue.pos_of(self.held.len());
-        let horizon = Cell::new(None);
+        let mut horizon = Horizon::new(now);
         loop {
             let (free, cached) = (self.free, &self.cached);
-            let zero_horizon = || {
-                horizon.get().unwrap_or_else(|| {
-                    let h = cached.zero_horizon(now);
-                    horizon.set(Some(h));
-                    h
-                })
-            };
             let Some(found) = self.queue.find(
                 at,
-                |sum| sum.rules_out_backfill(now, free, horizon.get()),
-                |cand| {
-                    cand.width <= free
-                        && now + cand.estimate <= zero_horizon()
-                        && cached.fits(now, cand.estimate, cand.width)
-                },
+                |sum| sum.rules_out(now, free, horizon.known()),
+                |cand| cand.width <= free && horizon.fits(cached, cand.estimate, cand.width),
             ) else {
                 break;
             };
             let cand = self.queue.remove_at(found);
             at = found;
-            if let Some(rec) = &self.recorder {
-                // The hole this candidate slotted into runs from `now`
-                // to the earliest protected anchor.
-                rec.borrow_mut().record(
-                    now.as_secs(),
-                    cand.id.0 as u64,
-                    TraceKind::Backfill {
-                        filled_hole: hole_end.since(now).as_secs(),
-                    },
-                );
-            }
+            // The hole this candidate slotted into runs from `now` to the
+            // earliest protected anchor.
+            obs::trace::record(
+                &self.recorder,
+                now.as_secs(),
+                cand.id.0 as u64,
+                TraceKind::Backfill {
+                    filled_hole: hole_end.since(now).as_secs(),
+                },
+            );
             // It fit around every held rectangle, so they stay.
             self.cached.reserve(now, cand.estimate, cand.width);
-            horizon.set(None);
+            horizon.forget();
             self.run(cand, starts);
         }
         obs::span::finish_nested(&self.phases, obs::Phase::Backfill, scan_t0);
@@ -295,16 +298,36 @@ impl DepthScheduler {
 
     fn reschedule(&mut self, now: SimTime, out: &mut Decisions) {
         self.start_heads(now, &mut out.starts);
+        // The rule is set aside while its victims leave through `finish`.
+        if let Some(mut rule) = self.preemption.take() {
+            // The episode: a starving head suspends the least deserving
+            // runners (the driver re-queues them through `on_preempted`)
+            // and starts at once.
+            let victims = rule.victims(self.queue.front(), self.free, self.queue.policy(), now);
+            for &job in victims {
+                self.finish(job, now);
+                out.preempts.push(job.meta.id);
+            }
+            if !victims.is_empty() {
+                let head = self.queue.pop_front().expect("a starving head");
+                self.start(head, now, &mut out.starts);
+            }
+            self.preemption = Some(rule);
+        }
         self.backfill(now, &mut out.starts);
+        if let Some(rule) = &self.preemption {
+            out.wakeup = rule.wakeup(self.queue.front(), now);
+        }
     }
 }
 
 impl Scheduler for DepthScheduler {
     fn name(&self) -> String {
-        if self.depth == 1 {
-            format!("EASY/{}", self.policy)
-        } else {
-            format!("Depth({})/{}", self.depth, self.policy)
+        let policy = self.queue.policy();
+        match &self.preemption {
+            Some(rule) => rule.name(policy),
+            None if self.depth == 1 => format!("EASY/{policy}"),
+            None => format!("Depth({})/{policy}", self.depth),
         }
     }
 
@@ -314,12 +337,31 @@ impl Scheduler for DepthScheduler {
     }
 
     fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
+        if let Some(rule) = &mut self.preemption {
+            rule.completed(job.meta.id);
+        }
         self.finish(job, now);
         self.reschedule(now, out);
     }
 
     fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
         self.reschedule(now, out);
+    }
+
+    fn on_started(&mut self, job: Running) {
+        if let Some(rule) = &mut self.preemption {
+            rule.started(job);
+        }
+    }
+
+    fn on_preempted(&mut self, job: JobMeta) {
+        assert!(
+            self.preemption.is_some(),
+            "scheduler never asked to preempt {}",
+            job.id
+        );
+        // A suspended job keeps its arrival, so its priority keeps aging.
+        self.enqueue(job);
     }
 
     fn queue_len(&self) -> usize {
@@ -339,6 +381,14 @@ impl Scheduler for DepthScheduler {
 
     fn set_phases(&mut self, phases: obs::SharedPhases) {
         self.phases = Some(phases);
+    }
+}
+
+#[cfg(test)]
+impl DepthScheduler {
+    /// The preemption rule, for its unit tests in `preemptive`.
+    pub(crate) fn rule(&mut self) -> &mut Preemption {
+        self.preemption.as_mut().expect("a preemptive scheduler")
     }
 }
 

@@ -17,10 +17,10 @@
 //!   job holds a promise with built-in slack);
 //! * [`depth`] — reservation-depth backfilling: protect the top *k* queued
 //!   jobs, the EASY↔conservative continuum of Chiang et al. Depth 1 is
-//!   aggressive (EASY) backfilling with a single pivot reservation;
-//! * [`preemptive`] — EASY (a depth-1 [`DepthScheduler`]) with selective
-//!   preemption of running jobs (the authors' companion strategy, their
-//!   reference \[6\]);
+//!   aggressive (EASY) backfilling with a single pivot reservation, and
+//!   [`DepthScheduler::preemptive`] is EASY with selective preemption of
+//!   running jobs (the authors' companion strategy, their reference
+//!   \[6\]);
 //! * [`queue`] — the one certificate-ordered job list behind every wait
 //!   queue and the reservation list.
 
@@ -30,7 +30,7 @@ pub mod conservative;
 pub mod depth;
 pub mod fcfs;
 pub mod policy;
-pub mod preemptive;
+mod preemptive;
 pub mod profile;
 pub mod queue;
 pub mod scheduler;
@@ -39,7 +39,6 @@ pub use conservative::{Compression, ConservativeScheduler};
 pub use depth::DepthScheduler;
 pub use fcfs::FcfsScheduler;
 pub use policy::Policy;
-pub use preemptive::PreemptiveScheduler;
 pub use profile::{Profile, ProfileStats, Segment};
 pub use queue::{QueueCounters, SchedQueue};
 pub use scheduler::{Decisions, JobMeta, Running, Scheduler};

@@ -1,194 +1,120 @@
 //! Selective preemption — the authors' companion strategy (their reference
 //! \[6\], "Selective preemption strategies for parallel job scheduling",
-//! ICPP 2002).
+//! ICPP 2002) — as a rule of the depth-1 pass
+//! ([`DepthScheduler::preemptive`](crate::DepthScheduler::preemptive)).
 //!
 //! Backfilling alone cannot help a starving wide job: nothing running can
-//! be displaced. Selective preemption adds the missing lever — when a
-//! waiting job's expansion factor crosses a threshold, the scheduler may
-//! **suspend** running jobs to make room, re-queueing them with their
-//! remaining work. Safeguards keep it "selective" rather than thrashing:
+//! be displaced. When the blocked head's expansion factor crosses a
+//! threshold, the scheduler may **suspend** running jobs to make room,
+//! re-queueing them with their remaining work. Safeguards keep it
+//! "selective" rather than thrashing:
 //!
 //! * only the *highest-priority* starving job triggers preemption;
 //! * victims are chosen lowest-priority-first among jobs that have run at
 //!   least `min_run` (no sniping of fresh starts) — the running jobs the
-//!   driver reported through [`Scheduler::on_started`], so a job started
+//!   driver reported through `Scheduler::on_started`, so a job started
 //!   earlier in the same event is never a candidate;
 //! * a job is suspended at most `max_preemptions` times, guaranteeing
 //!   global progress.
 //!
-//! Around the preemption episodes the scheduler *is* EASY: it embeds a
-//! depth-1 [`DepthScheduler`] and runs its start-heads step and backfill
-//! pass, so with an infinite threshold it degenerates to EASY — tested
-//! below.
+//! With an infinite threshold the scheduler is EASY — tested below.
 
-use crate::depth::DepthScheduler;
 use crate::policy::Policy;
-use crate::profile::ProfileStats;
-use crate::scheduler::{Decisions, JobMeta, Running, Scheduler};
-use obs::trace::SharedRecorder;
-use simcore::{SimSpan, SimTime};
+use crate::scheduler::{JobMeta, Running};
+use simcore::{JobId, SimSpan, SimTime};
 
-/// EASY backfilling with selective preemption of running jobs.
+/// The rule's threshold, safeguards and victim set.
 #[derive(Debug, Clone)]
-pub struct PreemptiveScheduler {
-    /// The EASY (depth-1) scheduler underneath: queue, running profile
-    /// and backfill pass. Its queued `estimate`s are *remaining* estimates
-    /// for previously preempted jobs, as the driver re-announced them.
-    easy: DepthScheduler,
-    /// The victim set: every running job, as the driver reported its
-    /// start (with the suspensions before the run), until it completes or
-    /// is picked. Its order never reaches a decision, because
-    /// [`pick_victims`](Self::pick_victims) sorts the candidates by the
-    /// policy's total order.
-    running: Vec<Running>,
+pub(crate) struct Preemption {
     /// Expansion-factor threshold that triggers preemption.
     threshold: f64,
     /// Minimum uninterrupted runtime before a job may be victimized.
     min_run: SimSpan,
     /// Per-job suspension cap.
     max_preemptions: u32,
-    /// Scratch for [`pick_victims`](Self::pick_victims): the runners that
-    /// may be suspended, and the ones it picks. Reused across events.
-    candidates: Vec<Running>,
+    /// Every running job, as the driver reported its start, until it
+    /// completes or is picked. [`victims`](Self::victims) sorts it by the
+    /// policy's total order, so the order it arrived in never reaches a
+    /// decision.
+    running: Vec<Running>,
+    /// The runners [`victims`](Self::victims) picked; reused across events.
     victims: Vec<Running>,
 }
 
-impl PreemptiveScheduler {
-    /// Create for a machine with `capacity` processors. `threshold` is the
-    /// starving job's expansion factor that triggers preemption (≥ 1;
-    /// infinity disables preemption entirely, yielding EASY).
-    pub fn new(capacity: u32, policy: Policy, threshold: f64) -> Self {
+impl Preemption {
+    /// The rule at `threshold` (≥ 1; infinity never preempts).
+    pub(crate) fn new(threshold: f64) -> Self {
         assert!(
             threshold >= 1.0,
             "preemption threshold must be >= 1, got {threshold}"
         );
-        PreemptiveScheduler {
-            easy: DepthScheduler::new(capacity, policy, 1),
-            running: Vec::new(),
+        Preemption {
             threshold,
             min_run: SimSpan::from_mins(10),
             max_preemptions: 2,
-            candidates: Vec::new(),
+            running: Vec::new(),
             victims: Vec::new(),
         }
     }
 
-    /// Pick victims (lowest priority first) freeing enough processors for
-    /// `needed`, honouring the safeguards, into `self.victims`. Returns
-    /// false if that is impossible.
-    fn pick_victims(&mut self, needed: u32, now: SimTime) -> bool {
-        self.candidates.clear();
-        self.candidates.extend(
-            self.running
-                .iter()
-                .filter(|r| {
-                    now.since(r.started_at) >= self.min_run && r.suspensions < self.max_preemptions
-                })
-                .copied(),
-        );
-        // Lowest priority last in `compare` order; victimize from the back.
-        // `compare` is a total order over distinct jobs, so an unstable
-        // sort (which needs no merge buffer) gives the stable sort's order.
-        let policy = self.easy.queue.policy();
-        self.candidates
-            .sort_unstable_by(|a, b| policy.compare(&a.meta, &b.meta, now));
-        self.victims.clear();
-        let mut freed = self.easy.free;
-        for &job in self.candidates.iter().rev() {
-            if freed >= needed {
-                break;
-            }
-            self.victims.push(job);
-            freed += job.meta.width;
-        }
-        freed >= needed
-    }
-
-    fn reschedule(&mut self, now: SimTime, out: &mut Decisions) {
-        self.easy.start_heads(now, &mut out.starts);
-
-        // Preemption episode: if the blocked head is starving, displace the
-        // least deserving runners and start it right away.
-        if let Some(&head) = self.easy.queue.front() {
-            if self.threshold.is_finite()
-                && Policy::xfactor(&head, now) >= self.threshold
-                && self.pick_victims(head.width, now)
-            {
-                let victims = &self.victims;
-                self.running.retain(|r| !victims.contains(r));
-                for &job in &self.victims {
-                    self.easy.finish(job, now);
-                    out.preempts.push(job.meta.id);
-                    // The driver answers with on_preempted, where the
-                    // job re-enters the queue with remaining estimate.
-                }
-                let head = self.easy.queue.pop_front().expect("front() was Some");
-                self.easy.start(head, now, &mut out.starts);
-            }
-        }
-
-        self.easy.backfill(now, &mut out.starts);
-
-        // Wake when the head crosses the starvation threshold (so a quiet
-        // machine still triggers the episode).
-        out.wakeup = match self.easy.queue.front() {
-            Some(head) if self.threshold.is_finite() => {
-                let cross = Policy::crossing_time(self.threshold, head);
-                (cross > now).then_some(cross)
-            }
-            _ => None,
-        };
-    }
-}
-
-impl Scheduler for PreemptiveScheduler {
-    fn name(&self) -> String {
-        if self.threshold.is_finite() {
-            format!("Preempt({})/{}", self.threshold, self.easy.queue.policy())
-        } else {
-            format!("Preempt(∞)/{}", self.easy.queue.policy())
+    pub(crate) fn name(&self, policy: Policy) -> String {
+        match self.threshold {
+            t if t.is_finite() => format!("Preempt({t})/{policy}"),
+            _ => format!("Preempt(∞)/{policy}"),
         }
     }
 
-    fn on_arrival(&mut self, job: JobMeta, now: SimTime, out: &mut Decisions) {
-        self.easy.enqueue(job);
-        self.reschedule(now, out);
-    }
-
-    fn on_completion(&mut self, job: Running, now: SimTime, out: &mut Decisions) {
-        self.running.retain(|r| r.meta.id != job.meta.id);
-        self.easy.finish(job, now);
-        self.reschedule(now, out);
-    }
-
-    fn on_wake(&mut self, now: SimTime, out: &mut Decisions) {
-        self.reschedule(now, out);
-    }
-
-    fn on_started(&mut self, job: Running) {
+    pub(crate) fn started(&mut self, job: Running) {
         self.running.push(job);
     }
 
-    fn on_preempted(&mut self, job: JobMeta) {
-        // The driver keeps the original arrival, so the job's priority
-        // keeps aging while suspended.
-        self.easy.enqueue(job);
+    pub(crate) fn completed(&mut self, id: JobId) {
+        self.running.retain(|r| r.meta.id != id);
     }
 
-    fn queue_len(&self) -> usize {
-        self.easy.queue_len()
+    /// The runners to suspend, lowest priority first, so that the blocked
+    /// `head` starts now: none unless it is starving and the safeguards
+    /// free enough processors beside the `free` ones. They leave the
+    /// victim set.
+    pub(crate) fn victims(
+        &mut self,
+        head: Option<&JobMeta>,
+        free: u32,
+        policy: Policy,
+        now: SimTime,
+    ) -> &[Running] {
+        self.victims.clear();
+        let Some(head) = head.filter(|head| Policy::xfactor(head, now) >= self.threshold) else {
+            return &self.victims;
+        };
+        // Lowest priority last in `compare` order; victimize from the back.
+        // `compare` is a total order over distinct jobs, so an unstable
+        // sort (which needs no merge buffer) gives the stable sort's order.
+        self.running
+            .sort_unstable_by(|a, b| policy.compare(&a.meta, &b.meta, now));
+        let mut freed = free;
+        for &job in self.running.iter().rev() {
+            if freed >= head.width {
+                break;
+            }
+            if now.since(job.started_at) >= self.min_run && job.suspensions < self.max_preemptions {
+                self.victims.push(job);
+                freed += job.meta.width;
+            }
+        }
+        if freed < head.width {
+            self.victims.clear();
+        }
+        let victims = &self.victims;
+        self.running.retain(|r| !victims.contains(r));
+        &self.victims
     }
 
-    fn profile_stats(&self) -> Option<ProfileStats> {
-        self.easy.profile_stats()
-    }
-
-    fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.easy.set_recorder(recorder);
-    }
-
-    fn set_phases(&mut self, phases: obs::SharedPhases) {
-        self.easy.set_phases(phases);
+    /// The wake-up at which the new `head` crosses the threshold, so that
+    /// a quiet machine still runs its episode.
+    pub(crate) fn wakeup(&self, head: Option<&JobMeta>, now: SimTime) -> Option<SimTime> {
+        let cross = Policy::crossing_time(self.threshold, head?);
+        (self.threshold.is_finite() && cross > now).then_some(cross)
     }
 }
 
@@ -196,7 +122,7 @@ impl Scheduler for PreemptiveScheduler {
 mod tests {
     use super::*;
     use crate::scheduler::testing::Harness;
-    use simcore::JobId;
+    use crate::{DepthScheduler, Scheduler};
 
     fn meta(id: u32, arrival: u64, estimate: u64, width: u32) -> JobMeta {
         JobMeta {
@@ -207,15 +133,21 @@ mod tests {
         }
     }
 
-    fn sched(threshold: f64) -> Harness<PreemptiveScheduler> {
+    fn sched(threshold: f64) -> Harness<DepthScheduler> {
         guarded(threshold, SimSpan::new(60), 2)
     }
 
-    fn guarded(threshold: f64, min_run: SimSpan, max: u32) -> Harness<PreemptiveScheduler> {
-        let mut s = PreemptiveScheduler::new(8, Policy::Fcfs, threshold);
-        s.min_run = min_run;
-        s.max_preemptions = max;
+    fn guarded(threshold: f64, min_run: SimSpan, max: u32) -> Harness<DepthScheduler> {
+        let mut s = DepthScheduler::preemptive(8, Policy::Fcfs, threshold);
+        let rule = s.rule();
+        rule.min_run = min_run;
+        rule.max_preemptions = max;
         Harness::new(s)
+    }
+
+    /// The victim set of `s`.
+    fn running(s: &mut DepthScheduler) -> &[Running] {
+        &s.rule().running
     }
 
     #[test]
@@ -301,11 +233,10 @@ mod tests {
         s.arrive(meta(1, 1, 100, 8), SimTime::new(1));
         let d = s.wake(SimTime::new(51));
         assert_eq!(d.preempts, vec![JobId(0)]);
-        assert_eq!(s.running.len(), 1, "the victim left the victim set");
+        assert_eq!(running(&mut s).len(), 1, "the victim left the victim set");
         s.requeue(meta(0, 0, 10_000 - 51, 8));
         s.complete(JobId(1), SimTime::new(151)); // the hog resumes
-        let suspensions: Vec<_> = s
-            .running
+        let suspensions: Vec<_> = running(&mut s)
             .iter()
             .map(|r| (r.meta.id, r.suspensions))
             .collect();
@@ -315,7 +246,7 @@ mod tests {
             "the resumed run counts its suspension"
         );
         s.complete(JobId(0), SimTime::new(10_000));
-        assert!(s.running.is_empty());
+        assert!(running(&mut s).is_empty());
     }
 
     #[test]
@@ -329,8 +260,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "never asked to preempt")]
+    fn a_plain_depth_scheduler_refuses_a_requeue() {
+        DepthScheduler::new(8, Policy::Fcfs, 1).on_preempted(meta(0, 0, 100, 8));
+    }
+
+    #[test]
     #[should_panic(expected = "must be >= 1")]
     fn rejects_sub_one_threshold() {
-        PreemptiveScheduler::new(8, Policy::Fcfs, 0.5);
+        DepthScheduler::preemptive(8, Policy::Fcfs, 0.5);
     }
 }

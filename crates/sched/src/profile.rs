@@ -85,7 +85,7 @@
 
 use serde::{Deserialize, Serialize};
 use simcore::{SimSpan, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 
 /// One step of the free-capacity silhouette: `free` processors are
 /// available from `start` until the next segment's start.
@@ -1063,6 +1063,38 @@ impl Profile {
         // incremental edits may take no shortcuts.
         let mut chunks = self.chunks.clone();
         !chunks.iter_mut().any(|ch| ch.refresh())
+    }
+}
+
+/// The start-now probe of a scan at `now`: a window ending past
+/// [`Profile::zero_horizon`] fails without a `fits` probe. The horizon is
+/// found on first use and kept until the scan edits the profile.
+pub(crate) struct Horizon {
+    now: SimTime,
+    zero: OnceCell<SimTime>,
+}
+
+impl Horizon {
+    pub(crate) fn new(now: SimTime) -> Self {
+        let zero = OnceCell::new();
+        Horizon { now, zero }
+    }
+
+    /// The horizon, once found.
+    pub(crate) fn known(&self) -> Option<SimTime> {
+        self.zero.get().copied()
+    }
+
+    /// Drop the horizon after an edit of the profile.
+    pub(crate) fn forget(&mut self) {
+        self.zero.take();
+    }
+
+    /// True if `width` processors are free in `profile` over `[now, now +
+    /// span)`.
+    pub(crate) fn fits(&self, profile: &Profile, span: SimSpan, width: u32) -> bool {
+        let zero = *self.zero.get_or_init(|| profile.zero_horizon(self.now));
+        self.now + span <= zero && profile.fits(self.now, span, width)
     }
 }
 

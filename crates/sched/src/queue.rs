@@ -55,10 +55,10 @@
 //! over blocks with nothing due, nothing narrow enough or nothing short
 //! enough (DESIGN.md §11.1). A summary is made exact only where that pays:
 //! the due-start scan before it folds a passed-over block's earliest start
-//! into the wake-up, a backfill or compression scan on its second full
-//! read of a stale block, and a pass as it leaves a block. A scan walks
-//! the queue with [`Pos`] cursors; a removal leaves the positions before
-//! it valid and the removed one naming its successor.
+//! into the wake-up, the one walker every other scan uses on its second
+//! full read of a stale block, and a pass as it leaves a block. A scan
+//! walks the queue with [`Pos`] cursors; a removal leaves the positions
+//! before it valid and the removed one naming its successor.
 //!
 //! Between passes a list changes only by removals, which keep the order
 //! of the rest, and appends, which wait at the back. The reservation list
@@ -144,14 +144,14 @@ impl Queued for JobMeta {
 pub(crate) struct Summary {
     /// At most the earliest [`Queued::due`] instant, and
     /// [`SimTime::FAR_FUTURE`] (never) at the latest.
-    pub(crate) min_due: SimTime,
+    min_due: SimTime,
     /// At most the narrowest width among the entries with a positive
     /// estimate.
-    pub(crate) min_width: u32,
+    min_width: u32,
     /// At most the shortest positive estimate.
-    pub(crate) min_estimate: SimSpan,
+    min_estimate: SimSpan,
     /// Set when some entry may have a zero estimate.
-    pub(crate) zero_estimate: bool,
+    zero_estimate: bool,
 }
 
 impl Summary {
@@ -202,18 +202,17 @@ impl Summary {
         sum
     }
 
-    /// True when no entry can backfill at `now`: every candidate is wider
-    /// than the `free` processors, or its window ends past the profile's
-    /// zero `horizon` (when that is already known). A zero estimate passes
-    /// both tests, so a block holding one is always read.
-    pub(crate) fn rules_out_backfill(
-        &self,
-        now: SimTime,
-        free: u32,
-        horizon: Option<SimTime>,
-    ) -> bool {
-        !self.zero_estimate
-            && (self.min_width > free || horizon.is_some_and(|h| now + self.min_estimate > h))
+    /// True when no entry passes a start-now scan's O(1) tests at `now`:
+    /// every entry is wider than `cap`, or every window — from `now` to
+    /// the earlier of the entry's due instant after `now` and `now` plus
+    /// its estimate — ends past the zero `horizon`, once known. A zero
+    /// estimate passes both, so a block holding one is always read.
+    pub(crate) fn rules_out(&self, now: SimTime, cap: u32, horizon: Option<SimTime>) -> bool {
+        if self.zero_estimate {
+            return false;
+        }
+        let earliest_end = (self.min_due.max(now + SimSpan::SECOND)).min(now + self.min_estimate);
+        self.min_width > cap || horizon.is_some_and(|h| earliest_end > h)
     }
 }
 
@@ -746,28 +745,12 @@ impl<T: Queued> SchedQueue<T> {
         }
     }
 
-    /// The first entry at or after `at`, in order, that `hit` accepts.
-    pub(crate) fn scan(&self, mut at: Pos, mut hit: impl FnMut(&T) -> bool) -> Option<Pos> {
-        while let Some(block) = self.blocks.get(at.block) {
-            if let Some(k) = self.items(block)[at.slot..].iter().position(&mut hit) {
-                return Some(Pos {
-                    block: at.block,
-                    slot: at.slot + k,
-                });
-            }
-            at = Pos {
-                block: at.block + 1,
-                slot: 0,
-            };
-        }
-        None
-    }
-
-    /// [`scan`](Self::scan), passing over unread each whole block whose
-    /// summary `idle` rules out. A stale summary is a lower bound and
-    /// rules out no more than the exact one: a stale block it leaves in is
-    /// read, and summarised afresh once read to its end with no entry
-    /// accepted.
+    /// The first entry at or after `at`, in order, that `hit` accepts,
+    /// passing over unread each whole block whose summary `idle` rules
+    /// out (`|_| false` reads every entry). A stale summary is a lower
+    /// bound and rules out no more than the exact one: a stale block it
+    /// leaves in is read, and summarised afresh on its second read to its
+    /// end with no entry accepted.
     pub(crate) fn find(
         &mut self,
         mut at: Pos,

@@ -4,16 +4,17 @@
 //! `DepthScheduler` (EASY at depth 1) keeps one running profile for its
 //! whole life: starts reserve into it, completions release their unused
 //! tails, and each pass reserves the top `k` queued jobs into it, backfills
-//! against it and releases the `k` rectangles again. `PreemptiveScheduler`
-//! runs the same pass at depth 1 and picks its victims from the starts the
-//! driver reported through `Scheduler::on_started`. The reference here
-//! does none of that. At every event it re-sorts a plain `Vec` queue,
-//! starts heads while they fit, runs the selective-preemption episode from
-//! its own running `Vec` (a starving head, victims lowest priority first,
-//! the minimum run and the suspension cap), rebuilds a fresh profile from
-//! its running set, reserves the top `k` at their earliest anchors, and
-//! backfills every later job whose rectangle `fits` now, reserving each
-//! into the throwaway profile.
+//! against it and releases the `k` rectangles again.
+//! `DepthScheduler::preemptive` runs the same pass at depth 1 and picks
+//! its victims from the starts the driver reported through
+//! `Scheduler::on_started`. The reference here does none of that. At
+//! every event it re-sorts a plain `Vec` queue, starts heads while they
+//! fit, runs the selective-preemption episode from its own running `Vec`
+//! (a starving head, victims lowest priority first, the minimum run and
+//! the suspension cap), rebuilds a fresh profile from its running set,
+//! reserves the top `k` at their earliest anchors, and backfills every
+//! later job whose rectangle `fits` now, reserving each into the
+//! throwaway profile.
 //!
 //! The two run in lockstep over arbitrary traces — simultaneous arrivals,
 //! completions that coincide with each other and with estimated ends,
@@ -21,11 +22,11 @@
 //! be short of what it still runs), and wake-ups at random instants, at
 //! the very instants the reference anchored a reservation and at the
 //! instants the scheduler asks for — for `k` ∈ {1, 2, 4, ∞} under all five
-//! policies, and for `PreemptiveScheduler` with the shipped safeguards at
-//! an infinite threshold and at three finite ones. Longer traces, with
-//! zero estimates, back the queue up across several of its 64-entry
-//! blocks. After every event both
-//! must order the same preemptions, the same starts in the same order and
+//! policies, and for `DepthScheduler::preemptive` with the shipped
+//! safeguards at an infinite threshold and at three finite ones. Longer
+//! traces, with zero estimates, back the queue up across several of its
+//! 64-entry blocks. After every event both must order the same
+//! preemptions, the same starts in the same order and
 //! the same wake-up. The lockstep driver plays the simulation driver's
 //! part: it voids the pending completion of a suspended job and
 //! re-announces the job with `max(estimate − ran, 1 s)`.
@@ -37,9 +38,7 @@
 //! diverging decision.
 
 use proptest::prelude::*;
-use sched::{
-    Decisions, DepthScheduler, JobMeta, Policy, PreemptiveScheduler, Profile, Running, Scheduler,
-};
+use sched::{Decisions, DepthScheduler, JobMeta, Policy, Profile, Running, Scheduler};
 use simcore::{JobId, SimSpan, SimTime};
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -59,7 +58,7 @@ const POLICIES: [Policy; 5] = [
     Policy::WidestFirst,
 ];
 
-/// `PreemptiveScheduler`'s safeguards: a victim has run at least ten
+/// The preemption rule's safeguards: a victim has run at least ten
 /// minutes and has been suspended fewer than twice.
 const MIN_RUN: SimSpan = SimSpan::from_mins(10);
 const MAX_PREEMPTIONS: u32 = 2;
@@ -474,13 +473,13 @@ proptest! {
                 let reference = Reference::new(capacity, policy, depth, f64::INFINITY);
                 lockstep(&workload, shipped, reference)?;
             }
-            let never = PreemptiveScheduler::new(capacity, policy, f64::INFINITY);
+            let never = DepthScheduler::preemptive(capacity, policy, f64::INFINITY);
             lockstep(&workload, never, Reference::new(capacity, policy, 1, f64::INFINITY))?;
         }
     }
 }
 
-/// `PreemptiveScheduler` at finite thresholds on the coarse grid, where
+/// `DepthScheduler::preemptive` at finite thresholds on the coarse grid, where
 /// runs outlast the minimum run. The run reports how many preemptions it
 /// checked and fails if there were none.
 #[test]
@@ -494,7 +493,7 @@ fn preemption_episodes_match_rebuilt_reference() {
             let capacity = workload.0;
             for policy in POLICIES {
                 for threshold in THRESHOLDS {
-                    let shipped = PreemptiveScheduler::new(capacity, policy, threshold);
+                    let shipped = DepthScheduler::preemptive(capacity, policy, threshold);
                     let reference = Reference::new(capacity, policy, 1, threshold);
                     let (preempted, _) = lockstep(&workload, shipped, reference)?;
                     preemptions.set(preemptions.get() + preempted);
@@ -528,7 +527,7 @@ fn deep_queues_match_rebuilt_reference() {
                 let reference = Reference::new(capacity, policy, depth, f64::INFINITY);
                 deepest = deepest.max(lockstep(&workload, shipped, reference)?.1);
             }
-            let preempt = PreemptiveScheduler::new(capacity, policy, 5.0);
+            let preempt = DepthScheduler::preemptive(capacity, policy, 5.0);
             let reference = Reference::new(capacity, policy, 1, 5.0);
             deepest = deepest.max(lockstep(&workload, preempt, reference)?.1);
         }

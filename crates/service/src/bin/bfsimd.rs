@@ -58,6 +58,14 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Print to stdout. Once its reader has left (`bfsimd | head -1`), the
+/// rest is dropped and the daemon serves and drains as usual.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = obs::cli::write_stdout(args) {
+        die(&format!("stdout: {e}"));
+    }
+}
+
 fn main() {
     let a = obs::cli::parse(&BFSIMD, std::env::args().skip(1).collect());
     let addr = a.get(&ADDR);
@@ -103,7 +111,10 @@ fn main() {
     let handle =
         Server::start(&addr, cfg).unwrap_or_else(|e| die(&format!("starting on {addr}: {e}")));
     obs::info!(target: "bfsimd", "listening on {} ({summary})", handle.addr());
-    println!("bfsimd listening on {} ({summary})", handle.addr());
+    emit(format_args!(
+        "bfsimd listening on {} ({summary})\n",
+        handle.addr()
+    ));
     handle.join();
-    println!("bfsimd drained and stopped");
+    emit(format_args!("bfsimd drained and stopped\n"));
 }

@@ -39,10 +39,10 @@
 //!    listener's port (loopback when bound to an unspecified address);
 //!    the loop drops the wake unserved — it claims no `connect` fault
 //!    index and counts in no metric. Only now does the loop poll,
-//!    non-blocking, until `pending` — the count of submits between
-//!    acceptance and response flush — reaches zero, so every request
-//!    already in the pipeline still gets its response; connections
-//!    opened meanwhile are still served.
+//!    non-blocking, until `pending` — the count of submits and
+//!    Shutdowns between acceptance and response flush — reaches zero, so
+//!    every request already in the pipeline, and the Shutdown ack, still
+//!    gets its response; connections opened meanwhile are still served.
 //! 4. The loop exits, the pool's queue closes, workers finish what they
 //!    hold and join. `ServerHandle::join` then returns.
 
@@ -556,7 +556,8 @@ enum WireFault {
 struct Served {
     response: Response,
     /// True when this request holds a `pending` slot that the handler
-    /// must release after the response flush (tracked `Submit`s only).
+    /// must release after the response flush (tracked `Submit`s and
+    /// `Shutdown`).
     gates_drain: bool,
     wire: WireFault,
 }
@@ -665,9 +666,9 @@ fn handle_connection(stream: TcpStream, inner: &Inner) {
     }
 }
 
-/// Serve one request. A tracked `Submit` increments `pending` here and
-/// the connection handler decrements it after the response flush (or
-/// after an injected drop).
+/// Serve one request. A tracked `Submit` or a `Shutdown` increments
+/// `pending` here and the connection handler decrements it after the
+/// response flush (or after an injected drop).
 fn serve(request: Request, inner: &Inner) -> Served {
     match request {
         Request::Submit { config, trace } => {
@@ -780,8 +781,16 @@ fn serve(request: Request, inner: &Inner) -> Served {
             Served::plain(Response::Draining)
         }
         Request::Shutdown => {
+            // The ack holds a `pending` slot, taken before the drain
+            // starts, so the drain (and a daemon process with it) ends
+            // only after the ack is flushed.
+            inner.pending.fetch_add(1, Ordering::SeqCst);
             inner.begin_shutdown();
-            Served::plain(Response::ShuttingDown)
+            Served {
+                response: Response::ShuttingDown,
+                gates_drain: true,
+                wire: WireFault::None,
+            }
         }
     }
 }
